@@ -9,6 +9,7 @@ looser bounds their error analysis supports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,7 @@ from .geom import (
     vertical_project,
 )
 from .linearize import (
+    BASIC_VERDICT_TOL,
     LambdaFamilyMember,
     LinearizedConnection,
     fiber_derivative_of_field,
@@ -55,7 +57,7 @@ from .sampling import (
     sample_tangent,
 )
 from .specfile import SpecFile
-from .transport import CurveInE, fiber_derivative_flow, flow, transport_ode
+from .transport import CurveInE, fiber_derivative_flow, flow, rk4, transport_ode
 
 
 @dataclass(frozen=True)
@@ -84,13 +86,24 @@ class _Skip(Exception):
     pass
 
 
+@dataclass(frozen=True)
+class _Shown:
+    """What a verdict-carrying check reports in place of its status error."""
+
+    label: str
+    max_error: float
+    tolerance: float
+
+
 def _mx(*values) -> float:
-    return float(
-        max(
-            (float(np.max(np.abs(np.asarray(v)), initial=0.0)) for v in values),
-            default=0.0,
-        )
-    )
+    """Largest absolute entry; inf if any entry is not finite."""
+    worst = 0.0
+    for v in values:
+        a = np.abs(np.asarray(v))
+        if not np.all(np.isfinite(a)):
+            return math.inf
+        worst = max(worst, float(np.max(a, initial=0.0)))
+    return worst
 
 
 def _st(rng, n, k) -> SecondTangent:
@@ -154,42 +167,25 @@ def _well_inside(sp, x, y, margin: float = 0.3) -> bool:
     return True
 
 
-def _line_curve(spec: SpecFile, rng, knots: int = 65) -> CurveInE:
-    """A straight-line curve staying well inside the domain."""
+def _segment(p, q) -> tuple:
+    return tuple(
+        ex.add(ex.lit(pa), ex.mul(ex.lit(qa - pa), ex.var("t"))) for pa, qa in zip(p, q)
+    )
+
+
+def _line_curve(spec: SpecFile, rng, knots: int = 65, vertical: bool = False) -> CurveInE:
+    """A straight-line curve staying well inside the domain.
+
+    A vertical curve keeps the base point of its first endpoint fixed.
+    """
     sp = spec.space
     for _ in range(64):
         a = sample_in_domain(sp, rng)
         b = sample_in_domain(sp, rng)
-        xs = [
-            ex.add(ex.lit(xa), ex.mul(ex.lit(xb - xa), ex.var("t")))
-            for xa, xb in zip(a.x, b.x)
-        ]
-        ys = [
-            ex.add(ex.lit(ya), ex.mul(ex.lit(yb - ya), ex.var("t")))
-            for ya, yb in zip(a.y, b.y)
-        ]
-        curve = CurveInE(tuple(xs), tuple(ys), 0.0, 1.0)
+        xs = tuple(ex.lit(xa) for xa in a.x) if vertical else _segment(a.x, b.x)
+        curve = CurveInE(xs, _segment(a.y, b.y), 0.0, 1.0)
         if all(
             _well_inside(sp, *curve.state(t)[:2]) for t in np.linspace(0.0, 1.0, knots)
-        ):
-            return curve
-    raise _Skip
-
-
-def _vertical_curve(spec: SpecFile, rng, knots: int = 65) -> CurveInE:
-    sp = spec.space
-    for _ in range(64):
-        a = sample_in_domain(sp, rng)
-        b = sample_in_domain(sp, rng)
-        xs = [ex.lit(xa) for xa in a.x]
-        ys = [
-            ex.add(ex.lit(ya), ex.mul(ex.lit(yb - ya), ex.var("t")))
-            for ya, yb in zip(a.y, b.y)
-        ]
-        curve = CurveInE(tuple(xs), tuple(ys), 0.0, 1.0)
-        if all(
-            _well_inside(sp, a.x, curve.state(t)[1])
-            for t in np.linspace(0.0, 1.0, knots)
         ):
             return curve
     raise _Skip
@@ -424,7 +420,7 @@ def _check_curvature_oracle(spec, rng, samples):
         v2[j] = 1.0
         try:
             ref = conn.holonomy_curvature(a, v1, v2)
-        except (OutOfDomainError, ex.DomainError):
+        except (OutOfDomainError, ex.DomainError, OverflowError):
             continue
         got = conn.curvature(a, v1, v2)
         worst = max(worst, _mx(got - ref) / (1.0 + _mx(ref)))
@@ -727,10 +723,10 @@ def _check_field_fiber_derivative(spec, rng, samples):
 def _check_flatness(spec, rng, samples):
     lin = LinearizedConnection(spec.conn)
     report = lin.flatness_report(samples=samples, seed=int(rng.integers(2**31)))
+    # the status reflects the consistency of the two flatness criteria; the
+    # row shows the verdict and the sampled curvature behind it
     err = 0.0 if report.equivalence_consistent else 1.0
-    _check_flatness.verdict = report.verdict  # consumed by the runner
-    _check_flatness.max_curvature = report.max_curvature
-    return err, report.samples
+    return err, report.samples, _Shown(report.verdict, report.max_curvature, BASIC_VERDICT_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +768,7 @@ def _check_transport_vertical(spec, rng, samples):
     sp = spec.space
     worst = 0.0
     for _ in range(samples):
-        curve = _vertical_curve(spec, rng)
+        curve = _line_curve(spec, rng, vertical=True)
         z0 = rng.uniform(-BOX, BOX, sp.k)
         out = transport_ode(lin, curve, z0, 64).z_final
         worst = max(worst, _mx(out - z0))
@@ -892,16 +888,8 @@ def _check_lambda_transport(spec, rng, samples):
             p = PullbackPoint(x, yv, z)
             return fam.apply(p, TangentE(p.a, xd, yd)).dy
 
-        z = z0.copy()
-        h = (curve.t1 - curve.t0) / 256
-        t = curve.t0
-        for _step in range(256):
-            k1 = rhs(t, z)
-            k2 = rhs(t + 0.5 * h, z + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, z + 0.5 * h * k2)
-            k4 = rhs(t + h, z + h * k3)
-            z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            t += h
+        for _, z in rk4(rhs, curve.t0, curve.t1, z0, 256):
+            pass
         worst = max(worst, _mx(got - z))
     return worst, samples
 
@@ -950,23 +938,14 @@ def run_suite(spec: SpecFile, samples: int = 256, seed: int = 0, tol: float = 1e
         rng = np.random.default_rng([seed, index])
         tolerance = tol if base_tol is None else base_tol
         count = max(1, samples // divisor)
-        display_name = name
         try:
-            err, used = fn(spec, rng, count)
-            if name == "linearize.flatness":
-                # status reflects consistency of the two flatness criteria;
-                # max_error carries the sampled curvature behind the verdict
-                from .linearize import BASIC_VERDICT_TOL
-
-                display_name = f"{name}[{_check_flatness.verdict}]"
-                status = "pass" if err <= tolerance else "fail"
-                err = _check_flatness.max_curvature
-                tolerance = BASIC_VERDICT_TOL
-            else:
-                status = "pass" if err <= tolerance else "fail"
-            results.append(
-                CheckResult(display_name, status, float(err), used, seed, tolerance)
-            )
+            err, used, *shown = fn(spec, rng, count)
         except _Skip:
-            results.append(CheckResult(display_name, "skip", 0.0, 0, seed, tolerance))
+            results.append(CheckResult(name, "skip", 0.0, 0, seed, tolerance))
+            continue
+        status = "pass" if err <= tolerance else "fail"
+        if shown:
+            (s,) = shown
+            name, err, tolerance = f"{name}[{s.label}]", s.max_error, s.tolerance
+        results.append(CheckResult(name, status, float(err), used, seed, tolerance))
     return Report(tuple(results), seed, samples, tol)

@@ -6,7 +6,8 @@ Vectors are comma separated; base and fiber blocks are separated by ';'
 output is a single deterministic JSON document with all reals printed to 17
 significant digits.
 
-Exit codes: 0 pass, 1 check failure, 2 usage or parse error, 3 domain error.
+Exit codes: 0 pass, 1 check failure, 2 usage or parse error, 3 domain or
+numeric error (an integration that overflows or leaves the finite range).
 """
 
 from __future__ import annotations
@@ -483,6 +484,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OutOfDomainError, ex.DomainError) as err:
         sys.stderr.write(f"domain error: {err}\n")
+        return 3
+    except OverflowError as err:
+        sys.stderr.write(f"numeric error: {err}\n")
         return 3
     except (UsageError, SpecError, ex.ParseError, ValueError) as err:
         sys.stderr.write(f"error: {err}\n")

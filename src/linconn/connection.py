@@ -54,7 +54,10 @@ class NonlinearConnection:
     def gamma_at(self, a: FiberPoint) -> np.ndarray:
         """Entrywise value of the coefficient matrix at an in-domain point."""
         self.space.require_in_domain(a.x, a.y)
-        env = self.space.point_env(a.x, a.y)
+        return self.gamma_matrix(self.space.point_env(a.x, a.y))
+
+    def gamma_matrix(self, env) -> np.ndarray:
+        """Coefficient matrix as floats over a plain environment."""
         return np.array(
             [[ad.real_part(ex.evaluate(g, env)) for g in row] for row in self.gamma]
         )
@@ -62,6 +65,22 @@ class NonlinearConnection:
     def gamma_env(self, env) -> list:
         """Coefficient matrix over a generic (possibly lifted) environment."""
         return [[ad.value_in(g, env) for g in row] for row in self.gamma]
+
+    def horizontal_direction_env(self, comp_x, env, eta=None):
+        """Components (X, -gamma X + eta) of a lifted base field over env.
+
+        ``comp_x`` and ``eta`` are expression tuples; eta None is the zero
+        section, i.e. the plain horizontal lift of X.
+        """
+        dir_x = [ad.value_in(e, env) for e in comp_x]
+        G = self.gamma_env(env)
+        dir_y = []
+        for A in range(self.space.k):
+            s = 0.0 if eta is None else ad.value_in(eta[A], env)
+            for i in range(self.space.n):
+                s = s - G[A][i] * dir_x[i]
+            dir_y.append(s)
+        return dir_x, dir_y
 
     def horizontal_lift(self, a: FiberPoint, v) -> TangentE:
         """Tangent with base velocity v and fiber velocity -gamma(a) v."""
@@ -82,6 +101,21 @@ class NonlinearConnection:
         return TangentE(w.at, w.dx - h.dx, w.dy - h.dy)
 
     # -- derived fields ---------------------------------------------------
+
+    def horizontal_field_of(self, comp_x) -> "FieldOnE":
+        """Horizontal lift of a base field given by expressions comp_x.
+
+        comp_x may depend on y (the P_h part of a general field).
+        """
+        comp_y = tuple(
+            ex.neg(
+                ex.scaled_sum(
+                    (1.0, ex.mul(row[i], comp_x[i])) for i in range(self.space.n)
+                )
+            )
+            for row in self.gamma
+        )
+        return FieldOnE(comp_x, comp_y)
 
     def horizontal_field(self, v) -> "FieldOnE":
         """Horizontal lift of a constant base vector, as an expression field."""
@@ -113,33 +147,32 @@ class NonlinearConnection:
         """Independent curvature estimate from small horizontal loops.
 
         Lifts the base rectangle spanned by h*v1, h*v2 horizontally (each leg
-        integrated with a private fixed-step RK4), measures the fiber defect
+        integrated with ``substeps`` RK4 steps), measures the fiber defect
         of the closed loop, and removes the odd and next even error terms by
         symmetrization and Richardson extrapolation.  Not used on any
         production path; it exists as a cross-check for ``curvature``.
         """
+        from .transport import rk4
+
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
+        n = self.space.n
 
         def leg(x, y, dirv):
-            # horizontal lift of t -> x + t*dirv over [0, 1]
-            dt = 1.0 / substeps
+            # horizontal lift of t -> x + t*dirv over [0, 1]: the state is
+            # (x, y) with x' = dirv and y' = -gamma(x, y) dirv
+            velocity = np.concatenate([dirv, np.zeros(self.space.k)])
 
-            def f(xc, yc):
-                env = self.space.point_env(xc, yc)
-                G = np.array(
-                    [[ad.real_part(ex.evaluate(g, env)) for g in row] for row in self.gamma]
-                )
-                return -G @ dirv
+            def f(t, state):
+                G = self.gamma_matrix(self.space.point_env(state[:n], state[n:]))
+                out = velocity.copy()
+                out[n:] = -G @ dirv
+                return out
 
-            for _ in range(substeps):
-                k1 = f(x, y)
-                k2 = f(x + 0.5 * dt * dirv, y + 0.5 * dt * k1)
-                k3 = f(x + 0.5 * dt * dirv, y + 0.5 * dt * k2)
-                k4 = f(x + dt * dirv, y + dt * k3)
-                y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-                x = x + dt * dirv
-            return x, y
+            state = np.concatenate([x, y])
+            for _, state in rk4(f, 0.0, 1.0, state, substeps):
+                pass
+            return state[:n], state[n:]
 
         def loop_defect(step):
             x, y = a.x.copy(), a.y.copy()
@@ -252,35 +285,22 @@ class HorBasicField:
 
     def as_field(self, conn: NonlinearConnection) -> FieldOnE:
         """Expression field with components (X^i, -gamma^A_i X^i + eta^A)."""
-        comp_y = []
-        for A in range(conn.space.k):
-            drift = ex.neg(
-                ex.scaled_sum(
-                    (1.0, ex.mul(conn.gamma[A][i], self.X[i]))
-                    for i in range(conn.space.n)
-                )
-            )
-            comp_y.append(ex.add(drift, self.eta[A]))
-        return FieldOnE(self.X, tuple(comp_y))
+        drift = conn.horizontal_field_of(self.X).comp_y
+        return FieldOnE(self.X, tuple(ex.add(d, e) for d, e in zip(drift, self.eta)))
 
-    def at(self, conn: NonlinearConnection, a: FiberPoint) -> TangentE:
-        env = conn.space.point_env(a.x, a.y)
+    def velocity(self, conn: NonlinearConnection, env):
+        """Float components (X, -gamma X + eta) over a plain environment."""
         dx = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.X])
         eta = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.eta])
-        G = conn.gamma_at(a)
-        return TangentE(a, dx, -G @ dx + eta)
+        return dx, -conn.gamma_matrix(env) @ dx + eta
+
+    def at(self, conn: NonlinearConnection, a: FiberPoint) -> TangentE:
+        conn.space.require_in_domain(a.x, a.y)
+        return TangentE(a, *self.velocity(conn, conn.space.point_env(a.x, a.y)))
 
     def direction_env(self, conn: NonlinearConnection, env):
         """Components of the field over a generic environment."""
-        dir_x = [ad.value_in(e, env) for e in self.X]
-        G = conn.gamma_env(env)
-        dir_y = []
-        for A in range(conn.space.k):
-            s = ad.value_in(self.eta[A], env)
-            for i in range(conn.space.n):
-                s = s - G[A][i] * dir_x[i]
-            dir_y.append(s)
-        return dir_x, dir_y
+        return conn.horizontal_direction_env(self.X, env, self.eta)
 
 
 # ---------------------------------------------------------------------------

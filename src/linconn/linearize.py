@@ -156,18 +156,6 @@ class LinearizedConnection:
             out.append(s)
         return out
 
-    def _horizontal_direction_env(self, x_comps, env):
-        """Components of the horizontal lift of a base field over env."""
-        dir_x = [ad.value_in(e, env) for e in x_comps]
-        G = self.conn.gamma_env(env)
-        dir_y = []
-        for A in range(self.space.k):
-            s = 0.0
-            for i in range(self.space.n):
-                s = s - G[A][i] * dir_x[i]
-            dir_y.append(s)
-        return dir_x, dir_y
-
     def covariant_derivative_bracket(
         self, sigma: SectionAlongPi, w_field: FieldOnE, a: FiberPoint
     ) -> np.ndarray:
@@ -182,16 +170,7 @@ class LinearizedConnection:
         sp.require_in_domain(a.x, a.y)
         conn = self.conn
         # P_h(W) as an expression field, composed through gamma
-        comp_y = tuple(
-            ex.neg(
-                ex.scaled_sum(
-                    (1.0, ex.mul(conn.gamma[A][i], w_field.comp_x[i]))
-                    for i in range(sp.n)
-                )
-            )
-            for A in range(sp.k)
-        )
-        ph_w = FieldOnE(w_field.comp_x, comp_y)
+        ph_w = conn.horizontal_field_of(w_field.comp_x)
         sig_v = sigma.vertical_field(sp.n)
         br = bracket(sp, ph_w, sig_v, a)
         first = conn.connector(br)
@@ -240,8 +219,8 @@ class LinearizedConnection:
         v1 = [ad.real_part(ex.evaluate(e, point)) for e in y1.X]
         v2 = [ad.real_part(ex.evaluate(e, point)) for e in y2.X]
         rho = self.conn.curvature_env(env, np.array(v1), np.array(v2))
-        d1x, d1y = self._horizontal_direction_env(y1.X, env)
-        d2x, d2y = self._horizontal_direction_env(y2.X, env)
+        d1x, d1y = self.conn.horizontal_direction_env(y1.X, env)
+        d2x, d2y = self.conn.horizontal_direction_env(y2.X, env)
         t12 = self._cov_env(y2.eta, d1x, d1y, env)
         t21 = self._cov_env(y1.eta, d2x, d2y, env)
         return [rho[A] + t12[A] - t21[A] for A in range(self.space.k)]
@@ -330,7 +309,7 @@ class LinearizedConnection:
         env = sp.point_env(a.x, a.y)
         sig_a = [ad.real_part(ex.evaluate(c, env)) for c in sigma.comp]
         lifted = ad.lift_env(env, dict(zip(sp.y_names, sig_a)))
-        dirx, diry = self._horizontal_direction_env(y.X, lifted)
+        dirx, diry = self.conn.horizontal_direction_env(y.X, lifted)
         tau = self._cov_env(eta, dirx, diry, lifted)
         return np.array([ad.dual_part(t) for t in tau])
 

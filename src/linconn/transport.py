@@ -1,10 +1,10 @@
 """Parallel transport along curves, flows of hor-basic fields, and the
 fiber derivative of a flow computed through the variational equation.
 
-All integrations use fixed-step classical RK4: deterministic, and its
-fourth-order convergence is itself an acceptance check.  The domain
-predicate is enforced at every stage point; the first violation aborts with
-the offending parameter value.
+All integrations use the one fixed-step classical RK4 of ``rk4``:
+deterministic, and its fourth-order convergence is itself an acceptance
+check.  The domain predicate is enforced at every stage point; the first
+violation aborts with the offending parameter value.
 """
 
 from __future__ import annotations
@@ -67,6 +67,30 @@ def _as_linearization(lin_or_fam):
     raise TypeError(f"cannot transport with {type(lin_or_fam).__name__}")
 
 
+def rk4(f, t0: float, t1: float, state, steps: int):
+    """Classical fixed-step RK4 for state' = f(t, state) on [t0, t1].
+
+    Yields (t, state) after each of the ``steps`` steps; step j starts at
+    t0 + j*h.  An overflow inside f or a non-finite state raises
+    OverflowError naming t.
+    """
+    h = (t1 - t0) / steps
+    for step in range(steps):
+        t = t0 + step * h
+        try:
+            k1 = f(t, state)
+            k2 = f(t + 0.5 * h, state + 0.5 * h * k1)
+            k3 = f(t + 0.5 * h, state + 0.5 * h * k2)
+            k4 = f(t + h, state + h * k3)
+        except OverflowError as err:
+            raise OverflowError(f"{err} in the step from t = {t!r}") from err
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = t0 + (step + 1) * h
+        if not np.isfinite(state).all():
+            raise OverflowError(f"non-finite state at t = {t!r}")
+        yield t, state
+
+
 def transport_ode(
     lin_or_fam,
     curve: CurveInE,
@@ -90,44 +114,37 @@ def transport_ode(
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (sp.k,):
         raise ValueError(f"z0 must have length {sp.k}")
-    h = (curve.t1 - curve.t0) / steps
+    # The last tableau (M, c) by its exact t: k2 and k3 share the midpoint,
+    # and a step's end is usually bitwise the next step's start.
+    last = {}
 
-    def tableau(t: float):
-        x, y, xd, yd = curve.state(t)
-        if not sp.in_domain(x, y):
-            raise OutOfDomainError(f"curve leaves the domain at t = {t!r}")
-        env = sp.point_env(x, y)
-        J = np.array(lin.fiber_jacobian_env(env), dtype=float)
-        M = -np.einsum("aib,i->ab", J, xd)
-        c = np.zeros(sp.k)
-        if lam != 0.0:
-            G = np.array(
-                [[ad.real_part(v) for v in row] for row in lin.conn.gamma_env(env)]
-            )
-            c = lam * (yd + G @ xd)
-        return x, y, M, c
+    def rhs(t: float, z):
+        if t not in last:
+            x, y, xd, yd = curve.state(t)
+            if not sp.in_domain(x, y):
+                raise OutOfDomainError(f"curve leaves the domain at t = {t!r}")
+            env = sp.point_env(x, y)
+            J = np.array(lin.fiber_jacobian_env(env), dtype=float)
+            M = -np.einsum("aib,i->ab", J, xd)
+            c = np.zeros(sp.k)
+            if lam != 0.0:
+                c = lam * (yd + lin.conn.gamma_matrix(env) @ xd)
+            last.clear()
+            last[t] = M, c
+        M, c = last[t]
+        return M @ z + c
 
     stride = max(1, steps // record) if record else 0
     trajectory = []
 
     def note(t, z):
-        if record:
-            x, y, _, _ = curve.state(t)
-            trajectory.append((t, x.copy(), y.copy(), z.copy()))
+        x, y, _, _ = curve.state(t)
+        trajectory.append((t, x, y, z))
 
-    note(curve.t0, z)
-    t = curve.t0
-    for step in range(steps):
-        x0, y0, M0, c0 = tableau(t)
-        _, _, Mm, cm = tableau(t + 0.5 * h)
-        _, _, M1, c1 = tableau(t + h)
-        k1 = M0 @ z + c0
-        k2 = Mm @ (z + 0.5 * h * k1) + cm
-        k3 = Mm @ (z + 0.5 * h * k2) + cm
-        k4 = M1 @ (z + h * k3) + c1
-        z = z + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = curve.t0 + (step + 1) * h
-        if record and ((step + 1) % stride == 0 or step + 1 == steps):
+    if record:
+        note(curve.t0, z)
+    for step, (t, z) in enumerate(rk4(rhs, curve.t0, curve.t1, z, steps), 1):
+        if record and (step % stride == 0 or step == steps):
             note(t, z)
     return TransportResult(z, tuple(trajectory) if record else None, steps)
 
@@ -143,27 +160,16 @@ def flow(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     sp = conn.space
-    h = s / steps
 
-    def f(state):
+    def f(t, state):
         x, y = state[: sp.n], state[sp.n :]
         if not sp.in_domain(x, y):
             raise OutOfDomainError("flow left the domain")
-        env = sp.point_env(x, y)
-        xd = np.array([ad.real_part(ex.evaluate(e, env)) for e in y_field.X])
-        eta = np.array([ad.real_part(ex.evaluate(e, env)) for e in y_field.eta])
-        G = np.array([[ad.real_part(v) for v in row] for row in conn.gamma_env(env)])
-        return np.concatenate([xd, -G @ xd + eta])
+        return np.concatenate(y_field.velocity(conn, sp.point_env(x, y)))
 
     state = np.concatenate([a.x, a.y])
-    for _ in range(steps):
-        k1 = f(state)
-        k2 = f(state + 0.5 * h * k1)
-        k3 = f(state + 0.5 * h * k2)
-        k4 = f(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise OverflowError("flow diverged to a non-finite state")
+    for _, state in rk4(f, 0.0, s, state, steps):
+        pass
     if not sp.in_domain(state[: sp.n], state[sp.n :]):
         raise OutOfDomainError("flow left the domain")
     return FiberPoint(state[: sp.n], state[sp.n :])
@@ -190,29 +196,20 @@ def fiber_derivative_flow(
         raise ValueError("steps must be >= 1")
     sp = conn.space
     lin = LinearizedConnection(conn)
-    h = s / steps
 
-    def f(state):
+    def f(t, state):
         x, y, dz = state[: sp.n], state[sp.n : sp.n + sp.k], state[sp.n + sp.k :]
         if not sp.in_domain(x, y):
             raise OutOfDomainError("flow left the domain")
         env = sp.point_env(x, y)
-        xd = np.array([ad.real_part(ex.evaluate(e, env)) for e in y_field.X])
-        eta = np.array([ad.real_part(ex.evaluate(e, env)) for e in y_field.eta])
-        G = np.array([[ad.real_part(v) for v in row] for row in conn.gamma_env(env)])
+        xd, yd = y_field.velocity(conn, env)
         J = np.array(lin.fiber_jacobian_env(env), dtype=float)
         dzdot = -np.einsum("aib,b,i->a", J, dz, xd)
-        return np.concatenate([xd, -G @ xd + eta, dzdot])
+        return np.concatenate([xd, yd, dzdot])
 
     state = np.concatenate([p.x, p.y, p.z])
-    for _ in range(steps):
-        k1 = f(state)
-        k2 = f(state + 0.5 * h * k1)
-        k3 = f(state + 0.5 * h * k2)
-        k4 = f(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(state)):
-            raise OverflowError("flow diverged to a non-finite state")
+    for _, state in rk4(f, 0.0, s, state, steps):
+        pass
     end = FiberPoint(state[: sp.n], state[sp.n : sp.n + sp.k])
     sp.require_in_domain(end.x, end.y, "flow endpoint")
     return end, state[sp.n + sp.k :]

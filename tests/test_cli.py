@@ -246,6 +246,31 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 3
 
 
+EXP_SPEC = """
+[space]
+base_dim = 1
+fiber_dim = 1
+[connection]
+gamma_1_1 = "exp(y1)"
+"""
+
+
+@pytest.mark.parametrize("offset", ["40", "800"])
+def test_diverging_transport_is_a_numeric_error(capsys, tmp_path, offset):
+    # at y = 40 the RK4 state overflows; at y = 800 exp itself overflows
+    spec = tmp_path / "exp.ini"
+    spec.write_text(EXP_SPEC)
+    for flags in ([], ["--json"]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(
+                [*flags, "transport", str(spec), "--curve", f"t;{offset}+t;0;1", "--z0", "1"]
+            )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("numeric error:") and "t = " in captured.err
+        assert "nan" not in captured.out
+
+
 def test_json_float_formatting():
     text = to_json({"a": 0.1, "b": [1.0, 2.5e-17]})
     assert text == '{"a": 0.10000000000000001, "b": [1, 2.4999999999999999e-17]}'

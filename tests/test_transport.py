@@ -7,7 +7,7 @@ from linconn import expr as ex
 from linconn.connection import HorBasicField
 from linconn.geom import FiberPoint, OutOfDomainError, PullbackPoint
 from linconn.linearize import LambdaFamilyMember, LinearizedConnection
-from linconn.transport import CurveInE, fiber_derivative_flow, flow, transport_ode
+from linconn.transport import CurveInE, fiber_derivative_flow, flow, rk4, transport_ode
 
 E_MINUS_2 = math.exp(-2.0)
 
@@ -206,3 +206,37 @@ def test_transport_rejects_bad_args(c1):
         transport_ode(lin, c1.curves["line"], [1.0], 0)
     with pytest.raises(ValueError):
         transport_ode(lin, c1.curves["line"], [1.0, 2.0], 10)
+
+
+def _final(gen):
+    for t, state in gen:
+        pass
+    return t, state
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 10])
+def test_rk4_exact_on_quartic(steps):
+    # Simpson's rule is exact for cubics, so RK4 on z' = 4t^3 is exact
+    t, z = _final(rk4(lambda t, z: np.array([4.0 * t**3]), 0.0, 1.0, np.array([0.0]), steps))
+    assert t == 1.0
+    assert abs(z[0] - 1.0) <= 1e-15
+
+
+def test_rk4_fourth_order_on_exponential():
+    def err(steps):
+        _, z = _final(rk4(lambda t, z: z, 0.0, 1.0, np.array([1.0]), steps))
+        return abs(z[0] - math.e)
+
+    assert 15.0 <= err(8) / err(16) <= 17.0
+
+
+def test_rk4_yields_every_step():
+    knots = [t for t, _ in rk4(lambda t, z: z, 0.0, 2.0, np.array([1.0]), 4)]
+    assert knots == [0.5, 1.0, 1.5, 2.0]
+
+
+def test_rk4_blow_up_names_t():
+    # z' = z^2, z(0) = 10 blows up at t = 0.1
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match=r"t = "):
+            _final(rk4(lambda t, z: z * z, 0.0, 1.0, np.array([10.0]), 100))
