@@ -5,6 +5,8 @@ exact first derivatives in up to m directions per evaluation.  Dual2 carries
 a value, two first directional derivatives and the mixed second derivative,
 which is what the curvature formulas need: an outer derivative of quantities
 that already contain one derivative of the connection coefficients.
+DualBatch holds N lanes of Dual1 as arrays, so that one evaluation of a tree
+serves N points (the transport coefficients at every RK4 knot).
 
 The env helpers at the bottom make geometric formulas generic over "plain
 point" and "point moving in one outer direction": an env whose values are
@@ -17,6 +19,8 @@ differencing derivative output.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from . import expr
 from .expr import DomainError
@@ -129,6 +133,145 @@ class Dual1:
         if self.re == 0.0:
             raise DomainError("abs is not differentiable at zero")
         return self if self.re > 0.0 else -self
+
+
+_EXP_MAX = 709.782712893384  # largest x whose math.exp(x) is finite
+
+
+class DualBatch:
+    """N lanes of Dual1 at once: ``re`` of shape (N,), ``eps`` of shape (m, N).
+
+    Lane j follows ``Dual1(re[j], eps[:, j])`` operation for operation, so
+    + - * / and integer powers agree with it bitwise.  Without seed
+    directions (m = 0) the lanes follow the float guards instead (sqrt(0)
+    and abs(0) are allowed), which is what a stacked domain predicate needs.
+    A guard raises the scalar's exception when any lane offends.  The
+    vectorized forward mode of Revels, Lubin and Papamarkou (arXiv:1607.07892).
+    """
+
+    __slots__ = ("re", "eps")
+    __array_ufunc__ = None  # numpy hands mixed arithmetic back to these methods
+
+    def __init__(self, re, eps):
+        self.re = re
+        self.eps = eps
+
+    def __repr__(self):
+        return f"DualBatch({self.re!r}, {self.eps!r})"
+
+    def real_part(self):
+        return self.re
+
+    def is_constant(self) -> bool:
+        """No derivative and one value in every lane (a constant exponent)."""
+        return not self.eps.any() and bool((self.re == self.re[0]).all())
+
+    def __add__(self, other):
+        if isinstance(other, DualBatch):
+            return DualBatch(self.re + other.re, self.eps + other.eps)
+        if isinstance(other, (int, float)):
+            return DualBatch(self.re + other, self.eps)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, DualBatch):
+            return DualBatch(self.re - other.re, self.eps - other.eps)
+        if isinstance(other, (int, float)):
+            return DualBatch(self.re - other, self.eps)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, float)):
+            return DualBatch(other - self.re, -self.eps)
+        return NotImplemented
+
+    def __neg__(self):
+        return DualBatch(-self.re, -self.eps)
+
+    def __mul__(self, other):
+        if isinstance(other, DualBatch):
+            return DualBatch(
+                self.re * other.re, self.re * other.eps + self.eps * other.re
+            )
+        if isinstance(other, (int, float)):
+            return DualBatch(self.re * other, self.eps * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, DualBatch):
+            if (other.re == 0.0).any():
+                raise DomainError("division by zero")
+            q = self.re / other.re
+            return DualBatch(q, (self.eps - q * other.eps) / other.re)
+        if isinstance(other, (int, float)):
+            if other == 0.0:
+                raise DomainError("division by zero")
+            return DualBatch(self.re / other, self.eps / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, float)):
+            if (self.re == 0.0).any():
+                raise DomainError("division by zero")
+            q = other / self.re
+            return DualBatch(q, -q * self.eps / self.re)
+        return NotImplemented
+
+    def _chain(self, f0, f1) -> "DualBatch":
+        return DualBatch(f0, f1 * self.eps)
+
+    def _reject_inf(self):
+        if np.isinf(self.re).any():
+            raise ValueError("math domain error")  # as math.sin(inf)
+
+    def sin(self):
+        self._reject_inf()
+        return self._chain(np.sin(self.re), np.cos(self.re))
+
+    def cos(self):
+        self._reject_inf()
+        return self._chain(np.cos(self.re), -np.sin(self.re))
+
+    def exp(self):
+        big = self.re > _EXP_MAX
+        if big.any() and (big & (self.re < math.inf)).any():
+            raise OverflowError("math range error")  # as math.exp
+        v = np.exp(self.re)
+        return self._chain(v, v)
+
+    def log(self):
+        if (self.re <= 0.0).any():
+            raise DomainError("log of non-positive value")
+        return self._chain(np.log(self.re), 1.0 / self.re)
+
+    def sqrt(self):
+        if not len(self.eps):
+            if (self.re < 0.0).any():
+                raise DomainError("sqrt of negative value")
+            return DualBatch(np.sqrt(self.re), self.eps)
+        if (self.re <= 0.0).any():
+            raise DomainError("sqrt needs a positive value when differentiating")
+        v = np.sqrt(self.re)
+        return self._chain(v, 0.5 / v)
+
+    def abs(self):
+        if not len(self.eps):
+            return DualBatch(np.abs(self.re), self.eps)
+        if (self.re == 0.0).any():
+            raise DomainError("abs is not differentiable at zero")
+        up = self.re > 0.0
+        return DualBatch(np.where(up, self.re, -self.re), np.where(up, self.eps, -self.eps))
+
+
+def lanes(v, like: DualBatch) -> DualBatch:
+    """An evaluation result as a batch shaped like ``like`` (constants broadcast)."""
+    if isinstance(v, DualBatch):
+        return v
+    return DualBatch(np.full(like.re.shape, float(v)), np.zeros(like.eps.shape))
 
 
 class Dual2:

@@ -57,7 +57,14 @@ from .sampling import (
     sample_tangent,
 )
 from .specfile import SpecFile
-from .transport import CurveInE, fiber_derivative_flow, flow, rk4, transport_ode
+from .transport import (
+    CurveInE,
+    fiber_derivative_flow,
+    flow,
+    rk4,
+    transport_coefficients,
+    transport_ode,
+)
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,16 @@ def _mx(*values) -> float:
             return math.inf
         worst = max(worst, float(np.max(a, initial=0.0)))
     return worst
+
+
+def _rel(err: float, scale: float) -> float:
+    """err / (1 + scale), or inf if either part is not finite.
+
+    inf/inf would be nan, and max(worst, nan) keeps worst: a silent pass.
+    """
+    if not (math.isfinite(err) and math.isfinite(scale)):
+        return math.inf
+    return err / (1.0 + scale)
 
 
 def _st(rng, n, k) -> SecondTangent:
@@ -400,7 +417,7 @@ def _check_curvature_algebra(spec, rng, samples):
         al, be = rng.uniform(-2, 2, 2)
         lhs = conn.curvature(a, al * v1 + be * v2, v2)
         rhs = al * r12 + be * conn.curvature(a, v2, v2)
-        worst = max(worst, _mx(lhs - rhs) / (1.0 + _mx(rhs)))
+        worst = max(worst, _rel(_mx(lhs - rhs), _mx(rhs)))
     return worst, samples
 
 
@@ -410,6 +427,7 @@ def _check_curvature_oracle(spec, rng, samples):
     if sp.n < 2:
         raise _Skip  # no two-forms on a one-dimensional base
     worst = 0.0
+    used = 0
     for _ in range(samples):
         # unit coordinate rectangles around a point away from the boundary
         a = sample_in_domain(sp, rng)
@@ -422,9 +440,12 @@ def _check_curvature_oracle(spec, rng, samples):
             ref = conn.holonomy_curvature(a, v1, v2)
         except (OutOfDomainError, ex.DomainError, OverflowError):
             continue
+        used += 1
         got = conn.curvature(a, v1, v2)
-        worst = max(worst, _mx(got - ref) / (1.0 + _mx(ref)))
-    return worst, samples
+        worst = max(worst, _rel(_mx(got - ref), _mx(ref)))
+    if used == 0:
+        raise _Skip
+    return worst, used
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +460,7 @@ def _check_definition_equivalence(spec, rng, samples):
         w = sample_tangent(rng, p.a)
         got = lin.apply(p, w)
         ref = lin.apply_by_limit(p, w)
-        worst = max(worst, _teq(got, ref) / (1.0 + _mx(ref.dy)))
+        worst = max(worst, _rel(_teq(got, ref), _mx(ref.dy)))
     return worst, samples
 
 
@@ -456,7 +477,7 @@ def _check_linearity(spec, rng, samples):
         split = tangent_add(
             tangent_scale(al, lin.apply(p, w1)), tangent_scale(be, lin.apply(p, w2))
         )
-        worst = max(worst, _teq(combo, split) / (1.0 + _mx(split.dy)))
+        worst = max(worst, _rel(_teq(combo, split), _mx(split.dy)))
         # vanishing on verticals is exact
         out = lin.apply(p, vertical_lift(p.a, rng.uniform(-BOX, BOX, sp.k)))
         worst = max(worst, _mx(out.dx, out.dy))
@@ -464,15 +485,17 @@ def _check_linearity(spec, rng, samples):
         z2 = rng.uniform(-BOX, BOX, sp.k)
         lhs = lin.apply(PullbackPoint(p.x, p.y, p.z + z2), w1)
         rhs = tau_add(lin.apply(p, w1), lin.apply(PullbackPoint(p.x, p.y, z2), w1))
-        worst = max(worst, _teq(lhs, rhs) / (1.0 + _mx(lhs.dy)))
+        worst = max(worst, _rel(_teq(lhs, rhs), _mx(lhs.dy)))
         lam = float(rng.uniform(-2, 2))
         worst = max(
             worst,
-            _teq(
-                lin.apply(PullbackPoint(p.x, p.y, lam * p.z), w1),
-                tau_scale(lam, lin.apply(p, w1)),
-            )
-            / (1.0 + _mx(lhs.dy)),
+            _rel(
+                _teq(
+                    lin.apply(PullbackPoint(p.x, p.y, lam * p.z), w1),
+                    tau_scale(lam, lin.apply(p, w1)),
+                ),
+                _mx(lhs.dy),
+            ),
         )
     return worst, samples
 
@@ -511,7 +534,7 @@ def _check_lambda_family(spec, rng, samples):
         z2 = rng.uniform(-BOX, BOX, sp.k)
         lhs = fam.apply(PullbackPoint(p.x, p.y, p.z + z2), w)
         rhs = tau_add(fam.apply(p, w), lin.apply(PullbackPoint(p.x, p.y, z2), w))
-        worst = max(worst, _teq(lhs, rhs) / (1.0 + _mx(lhs.dy)))
+        worst = max(worst, _rel(_teq(lhs, rhs), _mx(lhs.dy)))
         # only the lam = 0 member kills verticals
         vert = vertical_lift(p.a, rng.uniform(-BOX, BOX, sp.k))
         out = LambdaFamilyMember(spec.conn, 1.0).apply(p, vert)
@@ -703,7 +726,7 @@ def _check_curvature_tensorial(spec, rng, samples):
         f_a = ad.real_part(ex.evaluate(f, sp.point_env(a.x, a.y)))
         lhs = lin.curvature(y1, y2, scaled, a)
         rhs = f_a * lin.curvature(y1, y2, sigma, a)
-        worst = max(worst, _mx(lhs - rhs) / (1.0 + _mx(rhs)))
+        worst = max(worst, _rel(_mx(lhs - rhs), _mx(rhs)))
     return worst, samples
 
 
@@ -716,7 +739,7 @@ def _check_field_fiber_derivative(spec, rng, samples):
         y = random_hor_basic(rng, sp)
         got = fiber_derivative_of_field(spec.conn, y, p)
         ref = lin.lift(p, y.at(spec.conn, p.a)).w2
-        worst = max(worst, _teq(got, ref) / (1.0 + _mx(ref.dy)))
+        worst = max(worst, _rel(_teq(got, ref), _mx(ref.dy)))
     return worst, samples
 
 
@@ -745,7 +768,7 @@ def _check_transport_linearity(spec, rng, samples):
         t1 = transport_ode(lin, curve, z1, 200).z_final
         t2 = transport_ode(lin, curve, z2, 200).z_final
         t12 = transport_ode(lin, curve, al * z1 + be * z2, 200).z_final
-        worst = max(worst, _mx(t12 - (al * t1 + be * t2)) / (1.0 + _mx(t12)))
+        worst = max(worst, _rel(_mx(t12 - (al * t1 + be * t2)), _mx(t12)))
     return worst, samples
 
 
@@ -786,16 +809,11 @@ def _order_measurable(lin, curve, knots: int = 257, amp: float = 8.0,
     coefficients lose smoothness, e.g. the puncture of a slit domain).
     The screen uses only the right-hand side, never the convergence outcome.
     """
-    sp = lin.space
-    ts = np.linspace(curve.t0, curve.t1, knots)
+    table = transport_coefficients(lin, curve, np.linspace(curve.t0, curve.t1, knots))
+    if table.error is not None:
+        return False  # the right-hand side fails somewhere on the curve
     h = (curve.t1 - curve.t0) / (knots - 1)
-    mats = []
-    for t in ts:
-        x, y, xd, _ = curve.state(t)
-        env = sp.point_env(x, y)
-        J = np.array(lin.fiber_jacobian_env(env), dtype=float)
-        mats.append(-np.einsum("aib,i->ab", J, xd))
-    mats = np.array(mats)
+    mats = table.M
     peak = np.abs(mats).max(initial=0.0)
     d4 = np.abs(np.diff(mats, n=4, axis=0)).max(initial=0.0) / h**4
     return peak <= amp and d4 / (1.0 + peak) <= wiggle
@@ -866,7 +884,7 @@ def _check_variational(spec, rng, samples):
             continue
         used += 1
         bump = (up.y - dn.y) / (2 * eps)
-        worst = max(worst, _mx(dz - bump) / (1.0 + _mx(bump)))
+        worst = max(worst, _rel(_mx(dz - bump), _mx(bump)))
     if used == 0:
         raise _Skip
     return worst, used

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import ad
 from . import expr as ex
-from .geom import BundleSpace, FiberPoint, TangentE
+from .geom import BundleSpace, FiberPoint, OutOfDomainError, TangentE
 
 PROJECTABLE_SAMPLES = 32
 PROJECTABLE_TOL = 1e-9
@@ -149,22 +149,27 @@ class NonlinearConnection:
         Lifts the base rectangle spanned by h*v1, h*v2 horizontally (each leg
         integrated with ``substeps`` RK4 steps), measures the fiber defect
         of the closed loop, and removes the odd and next even error terms by
-        symmetrization and Richardson extrapolation.  Not used on any
-        production path; it exists as a cross-check for ``curvature``.
+        symmetrization and Richardson extrapolation.  Every stage point of a
+        leg must lie in the domain (OutOfDomainError naming the leg's t).
+        Not used on any production path; it exists as a cross-check for
+        ``curvature``.
         """
         from .transport import rk4
 
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
-        n = self.space.n
+        sp = self.space
+        n = sp.n
 
         def leg(x, y, dirv):
             # horizontal lift of t -> x + t*dirv over [0, 1]: the state is
             # (x, y) with x' = dirv and y' = -gamma(x, y) dirv
-            velocity = np.concatenate([dirv, np.zeros(self.space.k)])
+            velocity = np.concatenate([dirv, np.zeros(sp.k)])
+            stages = []
 
             def f(t, state):
-                G = self.gamma_matrix(self.space.point_env(state[:n], state[n:]))
+                stages.append((t, state))
+                G = self.gamma_matrix(sp.point_env(state[:n], state[n:]))
                 out = velocity.copy()
                 out[n:] = -G @ dirv
                 return out
@@ -172,6 +177,15 @@ class NonlinearConnection:
             state = np.concatenate([x, y])
             for _, state in rk4(f, 0.0, 1.0, state, substeps):
                 pass
+            if sp.domain is not None:
+                # one batched test per leg; the scalar one only to name t
+                points = np.array([s for _, s in stages]).T
+                if not sp.in_domain(points[:n], points[n:]):
+                    t, s = next((t, s) for t, s in stages if not sp.in_domain(s[:n], s[n:]))
+                    raise OutOfDomainError(
+                        f"holonomy loop leaves the domain at t = {t!r} of a leg, "
+                        f"at ({s[:n].tolist()}, {s[n:].tolist()})"
+                    )
             return state[:n], state[n:]
 
         def loop_defect(step):
@@ -215,14 +229,14 @@ class FieldOnE:
 
         Expressions are opaque, so the flag comes from probing directional
         derivatives in y at PROJECTABLE_SAMPLES seeded random in-domain
-        points; the result is cached per space dimensions and seed.
+        points; the result is cached per space dimensions, domain and seed.
         """
         syntactic = all(
             not (ex.variables(e) & set(space.y_names)) for e in self.comp_x
         )
         if syntactic:
             return True
-        key = (space.n, space.k, seed)
+        key = (space.n, space.k, seed, space.domain)
         cached = self._cert.get(key)
         if cached is not None:
             return cached

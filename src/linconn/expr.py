@@ -280,12 +280,23 @@ def _real(v):
     return v.real_part()
 
 
+# A comparison is a bool for scalars and a lane array for a batch.
+def _any(flags) -> bool:
+    return flags if flags.__class__ is bool else bool(flags.any())
+
+
+def _all(flags) -> bool:
+    return flags if flags.__class__ is bool else bool(flags.all())
+
+
 def _as_const_int(v):
     """Return the exponent as an int when it is an exact constant integer."""
     if isinstance(v, (int, float)):
         f = float(v)
     elif getattr(v, "is_constant", lambda: False)():
         f = v.real_part()
+        if not isinstance(f, float):
+            f = float(f[0])  # a constant batch holds one value in every lane
     else:
         return None
     if math.isfinite(f) and f == int(f) and abs(f) <= 2**31:
@@ -298,7 +309,7 @@ def _ipow(base, n: int):
     if n == 0:
         return 1.0
     if n < 0:
-        if _real(base) == 0.0:
+        if _any(_real(base) == 0.0):
             raise DomainError("zero base with negative integer exponent")
         return 1.0 / _ipow(base, -n)
     acc = None
@@ -315,7 +326,7 @@ def _pow(b, p):
     n = _as_const_int(p)
     if n is not None:
         return _ipow(b, n)
-    if _real(b) <= 0.0:
+    if _any(_real(b) <= 0.0):
         raise DomainError("power with non-integer exponent needs a positive base")
     return _exp(p * _log(b))
 
@@ -374,7 +385,8 @@ def evaluate(e: Expr, env: Env):
         if op == "*":
             return left * right
         if op == "/":
-            if _real(right) == 0.0:
+            # dual divisors guard themselves, lane-wise for a batch
+            if isinstance(right, (int, float)) and right == 0.0:
                 raise DomainError("division by zero")
             return left / right
         return _pow(left, right)
@@ -486,7 +498,8 @@ def parse_bool(text: str) -> BoolExpr:
     return node
 
 
-def evaluate_bool(b: BoolExpr, env: Env) -> bool:
+def evaluate_bool(b: BoolExpr, env: Env):
+    """Truth of the predicate in env: a bool, or a lane array over a batched env."""
     if isinstance(b, Comparison):
         left = _real(evaluate(b.left, env))
         right = _real(evaluate(b.right, env))
@@ -497,9 +510,20 @@ def evaluate_bool(b: BoolExpr, env: Env) -> bool:
         if b.op == ">":
             return left > right
         return left >= right
+    # and/or skip later terms once the result is settled in every lane
     if isinstance(b, BoolAnd):
-        return all(evaluate_bool(t, env) for t in b.terms)
-    return any(evaluate_bool(t, env) for t in b.terms)
+        out = True
+        for t in b.terms:
+            out = out & evaluate_bool(t, env)
+            if not _any(out):
+                return out
+        return out
+    out = False
+    for t in b.terms:
+        out = out | evaluate_bool(t, env)
+        if _all(out):
+            return out
+    return out
 
 
 def bool_variables(b: BoolExpr) -> frozenset[str]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
+from .ad import DualBatch
 
 BASE_TOL = 1e-12  # tolerance for base-point compatibility of separately computed values
 
@@ -79,8 +80,22 @@ class BundleSpace:
         return env
 
     def in_domain(self, x, y) -> bool:
+        """Whether (x, y) satisfies the domain predicate.
+
+        Stacked points, x of shape (n, N) and y of shape (k, N), are tested
+        in one batched pass and pass when every lane does.
+        """
         if self.domain is None:
             return True
+        if getattr(x, "ndim", 1) == 2:
+            no_seeds = np.zeros((0, x.shape[1]))  # float lanes: the float guards apply
+            env = {name: DualBatch(row, no_seeds) for name, row in zip(self.x_names, x)}
+            env.update({name: DualBatch(row, no_seeds) for name, row in zip(self.y_names, y)})
+            try:
+                return bool(np.all(ex.evaluate_bool(self.domain, env)))
+            except ex.DomainError:
+                # a term that and/or skips for one lane may fail there
+                return all(self.in_domain(x[:, j], y[:, j]) for j in range(x.shape[1]))
         return ex.evaluate_bool(self.domain, self.point_env(x, y))
 
     def require_in_domain(self, x, y, what: str = "point"):

@@ -9,6 +9,7 @@ violation aborts with the offending parameter value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,28 +68,155 @@ def _as_linearization(lin_or_fam):
     raise TypeError(f"cannot transport with {type(lin_or_fam).__name__}")
 
 
-def rk4(f, t0: float, t1: float, state, steps: int):
+BLOCK_STEPS = 256  # RK4 steps whose knots transport_ode tabulates in one pass
+
+
+def knot_time(t0: float, t1: float, steps: int, j):
+    """Time t0 + j*h/2 of half-step knot j (an int or an int array), h = (t1 - t0)/steps.
+
+    Step s of ``rk4`` starts at knot 2s, so its start is bitwise t0 + s*h.
+    """
+    return t0 + j * (0.5 * ((t1 - t0) / steps))
+
+
+def rk4(f, t0: float, t1: float, state, steps: int, by_knot: bool = False):
     """Classical fixed-step RK4 for state' = f(t, state) on [t0, t1].
 
-    Yields (t, state) after each of the ``steps`` steps; step j starts at
-    t0 + j*h.  An overflow inside f or a non-finite state raises
-    OverflowError naming t.
+    The stages of step s sit at the half-step knots 2s, 2s + 1 (twice) and
+    2s + 2 (see ``knot_time``); with ``by_knot`` f gets the knot index in
+    place of its time, for a right-hand side tabulated at the knots.
+    Yields (t, state) after each of the ``steps`` steps.  An overflow inside
+    f or a non-finite state raises OverflowError naming t.
     """
     h = (t1 - t0) / steps
+    half = 0.5 * h  # knot j sits at t0 + j*half, as in knot_time
     for step in range(steps):
-        t = t0 + step * h
+        j = 2 * step
+        if by_knot:
+            start, mid, end = j, j + 1, j + 2
+        else:
+            start, mid, end = t0 + j * half, t0 + (j + 1) * half, t0 + (j + 2) * half
         try:
-            k1 = f(t, state)
-            k2 = f(t + 0.5 * h, state + 0.5 * h * k1)
-            k3 = f(t + 0.5 * h, state + 0.5 * h * k2)
-            k4 = f(t + h, state + h * k3)
+            k1 = f(start, state)
+            k2 = f(mid, state + 0.5 * h * k1)
+            k3 = f(mid, state + 0.5 * h * k2)
+            k4 = f(end, state + h * k3)
         except OverflowError as err:
+            t = t0 + j * half
             raise OverflowError(f"{err} in the step from t = {t!r}") from err
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = t0 + (step + 1) * h
-        if not np.isfinite(state).all():
+        state = state + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        t = t0 + (j + 2) * half
+        if not all(map(math.isfinite, state.tolist())):
             raise OverflowError(f"non-finite state at t = {t!r}")
         yield t, state
+
+
+class KnotTable:
+    """Curve points and transport coefficients at consecutive knots.
+
+    ``x`` (n, N) and ``y`` (k, N) hold the curve points, lanes last; ``M``
+    (N, k, k) and ``c`` (N, k) the coefficients of zdot = M z + c.  A knot
+    that fails ends the table: ``error`` is what the knot-by-knot
+    computation raises there, and ``point`` and ``coefficients`` raise it
+    for that knot on, so the caller meets it where that computation would.
+    """
+
+    __slots__ = ("x", "y", "M", "c", "error")
+
+    def __init__(self, x, y, M, c, error: Exception | None = None):
+        self.x, self.y, self.M, self.c, self.error = x, y, M, c, error
+
+    def point(self, j: int):
+        if j < self.x.shape[1]:
+            return self.x[:, j].copy(), self.y[:, j].copy()
+        raise self.error
+
+    def coefficients(self, j: int):
+        if j < len(self.M):
+            return self.M[j], self.c[j]
+        raise self.error
+
+
+def _curve_points(curve: CurveInE, ts):
+    """x, y, xdot, ydot at the times ts (lanes last), t seeded in one pass."""
+    t = ad.DualBatch(ts, np.ones((1, len(ts))))
+    env = {"t": t}
+    xs = [ad.lanes(ex.evaluate(e, env), t) for e in curve.comp_x]
+    ys = [ad.lanes(ex.evaluate(e, env), t) for e in curve.comp_y]
+    return (
+        np.array([v.re for v in xs]),
+        np.array([v.re for v in ys]),
+        np.array([v.eps[0] for v in xs]),
+        np.array([v.eps[0] for v in ys]),
+    )
+
+
+def _coefficients(lin, lam, ts, x, y, xd, yd):
+    """M and c at the points (x, y) with velocities (xd, yd), y seeded in one pass.
+
+    The same sums as at a single point: -d_gamma xdot by einsum, gamma xdot
+    by a stacked matmul, so each lane is bitwise the per-point value.
+    """
+    sp = lin.space
+    if not sp.in_domain(x, y):
+        # names ts[0]: a failed batch is redone knot by knot
+        raise OutOfDomainError(f"curve leaves the domain at t = {float(ts[0])!r}")
+    count = len(ts)
+    env = {name: ad.DualBatch(row, np.zeros((sp.k, count))) for name, row in zip(sp.x_names, x)}
+    seeds = np.repeat(np.eye(sp.k)[:, :, None], count, axis=2)
+    env.update({name: ad.DualBatch(row, seeds[A]) for A, (name, row) in enumerate(zip(sp.y_names, y))})
+    gamma = [[ad.lanes(ex.evaluate(g, env), env[sp.y_names[0]]) for g in row] for row in lin.conn.gamma]
+    J = np.array([[g.eps for g in row] for row in gamma]).transpose(3, 0, 1, 2)
+    xd_lanes = np.ascontiguousarray(xd.T)
+    M = -np.einsum("naib,ni->nab", np.ascontiguousarray(J), xd_lanes)
+    c = np.zeros((count, sp.k))
+    if lam != 0.0:
+        G = np.array([[g.re for g in row] for row in gamma]).transpose(2, 0, 1)
+        c = lam * (yd.T + (np.ascontiguousarray(G) @ xd_lanes[:, :, None])[:, :, 0])
+    return M, c
+
+
+def transport_coefficients(lin_or_fam, curve: CurveInE, ts) -> KnotTable:
+    """Curve points and transport coefficients at the times ts, in one batched pass.
+
+    The curve is evaluated with t seeded, then gamma with y seeded, so the
+    values give gamma for the lambda term and the derivatives d_gamma.
+    Overflow to inf is as silent as it is for floats; the guards raise what
+    the scalar evaluation raises.
+    """
+    lin, lam = _as_linearization(lin_or_fam)
+    ts = np.asarray(ts, dtype=float)
+    with np.errstate(all="ignore"):
+        try:
+            x, y, xd, yd = _curve_points(curve, ts)
+            return KnotTable(x, y, *_coefficients(lin, lam, ts, x, y, xd, yd))
+        except (ArithmeticError, ValueError):  # domain, overflow and math errors
+            pass
+        # some knot fails: redo knot by knot up to the first failure, which
+        # then carries that knot's own error
+        sp = lin.space
+        error = None
+        xs, ys = [np.zeros((sp.n, 0))], [np.zeros((sp.k, 0))]
+        Ms, cs = [np.zeros((0, sp.k, sp.k))], [np.zeros((0, sp.k))]
+        for j in range(len(ts)):
+            one = ts[j : j + 1]
+            try:
+                x, y, xd, yd = _curve_points(curve, one)
+                xs.append(x)
+                ys.append(y)
+                M, c = _coefficients(lin, lam, one, x, y, xd, yd)
+            except (ArithmeticError, ValueError) as err:
+                error = err
+                break
+            Ms.append(M)
+            cs.append(c)
+        return KnotTable(
+            np.concatenate(xs, axis=1),
+            np.concatenate(ys, axis=1),
+            np.concatenate(Ms),
+            np.concatenate(cs),
+            error,
+        )
 
 
 def transport_ode(
@@ -105,47 +233,48 @@ def transport_ode(
                  + lam * (ydot^A + gamma^A_i(x(t), y(t)) xdot^i),
     which is exactly the condition that the curve t -> (x, y, z) be
     horizontal for the family member (the lam term vanishes for the plain
-    linearization).  ``record`` > 0 samples about that many trajectory knots.
+    linearization).  The coefficients depend on t only through the curve, so
+    they are tabulated at the RK4 knots, BLOCK_STEPS steps per batched pass,
+    and each stage is a k x k matvec.  ``record`` > 0 samples about that
+    many trajectory knots.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    lin, lam = _as_linearization(lin_or_fam)
-    sp = lin.space
+    sp = _as_linearization(lin_or_fam)[0].space
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (sp.k,):
         raise ValueError(f"z0 must have length {sp.k}")
-    # The last tableau (M, c) by its exact t: k2 and k3 share the midpoint,
-    # and a step's end is usually bitwise the next step's start.
-    last = {}
+    tab, lo = None, 0  # the knot table in use and its first knot
 
-    def rhs(t: float, z):
-        if t not in last:
-            x, y, xd, yd = curve.state(t)
-            if not sp.in_domain(x, y):
-                raise OutOfDomainError(f"curve leaves the domain at t = {t!r}")
-            env = sp.point_env(x, y)
-            J = np.array(lin.fiber_jacobian_env(env), dtype=float)
-            M = -np.einsum("aib,i->ab", J, xd)
-            c = np.zeros(sp.k)
-            if lam != 0.0:
-                c = lam * (yd + lin.conn.gamma_matrix(env) @ xd)
-            last.clear()
-            last[t] = M, c
-        M, c = last[t]
-        return M @ z + c
+    def table(j):
+        nonlocal tab, lo
+        if tab is None or (tab.error is None and j - lo >= tab.x.shape[1]):
+            hi = min(j + 2 * BLOCK_STEPS + 1, 2 * steps + 1)
+            ts = knot_time(curve.t0, curve.t1, steps, np.arange(j, hi))
+            tab, lo = transport_coefficients(lin_or_fam, curve, ts), j
+        return tab, j - lo
+
+    def rhs(j, z):
+        i = j - lo
+        if tab is None or i >= len(tab.M):
+            block, i = table(j)
+            M, c = block.coefficients(i)  # a new block, or this block's error
+        else:
+            M, c = tab.M[i], tab.c[i]
+        return M.dot(z) + c
 
     stride = max(1, steps // record) if record else 0
     trajectory = []
 
-    def note(t, z):
-        x, y, _, _ = curve.state(t)
-        trajectory.append((t, x, y, z))
+    def note(j, t, z):
+        block, i = table(j)
+        trajectory.append((t, *block.point(i), z))
 
     if record:
-        note(curve.t0, z)
-    for step, (t, z) in enumerate(rk4(rhs, curve.t0, curve.t1, z, steps), 1):
+        note(0, curve.t0, z)
+    for step, (t, z) in enumerate(rk4(rhs, curve.t0, curve.t1, z, steps, by_knot=True), 1):
         if record and (step % stride == 0 or step == steps):
-            note(t, z)
+            note(2 * step, t, z)
     return TransportResult(z, tuple(trajectory) if record else None, steps)
 
 

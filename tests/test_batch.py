@@ -1,0 +1,174 @@
+"""Batched dual evaluation against per-lane scalar evaluation, and the
+lane-wise domain predicate."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from linconn import expr as ex
+from linconn.ad import Dual1, DualBatch, lanes
+from linconn.geom import BundleSpace
+
+NAMES = ("x1", "x2")
+# lane values away from underflow, so that float and dual paths meet the
+# same guards (a float 1/(1e-200^2) is a ZeroDivisionError, not a DomainError)
+VALUES = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) > 1e-3)
+EXACT_OPS = ("+", "-", "*", "/")
+
+
+def _trees(leaves):
+    def grow(sub):
+        return st.one_of(
+            st.builds(ex.Neg, sub),
+            st.builds(ex.Bin, st.sampled_from(EXACT_OPS), sub, sub),
+            st.builds(ex.Bin, st.just("^"), sub, st.integers(-3, 4).map(ex.lit)),
+            st.builds(ex.Fun, st.just("abs"), sub),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+EXACT_TREES = _trees(
+    st.one_of(st.sampled_from(NAMES).map(ex.Var), VALUES.map(ex.lit))
+)
+
+
+@st.composite
+def batches(draw):
+    """Lane values of x1, x2 and a seed count m (0 means float lanes)."""
+    n_lanes = draw(st.integers(1, 5))
+    m = draw(st.integers(0, 2))
+    point = {name: draw(st.lists(VALUES, min_size=n_lanes, max_size=n_lanes)) for name in NAMES}
+    seeds = {
+        name: draw(st.lists(st.lists(VALUES, min_size=n_lanes, max_size=n_lanes), min_size=m, max_size=m))
+        for name in NAMES
+    }
+    return n_lanes, m, point, seeds
+
+
+def _scalar(e, n_lanes, m, point, seeds):
+    """Per-lane float (m = 0) or Dual1 results as (re, eps) or an exception class."""
+    out = []
+    for j in range(n_lanes):
+        if m:
+            env = {n: Dual1(point[n][j], [row[j] for row in seeds[n]]) for n in NAMES}
+        else:
+            env = {n: point[n][j] for n in NAMES}
+        try:
+            r = ex.evaluate(e, env)
+        except (ArithmeticError, ValueError) as err:
+            out.append(type(err))
+            continue
+        out.append((r.re, r.eps) if isinstance(r, Dual1) else (float(r), (0.0,) * m))
+    return out
+
+
+def _batched(e, n_lanes, m, point, seeds):
+    env = {
+        n: DualBatch(np.array(point[n]), np.array(seeds[n]).reshape(m, n_lanes))
+        for n in NAMES
+    }
+    with np.errstate(all="ignore"):  # floats overflow silently too
+        return lanes(ex.evaluate(e, env), env["x1"])
+
+
+def _compare(e, batch, compare_lanes):
+    n_lanes, m, point, seeds = batch
+    scalar = _scalar(e, n_lanes, m, point, seeds)
+    raised = {r for r in scalar if isinstance(r, type)}
+    if raised:
+        with pytest.raises((ArithmeticError, ValueError)) as err:
+            _batched(e, *batch)
+        assert type(err.value) in raised
+        return
+    got = _batched(e, *batch)
+    want_re = np.array([r[0] for r in scalar])
+    want_eps = np.array([r[1] for r in scalar]).T.reshape(m, n_lanes)
+    compare_lanes(got.re, want_re)
+    compare_lanes(got.eps, want_eps)
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    assert a.shape == b.shape
+    # equal bits, one NaN standing for every NaN
+    assert np.where(np.isnan(a), np.nan, a).tobytes() == np.where(np.isnan(b), np.nan, b).tobytes()
+
+
+def _few_ulp(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    finite = np.isfinite(b)
+    assert (np.isfinite(a) == finite).all()
+    np.testing.assert_array_max_ulp(a[finite], b[finite], maxulp=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXACT_TREES, batches())
+def test_batched_matches_scalar_bitwise(e, batch):
+    _compare(e, batch, _bitwise)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(("sin", "cos", "exp", "log", "sqrt")), EXACT_TREES, batches())
+def test_batched_functions_within_few_ulp(name, arg, batch):
+    _compare(ex.Fun(name, arg), batch, _few_ulp)
+
+
+def test_offending_lane_raises_the_scalar_error():
+    x = DualBatch(np.array([1.0, 0.0, 2.0]), np.ones((1, 3)))
+    with pytest.raises(ex.DomainError, match="division by zero"):
+        ex.evaluate(ex.parse("1/x1"), {"x1": x})
+    with pytest.raises(ex.DomainError, match="log"):
+        ex.evaluate(ex.parse("log(x1)"), {"x1": x})
+    with pytest.raises(ex.DomainError, match="differentiating"):
+        ex.evaluate(ex.parse("sqrt(x1)"), {"x1": x})
+    with pytest.raises(ex.DomainError, match="non-integer"):
+        ex.evaluate(ex.parse("(x1 - 1)^0.5"), {"x1": x})
+    with pytest.raises(OverflowError):
+        ex.evaluate(ex.parse("exp(x1 + 800)"), {"x1": x})
+    # without seeds the float guards apply: sqrt(0) and abs(0) are fine
+    flat = DualBatch(np.array([0.0, 4.0]), np.zeros((0, 2)))
+    assert ex.evaluate(ex.parse("sqrt(x1) + abs(x1)"), {"x1": flat}).re.tolist() == [0.0, 6.0]
+
+
+def test_constant_batch_exponent_is_an_integer_power():
+    base = DualBatch(np.array([-2.0, 3.0]), np.ones((1, 2)))
+    two = DualBatch(np.array([2.0, 2.0]), np.zeros((1, 2)))
+    r = ex.evaluate(ex.parse("x1^x2"), {"x1": base, "x2": two})
+    assert r.re.tolist() == [4.0, 9.0] and r.eps.tolist() == [[-4.0, 6.0]]
+
+
+def test_stacked_in_domain():
+    sp = BundleSpace(1, 2, ex.parse_bool("y1^2 + y2^2 > 0 and x1 < 2"))
+    x = np.array([[0.0, 1.0, 3.0]])
+    y = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    assert sp.in_domain(x[:, :1], y[:, :1])
+    assert not sp.in_domain(x, y)
+    assert [sp.in_domain(x[:, j], y[:, j]) for j in range(3)] == [True, False, False]
+    lanes_ok = ex.evaluate_bool(sp.domain, {
+        "x1": DualBatch(x[0], np.zeros((0, 3))),
+        "y1": DualBatch(y[0], np.zeros((0, 3))),
+        "y2": DualBatch(y[1], np.zeros((0, 3))),
+    })
+    assert lanes_ok.tolist() == [True, False, False]
+    assert BundleSpace(1, 1).in_domain(x, y[:1])
+
+
+def test_stacked_or_predicate():
+    sp = BundleSpace(1, 1, ex.parse_bool("y1 < -1 or y1 > 1"))
+    assert sp.in_domain(np.zeros((1, 2)), np.array([[-2.0, 2.0]]))
+    assert not sp.in_domain(np.zeros((1, 2)), np.array([[-2.0, 0.5]]))
+
+
+def test_stacked_predicate_keeps_the_short_circuit():
+    # the log term is never evaluated where x1 > 0 already fails
+    sp = BundleSpace(1, 1, ex.parse_bool("x1 > 0 and log(x1) < 1"))
+    y = np.zeros((1, 2))
+    assert not sp.in_domain([-1.0], [0.0])
+    assert not sp.in_domain(np.array([[-1.0, 0.5]]), y)
+    assert sp.in_domain(np.array([[2.0, 0.5]]), y)
+    sp = BundleSpace(1, 1, ex.parse_bool("x1 < 0 or log(x1) < 1"))
+    assert sp.in_domain(np.array([[-1.0, 0.5]]), y)
+    with pytest.raises(ex.DomainError):
+        sp.in_domain(np.array([[0.0, -1.0]]), y)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from linconn import checks as ck
-from linconn.geom import FiberPoint
+from linconn.geom import FiberPoint, TangentE
 from linconn.specfile import loads
 
 
@@ -53,4 +53,22 @@ def test_curvature_oracle_skips_a_diverged_loop():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowError, match=r"t = "):
             spec.conn.holonomy_curvature(a, [1.0, 0.0], [0.0, 1.0])
-        assert ck._check_curvature_oracle(spec, np.random.default_rng(0), 2) == (0.0, 2)
+        # no draw was used, so the check skips instead of passing on 0 draws
+        with pytest.raises(ck._Skip):
+            ck._check_curvature_oracle(spec, np.random.default_rng(0), 2)
+
+
+def test_relative_error_of_two_infinite_sides_fails(monkeypatch, c1):
+    a = FiberPoint([0.0], [1.0])
+    got = TangentE(a, [1.0], [math.inf])
+    ref = TangentE(a, [1.0], [math.inf])
+
+    def inf_check(spec, rng, samples):
+        # inf/(1 + inf) would be nan, which max(0.0, nan) drops
+        return max(0.0, ck._rel(ck._teq(got, ref), ck._mx(ref.dy))), samples
+
+    monkeypatch.setattr(ck, "CHECKS", _only("linearize.definition_equivalence", inf_check))
+    with np.errstate(invalid="ignore"):
+        (row,) = ck.run_suite(c1, samples=16).checks
+    assert row.status == "fail" and row.max_error == math.inf
+    assert ck._rel(1.0, math.inf) == math.inf and ck._rel(1.0, 1.0) == 0.5

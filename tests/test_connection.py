@@ -243,3 +243,32 @@ def test_kappa_section(c1):
     a = FiberPoint([0.0], [2.0])
     # kappa(W) = W^y + gamma*W^x = y1 + y1^2
     assert ks.at(conn.space, a) == pytest.approx([6.0])
+
+
+def _rank_one_over_plane(domain):
+    from linconn.specfile import loads
+
+    return loads(
+        '[space]\nbase_dim = 2\nfiber_dim = 1\n[connection]\n'
+        f'gamma_1_1 = "y1"\ngamma_1_2 = "0"\ndomain = "{domain}"\n'
+    ).conn
+
+
+def test_holonomy_loop_leaving_the_domain_is_an_error():
+    # the loop around a = (0, 0; 1) reaches y1 = 0.99, outside y1 > 0.9995
+    conn = _rank_one_over_plane("y1 > 0.9995")
+    a = FiberPoint(np.zeros(2), np.ones(1))
+    with pytest.raises(OutOfDomainError, match=r"t = "):
+        conn.holonomy_curvature(a, [1.0, 0.0], [0.0, 1.0])
+    inside = _rank_one_over_plane("y1 > 0.5")
+    ref = inside.holonomy_curvature(a, [1.0, 0.0], [0.0, 1.0])
+    assert np.max(np.abs(ref - inside.curvature(a, [1.0, 0.0], [0.0, 1.0]))) <= 1e-6
+
+
+def test_projectability_certificate_is_per_domain():
+    # d/dy1 of |y1| - y1 vanishes for y1 > 0 only
+    field = FieldOnE((ex.parse("abs(y1) - y1"),), (ex.lit(0.0),))
+    positive = BundleSpace(1, 1, ex.parse_bool("y1 > 0"))
+    assert field.is_projectable(positive)
+    assert not field.is_projectable(BundleSpace(1, 1))
+    assert field.is_projectable(positive)

@@ -7,7 +7,17 @@ from linconn import expr as ex
 from linconn.connection import HorBasicField
 from linconn.geom import FiberPoint, OutOfDomainError, PullbackPoint
 from linconn.linearize import LambdaFamilyMember, LinearizedConnection
-from linconn.transport import CurveInE, fiber_derivative_flow, flow, rk4, transport_ode
+from linconn.specfile import loads
+from linconn.transport import (
+    BLOCK_STEPS,
+    CurveInE,
+    fiber_derivative_flow,
+    flow,
+    knot_time,
+    rk4,
+    transport_coefficients,
+    transport_ode,
+)
 
 E_MINUS_2 = math.exp(-2.0)
 
@@ -240,3 +250,90 @@ def test_rk4_blow_up_names_t():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(OverflowError, match=r"t = "):
             _final(rk4(lambda t, z: z * z, 0.0, 1.0, np.array([10.0]), 100))
+
+
+def _line_bundle(gamma, domain=None):
+    text = f'[space]\nbase_dim = 1\nfiber_dim = 1\n[connection]\ngamma_1_1 = "{gamma}"\n'
+    return loads(text + (f'domain = "{domain}"\n' if domain else ""))
+
+
+def _curve(x, *ys, t1=1.0):
+    return CurveInE((ex.parse(x),), tuple(ex.parse(y) for y in ys), 0.0, t1)
+
+
+def test_rk4_stage_times_are_the_knots():
+    seen = []
+    _final(rk4(lambda t, z: seen.append(t) or z, 0.0, 1.0, np.array([1.0]), 3))
+    knots = [knot_time(0.0, 1.0, 3, j) for j in (0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6)]
+    assert seen == knots
+    assert knot_time(0.0, 1.0, 3, np.arange(7)).tolist() == [knot_time(0.0, 1.0, 3, j) for j in range(7)]
+
+
+@pytest.mark.parametrize("spec_name, curve_name, lam", [
+    ("c2", "sweep", 0.0), ("c2", "sweep", 0.7), ("c1", "flowline", 0.5), ("c4", "circle", 0.0),
+])
+def test_tabulated_transport_equals_per_point_coefficients(all_specs, spec_name, curve_name, lam):
+    # the batched tables give bitwise the coefficients of a point-by-point
+    # right-hand side at the same knots, across block boundaries
+    spec = all_specs[spec_name]
+    lin = LinearizedConnection(spec.conn)
+    curve = spec.curves[curve_name]
+    sp = spec.space
+    steps = 2 * BLOCK_STEPS + 37
+
+    def rhs(t, z):
+        x, y, xd, yd = curve.state(t)
+        env = sp.point_env(x, y)
+        M = -np.einsum("aib,i->ab", np.array(lin.fiber_jacobian_env(env)), xd)
+        return M @ z + lam * (yd + spec.conn.gamma_matrix(env) @ xd)
+
+    z0 = np.linspace(1.0, 2.0, sp.k)
+    _, want = _final(rk4(rhs, curve.t0, curve.t1, z0, steps))
+    carrier = LambdaFamilyMember(spec.conn, lam) if lam else lin
+    got = transport_ode(carrier, curve, z0, steps).z_final
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("steps", [10, 1000, 1001])
+def test_puncture_abort_names_t_half(c4, steps):
+    lin = LinearizedConnection(c4.conn)
+    curve = _curve("t", "1 - 2*t", "0")
+    with pytest.raises(OutOfDomainError, match=r"at t = 0\.5$"):
+        transport_ode(lin, curve, [1.0, 0.0], steps)
+
+
+def test_knot_table_ends_at_the_first_failing_knot(c4):
+    curve = _curve("t", "1 - 2*t", "0")
+    table = transport_coefficients(LinearizedConnection(c4.conn), curve, np.linspace(0.0, 1.0, 11))
+    assert isinstance(table.error, OutOfDomainError) and str(table.error).endswith("t = 0.5")
+    assert len(table.M) == 5 and table.x.shape == (1, 6)
+    assert table.point(5)[1].tolist() == [0.0, 0.0]
+    with pytest.raises(OutOfDomainError):
+        table.coefficients(5)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_state_overflow_before_a_later_domain_exit(lam):
+    # z' = 800 z overflows near t = 0.89; the curve leaves the domain at
+    # t = 1, in the same tabulated block
+    spec = _line_bundle("-400*y1^2", "x1 < 1")
+    carrier = LambdaFamilyMember(spec.conn, lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OverflowError, match=r"non-finite state at t = 0\.892$"):
+            transport_ode(carrier, _curve("t", "1", t1=2.0), [1.0], 1000)
+    with pytest.raises(OutOfDomainError, match=r"at t = 1\.0$"):
+        transport_ode(carrier, _curve("t", "1", t1=2.0), [1.0], 100)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("record", [0, 16])
+def test_coefficient_overflow_names_t_without_numpy_warnings(record):
+    lin = LinearizedConnection(_line_bundle("exp(y1)").conn)
+    with pytest.raises(OverflowError, match=r"in the step from t = 0\.0$"):
+        transport_ode(lin, _curve("t", "800 + t"), [1.0], 1000, record=record)
+
+
+def test_curve_overflow_at_a_later_knot_names_its_step(c0):
+    curve = CurveInE((ex.parse("t"), ex.parse("t")), (ex.parse("exp(1000*t)"), ex.lit(1.0)), 0.0, 1.0)
+    with pytest.raises(OverflowError, match=r"in the step from t = 0\.709$"):
+        transport_ode(LinearizedConnection(c0.conn), curve, [1.0, 2.0], 1000, record=16)
