@@ -274,6 +274,17 @@ def lanes(v, like: DualBatch) -> DualBatch:
     return DualBatch(np.full(like.re.shape, float(v)), np.zeros(like.eps.shape))
 
 
+def _second(num: float, den: float) -> float:
+    """num / den for a second-derivative coefficient of Dual2.
+
+    A den that underflowed to 0 means the coefficient overflows: raise
+    OverflowError, as float ** does when a den itself overflows.
+    """
+    if den == 0.0:
+        raise OverflowError("second derivative overflows")
+    return num / den
+
+
 class Dual2:
     """Value, two first directional derivatives, one mixed second derivative.
 
@@ -353,7 +364,7 @@ class Dual2:
     def _inverse(self) -> "Dual2":
         if self.f == 0.0:
             raise DomainError("division by zero")
-        return self._chain(1.0 / self.f, -1.0 / self.f**2, 2.0 / self.f**3)
+        return self._chain(1.0 / self.f, _second(-1.0, self.f**2), _second(2.0, self.f**3))
 
     def __truediv__(self, other):
         if isinstance(other, Dual2):
@@ -394,13 +405,13 @@ class Dual2:
     def log(self):
         if self.f <= 0.0:
             raise DomainError("log of non-positive value")
-        return self._chain(math.log(self.f), 1.0 / self.f, -1.0 / self.f**2)
+        return self._chain(math.log(self.f), 1.0 / self.f, _second(-1.0, self.f**2))
 
     def sqrt(self):
         if self.f <= 0.0:
             raise DomainError("sqrt needs a positive value when differentiating")
         v = math.sqrt(self.f)
-        return self._chain(v, 0.5 / v, -0.25 / (v * self.f))
+        return self._chain(v, 0.5 / v, _second(-0.25, v * self.f))
 
     def abs(self):
         if self.f == 0.0:
@@ -431,21 +442,38 @@ def mixed_second(e, point, seed_u, seed_v) -> float:
     return r.fuv if isinstance(r, Dual2) else 0.0
 
 
-def gradient(e, point, names):
-    """Value of e and its partials with respect to names, in one pass."""
+def gradients(exprs, point, names):
+    """Value of each expression and its partials with respect to names.
+
+    The env is seeded once and serves every expression.  Coordinates not in
+    names are zero-eps Dual1s, not floats: a float there can flip the sign
+    of a zero derivative.  Returns one (value, partials) pair per expression.
+    """
     m = len(names)
     index = {name: j for j, name in enumerate(names)}
+    unseeded = (0.0,) * m
     env = {}
     for name, v in point.items():
-        eps = [0.0] * m
         j = index.get(name)
-        if j is not None:
+        if j is None:
+            env[name] = Dual1(v, unseeded)
+        else:
+            eps = [0.0] * m
             eps[j] = 1.0
-        env[name] = Dual1(v, eps)
-    r = expr.evaluate(e, env)
-    if isinstance(r, Dual1):
-        return r.re, list(r.eps)
-    return float(r), [0.0] * m
+            env[name] = Dual1(v, eps)
+    out = []
+    for e in exprs:
+        r = expr.evaluate(e, env)
+        if isinstance(r, Dual1):
+            out.append((r.re, list(r.eps)))
+        else:
+            out.append((float(r), [0.0] * m))
+    return out
+
+
+def gradient(e, point, names):
+    """Value of e and its partials with respect to names, in one pass."""
+    return gradients((e,), point, names)[0]
 
 
 # ---------------------------------------------------------------------------

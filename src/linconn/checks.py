@@ -208,17 +208,22 @@ def _line_curve(spec: SpecFile, rng, knots: int = 65, vertical: bool = False) ->
     raise _Skip
 
 
-def _in_domain_flow(spec, rng, tries: int = 64):
-    """A hor-basic field, pullback start point and time with an in-domain flow."""
+def _in_domain_flow(spec, rng, measure, tries: int = 64):
+    """measure(y, p, s) for a hor-basic field, pullback start point and time.
+
+    A draw whose 64-step flow, or the measurement's own flows, fail (domain
+    or overflow) is replaced by a new one, ``tries`` draws in all: the
+    screen cannot see every flow that leaves the domain at a finer step.
+    """
     for _ in range(tries):
         p = sample_pullback(spec.space, rng)
         y = random_hor_basic(rng, spec.space)
         s = float(rng.uniform(0.2, 0.5))
         try:
             flow(spec.conn, y, p.a, s, 64)
+            return measure(y, p, s)
         except (OutOfDomainError, ex.DomainError, OverflowError):
             continue
-        return y, p, s
     raise _Skip
 
 
@@ -850,41 +855,39 @@ def _check_transport_order(spec, rng, samples):
 
 def _check_flow_composition(spec, rng, samples):
     conn = spec.conn
-    worst = 0.0
-    used = 0
-    for _ in range(samples):
-        try:
-            y, p, s = _in_domain_flow(spec, rng)
-            whole = flow(conn, y, p.a, s, 256)
-            half = flow(conn, y, flow(conn, y, p.a, 0.5 * s, 128), 0.5 * s, 128)
-        except (_Skip, OutOfDomainError, ex.DomainError, OverflowError):
-            continue
-        used += 1
-        worst = max(worst, _mx(whole.x - half.x, whole.y - half.y))
-    if used == 0:
-        raise _Skip
-    return worst, used
+
+    def composition_error(y, p, s):
+        whole = flow(conn, y, p.a, s, 256)
+        half = flow(conn, y, flow(conn, y, p.a, 0.5 * s, 128), 0.5 * s, 128)
+        return _mx(whole.x - half.x, whole.y - half.y)
+
+    return _flow_draws(spec, rng, samples, composition_error)
 
 
 def _check_variational(spec, rng, samples):
     conn = spec.conn
+    eps = 1e-6
+
+    def bump_error(y, p, s):
+        _, dz = fiber_derivative_flow(conn, y, p, s, 400)
+        up = flow(conn, y, FiberPoint(p.x, p.y + eps * p.z), s, 400)
+        dn = flow(conn, y, FiberPoint(p.x, p.y - eps * p.z), s, 400)
+        bump = (up.y - dn.y) / (2 * eps)
+        return _rel(_mx(dz - bump), _mx(bump))
+
+    return _flow_draws(spec, rng, samples, bump_error)
+
+
+def _flow_draws(spec, rng, samples, measure):
+    """Worst measure over the samples; a sample that finds no usable draw is skipped."""
     worst = 0.0
     used = 0
-    eps = 1e-6
     for _ in range(samples):
         try:
-            y, p, s = _in_domain_flow(spec, rng)
+            worst = max(worst, _in_domain_flow(spec, rng, measure))
         except _Skip:
             continue
-        try:
-            end, dz = fiber_derivative_flow(conn, y, p, s, 400)
-            up = flow(conn, y, FiberPoint(p.x, p.y + eps * p.z), s, 400)
-            dn = flow(conn, y, FiberPoint(p.x, p.y - eps * p.z), s, 400)
-        except (OutOfDomainError, ex.DomainError, OverflowError):
-            continue
         used += 1
-        bump = (up.y - dn.y) / (2 * eps)
-        worst = max(worst, _rel(_mx(dz - bump), _mx(bump)))
     if used == 0:
         raise _Skip
     return worst, used

@@ -175,8 +175,9 @@ class NonlinearConnection:
                 return out
 
             state = np.concatenate([x, y])
-            for _, state in rk4(f, 0.0, 1.0, state, substeps):
-                pass
+            with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
+                for _, state in rk4(f, 0.0, 1.0, state, substeps):
+                    pass
             if sp.domain is not None:
                 # one batched test per leg; the scalar one only to name t
                 points = np.array([s for _, s in stages]).T
@@ -304,9 +305,28 @@ class HorBasicField:
 
     def velocity(self, conn: NonlinearConnection, env):
         """Float components (X, -gamma X + eta) over a plain environment."""
+        return self._velocity(conn, env, False)[:2]
+
+    def velocity_and_jacobian(self, conn: NonlinearConnection, env):
+        """``velocity`` plus the fiber Jacobian [A, i, B] of gamma at env.
+
+        Gamma is evaluated once, over env seeded in y: the values give the
+        velocity and the partials the Jacobian, bitwise equal to
+        ``velocity`` and ``LinearizedConnection.fiber_jacobian_env``.
+        """
+        return self._velocity(conn, env, True)
+
+    def _velocity(self, conn: NonlinearConnection, env, jacobian: bool):
         dx = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.X])
         eta = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.eta])
-        return dx, -conn.gamma_matrix(env) @ dx + eta
+        if jacobian:
+            sp = conn.space
+            pairs = ad.gradients([g for row in conn.gamma for g in row], env, sp.y_names)
+            G = np.array([value for value, _ in pairs]).reshape(sp.k, sp.n)
+            J = np.array([grad for _, grad in pairs]).reshape(sp.k, sp.n, sp.k)
+        else:
+            G, J = conn.gamma_matrix(env), None
+        return dx, -G @ dx + eta, J
 
     def at(self, conn: NonlinearConnection, a: FiberPoint) -> TangentE:
         conn.space.require_in_domain(a.x, a.y)

@@ -311,7 +311,11 @@ def _ipow(base, n: int):
     if n < 0:
         if _any(_real(base) == 0.0):
             raise DomainError("zero base with negative integer exponent")
-        return 1.0 / _ipow(base, -n)
+        power = _ipow(base, -n)
+        # a float power can underflow to 0; dual powers guard the division
+        if isinstance(power, (int, float)) and power == 0.0:
+            raise DomainError("negative integer power of a base too close to zero")
+        return 1.0 / power
     acc = None
     sq = base
     while n:
@@ -364,17 +368,12 @@ def _log(v):
 
 
 def evaluate(e: Expr, env: Env):
-    """Evaluate the tree in env; the scalar type of env entries carries through."""
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise UnboundVariableError(e.name) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
-    if isinstance(e, Bin):
+    """Evaluate the tree in env; the scalar type of env entries carries through.
+
+    Nodes are told apart by exact class, most frequent first.
+    """
+    cls = e.__class__
+    if cls is Bin:
         left = evaluate(e.left, env)
         right = evaluate(e.right, env)
         op = e.op
@@ -390,7 +389,16 @@ def evaluate(e: Expr, env: Env):
                 raise DomainError("division by zero")
             return left / right
         return _pow(left, right)
-    v = evaluate(e.arg, env)
+    if cls is Var:
+        try:
+            return env[e.name]
+        except KeyError:
+            raise UnboundVariableError(e.name) from None
+    if cls is Lit:
+        return e.value
+    if cls is Neg:
+        return -evaluate(e.arg, env)
+    v = evaluate(e.arg, env)  # Fun
     if isinstance(v, (int, float)):
         return _apply_real(e.name, float(v))
     return getattr(v, e.name)()

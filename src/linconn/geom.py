@@ -12,6 +12,7 @@ involution) can be asserted as tests; production code never builds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,12 @@ class NotTpiVerticalError(ValueError):
 
 class OutOfDomainError(ValueError):
     """Point violates the connection's domain predicate."""
+
+
+@lru_cache(maxsize=256)
+def _names(prefix: str, count: int) -> tuple[str, ...]:
+    """Coordinate names prefix1..prefix<count>, built once per (prefix, count)."""
+    return tuple(f"{prefix}{i+1}" for i in range(count))
 
 
 def _vec(v, length: int, what: str) -> np.ndarray:
@@ -64,19 +71,19 @@ class BundleSpace:
 
     @property
     def x_names(self) -> tuple[str, ...]:
-        return tuple(f"x{i+1}" for i in range(self.n))
+        return _names("x", self.n)
 
     @property
     def y_names(self) -> tuple[str, ...]:
-        return tuple(f"y{i+1}" for i in range(self.k))
+        return _names("y", self.k)
 
     @property
     def z_names(self) -> tuple[str, ...]:
-        return tuple(f"z{i+1}" for i in range(self.k))
+        return _names("z", self.k)
 
     def point_env(self, x, y) -> dict:
-        env = {name: float(v) for name, v in zip(self.x_names, x)}
-        env.update({name: float(v) for name, v in zip(self.y_names, y)})
+        env = dict(zip(_names("x", self.n), map(float, x)))
+        env.update(zip(_names("y", self.k), map(float, y)))
         return env
 
     def in_domain(self, x, y) -> bool:

@@ -75,9 +75,16 @@ class LinearizedConnection:
 
     def fiber_jacobian_env(self, env) -> list:
         y_names = self.space.y_names
-        return [
-            [ad.partials_in(g, env, y_names) for g in row] for row in self.conn.gamma
-        ]
+        if ad.is_lifted(env):
+            return [
+                [ad.partials_in(g, env, y_names) for g in row] for row in self.conn.gamma
+            ]
+        # plain env: every entry over one env seeded in y
+        point = {name: ad.real_part(v) for name, v in env.items()}
+        flat = [g for row in self.conn.gamma for g in row]
+        grads = [grad for _, grad in ad.gradients(flat, point, y_names)]
+        n = self.space.n
+        return [grads[A * n : (A + 1) * n] for A in range(self.space.k)]
 
     # -- the linearized horizontal action ---------------------------------
 

@@ -272,9 +272,10 @@ def transport_ode(
 
     if record:
         note(0, curve.t0, z)
-    for step, (t, z) in enumerate(rk4(rhs, curve.t0, curve.t1, z, steps, by_knot=True), 1):
-        if record and (step % stride == 0 or step == steps):
-            note(2 * step, t, z)
+    with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
+        for step, (t, z) in enumerate(rk4(rhs, curve.t0, curve.t1, z, steps, by_knot=True), 1):
+            if record and (step % stride == 0 or step == steps):
+                note(2 * step, t, z)
     return TransportResult(z, tuple(trajectory) if record else None, steps)
 
 
@@ -297,8 +298,9 @@ def flow(
         return np.concatenate(y_field.velocity(conn, sp.point_env(x, y)))
 
     state = np.concatenate([a.x, a.y])
-    for _, state in rk4(f, 0.0, s, state, steps):
-        pass
+    with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
+        for _, state in rk4(f, 0.0, s, state, steps):
+            pass
     if not sp.in_domain(state[: sp.n], state[sp.n :]):
         raise OutOfDomainError("flow left the domain")
     return FiberPoint(state[: sp.n], state[sp.n :])
@@ -324,21 +326,19 @@ def fiber_derivative_flow(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     sp = conn.space
-    lin = LinearizedConnection(conn)
 
     def f(t, state):
         x, y, dz = state[: sp.n], state[sp.n : sp.n + sp.k], state[sp.n + sp.k :]
         if not sp.in_domain(x, y):
             raise OutOfDomainError("flow left the domain")
-        env = sp.point_env(x, y)
-        xd, yd = y_field.velocity(conn, env)
-        J = np.array(lin.fiber_jacobian_env(env), dtype=float)
+        xd, yd, J = y_field.velocity_and_jacobian(conn, sp.point_env(x, y))
         dzdot = -np.einsum("aib,b,i->a", J, dz, xd)
         return np.concatenate([xd, yd, dzdot])
 
     state = np.concatenate([p.x, p.y, p.z])
-    for _, state in rk4(f, 0.0, s, state, steps):
-        pass
+    with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
+        for _, state in rk4(f, 0.0, s, state, steps):
+            pass
     end = FiberPoint(state[: sp.n], state[sp.n : sp.n + sp.k])
     sp.require_in_domain(end.x, end.y, "flow endpoint")
     return end, state[sp.n + sp.k :]

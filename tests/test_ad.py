@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linconn import expr as ex
 from linconn.ad import (
@@ -10,6 +12,7 @@ from linconn.ad import (
     directional,
     dual_part,
     gradient,
+    gradients,
     lift_env,
     mixed_second,
     partial_in,
@@ -29,6 +32,18 @@ EXPRS = [
     "(x1 + y1)/(2 + x1^2)",
     "x1^0.5 + 1",
 ]
+
+
+NAMES = ("x1", "x2", "y1", "y2")
+TREES = st.recursive(
+    st.one_of(st.sampled_from(NAMES).map(ex.Var), st.floats(-3.0, 3.0).map(ex.Lit)),
+    lambda sub: st.one_of(
+        st.builds(ex.Neg, sub),
+        st.builds(ex.Bin, st.sampled_from(("+", "-", "*", "/", "^")), sub, sub),
+        st.builds(ex.Fun, st.sampled_from(ex.FUNCTIONS), sub),
+    ),
+    max_leaves=8,
+)
 
 
 def test_directional_examples():
@@ -125,6 +140,35 @@ def test_multi_seed_gradient():
     value, grad = gradient(e, {"x1": 2.0, "y1": 3.0}, ["x1", "y1"])
     assert value == 18.0
     assert grad == [9.0, 12.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(TREES, min_size=1, max_size=4),
+    st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+    st.lists(st.sampled_from(NAMES), unique=True, max_size=4),
+)
+def test_gradients_equal_one_gradient_per_expression(exprs, values, names):
+    point = dict(zip(NAMES, values))
+    want = []
+    for e in exprs:
+        try:
+            want.append(gradient(e, point, names))
+        except (ArithmeticError, ValueError) as err:
+            with pytest.raises(type(err)):
+                gradients(exprs, point, names)
+            return
+    a = np.array([[v, *g] for v, g in gradients(exprs, point, names)])
+    b = np.array([[v, *g] for v, g in want])
+    # equal bits, one NaN standing for every NaN
+    assert np.where(np.isnan(a), np.nan, a).tobytes() == np.where(np.isnan(b), np.nan, b).tobytes()
+
+
+def test_gradients_keep_unseeded_names_dual():
+    # -x1 over a zero-eps Dual1 x1 has derivative -0.0 in y1; a float x1
+    # would make it a constant with derivative +0.0
+    ((value, grad),) = gradients([ex.parse("-x1")], {"x1": 1.0, "y1": 2.0}, ["y1"])
+    assert value == -1.0 and math.copysign(1.0, grad[0]) == -1.0
 
 
 def test_dual1_leibniz():

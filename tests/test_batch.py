@@ -11,9 +11,7 @@ from linconn.ad import Dual1, DualBatch, lanes
 from linconn.geom import BundleSpace
 
 NAMES = ("x1", "x2")
-# lane values away from underflow, so that float and dual paths meet the
-# same guards (a float 1/(1e-200^2) is a ZeroDivisionError, not a DomainError)
-VALUES = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0 or abs(v) > 1e-3)
+VALUES = st.floats(-3.0, 3.0)
 EXACT_OPS = ("+", "-", "*", "/")
 
 

@@ -72,3 +72,16 @@ def test_relative_error_of_two_infinite_sides_fails(monkeypatch, c1):
         (row,) = ck.run_suite(c1, samples=16).checks
     assert row.status == "fail" and row.max_error == math.inf
     assert ck._rel(1.0, math.inf) == math.inf and ck._rel(1.0, 1.0) == 0.5
+
+
+def test_flow_checks_redraw_when_their_own_flows_fail(c2):
+    # this seed's one c2 flow passes the 64-step screen (at y = -1.7e12) and
+    # overflows at 256 steps; the check draws again instead of skipping
+    for name in ("transport.flow_composition", "transport.variational_bump"):
+        index, entry = next((i, e) for i, e in enumerate(ck.CHECKS) if e[0] == name)
+        rng = np.random.default_rng([132662940, index])
+        err, used = entry[1](c2, rng, 1)
+        assert used == 1 and err <= entry[2]
+    rows = ck.run_suite(c2, samples=32, seed=132662940).checks
+    (row,) = [r for r in rows if r.name == "transport.flow_composition"]
+    assert (row.status, row.samples) == ("pass", 1)

@@ -271,6 +271,23 @@ def test_diverging_transport_is_a_numeric_error(capsys, tmp_path, offset):
         assert "nan" not in captured.out
 
 
+@pytest.mark.filterwarnings("error")
+def test_numeric_error_leaves_nothing_else_on_stderr(capsys, tmp_path):
+    spec = tmp_path / "exp.ini"
+    spec.write_text(EXP_SPEC)
+    code = main(["transport", str(spec), "--curve", "t;40+t;0;1", "--z0", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == "numeric error: non-finite state at t = 0.006\n"
+
+
+def test_underflowing_negative_power_is_a_domain_error(capsys, tmp_path):
+    spec = tmp_path / "pow.ini"
+    spec.write_text(MINIMAL.replace('"y1^2"', '"y1^-2"'))
+    code = main(["linearize", str(spec), "--point", "0;1e-200", "--z", "1", "--w", "1;0"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("domain error: negative integer power")
+
+
 def test_json_float_formatting():
     text = to_json({"a": 0.1, "b": [1.0, 2.5e-17]})
     assert text == '{"a": 0.10000000000000001, "b": [1, 2.4999999999999999e-17]}'

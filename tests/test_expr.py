@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linconn import expr as ex
-from linconn.ad import Dual1
+from linconn.ad import Dual1, Dual2
 
 
 def test_single_operator():
@@ -89,6 +93,15 @@ def test_domain_errors():
     assert ex.evaluate(ex.parse("x1^(-2)"), {"x1": 2.0}) == 0.25
 
 
+def test_negative_power_underflow_is_a_domain_error():
+    # 1e-200^2 underflows to 0.0; the float path must not divide by it
+    with pytest.raises(ex.DomainError, match="too close to zero"):
+        ex.evaluate(ex.parse("x1^-2"), {"x1": 1e-200})
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(ex.parse("x1^-2"), {"x1": Dual1(1e-200, (1.0,))})
+    assert ex.evaluate(ex.parse("x1^-2"), {"x1": 1e-150}) == 1.0 / (1e-150 * 1e-150)
+
+
 def test_abs_dual_at_zero_rejected():
     assert ex.evaluate(ex.parse("abs(x1)"), {"x1": 0.0}) == 0.0
     with pytest.raises(ex.DomainError):
@@ -110,36 +123,79 @@ def test_zero_seed_dual_matches_real():
             assert dual.eps[0] == 0.0
 
 
-def _random_tree(rng, names, depth):
-    roll = rng.integers(6 if depth > 0 else 2)
-    if roll == 0:
-        return ex.Lit(round(float(rng.uniform(0, 4)), 3))
-    if roll == 1:
-        return ex.Var(str(rng.choice(names)))
-    if roll == 2:
-        return ex.Neg(_random_tree(rng, names, depth - 1))
-    if roll == 3:
-        return ex.Fun(
-            str(rng.choice(["sin", "cos", "exp"])), _random_tree(rng, names, depth - 1)
+NAMES = ("x1", "x2", "y1", "t")
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _trees(literals, names=NAMES, ops=("+", "-", "*", "/", "^"), functions=ex.FUNCTIONS):
+    leaves = st.one_of(st.sampled_from(names).map(ex.Var), literals.map(ex.Lit))
+
+    def grow(sub):
+        return st.one_of(
+            st.builds(ex.Neg, sub),
+            st.builds(ex.Bin, st.sampled_from(ops), sub, sub),
+            st.builds(ex.Fun, st.sampled_from(functions), sub),
         )
-    if roll == 4:
-        return ex.Bin(
-            "^", _random_tree(rng, names, depth - 1), ex.Lit(float(rng.integers(0, 4)))
-        )
-    op = str(rng.choice(["+", "-", "*", "/"]))
-    return ex.Bin(
-        op, _random_tree(rng, names, depth - 1), _random_tree(rng, names, depth - 1)
+
+    return st.recursive(leaves, grow, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(FINITE))
+def test_print_parse_round_trip(tree):
+    # parse(to_str(parse(s))) == parse(s); a tree that parse did not make
+    # may come back reassociated, or with a negative literal as a Neg
+    text = ex.to_str(tree)
+    once = ex.parse(text)
+    assert ex.parse(ex.to_str(once)) == once
+    assert ex.to_str(once) == text or once != tree
+
+
+# Division-free trees: Dual2 divides as a*(1/b) and Dual1 as a/b, so with
+# division the two agree only to rounding.
+RING_TREES = _trees(
+    st.floats(-3.0, 3.0),
+    names=("x1", "y1"),
+    ops=("+", "-", "*"),
+    functions=("sin", "cos", "exp", "log", "sqrt", "abs"),
+).flatmap(
+    lambda e: st.one_of(
+        st.just(e),
+        st.builds(lambda p: ex.Bin("^", e, ex.Lit(float(p))), st.integers(0, 4)),
+        st.builds(lambda p: ex.Bin("^", e, ex.Lit(p)), st.floats(0.25, 2.5)),
     )
+)
+SLOT = st.floats(-2.0, 2.0)
 
 
-def test_print_parse_round_trip():
-    rng = np.random.default_rng(11)
-    names = ["x1", "x2", "y1", "t"]
-    for _ in range(300):
-        tree = _random_tree(rng, names, 4)
-        once = ex.parse(ex.to_str(tree))
-        twice = ex.parse(ex.to_str(once))
-        assert once == twice
+def _outcome(e, env):
+    try:
+        return ex.evaluate(e, env)
+    except (ArithmeticError, ValueError) as err:
+        if isinstance(err, OverflowError) and str(err) != "math range error":
+            # not math.exp: a second-order coefficient of Dual2 (-1/f^2,
+            # 2/f^3, -1/(4 f^1.5)) overflows, with no first-order counterpart
+            return "second order"
+        return type(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(RING_TREES, SLOT, SLOT, SLOT, SLOT, SLOT, SLOT)
+def test_dual1_matches_dual2_first_slot(e, x1, y1, ux, uy, vx, vy):
+    one = _outcome(e, {"x1": Dual1(x1, (ux,)), "y1": Dual1(y1, (uy,))})
+    two = _outcome(e, {"x1": Dual2(x1, ux, vx), "y1": Dual2(y1, uy, vy)})
+    if two == "second order":
+        return
+    if isinstance(one, type) or isinstance(two, type):
+        assert one == two
+        return
+    re1, d1 = (one.re, one.eps[0]) if isinstance(one, Dual1) else (one, 0.0)
+    re2, d2 = (two.f, two.fu) if isinstance(two, Dual2) else (two, 0.0)
+    # equal bits, one NaN standing for every NaN
+    assert np.array([re1, d1]).tobytes() == np.array([re2, d2]).tobytes() or (
+        np.isnan([re1, d1]).tolist() == np.isnan([re2, d2]).tolist()
+        and np.array_equal([re1, d1], [re2, d2], equal_nan=True)
+    )
 
 
 def test_variables():

@@ -333,6 +333,14 @@ def test_coefficient_overflow_names_t_without_numpy_warnings(record):
         transport_ode(lin, _curve("t", "800 + t"), [1.0], 1000, record=record)
 
 
+@pytest.mark.filterwarnings("error")
+def test_state_overflow_names_t_without_numpy_warnings():
+    # z' = exp(40 + t) z overflows in the matvec before the finite-state check
+    lin = LinearizedConnection(_line_bundle("exp(y1)").conn)
+    with pytest.raises(OverflowError, match=r"non-finite state at t = 0\.006$"):
+        transport_ode(lin, _curve("t", "40 + t"), [1.0], 1000)
+
+
 def test_curve_overflow_at_a_later_knot_names_its_step(c0):
     curve = CurveInE((ex.parse("t"), ex.parse("t")), (ex.parse("exp(1000*t)"), ex.lit(1.0)), 0.0, 1.0)
     with pytest.raises(OverflowError, match=r"in the step from t = 0\.709$"):
