@@ -8,6 +8,15 @@ that already contain one derivative of the connection coefficients.
 DualBatch holds N lanes of Dual1 as arrays, so that one evaluation of a tree
 serves N points (the transport coefficients at every RK4 knot).
 
+Dual1 and Dual2 arithmetic builds its results with the private constructors
+``_dual1`` and ``_dual2``, which store their arguments without ``float()``.
+An operator takes that path only when every slot it stores is already a
+Python float: the other operand is a dual of the same class or of exact
+class ``float``; an int, bool or numpy scalar operand goes through the
+public constructor, and Dual1 seed vectors of different lengths still raise
+ValueError.  Both paths do the same operations in the same order, so the results are
+bitwise equal and every slot is a Python float.
+
 The env helpers at the bottom make geometric formulas generic over "plain
 point" and "point moving in one outer direction": an env whose values are
 floats yields floats, an env lifted with :func:`lift_env` yields Dual1
@@ -24,6 +33,9 @@ import numpy as np
 
 from . import expr
 from .expr import DomainError
+
+
+_new = object.__new__
 
 
 class Dual1:
@@ -49,9 +61,13 @@ class Dual1:
             raise ValueError("seed vectors of different lengths")
         return zip(self.eps, other.eps)
 
+    # a Dual1 or exact float operand goes through _dual1 (module docstring)
+
     def __add__(self, other):
         if isinstance(other, Dual1):
-            return Dual1(self.re + other.re, (a + b for a, b in self._zip(other)))
+            return _dual1(self.re + other.re, tuple([a + b for a, b in self._zip(other)]))
+        if other.__class__ is float:
+            return _dual1(self.re + other, self.eps)
         if isinstance(other, (int, float)):
             return Dual1(self.re + other, self.eps)
         return NotImplemented
@@ -60,25 +76,29 @@ class Dual1:
 
     def __sub__(self, other):
         if isinstance(other, Dual1):
-            return Dual1(self.re - other.re, (a - b for a, b in self._zip(other)))
+            return _dual1(self.re - other.re, tuple([a - b for a, b in self._zip(other)]))
+        if other.__class__ is float:
+            return _dual1(self.re - other, self.eps)
         if isinstance(other, (int, float)):
             return Dual1(self.re - other, self.eps)
         return NotImplemented
 
     def __rsub__(self, other):
+        if other.__class__ is float:
+            return _dual1(other - self.re, tuple([-a for a in self.eps]))
         if isinstance(other, (int, float)):
             return Dual1(other - self.re, (-a for a in self.eps))
         return NotImplemented
 
     def __neg__(self):
-        return Dual1(-self.re, (-a for a in self.eps))
+        return _dual1(-self.re, tuple([-a for a in self.eps]))
 
     def __mul__(self, other):
         if isinstance(other, Dual1):
-            return Dual1(
-                self.re * other.re,
-                (self.re * b + a * other.re for a, b in self._zip(other)),
-            )
+            re, ore = self.re, other.re
+            return _dual1(re * ore, tuple([re * b + a * ore for a, b in self._zip(other)]))
+        if other.__class__ is float:
+            return _dual1(self.re * other, tuple([a * other for a in self.eps]))
         if isinstance(other, (int, float)):
             return Dual1(self.re * other, (a * other for a in self.eps))
         return NotImplemented
@@ -87,26 +107,33 @@ class Dual1:
 
     def __truediv__(self, other):
         if isinstance(other, Dual1):
-            if other.re == 0.0:
+            ore = other.re
+            if ore == 0.0:
                 raise DomainError("division by zero")
-            q = self.re / other.re
-            return Dual1(q, ((a - q * b) / other.re for a, b in self._zip(other)))
+            q = self.re / ore
+            return _dual1(q, tuple([(a - q * b) / ore for a, b in self._zip(other)]))
         if isinstance(other, (int, float)):
             if other == 0.0:
                 raise DomainError("division by zero")
+            if other.__class__ is float:
+                return _dual1(self.re / other, tuple([a / other for a in self.eps]))
             return Dual1(self.re / other, (a / other for a in self.eps))
         return NotImplemented
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, float)):
-            if self.re == 0.0:
+            re = self.re
+            if re == 0.0:
                 raise DomainError("division by zero")
-            q = other / self.re
-            return Dual1(q, (-q * a / self.re for a in self.eps))
+            q = other / re
+            if other.__class__ is float:
+                return _dual1(q, tuple([-q * a / re for a in self.eps]))
+            return Dual1(q, (-q * a / re for a in self.eps))
         return NotImplemented
 
     def _chain(self, f0: float, f1: float) -> "Dual1":
-        return Dual1(f0, (f1 * a for a in self.eps))
+        # every caller passes floats
+        return _dual1(f0, tuple([f1 * a for a in self.eps]))
 
     def sin(self):
         return self._chain(math.sin(self.re), math.cos(self.re))
@@ -133,6 +160,14 @@ class Dual1:
         if self.re == 0.0:
             raise DomainError("abs is not differentiable at zero")
         return self if self.re > 0.0 else -self
+
+
+def _dual1(re: float, eps: tuple) -> Dual1:
+    """Dual1 from a float and a tuple of floats, stored without conversion."""
+    d = _new(Dual1)
+    d.re = re
+    d.eps = eps
+    return d
 
 
 _EXP_MAX = 709.782712893384  # largest x whose math.exp(x) is finite
@@ -274,12 +309,19 @@ def lanes(v, like: DualBatch) -> DualBatch:
     return DualBatch(np.full(like.re.shape, float(v)), np.zeros(like.eps.shape))
 
 
-def _second(num: float, den: float) -> float:
-    """num / den for a second-derivative coefficient of Dual2.
+def _second(num: float, f: float, power: int) -> float:
+    """num / f**power for a second-derivative coefficient of Dual2.
 
-    A den that underflowed to 0 means the coefficient overflows: raise
-    OverflowError, as float ** does when a den itself overflows.
+    When f**power overflows, the coefficient only underflows toward 0 and
+    is num divided by f, power times.  When f**power underflows to 0, the
+    coefficient overflows: raise OverflowError.
     """
+    try:
+        den = f**power
+    except OverflowError:
+        for _ in range(power):
+            num = num / f
+        return num
     if den == 0.0:
         raise OverflowError("second derivative overflows")
     return num / den
@@ -309,14 +351,18 @@ class Dual2:
     def is_constant(self) -> bool:
         return self.fu == 0.0 and self.fv == 0.0 and self.fuv == 0.0
 
+    # a Dual2 or exact float operand goes through _dual2 (module docstring)
+
     def __add__(self, other):
         if isinstance(other, Dual2):
-            return Dual2(
+            return _dual2(
                 self.f + other.f,
                 self.fu + other.fu,
                 self.fv + other.fv,
                 self.fuv + other.fuv,
             )
+        if other.__class__ is float:
+            return _dual2(self.f + other, self.fu, self.fv, self.fuv)
         if isinstance(other, (int, float)):
             return Dual2(self.f + other, self.fu, self.fv, self.fuv)
         return NotImplemented
@@ -325,34 +371,41 @@ class Dual2:
 
     def __sub__(self, other):
         if isinstance(other, Dual2):
-            return Dual2(
+            return _dual2(
                 self.f - other.f,
                 self.fu - other.fu,
                 self.fv - other.fv,
                 self.fuv - other.fuv,
             )
+        if other.__class__ is float:
+            return _dual2(self.f - other, self.fu, self.fv, self.fuv)
         if isinstance(other, (int, float)):
             return Dual2(self.f - other, self.fu, self.fv, self.fuv)
         return NotImplemented
 
     def __rsub__(self, other):
+        if other.__class__ is float:
+            return _dual2(other - self.f, -self.fu, -self.fv, -self.fuv)
         if isinstance(other, (int, float)):
             return Dual2(other - self.f, -self.fu, -self.fv, -self.fuv)
         return NotImplemented
 
     def __neg__(self):
-        return Dual2(-self.f, -self.fu, -self.fv, -self.fuv)
+        return _dual2(-self.f, -self.fu, -self.fv, -self.fuv)
 
     def __mul__(self, other):
         if isinstance(other, Dual2):
+            f, fu, fv, fuv = self.f, self.fu, self.fv, self.fuv
+            g, gu, gv, guv = other.f, other.fu, other.fv, other.fuv
             # grouped so that swapping the u and v slots is bitwise symmetric
-            return Dual2(
-                self.f * other.f,
-                self.f * other.fu + self.fu * other.f,
-                self.f * other.fv + self.fv * other.f,
-                (self.f * other.fuv + self.fuv * other.f)
-                + (self.fu * other.fv + self.fv * other.fu),
+            return _dual2(
+                f * g,
+                f * gu + fu * g,
+                f * gv + fv * g,
+                (f * guv + fuv * g) + (fu * gv + fv * gu),
             )
+        if other.__class__ is float:
+            return _dual2(self.f * other, self.fu * other, self.fv * other, self.fuv * other)
         if isinstance(other, (int, float)):
             return Dual2(
                 self.f * other, self.fu * other, self.fv * other, self.fuv * other
@@ -364,7 +417,7 @@ class Dual2:
     def _inverse(self) -> "Dual2":
         if self.f == 0.0:
             raise DomainError("division by zero")
-        return self._chain(1.0 / self.f, _second(-1.0, self.f**2), _second(2.0, self.f**3))
+        return self._chain(1.0 / self.f, _second(-1.0, self.f, 2), _second(2.0, self.f, 3))
 
     def __truediv__(self, other):
         if isinstance(other, Dual2):
@@ -383,12 +436,11 @@ class Dual2:
     def _chain(self, f0: float, f1: float, f2: float) -> "Dual2":
         """Lift a smooth univariate map with derivatives f1, f2 at the value.
 
-        The second-order term multiplies fu*fv first so that exchanging the
-        two seed slots is bitwise symmetric.
+        Every caller passes floats.  The second-order term multiplies fu*fv
+        first so that exchanging the two seed slots is bitwise symmetric.
         """
-        return Dual2(
-            f0, f1 * self.fu, f1 * self.fv, f1 * self.fuv + f2 * (self.fu * self.fv)
-        )
+        fu, fv = self.fu, self.fv
+        return _dual2(f0, f1 * fu, f1 * fv, f1 * self.fuv + f2 * (fu * fv))
 
     def sin(self):
         s, c = math.sin(self.f), math.cos(self.f)
@@ -405,18 +457,28 @@ class Dual2:
     def log(self):
         if self.f <= 0.0:
             raise DomainError("log of non-positive value")
-        return self._chain(math.log(self.f), 1.0 / self.f, _second(-1.0, self.f**2))
+        return self._chain(math.log(self.f), 1.0 / self.f, _second(-1.0, self.f, 2))
 
     def sqrt(self):
         if self.f <= 0.0:
             raise DomainError("sqrt needs a positive value when differentiating")
         v = math.sqrt(self.f)
-        return self._chain(v, 0.5 / v, _second(-0.25, v * self.f))
+        return self._chain(v, 0.5 / v, _second(-0.25, v * self.f, 1))
 
     def abs(self):
         if self.f == 0.0:
             raise DomainError("abs is not differentiable at zero")
         return self if self.f > 0.0 else -self
+
+
+def _dual2(f: float, fu: float, fv: float, fuv: float) -> Dual2:
+    """Dual2 from four floats, stored without conversion."""
+    d = _new(Dual2)
+    d.f = f
+    d.fu = fu
+    d.fv = fv
+    d.fuv = fuv
+    return d
 
 
 # ---------------------------------------------------------------------------

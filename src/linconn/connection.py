@@ -146,60 +146,73 @@ class NonlinearConnection:
                            substeps: int = 32) -> np.ndarray:
         """Independent curvature estimate from small horizontal loops.
 
-        Lifts the base rectangle spanned by h*v1, h*v2 horizontally (each leg
-        integrated with ``substeps`` RK4 steps), measures the fiber defect
-        of the closed loop, and removes the odd and next even error terms by
-        symmetrization and Richardson extrapolation.  Every stage point of a
-        leg must lie in the domain (OutOfDomainError naming the leg's t).
-        Not used on any production path; it exists as a cross-check for
-        ``curvature``.
+        Lifts the base rectangles spanned by s*v1, s*v2 for s = h, -h, h/2,
+        -h/2 horizontally, measures the fiber defect of each closed loop, and
+        removes the odd and next even error terms by symmetrization and
+        Richardson extrapolation.  The four loops run as four lanes of one
+        flat RK4 state, one leg at a time (``substeps`` steps per leg):
+        gamma is evaluated once per stage over all lanes, and each lane is
+        bitwise the loop integrated on its own.  Every stage point of a leg
+        must lie in the domain (OutOfDomainError naming the leg's t); a
+        diverged lane raises OverflowError naming t.  Not used on any
+        production path; it exists as a cross-check for ``curvature``.
         """
         from .transport import rk4
 
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
         sp = self.space
-        n = sp.n
+        n, width = sp.n, sp.n + sp.k
+        steps = (h, -h, h / 2.0, -h / 2.0)
+        lanes = len(steps)
 
-        def leg(x, y, dirv):
-            # horizontal lift of t -> x + t*dirv over [0, 1]: the state is
-            # (x, y) with x' = dirv and y' = -gamma(x, y) dirv
-            velocity = np.concatenate([dirv, np.zeros(sp.k)])
+        def leg(state, dirs):
+            # horizontal lift of t -> x + t*dir over [0, 1] in every lane: a
+            # lane's state is (x, y) with x' = dir and y' = -gamma(x, y) dir
+            velocity = np.concatenate([dirs, np.zeros((lanes, sp.k))], axis=1)
+            column = dirs[:, :, None]
             stages = []
 
-            def f(t, state):
-                stages.append((t, state))
-                G = self.gamma_matrix(sp.point_env(state[:n], state[n:]))
+            def f(t, flat):
+                stages.append((t, flat))
+                points = flat.reshape(lanes, width).T
+                env = sp.lanes_env(points[:n], points[n:])
+                one = env[sp.y_names[0]]
+                G = np.array(
+                    [[ad.lanes(ex.evaluate(g, env), one).re for g in row] for row in self.gamma]
+                )
+                # -G dir per lane, bitwise the per-point product on a C-ordered -G
                 out = velocity.copy()
-                out[n:] = -G @ dirv
-                return out
+                out[:, n:] = (np.negative(G.transpose(2, 0, 1), order="C") @ column)[:, :, 0]
+                return out.ravel()
 
-            state = np.concatenate([x, y])
             with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
                 for _, state in rk4(f, 0.0, 1.0, state, substeps):
                     pass
             if sp.domain is not None:
                 # one batched test per leg; the scalar one only to name t
-                points = np.array([s for _, s in stages]).T
+                points = np.array([s for _, s in stages]).reshape(-1, width).T
                 if not sp.in_domain(points[:n], points[n:]):
-                    t, s = next((t, s) for t, s in stages if not sp.in_domain(s[:n], s[n:]))
+                    t, s = next(
+                        (t, s)
+                        for t, flat in stages
+                        for s in flat.reshape(lanes, width)
+                        if not sp.in_domain(s[:n], s[n:])
+                    )
                     raise OutOfDomainError(
                         f"holonomy loop leaves the domain at t = {t!r} of a leg, "
                         f"at ({s[:n].tolist()}, {s[n:].tolist()})"
                     )
-            return state[:n], state[n:]
+            return state
 
-        def loop_defect(step):
-            x, y = a.x.copy(), a.y.copy()
-            for v in (step * v1, step * v2, -step * v1, -step * v2):
-                x, y = leg(x, y, v)
-            return (y - a.y) / step**2
-
-        def symmetric(step):
-            return 0.5 * (loop_defect(step) + loop_defect(-step))
-
-        g1 = symmetric(h)
-        g2 = symmetric(h / 2.0)
+        sides = [(s * v1, s * v2, -s * v1, -s * v2) for s in steps]  # per lane
+        state = np.tile(np.concatenate([a.x, a.y]), lanes)
+        for dirs in zip(*sides):
+            state = leg(state, np.array(dirs))
+        y = state.reshape(lanes, width)[:, n:]
+        defect = [(y[j] - a.y) / s**2 for j, s in enumerate(steps)]
+        g1 = 0.5 * (defect[0] + defect[1])  # symmetrized over s = h, -h
+        g2 = 0.5 * (defect[2] + defect[3])  # and over s = h/2, -h/2
         return (4.0 * g2 - g1) / 3.0
 
 

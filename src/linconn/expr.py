@@ -318,12 +318,13 @@ def _ipow(base, n: int):
         return 1.0 / power
     acc = None
     sq = base
-    while n:
+    while True:
         if n & 1:
             acc = sq if acc is None else acc * sq
-        sq = sq * sq
         n >>= 1
-    return acc
+        if not n:
+            return acc
+        sq = sq * sq  # only while a higher bit needs it
 
 
 def _pow(b, p):
@@ -405,7 +406,8 @@ def evaluate(e: Expr, env: Env):
 
 
 # ---------------------------------------------------------------------------
-# Printing (round-trip: parse(to_str(parse(s))) == parse(s))
+# Printing (round trip: parse(to_str(parse(s))) == parse(s), and parse(to_str(e))
+# evaluates bitwise as e)
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
@@ -415,8 +417,8 @@ def _node_prec(e: Expr) -> int:
         return _PREC[e.op]
     if isinstance(e, Neg):
         return 3
-    if isinstance(e, Lit) and e.value < 0:
-        return 3
+    if isinstance(e, Lit) and math.copysign(1.0, e.value) < 0:
+        return 3  # printed with a leading minus, read back as Neg, -0.0 too
     return 5
 
 
@@ -444,8 +446,9 @@ def to_str(e: Expr) -> str:
     else:
         if lp < mine:
             ls = f"({ls})"
-        # - and / are left associative: parenthesize equal-precedence right side
-        if rp < mine or (rp == mine and e.op in "-/"):
+        # parse nests equal precedence to the left: parenthesize a right
+        # side of equal precedence, so that + and * are not reassociated
+        if rp <= mine:
             rs = f"({rs})"
     return f"{ls} {e.op} {rs}" if e.op in "+-" else f"{ls}{e.op}{rs}"
 

@@ -86,6 +86,17 @@ class BundleSpace:
         env.update(zip(_names("y", self.k), map(float, y)))
         return env
 
+    def lanes_env(self, x, y) -> dict:
+        """Env of float lanes for stacked points x (n, N), y (k, N).
+
+        Each coordinate is a DualBatch without seed directions, so an
+        evaluation follows the float guards lane by lane.
+        """
+        no_seeds = np.zeros((0, x.shape[1]))
+        env = {name: DualBatch(row, no_seeds) for name, row in zip(self.x_names, x)}
+        env.update({name: DualBatch(row, no_seeds) for name, row in zip(self.y_names, y)})
+        return env
+
     def in_domain(self, x, y) -> bool:
         """Whether (x, y) satisfies the domain predicate.
 
@@ -95,11 +106,8 @@ class BundleSpace:
         if self.domain is None:
             return True
         if getattr(x, "ndim", 1) == 2:
-            no_seeds = np.zeros((0, x.shape[1]))  # float lanes: the float guards apply
-            env = {name: DualBatch(row, no_seeds) for name, row in zip(self.x_names, x)}
-            env.update({name: DualBatch(row, no_seeds) for name, row in zip(self.y_names, y)})
             try:
-                return bool(np.all(ex.evaluate_bool(self.domain, env)))
+                return bool(np.all(ex.evaluate_bool(self.domain, self.lanes_env(x, y))))
             except ex.DomainError:
                 # a term that and/or skips for one lane may fail there
                 return all(self.in_domain(x[:, j], y[:, j]) for j in range(x.shape[1]))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linconn import ad
 from linconn import expr as ex
 from linconn.ad import (
     Dual1,
@@ -215,3 +216,211 @@ def test_lifted_env_partials():
     assert real_part(vals[1]) == 12.0  # 2*x1*y1
     assert dual_part(vals[1]) == 4.0  # 2*x1
     assert real_part(value_in(e, env)) == 18.0
+
+
+# ---------------------------------------------------------------------------
+# The operators against today's formulas written with the public constructors
+
+
+def _ref_pairs(a, b):
+    if len(a.eps) != len(b.eps):
+        raise ValueError("seed vectors of different lengths")
+    return zip(a.eps, b.eps)
+
+
+def _ref_guard(divisor):
+    if divisor == 0.0:
+        raise ex.DomainError("division by zero")
+
+
+def _ref1_binary(op, a, b):
+    """a op b for a Dual1 a and a Dual1 or number b; op 'r-' is b - a."""
+    if isinstance(b, Dual1):
+        if op == "+":
+            return Dual1(a.re + b.re, (x + y for x, y in _ref_pairs(a, b)))
+        if op == "-":
+            return Dual1(a.re - b.re, (x - y for x, y in _ref_pairs(a, b)))
+        if op == "*":
+            return Dual1(a.re * b.re, (a.re * y + x * b.re for x, y in _ref_pairs(a, b)))
+        _ref_guard(b.re)
+        q = a.re / b.re
+        return Dual1(q, ((x - q * y) / b.re for x, y in _ref_pairs(a, b)))
+    if op == "+":
+        return Dual1(a.re + b, a.eps)
+    if op == "-":
+        return Dual1(a.re - b, a.eps)
+    if op == "*":
+        return Dual1(a.re * b, (x * b for x in a.eps))
+    if op == "/":
+        _ref_guard(b)
+        return Dual1(a.re / b, (x / b for x in a.eps))
+    if op == "r-":
+        return Dual1(b - a.re, (-x for x in a.eps))
+    _ref_guard(a.re)  # r/
+    q = b / a.re
+    return Dual1(q, (-q * x / a.re for x in a.eps))
+
+
+def _ref1_unary(name, a):
+    re = a.re
+    if name == "neg":
+        return Dual1(-re, (-x for x in a.eps))
+    if name == "abs":
+        if re == 0.0:
+            raise ex.DomainError("abs is not differentiable at zero")
+        return a if re > 0.0 else _ref1_unary("neg", a)
+    if name in ("log", "sqrt") and re <= 0.0:
+        raise ex.DomainError(name)
+    v = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}[name](re)
+    d = {"sin": lambda: math.cos(re), "cos": lambda: -math.sin(re), "exp": lambda: v,
+         "log": lambda: 1.0 / re, "sqrt": lambda: 0.5 / v}[name]()
+    return Dual1(v, (d * x for x in a.eps))
+
+
+def _ref2_chain(a, f0, f1, f2):
+    return Dual2(f0, f1 * a.fu, f1 * a.fv, f1 * a.fuv + f2 * (a.fu * a.fv))
+
+
+def _ref2_inverse(a):
+    _ref_guard(a.f)
+    return _ref2_chain(a, 1.0 / a.f, ad._second(-1.0, a.f, 2), ad._second(2.0, a.f, 3))
+
+
+def _ref2_binary(op, a, b):
+    """a op b for a Dual2 a and a Dual2 or number b; op 'r-' is b - a."""
+    if isinstance(b, Dual2):
+        if op == "+":
+            return Dual2(a.f + b.f, a.fu + b.fu, a.fv + b.fv, a.fuv + b.fuv)
+        if op == "-":
+            return Dual2(a.f - b.f, a.fu - b.fu, a.fv - b.fv, a.fuv - b.fuv)
+        if op == "*":
+            return Dual2(
+                a.f * b.f,
+                a.f * b.fu + a.fu * b.f,
+                a.f * b.fv + a.fv * b.f,
+                (a.f * b.fuv + a.fuv * b.f) + (a.fu * b.fv + a.fv * b.fu),
+            )
+        return _ref2_binary("*", a, _ref2_inverse(b))
+    if op == "+":
+        return Dual2(a.f + b, a.fu, a.fv, a.fuv)
+    if op == "-":
+        return Dual2(a.f - b, a.fu, a.fv, a.fuv)
+    if op == "*":
+        return Dual2(a.f * b, a.fu * b, a.fv * b, a.fuv * b)
+    if op == "/":
+        _ref_guard(b)
+        return _ref2_binary("*", a, 1.0 / b)
+    if op == "r-":
+        return Dual2(b - a.f, -a.fu, -a.fv, -a.fuv)
+    return _ref2_binary("*", _ref2_inverse(a), b)  # r/
+
+
+def _ref2_unary(name, a):
+    f = a.f
+    if name == "neg":
+        return Dual2(-f, -a.fu, -a.fv, -a.fuv)
+    if name == "abs":
+        if f == 0.0:
+            raise ex.DomainError("abs is not differentiable at zero")
+        return a if f > 0.0 else _ref2_unary("neg", a)
+    if name == "sin":
+        return _ref2_chain(a, math.sin(f), math.cos(f), -math.sin(f))
+    if name == "cos":
+        return _ref2_chain(a, math.cos(f), -math.sin(f), -math.cos(f))
+    if name == "exp":
+        v = math.exp(f)
+        return _ref2_chain(a, v, v, v)
+    if f <= 0.0:
+        raise ex.DomainError(name)
+    if name == "log":
+        return _ref2_chain(a, math.log(f), 1.0 / f, ad._second(-1.0, f, 2))
+    v = math.sqrt(f)
+    return _ref2_chain(a, v, 0.5 / v, ad._second(-0.25, v * f, 1))
+
+
+_BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b, "*": lambda a, b: a * b,
+           "/": lambda a, b: a / b, "r+": lambda a, b: b + a, "r-": lambda a, b: b - a,
+           "r*": lambda a, b: b * a, "r/": lambda a, b: b / a}
+_UNARY = ("neg", "sin", "cos", "exp", "log", "sqrt", "abs")
+SLOTS = st.floats()  # every float, inf and nan included
+NUMBERS = st.one_of(SLOTS, st.integers(-3, 3), st.booleans(), SLOTS.map(np.float64))
+DUAL1S = st.builds(Dual1, SLOTS, st.lists(SLOTS, min_size=1, max_size=3))
+DUAL2S = st.builds(Dual2, SLOTS, SLOTS, SLOTS, SLOTS)
+
+
+def _slots(d):
+    return (d.re, *d.eps) if isinstance(d, Dual1) else (d.f, d.fu, d.fv, d.fuv)
+
+
+def _run(fn, *args):
+    try:
+        with np.errstate(all="ignore"):  # numpy scalar operands warn on overflow
+            return fn(*args)
+    except (ArithmeticError, ValueError) as err:
+        return type(err)
+
+
+def _assert_same(got, want):
+    if isinstance(want, type) or isinstance(got, type):
+        assert got == want
+        return
+    assert got.__class__ is want.__class__
+    assert all(s.__class__ is float for s in _slots(got))
+    if isinstance(got, Dual1):
+        assert got.eps.__class__ is tuple
+    a, b = np.array(_slots(got)), np.array(_slots(want))
+    assert a.tobytes() == b.tobytes() or (
+        np.array_equal(a, b, equal_nan=True) and np.isnan(a).tolist() == np.isnan(b).tolist()
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(DUAL1S, st.one_of(DUAL1S, NUMBERS), st.sampled_from(sorted(_BINARY)))
+def test_dual1_binary_operators_match_the_public_constructor(a, b, op):
+    if op.startswith("r") and isinstance(b, Dual1):
+        return  # two duals meet in the forward operator
+    want = _run(_ref1_binary, op if op in ("r-", "r/") else op.lstrip("r"), a, b)
+    _assert_same(_run(_BINARY[op], a, b), want)
+
+
+@settings(max_examples=600, deadline=None)
+@given(DUAL2S, st.one_of(DUAL2S, NUMBERS), st.sampled_from(sorted(_BINARY)))
+def test_dual2_binary_operators_match_the_public_constructor(a, b, op):
+    if op.startswith("r") and isinstance(b, Dual2):
+        return
+    want = _run(_ref2_binary, op if op in ("r-", "r/") else op.lstrip("r"), a, b)
+    _assert_same(_run(_BINARY[op], a, b), want)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DUAL1S, DUAL2S, st.sampled_from(_UNARY))
+def test_dual_functions_match_the_public_constructor(a, b, name):
+    method = (lambda d: -d) if name == "neg" else (lambda d: getattr(d, name)())
+    _assert_same(_run(method, a), _run(_ref1_unary, name, a))
+    _assert_same(_run(method, b), _run(_ref2_unary, name, b))
+
+
+def test_dual1_seed_lengths_must_agree():
+    for op in ("+", "-", "*", "/"):
+        with pytest.raises(ValueError, match="different lengths"):
+            _BINARY[op](Dual1(1.0, (1.0,)), Dual1(2.0, (1.0, 0.0)))
+
+
+def test_dual2_second_order_coefficients_underflow_instead_of_overflowing():
+    # f**2 overflows past ~1.3e154 and f**3 past ~5.6e102, but -1/f^2 and
+    # 2/f^3 only underflow: they are then divided out one f at a time
+    mid = Dual2(1.5e154, 1.0, 1.0).log()
+    assert mid.fuv == -1.0 / 1.5e154 / 1.5e154 < 0.0  # a subnormal, not 0
+    assert Dual2(1e200, 1.0, 1.0).log().fuv == 0.0
+    assert math.copysign(1.0, ad._second(-1.0, 1e200, 2)) == -1.0  # -1e-400 as -0.0
+    assert (1.0 / Dual2(1e104, 1.0, 1.0)).fuv == 2.0 / 1e104 / 1e104 / 1e104 > 0.0
+    assert (1.0 / Dual2(-1e110, 1.0, 1.0)).fuv == 0.0
+    # unchanged where ** does not overflow; an underflowed f**2 still raises
+    rng = np.random.default_rng(12)
+    for f in 10.0 ** rng.uniform(-100, 100, 200):
+        assert Dual2(f, 1.0, 1.0).log().fuv == -1.0 / f**2
+        assert (1.0 / Dual2(f, 1.0, 1.0)).fuv == 2.0 / f**3
+        v = math.sqrt(f)
+        assert Dual2(f, 1.0, 1.0).sqrt().fuv == -0.25 / (v * f)
+    with pytest.raises(OverflowError):
+        Dual2(1e-200, 1.0, 1.0).log()

@@ -170,3 +170,11 @@ def test_stacked_predicate_keeps_the_short_circuit():
     assert sp.in_domain(np.array([[-1.0, 0.5]]), y)
     with pytest.raises(ex.DomainError):
         sp.in_domain(np.array([[0.0, -1.0]]), y)
+
+
+@pytest.mark.filterwarnings("error")
+def test_integer_power_squares_only_as_far_as_it_needs():
+    # y^2 at 1e100 is 1e200; a further, unused squaring would overflow and warn
+    sp = BundleSpace(1, 2, ex.parse_bool("y1^2 + y2^2 > 0"))
+    assert sp.in_domain(np.zeros((1, 2)), np.full((2, 2), 1e100))
+    assert ex.evaluate(ex.parse("y1^3"), {"y1": Dual1(1e100, (1.0,))}).re == 1e300

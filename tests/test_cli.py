@@ -288,6 +288,33 @@ def test_underflowing_negative_power_is_a_domain_error(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("domain error: negative integer power")
 
 
+LOG_SPEC = """
+[space]
+base_dim = 2
+fiber_dim = 1
+[connection]
+gamma_1_1 = "log(y1)"
+gamma_1_2 = "0"
+domain = "y1 > 0"
+"""
+
+
+def test_curvature_far_out_in_the_fiber_is_finite(capsys, tmp_path):
+    # -1/y1^2 of log(y1) underflows toward 0 at y1 = 1e200; float ** on it
+    # used to overflow and end the command with a numeric error
+    spec = tmp_path / "log.ini"
+    spec.write_text(LOG_SPEC)
+    code, out = run_cli(
+        capsys,
+        "--json",
+        "curvature",
+        str(spec),
+        "--point", "0,0;1e200", "--v1", "1,0", "--v2", "0,1", "--z", "1",
+    )
+    assert code == 0
+    assert json.loads(out)["outputs"]["R"] == [0.0]
+
+
 def test_json_float_formatting():
     text = to_json({"a": 0.1, "b": [1.0, 2.5e-17]})
     assert text == '{"a": 0.10000000000000001, "b": [1, 2.4999999999999999e-17]}'

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linconn import expr as ex
 from linconn.connection import (
@@ -11,6 +13,8 @@ from linconn.connection import (
 )
 from linconn.geom import BundleSpace, FiberPoint, OutOfDomainError, TangentE, vertical_lift
 from linconn.sampling import random_field, sample_in_domain
+from linconn.specfile import load_builtin
+from linconn.transport import rk4
 
 RNG = np.random.default_rng(0)
 
@@ -272,3 +276,74 @@ def test_projectability_certificate_is_per_domain():
     assert field.is_projectable(positive)
     assert not field.is_projectable(BundleSpace(1, 1))
     assert field.is_projectable(positive)
+
+
+def _holonomy_one_loop_at_a_time(conn, a, v1, v2, h=1e-2, substeps=32):
+    """The holonomy estimate with each loop and leg integrated on its own."""
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    sp = conn.space
+    n = sp.n
+
+    def leg(x, y, dirv):
+        velocity = np.concatenate([dirv, np.zeros(sp.k)])
+        stages = []
+
+        def f(t, state):
+            stages.append((t, state))
+            G = conn.gamma_matrix(sp.point_env(state[:n], state[n:]))
+            out = velocity.copy()
+            out[n:] = -G @ dirv
+            return out
+
+        state = np.concatenate([x, y])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _, state in rk4(f, 0.0, 1.0, state, substeps):
+                pass
+        if any(not sp.in_domain(s[:n], s[n:]) for _, s in stages):
+            raise OutOfDomainError("holonomy loop leaves the domain")
+        return state[:n], state[n:]
+
+    def loop_defect(step):
+        x, y = a.x.copy(), a.y.copy()
+        for v in (step * v1, step * v2, -step * v1, -step * v2):
+            x, y = leg(x, y, v)
+        return (y - a.y) / step**2
+
+    def symmetric(step):
+        return 0.5 * (loop_defect(step) + loop_defect(-step))
+
+    g1 = symmetric(h)
+    g2 = symmetric(h / 2.0)
+    return (4.0 * g2 - g1) / 3.0
+
+
+SPECS = {name: load_builtin(name) for name in ("c0", "c1", "c2", "c3", "c4")}
+COMPONENTS = st.lists(st.floats(-1.5, 1.5), min_size=2, max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(SPECS)),
+    st.integers(0, 2**32 - 1),
+    COMPONENTS,
+    COMPONENTS,
+    st.sampled_from([1e-2, 0.3, 1.0]),
+    st.sampled_from([8, 32]),
+)
+def test_holonomy_lanes_equal_one_loop_at_a_time(name, seed, u1, u2, h, substeps):
+    conn = SPECS[name].conn
+    a = sample_in_domain(conn.space, np.random.default_rng(seed))
+    v1, v2 = u1[: conn.space.n], u2[: conn.space.n]
+    outcomes = []
+    for estimate in (conn.holonomy_curvature, lambda *args: _holonomy_one_loop_at_a_time(conn, *args)):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                outcomes.append(estimate(a, v1, v2, h, substeps))
+        except (OutOfDomainError, ex.DomainError, OverflowError) as err:
+            outcomes.append(type(err))
+    got, want = outcomes
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert got.tobytes() == want.tobytes()

@@ -140,15 +140,35 @@ def _trees(literals, names=NAMES, ops=("+", "-", "*", "/", "^"), functions=ex.FU
     return st.recursive(leaves, grow, max_leaves=10)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_trees(FINITE))
-def test_print_parse_round_trip(tree):
-    # parse(to_str(parse(s))) == parse(s); a tree that parse did not make
-    # may come back reassociated, or with a negative literal as a Neg
+def _same_bits(a, b) -> bool:
+    if isinstance(a, type) or isinstance(b, type):
+        return a == b
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_trees(FINITE), st.tuples(*[FINITE] * len(NAMES)))
+def test_print_parse_round_trip(tree, values):
+    # the text reads back as a tree that evaluates bitwise as the printed
+    # one (a negative literal may come back as a Neg, which is exact), and
+    # parse(to_str(parse(s))) == parse(s)
     text = ex.to_str(tree)
     once = ex.parse(text)
+    env = dict(zip(NAMES, values))
+    assert _same_bits(_outcome(once, env), _outcome(tree, env))
     assert ex.parse(ex.to_str(once)) == once
-    assert ex.to_str(once) == text or once != tree
+    assert ex.to_str(once) == text
+
+
+def test_print_keeps_a_right_nested_sum_and_product():
+    x = ex.Var("x1")
+    for op in "+*":
+        right = ex.Bin(op, x, ex.Bin(op, x, x))
+        assert ex.to_str(right) == f"x1 {op} (x1 {op} x1)".replace(" * ", "*")
+        assert ex.parse(ex.to_str(right)) == right
+    # 0.1 + (0.2 + 0.3) and (0.1 + 0.2) + 0.3 differ in the last bit
+    tree = ex.Bin("+", ex.Lit(0.1), ex.Bin("+", ex.Lit(0.2), ex.Lit(0.3)))
+    assert ex.evaluate(ex.parse(ex.to_str(tree)), {}) == 0.1 + (0.2 + 0.3) != (0.1 + 0.2) + 0.3
 
 
 # Division-free trees: Dual2 divides as a*(1/b) and Dual1 as a/b, so with
