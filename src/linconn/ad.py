@@ -10,12 +10,9 @@ serves N points (the transport coefficients at every RK4 knot).
 
 Dual1 and Dual2 arithmetic builds its results with the private constructors
 ``_dual1`` and ``_dual2``, which store their arguments without ``float()``.
-An operator takes that path only when every slot it stores is already a
-Python float: the other operand is a dual of the same class or of exact
-class ``float``; an int, bool or numpy scalar operand goes through the
-public constructor, and Dual1 seed vectors of different lengths still raise
-ValueError.  Both paths do the same operations in the same order, so the results are
-bitwise equal and every slot is a Python float.
+A real operand (int, bool, float or a numpy float scalar) is converted with
+``float()`` first, which rounds it as the arithmetic would, so every slot is
+a Python float.
 
 The env helpers at the bottom make geometric formulas generic over "plain
 point" and "point moving in one outer direction": an env whose values are
@@ -61,15 +58,11 @@ class Dual1:
             raise ValueError("seed vectors of different lengths")
         return zip(self.eps, other.eps)
 
-    # a Dual1 or exact float operand goes through _dual1 (module docstring)
-
     def __add__(self, other):
         if isinstance(other, Dual1):
             return _dual1(self.re + other.re, tuple([a + b for a, b in self._zip(other)]))
-        if other.__class__ is float:
-            return _dual1(self.re + other, self.eps)
         if isinstance(other, (int, float)):
-            return Dual1(self.re + other, self.eps)
+            return _dual1(self.re + float(other), self.eps)
         return NotImplemented
 
     __radd__ = __add__
@@ -77,17 +70,13 @@ class Dual1:
     def __sub__(self, other):
         if isinstance(other, Dual1):
             return _dual1(self.re - other.re, tuple([a - b for a, b in self._zip(other)]))
-        if other.__class__ is float:
-            return _dual1(self.re - other, self.eps)
         if isinstance(other, (int, float)):
-            return Dual1(self.re - other, self.eps)
+            return _dual1(self.re - float(other), self.eps)
         return NotImplemented
 
     def __rsub__(self, other):
-        if other.__class__ is float:
-            return _dual1(other - self.re, tuple([-a for a in self.eps]))
         if isinstance(other, (int, float)):
-            return Dual1(other - self.re, (-a for a in self.eps))
+            return _dual1(float(other) - self.re, tuple([-a for a in self.eps]))
         return NotImplemented
 
     def __neg__(self):
@@ -97,10 +86,9 @@ class Dual1:
         if isinstance(other, Dual1):
             re, ore = self.re, other.re
             return _dual1(re * ore, tuple([re * b + a * ore for a, b in self._zip(other)]))
-        if other.__class__ is float:
-            return _dual1(self.re * other, tuple([a * other for a in self.eps]))
         if isinstance(other, (int, float)):
-            return Dual1(self.re * other, (a * other for a in self.eps))
+            other = float(other)
+            return _dual1(self.re * other, tuple([a * other for a in self.eps]))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -113,11 +101,10 @@ class Dual1:
             q = self.re / ore
             return _dual1(q, tuple([(a - q * b) / ore for a, b in self._zip(other)]))
         if isinstance(other, (int, float)):
+            other = float(other)
             if other == 0.0:
                 raise DomainError("division by zero")
-            if other.__class__ is float:
-                return _dual1(self.re / other, tuple([a / other for a in self.eps]))
-            return Dual1(self.re / other, (a / other for a in self.eps))
+            return _dual1(self.re / other, tuple([a / other for a in self.eps]))
         return NotImplemented
 
     def __rtruediv__(self, other):
@@ -125,10 +112,8 @@ class Dual1:
             re = self.re
             if re == 0.0:
                 raise DomainError("division by zero")
-            q = other / re
-            if other.__class__ is float:
-                return _dual1(q, tuple([-q * a / re for a in self.eps]))
-            return Dual1(q, (-q * a / re for a in self.eps))
+            q = float(other) / re
+            return _dual1(q, tuple([-q * a / re for a in self.eps]))
         return NotImplemented
 
     def _chain(self, f0: float, f1: float) -> "Dual1":
@@ -351,8 +336,6 @@ class Dual2:
     def is_constant(self) -> bool:
         return self.fu == 0.0 and self.fv == 0.0 and self.fuv == 0.0
 
-    # a Dual2 or exact float operand goes through _dual2 (module docstring)
-
     def __add__(self, other):
         if isinstance(other, Dual2):
             return _dual2(
@@ -361,10 +344,8 @@ class Dual2:
                 self.fv + other.fv,
                 self.fuv + other.fuv,
             )
-        if other.__class__ is float:
-            return _dual2(self.f + other, self.fu, self.fv, self.fuv)
         if isinstance(other, (int, float)):
-            return Dual2(self.f + other, self.fu, self.fv, self.fuv)
+            return _dual2(self.f + float(other), self.fu, self.fv, self.fuv)
         return NotImplemented
 
     __radd__ = __add__
@@ -377,17 +358,13 @@ class Dual2:
                 self.fv - other.fv,
                 self.fuv - other.fuv,
             )
-        if other.__class__ is float:
-            return _dual2(self.f - other, self.fu, self.fv, self.fuv)
         if isinstance(other, (int, float)):
-            return Dual2(self.f - other, self.fu, self.fv, self.fuv)
+            return _dual2(self.f - float(other), self.fu, self.fv, self.fuv)
         return NotImplemented
 
     def __rsub__(self, other):
-        if other.__class__ is float:
-            return _dual2(other - self.f, -self.fu, -self.fv, -self.fuv)
         if isinstance(other, (int, float)):
-            return Dual2(other - self.f, -self.fu, -self.fv, -self.fuv)
+            return _dual2(float(other) - self.f, -self.fu, -self.fv, -self.fuv)
         return NotImplemented
 
     def __neg__(self):
@@ -404,12 +381,9 @@ class Dual2:
                 f * gv + fv * g,
                 (f * guv + fuv * g) + (fu * gv + fv * gu),
             )
-        if other.__class__ is float:
-            return _dual2(self.f * other, self.fu * other, self.fv * other, self.fuv * other)
         if isinstance(other, (int, float)):
-            return Dual2(
-                self.f * other, self.fu * other, self.fv * other, self.fuv * other
-            )
+            other = float(other)
+            return _dual2(self.f * other, self.fu * other, self.fv * other, self.fuv * other)
         return NotImplemented
 
     __rmul__ = __mul__

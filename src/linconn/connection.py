@@ -151,8 +151,11 @@ class NonlinearConnection:
         removes the odd and next even error terms by symmetrization and
         Richardson extrapolation.  The four loops run as four lanes of one
         flat RK4 state, one leg at a time (``substeps`` steps per leg):
-        gamma is evaluated once per stage over all lanes, and each lane is
-        bitwise the loop integrated on its own.  Every stage point of a leg
+        gamma is evaluated once per stage over all lanes.  When gamma uses
+        only + - * /, integer powers, sqrt and abs, each lane is bitwise
+        the loop integrated on its own; numpy's sin, cos, exp and log on the
+        lanes may differ from math's by a few ulp, and the estimate then
+        differs by that rounding over h^2.  Every stage point of a leg
         must lie in the domain (OutOfDomainError naming the leg's t); a
         diverged lane raises OverflowError naming t.  Not used on any
         production path; it exists as a cross-check for ``curvature``.

@@ -1,15 +1,6 @@
-import os
-from pathlib import Path
-
 import pytest
 
 from linconn.specfile import load_builtin
-
-# pyproject's pythonpath puts src/ on this process's sys.path only; a CLI
-# run in a subprocess (python -m linconn.cli) finds the package through
-# PYTHONPATH
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
-os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture(scope="session")

@@ -5,8 +5,10 @@ tolerance is fixed here; nothing is calibrated at run time.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +341,9 @@ def test_criterion_7_structure_suite():
 
 
 def test_criterion_8_cli_deterministic():
+    # the CLI subprocess finds the package through PYTHONPATH, not pytest's pythonpath
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     ok = True
     detail = []
     for name in ("c0", "c1", "c2", "c3", "c4"):
@@ -351,6 +356,7 @@ def test_criterion_8_cli_deterministic():
                     "--samples", "32", "--seed", "11",
                 ],
                 capture_output=True,
+                env=env,
             )
             ok &= proc.returncode == 0
             outs.append(proc.stdout)
