@@ -275,7 +275,15 @@ def cmd_curvature(args) -> int:
         tuple(ex.lit(c) for c in v1), tuple(ex.lit(0.0) for _ in range(sp.k))
     )
     theta = lin.berwald(eta, y_h, sigma, a)
-    flat = lin.flatness_report(samples=max(8, args.samples // 16), seed=args.seed)
+    try:
+        flat = lin.flatness_report(samples=max(8, args.samples // 16), seed=args.seed)
+    except (OutOfDomainError, ex.DomainError) as err:
+        # the verdict draws points the user never gave: say so
+        raise type(err)(
+            f"{err}, in the sampled flatness verdict, which draws points across the "
+            "whole domain (a 'domain' line in the spec can exclude where the "
+            "connection is undefined)"
+        ) from err
     checks = []
     oracle_lines = []
     if args.oracle:

@@ -9,6 +9,7 @@ gamma^A_i dx^i and vanishes exactly on horizontal vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -51,13 +52,31 @@ class NonlinearConnection:
 
     # -- evaluation -----------------------------------------------------
 
+    @cached_property
+    def compiled_gamma(self):
+        """The entries row by row as floats, one function of x1..xn, y1..yk."""
+        sp = self.space
+        return ex.compile([g for row in self.gamma for g in row], sp.x_names + sp.y_names)
+
+    @cached_property
+    def compiled_gamma_gradients(self):
+        """The k*n entries row by row, then their y-partials [A, i, B].
+
+        One function of the floats x1..xn, y1..yk, bitwise ``ad.gradients``
+        of the entries with respect to y (``ad.compile_gradients``).
+        """
+        sp = self.space
+        entries = [g for row in self.gamma for g in row]
+        return ad.compile_gradients(entries, sp.x_names + sp.y_names, sp.y_names)
+
     def gamma_at(self, a: FiberPoint) -> np.ndarray:
         """Entrywise value of the coefficient matrix at an in-domain point."""
         self.space.require_in_domain(a.x, a.y)
-        return self.gamma_matrix(self.space.point_env(a.x, a.y))
+        values = self.compiled_gamma(*a.x.tolist(), *a.y.tolist())
+        return np.array(values, dtype=float).reshape(self.space.k, self.space.n)
 
     def gamma_matrix(self, env) -> np.ndarray:
-        """Coefficient matrix as floats over a plain environment."""
+        """Coefficient matrix as floats over a plain environment, by the walk."""
         return np.array(
             [[ad.real_part(ex.evaluate(g, env)) for g in row] for row in self.gamma]
         )
@@ -319,30 +338,16 @@ class HorBasicField:
         drift = conn.horizontal_field_of(self.X).comp_y
         return FieldOnE(self.X, tuple(ex.add(d, e) for d, e in zip(drift, self.eta)))
 
+    @cached_property
+    def compiled_components(self):
+        """X then eta as floats, one function of x1..xn (flows call it per stage)."""
+        return ex.compile(self.X + self.eta, tuple(f"x{i+1}" for i in range(len(self.X))))
+
     def velocity(self, conn: NonlinearConnection, env):
         """Float components (X, -gamma X + eta) over a plain environment."""
-        return self._velocity(conn, env, False)[:2]
-
-    def velocity_and_jacobian(self, conn: NonlinearConnection, env):
-        """``velocity`` plus the fiber Jacobian [A, i, B] of gamma at env.
-
-        Gamma is evaluated once, over env seeded in y: the values give the
-        velocity and the partials the Jacobian, bitwise equal to
-        ``velocity`` and ``LinearizedConnection.fiber_jacobian_env``.
-        """
-        return self._velocity(conn, env, True)
-
-    def _velocity(self, conn: NonlinearConnection, env, jacobian: bool):
         dx = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.X])
         eta = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.eta])
-        if jacobian:
-            sp = conn.space
-            pairs = ad.gradients([g for row in conn.gamma for g in row], env, sp.y_names)
-            G = np.array([value for value, _ in pairs]).reshape(sp.k, sp.n)
-            J = np.array([grad for _, grad in pairs]).reshape(sp.k, sp.n, sp.k)
-        else:
-            G, J = conn.gamma_matrix(env), None
-        return dx, -G @ dx + eta, J
+        return dx, -conn.gamma_matrix(env) @ dx + eta
 
     def at(self, conn: NonlinearConnection, a: FiberPoint) -> TangentE:
         conn.space.require_in_domain(a.x, a.y)

@@ -12,7 +12,7 @@ involution) can be asserted as tests; production code never builds it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -112,6 +112,18 @@ class BundleSpace:
                 # a term that and/or skips for one lane may fail there
                 return all(self.in_domain(x[:, j], y[:, j]) for j in range(x.shape[1]))
         return ex.evaluate_bool(self.domain, self.point_env(x, y))
+
+    @cached_property
+    def compiled_domain(self):
+        """The domain predicate compiled over x1..xn, y1..yk; None without one.
+
+        ``compiled_domain(*x, *y)`` is ``in_domain(x, y)`` for one point,
+        with the and/or short circuit of ``evaluate_bool``.  Flows test it at
+        every stage; single points keep ``in_domain``.
+        """
+        if self.domain is None:
+            return None
+        return ex.compile_bool(self.domain, self.x_names + self.y_names)
 
     def require_in_domain(self, x, y, what: str = "point"):
         if not self.in_domain(x, y):

@@ -9,6 +9,8 @@ violation aborts with the offending parameter value.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -219,6 +221,32 @@ def transport_coefficients(lin_or_fam, curve: CurveInE, ts) -> KnotTable:
         )
 
 
+_LOG_SAFE = 690.0  # log of ~1e299.7, below the largest float with room for rounding
+
+
+def _may_overflow(tab: KnotTable, z, h: float, steps: int) -> bool:
+    """Whether ``steps`` RK4 steps of zdot = M z + c from z can overflow.
+
+    With L = k max|M| and C = max|c| over the table's knots, a discrete
+    Gronwall bound keeps every stage state below
+    S = e^((steps+1)|h|L) (|z| + (steps+1)|h|C), and every intermediate of a
+    step (M z, the stage sums, h k) below 6 (L+1)(|h|+1)(S + C).  False means
+    that bound is finite and below ~1e300, so no operation can overflow; a
+    NaN or inf coefficient gives True.
+    """
+    if not len(tab.M):
+        return False  # the first knot fails before any arithmetic
+    L = tab.M.shape[1] * float(np.abs(tab.M).max())
+    C = float(np.abs(tab.c).max())
+    a = abs(h) * (steps + 1)
+    log_bound = (
+        a * L
+        + math.log(float(np.abs(z).max()) + a * C + C + 1.0)
+        + math.log(6.0 * (L + 1.0) * (abs(h) + 1.0))
+    )
+    return not log_bound < _LOG_SAFE
+
+
 def transport_ode(
     lin_or_fam,
     curve: CurveInE,
@@ -244,38 +272,34 @@ def transport_ode(
     z = np.asarray(z0, dtype=float).copy()
     if z.shape != (sp.k,):
         raise ValueError(f"z0 must have length {sp.k}")
-    tab, lo = None, 0  # the knot table in use and its first knot
-
-    def table(j):
-        nonlocal tab, lo
-        if tab is None or (tab.error is None and j - lo >= tab.x.shape[1]):
-            hi = min(j + 2 * BLOCK_STEPS + 1, 2 * steps + 1)
-            ts = knot_time(curve.t0, curve.t1, steps, np.arange(j, hi))
-            tab, lo = transport_coefficients(lin_or_fam, curve, ts), j
-        return tab, j - lo
+    h = (curve.t1 - curve.t0) / steps
+    tab, lo = None, 0  # the knot table of the current block and its first knot
 
     def rhs(j, z):
         i = j - lo
-        if tab is None or i >= len(tab.M):
-            block, i = table(j)
-            M, c = block.coefficients(i)  # a new block, or this block's error
-        else:
-            M, c = tab.M[i], tab.c[i]
-        return M.dot(z) + c
+        if i < len(tab.M):
+            return tab.M[i].dot(z) + tab.c[i]
+        tab.coefficients(i)  # raises the error of the knot the table ends at
 
     stride = max(1, steps // record) if record else 0
     trajectory = []
-
-    def note(j, t, z):
-        block, i = table(j)
-        trajectory.append((t, *block.point(i), z))
-
-    if record:
-        note(0, curve.t0, z)
-    with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
-        for step, (t, z) in enumerate(rk4(rhs, curve.t0, curve.t1, z, steps, by_knot=True), 1):
-            if record and (step % stride == 0 or step == steps):
-                note(2 * step, t, z)
+    stepper = rk4(rhs, curve.t0, curve.t1, z, steps, by_knot=True)
+    done = 0
+    while done < steps:
+        count = min(BLOCK_STEPS, steps - done)
+        lo = 2 * done
+        ts = knot_time(curve.t0, curve.t1, steps, np.arange(lo, lo + 2 * count + 1))
+        tab = transport_coefficients(lin_or_fam, curve, ts)
+        if record and not done:
+            trajectory.append((curve.t0, *tab.point(0), z))
+        # rk4 reports non-finite states; numpy is told to keep quiet only
+        # where a step can overflow
+        quiet = _may_overflow(tab, z, h, count)
+        with np.errstate(over="ignore", invalid="ignore") if quiet else contextlib.nullcontext():
+            for t, z in itertools.islice(stepper, count):
+                done += 1
+                if record and (done % stride == 0 or done == steps):
+                    trajectory.append((t, *tab.point(2 * done - lo), z))
     return TransportResult(z, tuple(trajectory) if record else None, steps)
 
 
@@ -290,12 +314,17 @@ def flow(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     sp = conn.space
+    n, k = sp.n, sp.k
+    inside, field, gamma = sp.compiled_domain, y_field.compiled_components, conn.compiled_gamma
 
     def f(t, state):
-        x, y = state[: sp.n], state[sp.n :]
-        if not sp.in_domain(x, y):
+        xy = state.tolist()
+        if inside is not None and not inside(*xy):
             raise OutOfDomainError("flow left the domain")
-        return np.concatenate(y_field.velocity(conn, sp.point_env(x, y)))
+        comps = field(*xy[:n])
+        dx = np.array(comps[:n], dtype=float)
+        G = np.array(gamma(*xy), dtype=float).reshape(k, n)
+        return np.concatenate([dx, -G @ dx + np.array(comps[n:], dtype=float)])
 
     state = np.concatenate([a.x, a.y])
     with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
@@ -326,14 +355,23 @@ def fiber_derivative_flow(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     sp = conn.space
+    n, k = sp.n, sp.k
+    inside, field = sp.compiled_domain, y_field.compiled_components
+    gamma, kn = conn.compiled_gamma_gradients, sp.k * sp.n
 
     def f(t, state):
-        x, y, dz = state[: sp.n], state[sp.n : sp.n + sp.k], state[sp.n + sp.k :]
-        if not sp.in_domain(x, y):
+        # the velocity and the Jacobian from one pass over gamma seeded in y
+        values = state.tolist()
+        xy = values[: n + k]
+        if inside is not None and not inside(*xy):
             raise OutOfDomainError("flow left the domain")
-        xd, yd, J = y_field.velocity_and_jacobian(conn, sp.point_env(x, y))
-        dzdot = -np.einsum("aib,b,i->a", J, dz, xd)
-        return np.concatenate([xd, yd, dzdot])
+        comps = field(*values[:n])
+        dx = np.array(comps[:n], dtype=float)
+        out = gamma(*xy)
+        G = np.array(out[:kn], dtype=float).reshape(k, n)
+        J = np.array(out[kn:], dtype=float).reshape(k, n, k)
+        dzdot = -np.einsum("aib,b,i->a", J, state[n + k :], dx)
+        return np.concatenate([dx, -G @ dx + np.array(comps[n:], dtype=float), dzdot])
 
     state = np.concatenate([p.x, p.y, p.z])
     with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +317,63 @@ def test_curvature_far_out_in_the_fiber_is_finite(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["outputs"]["R"] == [0.0]
+
+
+def test_flatness_sampling_error_names_its_source(capsys, tmp_path):
+    # no domain line: the verdict samples y1 <= 0, where log is undefined,
+    # although the given point is fine
+    spec = tmp_path / "log.ini"
+    spec.write_text(LOG_SPEC.replace('domain = "y1 > 0"\n', ""))
+    code = main(
+        ["curvature", str(spec), "--point", "0,0;1", "--v1", "1,0", "--v2", "0,1", "--z", "1"]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("domain error: log of non-positive value, in the sampled flatness verdict")
+    assert "'domain' line" in err and err.count("\n") == 1
+
+
+FLOW_BLOW_UP_SPEC = """
+[space]
+base_dim = 1
+fiber_dim = 1
+[connection]
+gamma_1_1 = "y1^8"
+[field up]
+X_1 = "0"
+eta_1 = "1e39"
+"""
+
+
+@pytest.mark.parametrize(
+    "spec_text, argv, message",
+    [
+        (EXP_SPEC, ["transport", "--curve", "t;40+t;0;1", "--z0", "1"],
+         "numeric error: non-finite state at t = 0.006\n"),
+        (EXP_SPEC, ["transport", "--curve", "t;800+t;0;1", "--z0", "1"],
+         "numeric error: math range error in the step from t = 0.0\n"),
+        # gamma = y^8 overflows to inf, and inf * (X = 0) is NaN
+        (FLOW_BLOW_UP_SPEC, ["flow-transport", "--field", "up", "--point", "0;0", "--z", "1",
+                             "--steps", "10"],
+         "numeric error: non-finite state at t = 0.4\n"),
+    ],
+    ids=["transport-state", "transport-exp", "flow-transport"],
+)
+def test_overflow_prints_no_runtime_warning(tmp_path, spec_text, argv, message):
+    # a fresh interpreter with the default warning filters: nothing but the
+    # one error line may reach stderr
+    spec = tmp_path / "spec.ini"
+    spec.write_text(spec_text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("PYTHONWARNINGS", None)
+    command, *rest = argv
+    proc = subprocess.run(
+        [sys.executable, "-m", "linconn.cli", command, str(spec), *rest],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr == message
 
 
 def test_json_float_formatting():

@@ -1,7 +1,7 @@
-"""The fused flow stage of fiber_derivative_flow: one evaluation of gamma over
-an env seeded in y gives the hor-basic velocity and the fiber Jacobian,
-bitwise as HorBasicField.velocity and fiber_jacobian_env, and a failing
-stage fails as the two separate computations do."""
+"""The fused flow stage of fiber_derivative_flow: one compiled pass over gamma
+seeded in y gives the hor-basic velocity and the fiber Jacobian, bitwise as
+HorBasicField.velocity and fiber_jacobian_env, and a failing stage fails as
+the two separate computations do."""
 
 import numpy as np
 import pytest
@@ -34,7 +34,12 @@ def test_fused_stage_equals_velocity_and_jacobian(all_specs, name, seed):
     a = sample_in_domain(sp, rng)
     field = random_hor_basic(rng, sp)
     env = sp.point_env(a.x, a.y)
-    dx, dy, J = field.velocity_and_jacobian(spec.conn, env)
+    kn = sp.k * sp.n
+    comps = field.compiled_components(*a.x.tolist())
+    out = spec.conn.compiled_gamma_gradients(*a.x.tolist(), *a.y.tolist())
+    dx = np.array(comps[: sp.n])
+    dy = -np.array(out[:kn]).reshape(sp.k, sp.n) @ dx + np.array(comps[sp.n :])
+    J = np.array(out[kn:]).reshape(sp.k, sp.n, sp.k)
     want_dx, want_dy = field.velocity(spec.conn, env)
     assert _bits(dx) == _bits(want_dx) and _bits(dy) == _bits(want_dy)
     assert _bits(J) == _bits(LinearizedConnection(spec.conn).fiber_jacobian_env(env))
