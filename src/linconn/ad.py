@@ -512,212 +512,6 @@ def gradient(e, point, names):
     return gradients((e,), point, names)[0]
 
 
-class _Forward(expr.Emitter):
-    """Prints Dual1 arithmetic slot by slot: every Dual1 becomes float locals.
-
-    A value is a pair (re, eps): the token of a float and None, or the
-    tokens of a Dual1's value and of its m derivative slots.  Each slot is
-    computed with the formula of the Dual1 operation the walk would call,
-    guards included, so the numbers are bitwise those of ``gradients``.
-    Floats (trees without variables) print as ``expr.Emitter`` prints them;
-    ``emit`` and the squarings of ``ipow`` are inherited.
-    """
-
-    def __init__(self, source, tokens, seeded):
-        super().__init__(source, tokens)
-        self.plain = expr.Emitter(source, tokens)  # for operations on floats
-        index = {name: j for j, name in enumerate(seeded)}
-        self.m = len(seeded)
-        self.seeds = {
-            name: tuple("1.0" if index.get(name) == j else "0.0" for j in range(self.m))
-            for name in tokens
-        }
-        self.objects = {}  # Dual1 objects made for trees printed generically
-
-    def _raise_if(self, test: str, message: str):
-        self.src.line(f"if {test}:")
-        self.src.line(f"    raise _DomainError({message!r})")
-
-    def _scaled(self, f1, eps):
-        return tuple(self.src.assign(f"{f1} * {x}") for x in eps)
-
-    def literal(self, value):
-        return self.plain.literal(value), None
-
-    def variable(self, name, token):
-        return token, self.seeds[name]
-
-    def neg(self, a):
-        re, eps = a
-        if eps is None:
-            return self.plain.neg(re), None
-        return self.src.assign(f"-{re}"), tuple(self.src.assign(f"-{x}") for x in eps)
-
-    def arith(self, op, a, b):
-        (are, aeps), (bre, beps) = a, b
-        if aeps is None and beps is None:
-            return self.plain.arith(op, are, bre), None
-        put = self.src.assign
-        if op == "+":
-            if beps is None:
-                return put(f"{are} + {bre}"), aeps
-            if aeps is None:  # float + Dual1 is Dual1.__radd__
-                return put(f"{bre} + {are}"), beps
-            return put(f"{are} + {bre}"), tuple(put(f"{x} + {y}") for x, y in zip(aeps, beps))
-        if op == "-":
-            if beps is None:
-                return put(f"{are} - {bre}"), aeps
-            if aeps is None:
-                return put(f"{are} - {bre}"), tuple(put(f"-{y}") for y in beps)
-            return put(f"{are} - {bre}"), tuple(put(f"{x} - {y}") for x, y in zip(aeps, beps))
-        if beps is None:
-            return put(f"{are} * {bre}"), tuple(put(f"{x} * {bre}") for x in aeps)
-        if aeps is None:  # float * Dual1 is Dual1.__rmul__
-            return put(f"{bre} * {are}"), tuple(put(f"{y} * {are}") for y in beps)
-        return put(f"{are} * {bre}"), tuple(
-            put(f"{are} * {y} + {x} * {bre}") for x, y in zip(aeps, beps)
-        )
-
-    def divisor_guard(self, right, divisor):
-        if right[1] is None:
-            return self.plain.divisor_guard(right[0], divisor)
-        self._raise_if(f"{right[0]} == 0.0", "division by zero")
-        return True
-
-    def div(self, a, b):
-        (are, aeps), (bre, beps) = a, b
-        put = self.src.assign
-        if beps is None:
-            if aeps is None:
-                return self.plain.div(are, bre), None
-            return put(f"{are} / {bre}"), tuple(put(f"{x} / {bre}") for x in aeps)
-        q = put(f"{are} / {bre}")
-        if aeps is None:  # Dual1.__rtruediv__
-            return q, tuple(put(f"-{q} * {y} / {bre}") for y in beps)
-        return q, tuple(put(f"({x} - {q} * {y}) / {bre}") for x, y in zip(aeps, beps))
-
-    def ipow(self, base, n):
-        re, eps = base
-        if eps is None:
-            return self.plain.ipow(re, n), None
-        if n == 0:
-            return self.literal(1.0)
-        if n > 0:
-            return super().ipow(base, n)
-        self._raise_if(f"{re} == 0.0", "zero base with negative integer exponent")
-        power = self.ipow(base, -n)
-        self._raise_if(f"{power[0]} == 0.0", "division by zero")
-        return self.div(self.literal(1.0), power)
-
-    def pow(self, a, b):
-        # reached with a literal exponent only (see _needs_objects)
-        re, eps = a
-        if eps is None:
-            return self.plain.pow(re, b[0]), None
-        put = self.src.assign
-        self._raise_if(f"{re} <= 0.0", "power with non-integer exponent needs a positive base")
-        log = put(f"_math.log({re})"), self._scaled(put(f"1.0 / {re}"), eps)
-        arg = self.arith("*", log, b)
-        v = put(f"_math.exp({arg[0]})")
-        return v, self._scaled(v, arg[1])
-
-    def fun(self, name, a):
-        re, eps = a
-        if eps is None:
-            return self.plain.fun(name, re), None
-        put = self.src.assign
-        if name == "sin":
-            s = put(f"_math.sin({re})")
-            return s, self._scaled(put(f"_math.cos({re})"), eps)
-        if name == "cos":
-            c = put(f"_math.cos({re})")
-            return c, self._scaled(put(f"-_math.sin({re})"), eps)
-        if name == "exp":
-            v = put(f"_math.exp({re})")
-            return v, self._scaled(v, eps)
-        if name == "log":
-            self._raise_if(f"{re} <= 0.0", "log of non-positive value")
-            v = put(f"_math.log({re})")
-            return v, self._scaled(put(f"1.0 / {re}"), eps)
-        if name == "sqrt":
-            self._raise_if(f"{re} <= 0.0", "sqrt needs a positive value when differentiating")
-            v = put(f"_math.sqrt({re})")
-            return v, self._scaled(put(f"0.5 / {v}"), eps)
-        # abs
-        self._raise_if(f"{re} == 0.0", "abs is not differentiable at zero")
-        out = [self.src.local() for _ in range(self.m + 1)]
-        self.src.line(f"if {re} > 0.0:")
-        for target, x in zip(out, (re, *eps)):
-            self.src.line(f"    {target} = {x}")
-        self.src.line("else:")
-        for target, x in zip(out, (re, *eps)):
-            self.src.line(f"    {target} = -{x}")
-        return out[0], tuple(out[1:])
-
-    def emit_objects(self, e):
-        """The tree walked generically over Dual1 objects, then unpacked."""
-        src = self.src
-        tokens = {}
-        for name in sorted(expr.variables(e) & self.tokens.keys()):
-            if name not in self.objects:
-                eps = "".join(f"{x}, " for x in self.seeds[name])
-                self.objects[name] = src.assign(f"_Dual1({self.tokens[name]}, ({eps}))")
-            tokens[name] = self.objects[name]
-        r = expr.Emitter(src, tokens).emit(e)
-        out = [src.local() for _ in range(self.m + 1)]
-        src.line(f"if isinstance({r}, _Dual1):")
-        src.line(f"    {out[0]} = {r}.re")
-        for j, target in enumerate(out[1:]):
-            src.line(f"    {target} = {r}.eps[{j}]")
-        src.line("else:")
-        src.line(f"    {out[0]} = float({r})")
-        for target in out[1:]:
-            src.line(f"    {target} = 0.0")
-        return out[0], tuple(out[1:])
-
-
-def _needs_objects(e) -> bool:
-    """A non-literal exponent or an unknown function: Dual1 objects decide."""
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        cls = node.__class__
-        if cls is expr.Bin:
-            if node.op not in ("+", "-", "*", "/") and node.right.__class__ is not expr.Lit:
-                return True
-            stack += (node.left, node.right)
-        elif cls is expr.Fun:
-            if node.name not in expr.FUNCTIONS:
-                return True
-            stack.append(node.arg)
-        elif cls is expr.Neg:
-            stack.append(node.arg)
-    return False
-
-
-def compile_gradients(exprs, names, seeded):
-    """``gradients`` as one straight-line function of the values of names.
-
-    ``f(*values)`` returns the T values of exprs followed by their T*m
-    partials with respect to the m names in seeded, tree by tree: the
-    numbers ``gradients(exprs, dict(zip(names, values)), seeded)`` gives,
-    bitwise (signed zeros included, NaN where it gives NaN), for float
-    values.  It raises what that call raises.  Dual1 objects are built only for a tree with a
-    non-literal exponent, whose integer test depends on the values.
-    """
-    tokens, params = expr.arguments(names)
-    src = expr.Source({**expr.HELPERS, "_math": math, "_Dual1": Dual1})
-    forward = _Forward(src, tokens, tuple(seeded))
-    values, partials = [], []
-    for e in exprs:
-        re, eps = forward.emit_objects(e) if _needs_objects(e) else forward.emit(e)
-        if eps is None:
-            re, eps = f"float({re})", ("0.0",) * forward.m
-        values.append(re)
-        partials += eps
-    return expr.define(params, src, expr.tuple_of(values + partials))
-
-
 # ---------------------------------------------------------------------------
 # Generic point-or-lifted-point calculus
 

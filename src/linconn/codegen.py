@@ -1,0 +1,461 @@
+"""Expression trees compiled once into straight-line Python functions.
+
+``expr.evaluate`` is the definition.  A tree that an owner evaluates many
+times (a connection's gamma, a flow's field, a domain predicate) is printed
+once as Python source and executed into a function of positional values,
+the idea behind SymPy's ``lambdify``.  The printed code performs the walk's
+operations in the walk's order through the same guards, so it returns the
+same numbers bitwise and raises the same errors:
+
+* ``compile_exprs`` and ``compile_bool`` (the generic emitter) dispatch on
+  the scalar type as ``evaluate`` does, so they serve floats, Dual1, Dual2
+  and DualBatch values;
+* ``compile_gradients`` (the forward-mode emitter) prints Dual1 arithmetic
+  slot by slot in float locals and returns what ``ad.gradients`` returns.
+
+Owners import this module on first use: a process that only loads a spec
+neither compiles a tree nor imports this module (which, without a bytecode
+cache, costs about 10 ms to byte-compile).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Mapping
+
+from .ad import Dual1
+from .expr import (
+    FUNCTIONS,
+    Bin,
+    BoolAnd,
+    BoolExpr,
+    Comparison,
+    DomainError,
+    Expr,
+    Fun,
+    Lit,
+    Neg,
+    UnboundVariableError,
+    Var,
+    _all,
+    _any,
+    _apply_real,
+    _as_const_int,
+    _ipow,
+    _pow,
+    _real,
+    variables,
+)
+
+
+class Source:
+    """Body of a function of the values of names under construction, and
+    the globals it runs in.
+
+    ``tokens`` maps each name to its positional parameter.  Every value
+    gets its own local, so the statements keep the walk's order of
+    operations.  ``indent`` nests statements under an emitted ``if``.
+    """
+
+    def __init__(self, names, helpers: Mapping[str, object]):
+        self.params = [f"_a{i}" for i in range(len(names))]
+        self.tokens = dict(zip(names, self.params))
+        self.lines: list[str] = []
+        self.indent = 1
+        self.namespace = dict(helpers)
+        self._count = 0
+
+    def line(self, text: str):
+        self.lines.append("    " * self.indent + text)
+
+    def local(self) -> str:
+        self._count += 1
+        return f"_t{self._count}"
+
+    def assign(self, text: str) -> str:
+        name = self.local()
+        self.line(f"{name} = {text}")
+        return name
+
+    def const(self, value) -> str:
+        """Source token for a literal: its repr, or a global for inf and nan."""
+        if value.__class__ is float and math.isfinite(value):
+            return repr(value) if math.copysign(1.0, value) > 0 else f"({value!r})"
+        name = f"_c{len(self.namespace)}"
+        self.namespace[name] = value
+        return name
+
+
+def define(source: Source, result: str) -> Callable:
+    """Execute ``def f(*params): <body>; return <result>`` once and return f.
+
+    Every compiled function is made here.
+    """
+    body = "\n".join(source.lines) or "    pass"
+    text = f"def _compiled({', '.join(source.params)}):\n{body}\n    return {result}\n"
+    exec(text, source.namespace)
+    return source.namespace["_compiled"]
+
+
+def tuple_of(tokens) -> str:
+    return "(" + "".join(f"{t}, " for t in tokens) + ")"
+
+
+HELPERS = {
+    "_REALS": (int, float),
+    "_DomainError": DomainError,
+    "_Unbound": UnboundVariableError,
+    "_pow": _pow,
+    "_ipow": _ipow,
+    "_apply_real": _apply_real,
+    "_real": _real,
+    "_any": _any,
+    "_all": _all,
+}
+
+
+class Emitter:
+    """Prints the operations ``evaluate`` performs on a tree, in its order.
+
+    ``tokens`` (by default the parameters of the source) maps variable
+    names to the source tokens that hold their values; a variable without
+    one raises UnboundVariableError where the walk would.  The printed code dispatches on the scalar type as the walk
+    does, so it serves floats, Dual1, Dual2 and DualBatch values alike.
+    ``emit`` walks the tree and hands each node to one method per
+    operation; a subclass can print other arithmetic for the same walk.
+    """
+
+    def __init__(self, source: Source, tokens: Mapping[str, str] | None = None):
+        self.src = source
+        self.tokens = source.tokens if tokens is None else tokens
+
+    def emit(self, e: Expr):
+        """Statements computing e; returns the token that holds its value."""
+        cls = e.__class__
+        if cls is Lit:
+            return self.literal(e.value)
+        if cls is Var:
+            token = self.tokens.get(e.name)
+            if token is None:
+                self.src.line(f"raise _Unbound({e.name!r})")
+                return self.literal(None)
+            return self.variable(e.name, token)
+        if cls is Neg:
+            return self.neg(self.emit(e.arg))
+        if cls is Fun:
+            return self.fun(e.name, self.emit(e.arg))
+        left = self.emit(e.left)
+        if e.op in ("+", "-", "*"):
+            return self.arith(e.op, left, self.emit(e.right))
+        if e.op == "/":
+            right = self.emit(e.right)
+            if not self.divisor_guard(right, e.right):
+                return self.literal(None)
+            return self.div(left, right)
+        # ^, and any other operator, is _pow
+        if e.right.__class__ is Lit:
+            n = _as_const_int(e.right.value)
+            if n is not None:
+                return self.ipow(left, n)
+        return self.pow(left, self.emit(e.right))
+
+    def literal(self, value):
+        return self.src.const(value)
+
+    def variable(self, name: str, token: str):
+        return token
+
+    def neg(self, a):
+        return self.src.assign(f"-{a}")
+
+    def arith(self, op: str, a, b):
+        return self.src.assign(f"{a} {op} {b}")
+
+    def divisor_guard(self, right, divisor: Expr) -> bool:
+        """``evaluate``'s check of a real divisor; False when it always raises."""
+        if divisor.__class__ is Lit:
+            if isinstance(divisor.value, (int, float)) and divisor.value == 0.0:
+                self.src.line('raise _DomainError("division by zero")')
+                return False
+            return True
+        self.src.line(f"if isinstance({right}, _REALS) and {right} == 0.0:")
+        self.src.line('    raise _DomainError("division by zero")')
+        return True
+
+    def div(self, a, b):
+        return self.src.assign(f"{a} / {b}")
+
+    def pow(self, a, b):
+        return self.src.assign(f"_pow({a}, {b})")
+
+    def ipow(self, base, n: int):
+        """``_ipow(base, n)`` for a literal n, its squarings printed."""
+        if n == 0:
+            return self.literal(1.0)
+        if n < 0:
+            return self.src.assign(f"_ipow({base}, {n})")
+        acc = None
+        sq = base
+        while True:
+            if n & 1:
+                acc = sq if acc is None else self.arith("*", acc, sq)
+            n >>= 1
+            if not n:
+                return acc
+            sq = self.arith("*", sq, sq)
+
+    def fun(self, name: str, a):
+        out = self.src.local()
+        self.src.line(f"if isinstance({a}, _REALS):")
+        self.src.line(f"    {out} = _apply_real({name!r}, float({a}))")
+        self.src.line("else:")
+        self.src.line(f"    {out} = getattr({a}, {name!r})()")
+        return out
+
+    def emit_bool(self, b: BoolExpr) -> str:
+        """Statements computing ``evaluate_bool(b)``, and/or short circuit kept."""
+        src = self.src
+        if isinstance(b, Comparison):
+            left, right = (
+                # _real of a float literal is the literal
+                self.emit(side) if side.__class__ is Lit and side.value.__class__ is float
+                else src.assign(f"_real({self.emit(side)})")
+                for side in (b.left, b.right)
+            )
+            op = b.op if b.op in ("<", "<=", ">") else ">="
+            return src.assign(f"{left} {op} {right}")
+        conj = isinstance(b, BoolAnd)
+        out = src.assign("True" if conj else "False")
+        depth = src.indent
+        for j, term in enumerate(b.terms):
+            if j:
+                # later terms run only while the result is unsettled
+                src.line(f"if _any({out}):" if conj else f"if not _all({out}):")
+                src.indent += 1
+            value = self.emit_bool(term)
+            src.line(f"{out} = {out} {'&' if conj else '|'} {value}")
+        src.indent = depth
+        return out
+
+
+def compile_exprs(exprs, names) -> Callable:
+    """One function of the values of names that evaluates every tree.
+
+    ``compile_exprs(exprs, names)(*values)`` is the tuple of
+    ``evaluate(e, dict(zip(names, values)))`` over exprs, bitwise, and
+    raises what the first failing evaluation raises.
+    """
+    src = Source(names, HELPERS)
+    emitter = Emitter(src)
+    return define(src, tuple_of([emitter.emit(e) for e in exprs]))
+
+
+def compile_bool(b: BoolExpr, names) -> Callable:
+    """``evaluate_bool(b, dict(zip(names, values)))`` as a function of values."""
+    src = Source(names, HELPERS)
+    return define(src, Emitter(src).emit_bool(b))
+
+
+class _Forward(Emitter):
+    """Prints Dual1 arithmetic slot by slot: every Dual1 becomes float locals.
+
+    A value is a pair (re, eps): the token of a float and None, or the
+    tokens of a Dual1's value and of its m derivative slots.  Each slot is
+    computed with the formula of the Dual1 operation the walk would call,
+    guards included, so the numbers are bitwise those of ``ad.gradients``.
+    Floats (trees without variables) print as ``Emitter`` prints them;
+    ``emit`` and the squarings of ``ipow`` are inherited.
+    """
+
+    def __init__(self, source, seeded):
+        super().__init__(source)
+        self.plain = Emitter(source)  # for operations on floats
+        index = {name: j for j, name in enumerate(seeded)}
+        self.m = len(seeded)
+        self.seeds = {
+            name: tuple("1.0" if index.get(name) == j else "0.0" for j in range(self.m))
+            for name in self.tokens
+        }
+        self.objects = {}  # Dual1 objects made for trees printed generically
+
+    def _raise_if(self, test: str, message: str):
+        self.src.line(f"if {test}:")
+        self.src.line(f"    raise _DomainError({message!r})")
+
+    def _scaled(self, f1, eps):
+        return tuple(self.src.assign(f"{f1} * {x}") for x in eps)
+
+    def literal(self, value):
+        return self.plain.literal(value), None
+
+    def variable(self, name, token):
+        return token, self.seeds[name]
+
+    def neg(self, a):
+        re, eps = a
+        if eps is None:
+            return self.plain.neg(re), None
+        return self.src.assign(f"-{re}"), tuple(self.src.assign(f"-{x}") for x in eps)
+
+    def arith(self, op, a, b):
+        (are, aeps), (bre, beps) = a, b
+        if aeps is None and beps is None:
+            return self.plain.arith(op, are, bre), None
+        put = self.src.assign
+        if op == "+":
+            if beps is None:
+                return put(f"{are} + {bre}"), aeps
+            if aeps is None:  # float + Dual1 is Dual1.__radd__
+                return put(f"{bre} + {are}"), beps
+            return put(f"{are} + {bre}"), tuple(put(f"{x} + {y}") for x, y in zip(aeps, beps))
+        if op == "-":
+            if beps is None:
+                return put(f"{are} - {bre}"), aeps
+            if aeps is None:
+                return put(f"{are} - {bre}"), tuple(put(f"-{y}") for y in beps)
+            return put(f"{are} - {bre}"), tuple(put(f"{x} - {y}") for x, y in zip(aeps, beps))
+        if beps is None:
+            return put(f"{are} * {bre}"), tuple(put(f"{x} * {bre}") for x in aeps)
+        if aeps is None:  # float * Dual1 is Dual1.__rmul__
+            return put(f"{bre} * {are}"), tuple(put(f"{y} * {are}") for y in beps)
+        return put(f"{are} * {bre}"), tuple(
+            put(f"{are} * {y} + {x} * {bre}") for x, y in zip(aeps, beps)
+        )
+
+    def divisor_guard(self, right, divisor):
+        if right[1] is None:
+            return self.plain.divisor_guard(right[0], divisor)
+        self._raise_if(f"{right[0]} == 0.0", "division by zero")
+        return True
+
+    def div(self, a, b):
+        (are, aeps), (bre, beps) = a, b
+        put = self.src.assign
+        if beps is None:
+            if aeps is None:
+                return self.plain.div(are, bre), None
+            return put(f"{are} / {bre}"), tuple(put(f"{x} / {bre}") for x in aeps)
+        q = put(f"{are} / {bre}")
+        if aeps is None:  # Dual1.__rtruediv__
+            return q, tuple(put(f"-{q} * {y} / {bre}") for y in beps)
+        return q, tuple(put(f"({x} - {q} * {y}) / {bre}") for x, y in zip(aeps, beps))
+
+    def ipow(self, base, n):
+        re, eps = base
+        if eps is None:
+            return self.plain.ipow(re, n), None
+        if n == 0:
+            return self.literal(1.0)
+        if n > 0:
+            return super().ipow(base, n)
+        self._raise_if(f"{re} == 0.0", "zero base with negative integer exponent")
+        power = self.ipow(base, -n)
+        self._raise_if(f"{power[0]} == 0.0", "division by zero")
+        return self.div(self.literal(1.0), power)
+
+    def pow(self, a, b):
+        # reached with a literal exponent only (see _needs_objects)
+        re, eps = a
+        if eps is None:
+            return self.plain.pow(re, b[0]), None
+        put = self.src.assign
+        self._raise_if(f"{re} <= 0.0", "power with non-integer exponent needs a positive base")
+        log = put(f"_math.log({re})"), self._scaled(put(f"1.0 / {re}"), eps)
+        arg = self.arith("*", log, b)
+        v = put(f"_math.exp({arg[0]})")
+        return v, self._scaled(v, arg[1])
+
+    def fun(self, name, a):
+        re, eps = a
+        if eps is None:
+            return self.plain.fun(name, re), None
+        put = self.src.assign
+        if name == "sin":
+            s = put(f"_math.sin({re})")
+            return s, self._scaled(put(f"_math.cos({re})"), eps)
+        if name == "cos":
+            c = put(f"_math.cos({re})")
+            return c, self._scaled(put(f"-_math.sin({re})"), eps)
+        if name == "exp":
+            v = put(f"_math.exp({re})")
+            return v, self._scaled(v, eps)
+        if name == "log":
+            self._raise_if(f"{re} <= 0.0", "log of non-positive value")
+            v = put(f"_math.log({re})")
+            return v, self._scaled(put(f"1.0 / {re}"), eps)
+        if name == "sqrt":
+            self._raise_if(f"{re} <= 0.0", "sqrt needs a positive value when differentiating")
+            v = put(f"_math.sqrt({re})")
+            return v, self._scaled(put(f"0.5 / {v}"), eps)
+        # abs
+        self._raise_if(f"{re} == 0.0", "abs is not differentiable at zero")
+        out = [self.src.local() for _ in range(self.m + 1)]
+        self.src.line(f"if {re} > 0.0:")
+        for target, x in zip(out, (re, *eps)):
+            self.src.line(f"    {target} = {x}")
+        self.src.line("else:")
+        for target, x in zip(out, (re, *eps)):
+            self.src.line(f"    {target} = -{x}")
+        return out[0], tuple(out[1:])
+
+    def emit_objects(self, e):
+        """The tree walked generically over Dual1 objects, then unpacked."""
+        src = self.src
+        tokens = {}
+        for name in sorted(variables(e) & self.tokens.keys()):
+            if name not in self.objects:
+                eps = "".join(f"{x}, " for x in self.seeds[name])
+                self.objects[name] = src.assign(f"_Dual1({self.tokens[name]}, ({eps}))")
+            tokens[name] = self.objects[name]
+        r = Emitter(src, tokens).emit(e)
+        out = [src.local() for _ in range(self.m + 1)]
+        src.line(f"if isinstance({r}, _Dual1):")
+        src.line(f"    {out[0]} = {r}.re")
+        for j, target in enumerate(out[1:]):
+            src.line(f"    {target} = {r}.eps[{j}]")
+        src.line("else:")
+        src.line(f"    {out[0]} = float({r})")
+        for target in out[1:]:
+            src.line(f"    {target} = 0.0")
+        return out[0], tuple(out[1:])
+
+
+def _needs_objects(e) -> bool:
+    """A non-literal exponent or an unknown function: Dual1 objects decide."""
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls is Bin:
+            if node.op not in ("+", "-", "*", "/") and node.right.__class__ is not Lit:
+                return True
+            stack += (node.left, node.right)
+        elif cls is Fun:
+            if node.name not in FUNCTIONS:
+                return True
+            stack.append(node.arg)
+        elif cls is Neg:
+            stack.append(node.arg)
+    return False
+
+
+def compile_gradients(exprs, names, seeded) -> Callable:
+    """``ad.gradients`` as one straight-line function of the values of names.
+
+    ``f(*values)`` returns the T values of exprs followed by their T*m
+    partials with respect to the m names in seeded, tree by tree: the
+    numbers ``ad.gradients(exprs, dict(zip(names, values)), seeded)`` gives,
+    bitwise (signed zeros included, NaN where it gives NaN), for float
+    values.  It raises what that call raises.  Dual1 objects are built only for a tree with a
+    non-literal exponent, whose integer test depends on the values.
+    """
+    src = Source(names, {**HELPERS, "_math": math, "_Dual1": Dual1})
+    forward = _Forward(src, tuple(seeded))
+    values, partials = [], []
+    for e in exprs:
+        re, eps = forward.emit_objects(e) if _needs_objects(e) else forward.emit(e)
+        if eps is None:
+            re, eps = f"float({re})", ("0.0",) * forward.m
+        values.append(re)
+        partials += eps
+    return define(src, tuple_of(values + partials))

@@ -55,19 +55,23 @@ class NonlinearConnection:
     @cached_property
     def compiled_gamma(self):
         """The entries row by row as floats, one function of x1..xn, y1..yk."""
+        from .codegen import compile_exprs
+
         sp = self.space
-        return ex.compile([g for row in self.gamma for g in row], sp.x_names + sp.y_names)
+        return compile_exprs([g for row in self.gamma for g in row], sp.x_names + sp.y_names)
 
     @cached_property
     def compiled_gamma_gradients(self):
         """The k*n entries row by row, then their y-partials [A, i, B].
 
         One function of the floats x1..xn, y1..yk, bitwise ``ad.gradients``
-        of the entries with respect to y (``ad.compile_gradients``).
+        of the entries with respect to y (``codegen.compile_gradients``).
         """
+        from .codegen import compile_gradients
+
         sp = self.space
         entries = [g for row in self.gamma for g in row]
-        return ad.compile_gradients(entries, sp.x_names + sp.y_names, sp.y_names)
+        return compile_gradients(entries, sp.x_names + sp.y_names, sp.y_names)
 
     def gamma_at(self, a: FiberPoint) -> np.ndarray:
         """Entrywise value of the coefficient matrix at an in-domain point."""
@@ -341,7 +345,9 @@ class HorBasicField:
     @cached_property
     def compiled_components(self):
         """X then eta as floats, one function of x1..xn (flows call it per stage)."""
-        return ex.compile(self.X + self.eta, tuple(f"x{i+1}" for i in range(len(self.X))))
+        from .codegen import compile_exprs
+
+        return compile_exprs(self.X + self.eta, tuple(f"x{i+1}" for i in range(len(self.X))))
 
     def velocity(self, conn: NonlinearConnection, env):
         """Float components (X, -gamma X + eta) over a plain environment."""

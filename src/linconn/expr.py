@@ -7,10 +7,9 @@ dual-number scalars from :mod:`linconn.ad`; evaluation dispatches on the
 scalar type, so derivative information propagates through the identical
 traversal that produces plain values.
 
-``evaluate`` is the definition.  A tree evaluated many times can also be
-compiled once (``compile``, ``compile_bool``) into a straight-line Python
-function that performs the same operations in the same order through the
-same guards, and so returns and raises what the walk does.
+``evaluate`` is the definition; :mod:`linconn.codegen` compiles a tree that
+is evaluated many times into a function that returns and raises what the
+walk does.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
@@ -550,219 +549,3 @@ def bool_variables(b: BoolExpr) -> frozenset[str]:
         out |= bool_variables(t)
     return out
 
-
-# ---------------------------------------------------------------------------
-# Compilation: trees printed once as a straight-line Python function
-
-
-class Source:
-    """Body of a function under construction, and the globals it runs in.
-
-    Every value gets its own local, so the statements keep the walk's order
-    of operations.  ``indent`` nests statements under an emitted ``if``.
-    """
-
-    def __init__(self, helpers: Mapping[str, object]):
-        self.lines: list[str] = []
-        self.indent = 1
-        self.namespace = dict(helpers)
-        self._count = 0
-
-    def line(self, text: str):
-        self.lines.append("    " * self.indent + text)
-
-    def local(self) -> str:
-        self._count += 1
-        return f"_t{self._count}"
-
-    def assign(self, text: str) -> str:
-        name = self.local()
-        self.line(f"{name} = {text}")
-        return name
-
-    def const(self, value) -> str:
-        """Source token for a literal: its repr, or a global for inf and nan."""
-        if value.__class__ is float and math.isfinite(value):
-            return repr(value) if math.copysign(1.0, value) > 0 else f"({value!r})"
-        name = f"_c{len(self.namespace)}"
-        self.namespace[name] = value
-        return name
-
-
-def define(params, source: Source, result: str) -> Callable:
-    """Execute ``def f(*params): <body>; return <result>`` once and return f.
-
-    Every compiled function is made here.
-    """
-    body = "\n".join(source.lines) or "    pass"
-    text = f"def _compiled({', '.join(params)}):\n{body}\n    return {result}\n"
-    exec(text, source.namespace)
-    return source.namespace["_compiled"]
-
-
-def arguments(names) -> tuple[dict, list]:
-    """Positional parameter names for the variables in names, and their tokens."""
-    params = [f"_a{i}" for i in range(len(names))]
-    return dict(zip(names, params)), params
-
-
-def tuple_of(tokens) -> str:
-    return "(" + "".join(f"{t}, " for t in tokens) + ")"
-
-
-HELPERS = {
-    "_REALS": (int, float),
-    "_DomainError": DomainError,
-    "_Unbound": UnboundVariableError,
-    "_pow": _pow,
-    "_ipow": _ipow,
-    "_apply_real": _apply_real,
-    "_real": _real,
-    "_any": _any,
-    "_all": _all,
-}
-
-
-class Emitter:
-    """Prints the operations ``evaluate`` performs on a tree, in its order.
-
-    ``tokens`` maps variable names to the source tokens that hold their
-    values; a variable without one raises UnboundVariableError where the
-    walk would.  The printed code dispatches on the scalar type as the walk
-    does, so it serves floats, Dual1, Dual2 and DualBatch values alike.
-    ``emit`` walks the tree and hands each node to one method per
-    operation; a subclass can print other arithmetic for the same walk.
-    """
-
-    def __init__(self, source: Source, tokens: Mapping[str, str]):
-        self.src = source
-        self.tokens = tokens
-
-    def emit(self, e: Expr):
-        """Statements computing e; returns the token that holds its value."""
-        cls = e.__class__
-        if cls is Lit:
-            return self.literal(e.value)
-        if cls is Var:
-            token = self.tokens.get(e.name)
-            if token is None:
-                self.src.line(f"raise _Unbound({e.name!r})")
-                return self.literal(None)
-            return self.variable(e.name, token)
-        if cls is Neg:
-            return self.neg(self.emit(e.arg))
-        if cls is Fun:
-            return self.fun(e.name, self.emit(e.arg))
-        left = self.emit(e.left)
-        if e.op in ("+", "-", "*"):
-            return self.arith(e.op, left, self.emit(e.right))
-        if e.op == "/":
-            right = self.emit(e.right)
-            if not self.divisor_guard(right, e.right):
-                return self.literal(None)
-            return self.div(left, right)
-        # ^, and any other operator, is _pow
-        if e.right.__class__ is Lit:
-            n = _as_const_int(e.right.value)
-            if n is not None:
-                return self.ipow(left, n)
-        return self.pow(left, self.emit(e.right))
-
-    def literal(self, value):
-        return self.src.const(value)
-
-    def variable(self, name: str, token: str):
-        return token
-
-    def neg(self, a):
-        return self.src.assign(f"-{a}")
-
-    def arith(self, op: str, a, b):
-        return self.src.assign(f"{a} {op} {b}")
-
-    def divisor_guard(self, right, divisor: Expr) -> bool:
-        """``evaluate``'s check of a real divisor; False when it always raises."""
-        if divisor.__class__ is Lit:
-            if isinstance(divisor.value, (int, float)) and divisor.value == 0.0:
-                self.src.line('raise _DomainError("division by zero")')
-                return False
-            return True
-        self.src.line(f"if isinstance({right}, _REALS) and {right} == 0.0:")
-        self.src.line('    raise _DomainError("division by zero")')
-        return True
-
-    def div(self, a, b):
-        return self.src.assign(f"{a} / {b}")
-
-    def pow(self, a, b):
-        return self.src.assign(f"_pow({a}, {b})")
-
-    def ipow(self, base, n: int):
-        """``_ipow(base, n)`` for a literal n, its squarings printed."""
-        if n == 0:
-            return self.literal(1.0)
-        if n < 0:
-            return self.src.assign(f"_ipow({base}, {n})")
-        acc = None
-        sq = base
-        while True:
-            if n & 1:
-                acc = sq if acc is None else self.arith("*", acc, sq)
-            n >>= 1
-            if not n:
-                return acc
-            sq = self.arith("*", sq, sq)
-
-    def fun(self, name: str, a):
-        out = self.src.local()
-        self.src.line(f"if isinstance({a}, _REALS):")
-        self.src.line(f"    {out} = _apply_real({name!r}, float({a}))")
-        self.src.line("else:")
-        self.src.line(f"    {out} = getattr({a}, {name!r})()")
-        return out
-
-    def emit_bool(self, b: BoolExpr) -> str:
-        """Statements computing ``evaluate_bool(b)``, and/or short circuit kept."""
-        src = self.src
-        if isinstance(b, Comparison):
-            left, right = (
-                # _real of a float literal is the literal
-                self.emit(side) if side.__class__ is Lit and side.value.__class__ is float
-                else src.assign(f"_real({self.emit(side)})")
-                for side in (b.left, b.right)
-            )
-            op = b.op if b.op in ("<", "<=", ">") else ">="
-            return src.assign(f"{left} {op} {right}")
-        conj = isinstance(b, BoolAnd)
-        out = src.assign("True" if conj else "False")
-        depth = src.indent
-        for j, term in enumerate(b.terms):
-            if j:
-                # later terms run only while the result is unsettled
-                src.line(f"if _any({out}):" if conj else f"if not _all({out}):")
-                src.indent += 1
-            value = self.emit_bool(term)
-            src.line(f"{out} = {out} {'&' if conj else '|'} {value}")
-        src.indent = depth
-        return out
-
-
-def compile(exprs, names) -> Callable:
-    """One function of the values of names that evaluates every tree.
-
-    ``compile(exprs, names)(*values)`` is the tuple of
-    ``evaluate(e, dict(zip(names, values)))`` over exprs, bitwise, and
-    raises what the first failing evaluation raises.
-    """
-    tokens, params = arguments(names)
-    src = Source(HELPERS)
-    emitter = Emitter(src, tokens)
-    results = [emitter.emit(e) for e in exprs]
-    return define(params, src, tuple_of(results))
-
-
-def compile_bool(b: BoolExpr, names) -> Callable:
-    """``evaluate_bool(b, dict(zip(names, values)))`` as a function of values."""
-    tokens, params = arguments(names)
-    src = Source(HELPERS)
-    return define(params, src, Emitter(src, tokens).emit_bool(b))

@@ -123,7 +123,9 @@ class BundleSpace:
         """
         if self.domain is None:
             return None
-        return ex.compile_bool(self.domain, self.x_names + self.y_names)
+        from .codegen import compile_bool
+
+        return compile_bool(self.domain, self.x_names + self.y_names)
 
     def require_in_domain(self, x, y, what: str = "point"):
         if not self.in_domain(x, y):

@@ -1,6 +1,6 @@
 """Compiled trees against the walk.
 
-``expr.compile``, ``expr.compile_bool`` and ``ad.compile_gradients`` must
+``codegen.compile_exprs``, ``compile_bool`` and ``compile_gradients`` must
 return bitwise what ``evaluate``, ``evaluate_bool`` and ``ad.gradients``
 return (signed zeros compared by their bits, NaN where they give NaN), or
 raise the same exception class with the same message.  The owners that cache compiled
@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linconn import ad, transport
+from linconn import ad, codegen, transport
 from linconn import expr as ex
 from linconn.ad import Dual1, Dual2, DualBatch
 from linconn.connection import HorBasicField
@@ -84,7 +84,7 @@ def _outcome(fn):
 
 def _walk_and_compiled(trees, env):
     walked = _outcome(lambda: [ex.evaluate(e, env) for e in trees])
-    compiled = _outcome(lambda: ex.compile(trees, tuple(env))(*env.values()))
+    compiled = _outcome(lambda: codegen.compile_exprs(trees, tuple(env))(*env.values()))
     return walked, compiled
 
 
@@ -128,7 +128,7 @@ def test_forward_compile_equals_gradients(trees, values, seeded):
         return [v for v, _ in pairs] + [d for _, grad in pairs for d in grad]
 
     def compiled():
-        out = ad.compile_gradients(trees, NAMES, seeded)(*values)
+        out = codegen.compile_gradients(trees, NAMES, seeded)(*values)
         assert len(out) == len(trees) * (m + 1)
         return list(out)
 
@@ -154,7 +154,7 @@ def test_forward_compile_covers_every_guard():
         text = repr(tree)
         point = {"x1": 0.0, "y1": y}
         want = _outcome(lambda: ad.gradients(trees, point, ["y1"]))
-        got = _outcome(lambda: ad.compile_gradients(trees, ("x1", "y1"), ["y1"])(0.0, y))
+        got = _outcome(lambda: codegen.compile_gradients(trees, ("x1", "y1"), ["y1"])(0.0, y))
         if want[0] == "value":
             (value, grad), = want[1]
             want = ("value", (value, *grad))
@@ -177,7 +177,7 @@ def test_compiled_predicate_equals_evaluate_bool(disjuncts, values):
 
     b = conj(disjuncts[0]) if len(disjuncts) == 1 else ex.BoolOr(tuple(map(conj, disjuncts)))
     env = dict(zip(NAMES, values))
-    assert _outcome(lambda: ex.compile_bool(b, NAMES)(*values)) == _outcome(lambda: ex.evaluate_bool(b, env))
+    assert _outcome(lambda: codegen.compile_bool(b, NAMES)(*values)) == _outcome(lambda: ex.evaluate_bool(b, env))
 
 
 def test_compiled_predicate_keeps_the_short_circuit():
@@ -185,9 +185,9 @@ def test_compiled_predicate_keeps_the_short_circuit():
     for text, x1 in (("x1 > 0 and log(x1) > -1", -1.0), ("x1 <= 0 or log(x1) > -1", -1.0)):
         b = ex.parse_bool(text)
         want = ex.evaluate_bool(b, {"x1": x1})
-        assert ex.compile_bool(b, ("x1",))(x1) is want
+        assert codegen.compile_bool(b, ("x1",))(x1) is want
     with pytest.raises(ex.DomainError, match="log of non-positive value"):
-        ex.compile_bool(ex.parse_bool("x1 < 0 and log(x1) > -1"), ("x1",))(-1.0)
+        codegen.compile_bool(ex.parse_bool("x1 < 0 and log(x1) > -1"), ("x1",))(-1.0)
 
 
 # -- compile once, and never on a single-point path --------------------------
@@ -195,15 +195,15 @@ def test_compiled_predicate_keeps_the_short_circuit():
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Count the functions made by expr.define."""
+    """Count the functions made by codegen.define."""
     made = []
-    real = ex.define
+    real = codegen.define
 
-    def counting(params, source, result):
+    def counting(source, result):
         made.append(result)
-        return real(params, source, result)
+        return real(source, result)
 
-    monkeypatch.setattr(ex, "define", counting)
+    monkeypatch.setattr(codegen, "define", counting)
     return made
 
 
