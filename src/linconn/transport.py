@@ -277,9 +277,9 @@ def transport_ode(
 
     def rhs(j, z):
         i = j - lo
-        if i < len(tab.M):
-            return tab.M[i].dot(z) + tab.c[i]
-        tab.coefficients(i)  # raises the error of the knot the table ends at
+        if i >= len(tab.M):
+            tab.coefficients(i)  # the table ends at a failing knot: raises its error
+        return tab.M[i].dot(z) + tab.c[i]
 
     stride = max(1, steps // record) if record else 0
     trajectory = []

@@ -19,7 +19,7 @@ from linconn import ad, codegen, transport
 from linconn import expr as ex
 from linconn.ad import Dual1, Dual2, DualBatch
 from linconn.connection import HorBasicField
-from linconn.geom import BundleSpace, FiberPoint, PullbackPoint
+from linconn.geom import FiberPoint, PullbackPoint
 from linconn.linearize import LinearizedConnection
 from linconn.sampling import random_hor_basic, random_section, sample_in_domain
 from linconn.specfile import loads
@@ -250,9 +250,3 @@ def test_gamma_at_compiles_once_per_connection(compiles):
     for _ in range(3):
         assert spec.conn.gamma_at(a).tobytes() == want.tobytes()
     assert len(compiles) == 1
-
-
-def test_compiled_functions_live_on_their_owner():
-    space = BundleSpace(1, 1, ex.parse_bool("y1 > 0"))
-    assert space.compiled_domain is space.compiled_domain
-    assert BundleSpace(1, 1).compiled_domain is None
