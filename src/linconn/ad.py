@@ -542,10 +542,6 @@ def is_lifted(env) -> bool:
     return any(isinstance(v, Dual1) for v in env.values())
 
 
-def value_in(e, env):
-    return expr.evaluate(e, env)
-
-
 def partial_in(e, env, seed):
     """Directional derivative of e at env for a float direction ``seed``.
 

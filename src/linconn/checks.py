@@ -600,7 +600,7 @@ def _derivation_env(sp, y_field, sigma_comps, env):
     """Flow-derivation components of a section along a projectable field."""
     names = sp.x_names + sp.y_names
     m = sp.n + sp.k
-    yv = [ad.value_in(y_field.component(b), env) for b in range(m)]
+    yv = [ex.evaluate(y_field.component(b), env) for b in range(m)]
     out = []
     for A in range(sp.k):
         grads = ad.partials_in(sigma_comps[A], env, names)
@@ -609,7 +609,7 @@ def _derivation_env(sp, y_field, sigma_comps, env):
             s = s + yv[b] * grads[b]
         for B in range(sp.k):
             d_y = ad.partial_in(y_field.comp_y[A], env, {sp.y_names[B]: 1.0})
-            s = s - ad.value_in(sigma_comps[B], env) * d_y
+            s = s - ex.evaluate(sigma_comps[B], env) * d_y
         out.append(s)
     return out
 
@@ -658,7 +658,7 @@ def _check_lie_commutator(spec, rng, samples):
         # derivation along the bracket field
         comps0 = [ad.real_part(v) for v in bracket_env(sp, y1, y2, env0)]
         lifted = ad.lift_env(env0, dict(zip(names, comps0)))
-        sig_l = [ad.value_in(c, lifted) for c in sigma.comp]
+        sig_l = [ex.evaluate(c, lifted) for c in sigma.comp]
         sig_0 = sigma.at(sp, a)
         rhs = np.empty(sp.k)
         for A in range(sp.k):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ad
 from . import expr as ex
-from .geom import BundleSpace, FiberPoint, OutOfDomainError, TangentE
+from .geom import BundleSpace, FiberPoint, TangentE
 
 PROJECTABLE_SAMPLES = 32
 PROJECTABLE_TOL = 1e-9
@@ -87,7 +87,7 @@ class NonlinearConnection:
 
     def gamma_env(self, env) -> list:
         """Coefficient matrix over a generic (possibly lifted) environment."""
-        return [[ad.value_in(g, env) for g in row] for row in self.gamma]
+        return [[ex.evaluate(g, env) for g in row] for row in self.gamma]
 
     def horizontal_direction_env(self, comp_x, env, eta=None):
         """Components (X, -gamma X + eta) of a lifted base field over env.
@@ -95,11 +95,11 @@ class NonlinearConnection:
         ``comp_x`` and ``eta`` are expression tuples; eta None is the zero
         section, i.e. the plain horizontal lift of X.
         """
-        dir_x = [ad.value_in(e, env) for e in comp_x]
+        dir_x = [ex.evaluate(e, env) for e in comp_x]
         G = self.gamma_env(env)
         dir_y = []
         for A in range(self.space.k):
-            s = 0.0 if eta is None else ad.value_in(eta[A], env)
+            s = 0.0 if eta is None else ex.evaluate(eta[A], env)
             for i in range(self.space.n):
                 s = s - G[A][i] * dir_x[i]
             dir_y.append(s)
@@ -173,68 +173,48 @@ class NonlinearConnection:
         -h/2 horizontally, measures the fiber defect of each closed loop, and
         removes the odd and next even error terms by symmetrization and
         Richardson extrapolation.  The four loops run as four lanes of one
-        flat RK4 state, one leg at a time (``substeps`` steps per leg):
-        gamma is evaluated once per stage over all lanes.  When gamma uses
-        only + - * /, integer powers, sqrt and abs, each lane is bitwise
-        the loop integrated on its own; numpy's sin, cos, exp and log on the
-        lanes may differ from math's by a few ulp, and the estimate then
-        differs by that rounding over h^2.  Every stage point of a leg
-        must lie in the domain (OutOfDomainError naming the leg's t); a
-        diverged lane raises OverflowError naming t.  Not used on any
+        flat RK4 state, one leg at a time (``substeps`` steps per leg); each
+        stage calls the compiled domain predicate and gamma once per lane, so
+        each lane is bitwise the loop integrated on its own.  A stage point
+        outside the domain raises OutOfDomainError naming its t within the
+        leg; a diverged lane raises OverflowError naming t.  Not used on any
         production path; it exists as a cross-check for ``curvature``.
         """
         from .transport import rk4
 
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
-        sp = self.space
-        n, width = sp.n, sp.n + sp.k
+        sp, inside, gamma = self.space, self.space.compiled_domain, self.compiled_gamma
+        n, k, width = sp.n, sp.k, sp.n + sp.k
         steps = (h, -h, h / 2.0, -h / 2.0)
         lanes = len(steps)
 
         def leg(state, dirs):
             # horizontal lift of t -> x + t*dir over [0, 1] in every lane: a
             # lane's state is (x, y) with x' = dir and y' = -gamma(x, y) dir
-            velocity = np.concatenate([dirs, np.zeros((lanes, sp.k))], axis=1)
+            velocity = np.concatenate([dirs, np.zeros((lanes, k))], axis=1)
             column = dirs[:, :, None]
-            stages = []
 
             def f(t, flat):
-                stages.append((t, flat))
-                points = flat.reshape(lanes, width).T
-                env = sp.lanes_env(points[:n], points[n:])
-                one = env[sp.y_names[0]]
-                G = np.array(
-                    [[ad.lanes(ex.evaluate(g, env), one).re for g in row] for row in self.gamma]
-                )
+                G = []
+                for xy in flat.reshape(lanes, width).tolist():
+                    if inside is not None and not inside(*xy):
+                        raise sp.left_domain("holonomy leg", t, xy)
+                    G.append(gamma(*xy))
                 # -G dir per lane, bitwise the per-point product on a C-ordered -G
                 out = velocity.copy()
-                out[:, n:] = (np.negative(G.transpose(2, 0, 1), order="C") @ column)[:, :, 0]
+                out[:, n:] = (-np.array(G, dtype=float).reshape(lanes, k, n) @ column)[:, :, 0]
                 return out.ravel()
 
-            with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
-                for _, state in rk4(f, 0.0, 1.0, state, substeps):
-                    pass
-            if sp.domain is not None:
-                # one batched test per leg; the scalar one only to name t
-                points = np.array([s for _, s in stages]).reshape(-1, width).T
-                if not sp.in_domain(points[:n], points[n:]):
-                    t, s = next(
-                        (t, s)
-                        for t, flat in stages
-                        for s in flat.reshape(lanes, width)
-                        if not sp.in_domain(s[:n], s[n:])
-                    )
-                    raise OutOfDomainError(
-                        f"holonomy loop leaves the domain at t = {t!r} of a leg, "
-                        f"at ({s[:n].tolist()}, {s[n:].tolist()})"
-                    )
+            for _, state in rk4(f, 0.0, 1.0, state, substeps):
+                pass
             return state
 
         sides = [(s * v1, s * v2, -s * v1, -s * v2) for s in steps]  # per lane
         state = np.tile(np.concatenate([a.x, a.y]), lanes)
-        for dirs in zip(*sides):
-            state = leg(state, np.array(dirs))
+        with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
+            for dirs in zip(*sides):
+                state = leg(state, np.array(dirs))
         y = state.reshape(lanes, width)[:, n:]
         defect = [(y[j] - a.y) / s**2 for j, s in enumerate(steps)]
         g1 = 0.5 * (defect[0] + defect[1])  # symmetrized over s = h, -h
@@ -310,7 +290,7 @@ class SectionAlongPi:
         return np.array([ad.real_part(ex.evaluate(e, env)) for e in self.comp])
 
     def values_env(self, env) -> list:
-        return [ad.value_in(e, env) for e in self.comp]
+        return [ex.evaluate(e, env) for e in self.comp]
 
     def vertical_field(self, n: int) -> FieldOnE:
         """The vertical lift of the section as an expression field."""
@@ -372,8 +352,8 @@ def bracket_env(space: BundleSpace, w1: FieldOnE, w2: FieldOnE, env) -> list:
     """Components of the Lie bracket [w1, w2] over a generic environment."""
     names = space.x_names + space.y_names
     m = space.n + space.k
-    c1 = [ad.value_in(w1.component(i), env) for i in range(m)]
-    c2 = [ad.value_in(w2.component(i), env) for i in range(m)]
+    c1 = [ex.evaluate(w1.component(i), env) for i in range(m)]
+    c2 = [ex.evaluate(w2.component(i), env) for i in range(m)]
     out = []
     for alpha in range(m):
         g2 = ad.partials_in(w2.component(alpha), env, names)

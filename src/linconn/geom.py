@@ -86,17 +86,6 @@ class BundleSpace:
         env.update(zip(_names("y", self.k), map(float, y)))
         return env
 
-    def lanes_env(self, x, y) -> dict:
-        """Env of float lanes for stacked points x (n, N), y (k, N).
-
-        Each coordinate is a DualBatch without seed directions, so an
-        evaluation follows the float guards lane by lane.
-        """
-        no_seeds = np.zeros((0, x.shape[1]))
-        env = {name: DualBatch(row, no_seeds) for name, row in zip(self.x_names, x)}
-        env.update({name: DualBatch(row, no_seeds) for name, row in zip(self.y_names, y)})
-        return env
-
     def in_domain(self, x, y) -> bool:
         """Whether (x, y) satisfies the domain predicate.
 
@@ -106,8 +95,12 @@ class BundleSpace:
         if self.domain is None:
             return True
         if getattr(x, "ndim", 1) == 2:
+            # each coordinate a DualBatch without seed directions, so the
+            # predicate follows the float guards lane by lane
+            no_seeds = np.zeros((0, x.shape[1]))
+            env = {name: DualBatch(row, no_seeds) for name, row in zip(self.x_names + self.y_names, [*x, *y])}
             try:
-                return bool(np.all(ex.evaluate_bool(self.domain, self.lanes_env(x, y))))
+                return bool(np.all(ex.evaluate_bool(self.domain, env)))
             except ex.DomainError:
                 # a term that and/or skips for one lane may fail there
                 return all(self.in_domain(x[:, j], y[:, j]) for j in range(x.shape[1]))
@@ -118,14 +111,24 @@ class BundleSpace:
         """The domain predicate compiled over x1..xn, y1..yk; None without one.
 
         ``compiled_domain(*x, *y)`` is ``in_domain(x, y)`` for one point,
-        with the and/or short circuit of ``evaluate_bool``.  Flows test it at
-        every stage; single points keep ``in_domain``.
+        with the and/or short circuit of ``evaluate_bool``.  Flows and
+        holonomy legs test it at every stage (see ``left_domain``);
+        single points keep ``in_domain``.
         """
         if self.domain is None:
             return None
         from .codegen import compile_bool
 
         return compile_bool(self.domain, self.x_names + self.y_names)
+
+    def left_domain(self, what: str, t, xy: list) -> OutOfDomainError:
+        """The error for an RK4 stage point xy, the floats x1..xn, y1..yk,
+        that ``compiled_domain`` rejects: it names the stage's t and the point.
+
+        Integrators test the compiled predicate inline and call this only to
+        raise, which keeps a stage free of one more call.
+        """
+        return OutOfDomainError(f"{what} left the domain at t = {t!r}, at ({xy[: self.n]}, {xy[self.n :]})")
 
     def require_in_domain(self, x, y, what: str = "point"):
         if not self.in_domain(x, y):

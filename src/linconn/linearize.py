@@ -148,7 +148,7 @@ class LinearizedConnection:
         sp = self.space
         names = sp.x_names + sp.y_names
         J = self.fiber_jacobian_env(env)
-        vals = [ad.value_in(c, env) for c in comps]
+        vals = [ex.evaluate(c, env) for c in comps]
         out = []
         for A in range(sp.k):
             grads = ad.partials_in(comps[A], env, names)

@@ -250,3 +250,12 @@ def test_gamma_at_compiles_once_per_connection(compiles):
     for _ in range(3):
         assert spec.conn.gamma_at(a).tobytes() == want.tobytes()
     assert len(compiles) == 1
+
+
+def test_holonomy_compiles_gamma_and_the_domain_once(compiles):
+    spec = _fresh_c4()
+    a = FiberPoint([0.3], [1.0, 2.0])
+    first = spec.conn.holonomy_curvature(a, [1.0], [0.5])
+    assert len(compiles) == 2  # gamma as floats, the domain predicate
+    assert spec.conn.holonomy_curvature(a, [1.0], [0.5]).tobytes() == first.tobytes()
+    assert len(compiles) == 2

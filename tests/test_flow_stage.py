@@ -141,6 +141,17 @@ def test_failing_stage_fails_as_unfused(monkeypatch, spec, field, y0, s, steps, 
     assert got_seen == want_seen and got_seen[-1] > 0.0  # the same stage, not the first
 
 
+def test_flow_domain_error_names_t_and_the_point():
+    # y = (1 - t, 0) reaches the puncture of c4 at the last stage of step 2
+    spec = _line_bundle(C4_NORM, "y1^2 + y2^2 > 0", k=2)
+    p = PullbackPoint([0.0], [1.0, 0.0], [1.0, 1.0])
+    where = r"flow left the domain at t = 1\.0, at \(\[0\.0\], \[0\.0, 0\.0\]\)$"
+    with pytest.raises(OutOfDomainError, match=where):
+        fiber_derivative_flow(spec.conn, _drift(-1.0, 0.0), p, 2.0, 4)
+    with pytest.raises(OutOfDomainError, match=where):
+        transport.flow(spec.conn, _drift(-1.0, 0.0), p.a, 2.0, 4)
+
+
 @pytest.mark.filterwarnings("error")
 def test_blow_up_is_an_overflow_naming_t_without_numpy_warnings():
     # y = 1e39 t: gamma = y^8 overflows to inf past t = 0.34, and inf * (X = 0)
