@@ -461,8 +461,7 @@ def _dual2(f: float, fu: float, fv: float, fuv: float) -> Dual2:
 
 def directional(e, point, seeds):
     """Value and derivative of e at point in the direction given by seeds."""
-    env = {name: Dual1(v, (seeds.get(name, 0.0),)) for name, v in point.items()}
-    r = expr.evaluate(e, env)
+    r = expr.evaluate(e, lift_env(point, seeds))
     if isinstance(r, Dual1):
         return r.re, r.eps[0]
     return float(r), 0.0
@@ -550,12 +549,7 @@ def partial_in(e, env, seed):
     single Dual2 evaluation (inner seed u, outer direction v).
     """
     if not is_lifted(env):
-        env1 = {
-            name: Dual1(real_part(v), (seed.get(name, 0.0),))
-            for name, v in env.items()
-        }
-        r = expr.evaluate(e, env1)
-        return r.eps[0] if isinstance(r, Dual1) else 0.0
+        return directional(e, env, seed)[1]
     env2 = {}
     for name, v in env.items():
         outer = v.eps[0] if isinstance(v, Dual1) else 0.0

@@ -7,7 +7,8 @@ output is a single deterministic JSON document with all reals printed to 17
 significant digits.
 
 Exit codes: 0 pass, 1 check failure, 2 usage or parse error, 3 domain or
-numeric error (an integration that overflows or leaves the finite range).
+numeric error (an integration that overflows or leaves the finite range, or
+a result that is NaN or infinite; nothing then goes to stdout).
 """
 
 from __future__ import annotations
@@ -183,7 +184,19 @@ def _check_dicts(report: Report):
     ]
 
 
+def _non_finite(obj) -> bool:
+    if isinstance(obj, dict):
+        return any(map(_non_finite, obj.values()))
+    if isinstance(obj, list):
+        return any(map(_non_finite, obj))
+    return isinstance(obj, float) and not np.isfinite(obj)
+
+
 def _emit(args, document: dict, text_lines):
+    # a NaN or infinite result is a numeric error, in text and JSON alike
+    bad = sorted(key for key, value in document["outputs"].items() if _non_finite(value))
+    if bad:
+        raise OverflowError(f"non-finite output: {', '.join(bad)}")
     if args.json:
         sys.stdout.write(to_json(document) + "\n")
     else:

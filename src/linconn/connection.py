@@ -79,12 +79,6 @@ class NonlinearConnection:
         values = self.compiled_gamma(*a.x.tolist(), *a.y.tolist())
         return np.array(values, dtype=float).reshape(self.space.k, self.space.n)
 
-    def gamma_matrix(self, env) -> np.ndarray:
-        """Coefficient matrix as floats over a plain environment, by the walk."""
-        return np.array(
-            [[ad.real_part(ex.evaluate(g, env)) for g in row] for row in self.gamma]
-        )
-
     def gamma_env(self, env) -> list:
         """Coefficient matrix over a generic (possibly lifted) environment."""
         return [[ex.evaluate(g, env) for g in row] for row in self.gamma]
@@ -244,25 +238,25 @@ class FieldOnE:
         dy = [ad.real_part(ex.evaluate(e, env)) for e in self.comp_y]
         return TangentE(p, np.array(dx), np.array(dy))
 
-    def is_projectable(self, space: BundleSpace, seed: int = 0) -> bool:
+    def is_projectable(self, space: BundleSpace) -> bool:
         """Certificate: base components do not respond to fiber directions.
 
         Expressions are opaque, so the flag comes from probing directional
-        derivatives in y at PROJECTABLE_SAMPLES seeded random in-domain
-        points; the result is cached per space dimensions, domain and seed.
+        derivatives in y at PROJECTABLE_SAMPLES random in-domain points drawn
+        with seed 0; the result is cached per space dimensions and domain.
         """
         syntactic = all(
             not (ex.variables(e) & set(space.y_names)) for e in self.comp_x
         )
         if syntactic:
             return True
-        key = (space.n, space.k, seed, space.domain)
+        key = (space.n, space.k, space.domain)
         cached = self._cert.get(key)
         if cached is not None:
             return cached
         from .sampling import sample_in_domain
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         ok = True
         for _ in range(PROJECTABLE_SAMPLES):
             a = sample_in_domain(space, rng)
@@ -289,15 +283,9 @@ class SectionAlongPi:
         env = space.point_env(p.x, p.y)
         return np.array([ad.real_part(ex.evaluate(e, env)) for e in self.comp])
 
-    def values_env(self, env) -> list:
-        return [ex.evaluate(e, env) for e in self.comp]
-
     def vertical_field(self, n: int) -> FieldOnE:
         """The vertical lift of the section as an expression field."""
         return FieldOnE(tuple(ex.lit(0.0) for _ in range(n)), self.comp)
-
-    def is_basic_syntactically(self, space: BundleSpace) -> bool:
-        return all(not (ex.variables(e) & set(space.y_names)) for e in self.comp)
 
 
 @dataclass(frozen=True)
@@ -329,19 +317,13 @@ class HorBasicField:
 
         return compile_exprs(self.X + self.eta, tuple(f"x{i+1}" for i in range(len(self.X))))
 
-    def velocity(self, conn: NonlinearConnection, env):
-        """Float components (X, -gamma X + eta) over a plain environment."""
+    def at(self, conn: NonlinearConnection, a: FiberPoint) -> TangentE:
+        """Float components (X, -gamma X + eta) at a, by the walk."""
+        conn.space.require_in_domain(a.x, a.y)
+        env = conn.space.point_env(a.x, a.y)
         dx = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.X])
         eta = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.eta])
-        return dx, -conn.gamma_matrix(env) @ dx + eta
-
-    def at(self, conn: NonlinearConnection, a: FiberPoint) -> TangentE:
-        conn.space.require_in_domain(a.x, a.y)
-        return TangentE(a, *self.velocity(conn, conn.space.point_env(a.x, a.y)))
-
-    def direction_env(self, conn: NonlinearConnection, env):
-        """Components of the field over a generic environment."""
-        return conn.horizontal_direction_env(self.X, env, self.eta)
+        return TangentE(a, dx, -np.array(conn.gamma_env(env), dtype=float) @ dx + eta)
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,6 @@ def add(a: Expr, b: Expr) -> Bin:
     return Bin("+", a, b)
 
 
-def sub(a: Expr, b: Expr) -> Bin:
-    return Bin("-", a, b)
-
-
 def mul(a: Expr, b: Expr) -> Bin:
     return Bin("*", a, b)
 

@@ -77,10 +77,6 @@ class BundleSpace:
     def y_names(self) -> tuple[str, ...]:
         return _names("y", self.k)
 
-    @property
-    def z_names(self) -> tuple[str, ...]:
-        return _names("z", self.k)
-
     def point_env(self, x, y) -> dict:
         env = dict(zip(_names("x", self.n), map(float, x)))
         env.update(zip(_names("y", self.k), map(float, y)))

@@ -287,7 +287,7 @@ class LinearizedConnection:
         w_out = outer.at(self.conn, a)
         direction = dict(zip(sp.x_names + sp.y_names, np.concatenate([w_out.dx, w_out.dy])))
         lifted = ad.lift_env(env, direction)
-        din_x, din_y = inner.direction_env(self.conn, lifted)
+        din_x, din_y = self.conn.horizontal_direction_env(inner.X, lifted, inner.eta)
         tau = self._cov_env(sigma.comp, din_x, din_y, lifted)
         J0 = self.fiber_jacobian(a)
         out = np.empty(sp.k)
@@ -432,6 +432,8 @@ class LambdaFamilyMember:
 
     def apply(self, p: PullbackPoint, w: TangentE) -> TangentE:
         base = self.linearization.apply(p, w)
+        if self.lam == 0.0:
+            return base  # not base + 0 * kappa(w), which is NaN where kappa is infinite
         kw = self.conn.connector(w)
         return TangentE(base.at, base.dx, base.dy + self.lam * kw)
 

@@ -64,8 +64,6 @@ def _as_linearization(lin_or_fam):
         return LinearizedConnection(lin_or_fam.conn), float(lin_or_fam.lam)
     if isinstance(lin_or_fam, LinearizedConnection):
         return lin_or_fam, 0.0
-    if isinstance(lin_or_fam, NonlinearConnection):
-        return LinearizedConnection(lin_or_fam), 0.0
     raise TypeError(f"cannot transport with {type(lin_or_fam).__name__}")
 
 
@@ -118,8 +116,8 @@ class KnotTable:
     ``x`` (n, N) and ``y`` (k, N) hold the curve points, lanes last; ``M``
     (N, k, k) and ``c`` (N, k) the coefficients of zdot = M z + c.  A knot
     that fails ends the table: ``error`` is what the knot-by-knot
-    computation raises there, and ``point`` and ``coefficients`` raise it
-    for that knot on, so the caller meets it where that computation would.
+    computation raises there, and ``point`` and the transport right-hand
+    side raise it for that knot on, as that computation would.
     """
 
     __slots__ = ("x", "y", "M", "c", "error")
@@ -130,11 +128,6 @@ class KnotTable:
     def point(self, j: int):
         if j < self.x.shape[1]:
             return self.x[:, j].copy(), self.y[:, j].copy()
-        raise self.error
-
-    def coefficients(self, j: int):
-        if j < len(self.M):
-            return self.M[j], self.c[j]
         raise self.error
 
 
@@ -250,7 +243,7 @@ def transport_ode(
     def rhs(j, z):
         i = j - lo
         if i >= len(tab.M):
-            tab.coefficients(i)  # the table ends at a failing knot: raises its error
+            raise tab.error  # the table ends at a failing knot
         return tab.M[i].dot(z) + tab.c[i]
 
     stride = max(1, steps // record) if record else 0

@@ -1,11 +1,13 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from linconn import checks as ck
+from linconn import cli
 from linconn.geom import FiberPoint, TangentE
-from linconn.specfile import loads
+from linconn.specfile import load_builtin, loads
 
 
 def _only(entry_name, fn):
@@ -85,3 +87,24 @@ def test_flow_checks_redraw_when_their_own_flows_fail(c2):
     rows = ck.run_suite(c2, samples=32, seed=132662940).checks
     (row,) = [r for r in rows if r.name == "transport.flow_composition"]
     assert (row.status, row.samples) == ("pass", 1)
+
+
+CHECK_ROW_PINS = {
+    "c0": "d8fc4baf255d9a82f4df17a9cae56faf7b71de9d6b89e920725657a8ee54512d",
+    "c1": "53e0f48003402f4f2874049b14347f51a20e3d4151a1b57c05683df0f5475677",
+    "c2": "ca7643f4a4856e1f4e6e6ccaa722d70fc55a7a01fe43a8b950e5ffe00670d09a",
+    "c3": "87d9a0788725a99a0368886bf3ed9438ebe704c19fe766b98490b6dfae013fab",
+    "c4": "f25c619bee3636be96944719cc73d5184e88382af2d0f09eeaff6a4de617514a",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_ROW_PINS))
+def test_check_rows_are_pinned(name):
+    """sha256 of the check rows of run_suite(samples=32, seed=0), printed as
+    `linconn --json check` prints them.
+
+    A change that moves any number or status moves a pin.  Update a pin only
+    together with a CHANGES.md entry that lists the old and the new rows.
+    """
+    rows = cli.to_json(cli._check_dicts(ck.run_suite(load_builtin(name), samples=32, seed=0)))
+    assert hashlib.sha256(rows.encode()).hexdigest() == CHECK_ROW_PINS[name], rows

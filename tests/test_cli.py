@@ -319,6 +319,27 @@ def test_curvature_far_out_in_the_fiber_is_finite(capsys, tmp_path):
     assert json.loads(out)["outputs"]["R"] == [0.0]
 
 
+C2_FAR_OUT = [builtin_spec_path("c2"), "--point", "0,0;1e200", "--z", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # R is NaN: gamma_1_1 = y1^2 overflows at y1 = 1e200
+        ["--json", "curvature", *C2_FAR_OUT, "--v1", "1,0", "--v2", "0,1"],
+        ["curvature", *C2_FAR_OUT, "--v1", "1,0", "--v2", "0,1"],
+        # gamma and B_lambda are inf
+        ["--json", "linearize", *C2_FAR_OUT, "--w", "1,0;0", "--lambda", "0.5"],
+    ],
+    ids=["curvature-json", "curvature-text", "linearize-json"],
+)
+def test_non_finite_output_is_a_numeric_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numeric error: non-finite output") and captured.err.count("\n") == 1
+
+
 def test_flatness_sampling_error_names_its_source(capsys, tmp_path):
     # no domain line: the verdict samples y1 <= 0, where log is undefined,
     # although the given point is fine

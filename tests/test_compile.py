@@ -246,7 +246,7 @@ def test_single_point_queries_compile_nothing(compiles):
 def test_gamma_at_compiles_once_per_connection(compiles):
     spec = _fresh_c4()
     a = FiberPoint([0.3], [1.0, 2.0])
-    want = spec.conn.gamma_matrix(spec.space.point_env(a.x, a.y))
+    want = np.array(spec.conn.gamma_env(spec.space.point_env(a.x, a.y)), dtype=float)
     for _ in range(3):
         assert spec.conn.gamma_at(a).tobytes() == want.tobytes()
     assert len(compiles) == 1

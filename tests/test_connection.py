@@ -291,7 +291,7 @@ def _holonomy_one_loop_at_a_time(conn, a, v1, v2, h=1e-2, substeps=32):
         def f(t, state):
             if not sp.in_domain(state[:n], state[n:]):
                 raise OutOfDomainError("holonomy leg left the domain")
-            G = conn.gamma_matrix(sp.point_env(state[:n], state[n:]))
+            G = np.array(conn.gamma_env(sp.point_env(state[:n], state[n:])), dtype=float)
             out = velocity.copy()
             out[n:] = -G @ dirv
             return out

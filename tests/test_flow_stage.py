@@ -1,7 +1,7 @@
 """The fused flow stage of fiber_derivative_flow: one compiled pass over gamma
 seeded in y gives the hor-basic velocity and the fiber Jacobian, bitwise as
-HorBasicField.velocity and fiber_jacobian_env, and a failing stage fails as
-the two separate computations do."""
+HorBasicField.at and fiber_jacobian_env, and a failing stage fails as the two
+separate computations do."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from linconn import ad, transport
 from linconn import expr as ex
 from linconn.connection import HorBasicField
-from linconn.geom import OutOfDomainError, PullbackPoint
+from linconn.geom import FiberPoint, OutOfDomainError, PullbackPoint
 from linconn.linearize import LinearizedConnection
 from linconn.sampling import random_hor_basic, sample_in_domain, sample_pullback
 from linconn.specfile import loads
@@ -40,8 +40,8 @@ def test_fused_stage_equals_velocity_and_jacobian(all_specs, name, seed):
     dx = np.array(comps[: sp.n])
     dy = -np.array(out[:kn]).reshape(sp.k, sp.n) @ dx + np.array(comps[sp.n :])
     J = np.array(out[kn:]).reshape(sp.k, sp.n, sp.k)
-    want_dx, want_dy = field.velocity(spec.conn, env)
-    assert _bits(dx) == _bits(want_dx) and _bits(dy) == _bits(want_dy)
+    want = field.at(spec.conn, a)
+    assert _bits(dx) == _bits(want.dx) and _bits(dy) == _bits(want.dy)
     assert _bits(J) == _bits(LinearizedConnection(spec.conn).fiber_jacobian_env(env))
     # and as one ad.gradient per entry, the computation before gradients
     per_entry = [[ad.gradient(g, env, sp.y_names)[1] for g in row] for row in spec.conn.gamma]
@@ -58,10 +58,9 @@ def _unfused(conn, field, p, s, steps, seen):
         x, y, dz = state[: sp.n], state[sp.n : sp.n + sp.k], state[sp.n + sp.k :]
         if not sp.in_domain(x, y):
             raise OutOfDomainError("flow left the domain")
-        env = sp.point_env(x, y)
-        xd, yd = field.velocity(conn, env)
-        J = np.array(lin.fiber_jacobian_env(env), dtype=float)
-        return np.concatenate([xd, yd, -np.einsum("aib,b,i->a", J, dz, xd)])
+        v = field.at(conn, FiberPoint(x, y))
+        J = np.array(lin.fiber_jacobian_env(sp.point_env(x, y)), dtype=float)
+        return np.concatenate([v.dx, v.dy, -np.einsum("aib,b,i->a", J, dz, v.dx)])
 
     state = np.concatenate([p.x, p.y, p.z])
     with np.errstate(over="ignore", invalid="ignore"):

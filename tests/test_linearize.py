@@ -159,6 +159,16 @@ def test_lambda_examples(c1):
     assert fam1.apply(P0, w).dy == pytest.approx([0.0])
 
 
+@pytest.mark.filterwarnings("error")
+def test_lambda_zero_is_the_linearization_where_the_connector_is_infinite(c2):
+    # gamma_1_1 = y1^2 is inf at y1 = 1e200, so kappa(w) is inf and
+    # 0 * kappa(w) would be NaN
+    p = PullbackPoint([0.0, 0.0], [1e200], [1.0])
+    w = TangentE(p.a, [1.0, 0.0], [0.0])
+    out = LambdaFamilyMember(c2.conn, 0.0).apply(p, w)
+    assert out.dy.tolist() == LinearizedConnection(c2.conn).apply(p, w).dy.tolist() == [-2e200]
+
+
 def test_lambda_affine_structure(c1, c2):
     rng = np.random.default_rng(6)
     for spec in (c1, c2):
