@@ -93,6 +93,18 @@ class _Skip(Exception):
     pass
 
 
+# what an integration along a draw raises when it leaves the domain or diverges
+_DIVERGED = (OutOfDomainError, ex.DomainError, OverflowError)
+
+
+def _used_draws(worst, used):
+    """The row of a check that drops diverged draws: the draws it used, or
+    skipped when there were none."""
+    if used == 0:
+        raise _Skip
+    return worst, used
+
+
 @dataclass(frozen=True)
 class _Shown:
     """What a verdict-carrying check reports in place of its status error."""
@@ -222,7 +234,7 @@ def _in_domain_flow(spec, rng, measure, tries: int = 64):
         try:
             flow(spec.conn, y, p.a, s, 64)
             return measure(y, p, s)
-        except (OutOfDomainError, ex.DomainError, OverflowError):
+        except _DIVERGED:
             continue
     raise _Skip
 
@@ -443,14 +455,12 @@ def _check_curvature_oracle(spec, rng, samples):
         v2[j] = 1.0
         try:
             ref = conn.holonomy_curvature(a, v1, v2)
-        except (OutOfDomainError, ex.DomainError, OverflowError):
+        except _DIVERGED:
             continue
         used += 1
         got = conn.curvature(a, v1, v2)
         worst = max(worst, _rel(_mx(got - ref), _mx(ref)))
-    if used == 0:
-        raise _Skip
-    return worst, used
+    return _used_draws(worst, used)
 
 
 # ---------------------------------------------------------------------------
@@ -765,30 +775,40 @@ def _check_transport_linearity(spec, rng, samples):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
     worst = 0.0
+    used = 0
     curve = _line_curve(spec, rng)
     for _ in range(samples):
         z1 = rng.uniform(-BOX, BOX, sp.k)
         z2 = rng.uniform(-BOX, BOX, sp.k)
         al, be = rng.uniform(-2, 2, 2)
-        t1 = transport_ode(lin, curve, z1, 200).z_final
-        t2 = transport_ode(lin, curve, z2, 200).z_final
-        t12 = transport_ode(lin, curve, al * z1 + be * z2, 200).z_final
+        try:
+            t1 = transport_ode(lin, curve, z1, 200).z_final
+            t2 = transport_ode(lin, curve, z2, 200).z_final
+            t12 = transport_ode(lin, curve, al * z1 + be * z2, 200).z_final
+        except _DIVERGED:
+            continue
+        used += 1
         worst = max(worst, _rel(_mx(t12 - (al * t1 + be * t2)), _mx(t12)))
-    return worst, samples
+    return _used_draws(worst, used)
 
 
 def _check_transport_reversibility(spec, rng, samples):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
     worst = 0.0
+    used = 0
     for _ in range(samples):
         curve = _line_curve(spec, rng)
         back = CurveInE(curve.comp_x, curve.comp_y, curve.t1, curve.t0)
         z0 = rng.uniform(-BOX, BOX, sp.k)
-        fwd = transport_ode(lin, curve, z0, 1000).z_final
-        rtn = transport_ode(lin, back, fwd, 1000).z_final
+        try:
+            fwd = transport_ode(lin, curve, z0, 1000).z_final
+            rtn = transport_ode(lin, back, fwd, 1000).z_final
+        except _DIVERGED:
+            continue
+        used += 1
         worst = max(worst, _mx(rtn - z0))
-    return worst, samples
+    return _used_draws(worst, used)
 
 
 def _check_transport_vertical(spec, rng, samples):
@@ -888,31 +908,34 @@ def _flow_draws(spec, rng, samples, measure):
         except _Skip:
             continue
         used += 1
-    if used == 0:
-        raise _Skip
-    return worst, used
+    return _used_draws(worst, used)
 
 
 def _check_lambda_transport(spec, rng, samples):
     """The family transport integrates the family's own horizontality."""
     sp = spec.space
     worst = 0.0
+    used = 0
     for _ in range(samples):
         curve = _line_curve(spec, rng)
         lam = float(rng.uniform(-1.5, 1.5))
         fam = LambdaFamilyMember(spec.conn, lam)
         z0 = rng.uniform(-BOX, BOX, sp.k)
-        got = transport_ode(fam, curve, z0, 256).z_final
 
         def rhs(t, z):
             x, yv, xd, yd = curve.state(t)
             p = PullbackPoint(x, yv, z)
             return fam.apply(p, TangentE(p.a, xd, yd)).dy
 
-        for _, z in rk4(rhs, curve.t0, curve.t1, z0, 256):
-            pass
+        try:
+            got = transport_ode(fam, curve, z0, 256).z_final
+            for _, z in rk4(rhs, curve.t0, curve.t1, z0, 256):
+                pass
+        except _DIVERGED:
+            continue
+        used += 1
         worst = max(worst, _mx(got - z))
-    return worst, samples
+    return _used_draws(worst, used)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ a result that is NaN or infinite; nothing then goes to stdout).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -32,8 +33,9 @@ from .transport import CurveInE, fiber_derivative_flow, transport_ode
 
 
 def _format_float(x: float) -> str:
-    if x != x:
-        raise ValueError("NaN is not representable in the output")
+    """%.17g; JSON has no number for inf and nan, so they print as strings."""
+    if not math.isfinite(x):
+        return f'"{x}"'  # "inf", "-inf" or "nan"
     return f"{x:.17g}"
 
 

@@ -7,11 +7,15 @@ the idea behind SymPy's ``lambdify``.  The printed code performs the walk's
 operations in the walk's order through the same guards, so it returns the
 same numbers bitwise and raises the same errors:
 
-* ``compile_exprs`` and ``compile_bool`` (the generic emitter) dispatch on
-  the scalar type as ``evaluate`` does, so they serve floats, Dual1, Dual2
-  and DualBatch values;
+* ``compile_exprs`` and ``compile_bool`` (the float emitter) print float
+  arithmetic; their functions take Python floats, which is what every
+  owner passes (the ``tolist()`` of a state);
 * ``compile_gradients`` (the forward-mode emitter) prints Dual1 arithmetic
   slot by slot in float locals and returns what ``ad.gradients`` returns.
+  A tree whose derivative the printed code cannot decide (a non-literal
+  exponent, an unknown function) is walked by ``ad.gradient`` at run time.
+
+Dual and batched values take the walk: ``evaluate`` and ``evaluate_bool``.
 
 Owners import this module on first use: a process that only loads a spec
 neither compiles a tree nor imports this module (which, without a bytecode
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Mapping
 
-from .ad import Dual1
+from .ad import gradient
 from .expr import (
     FUNCTIONS,
     Bin,
@@ -37,14 +41,10 @@ from .expr import (
     Neg,
     UnboundVariableError,
     Var,
-    _all,
-    _any,
     _apply_real,
     _as_const_int,
     _ipow,
     _pow,
-    _real,
-    variables,
 )
 
 
@@ -102,32 +102,26 @@ def tuple_of(tokens) -> str:
 
 
 HELPERS = {
-    "_REALS": (int, float),
     "_DomainError": DomainError,
     "_Unbound": UnboundVariableError,
     "_pow": _pow,
     "_ipow": _ipow,
     "_apply_real": _apply_real,
-    "_real": _real,
-    "_any": _any,
-    "_all": _all,
 }
 
 
 class Emitter:
-    """Prints the operations ``evaluate`` performs on a tree, in its order.
+    """Prints the operations ``evaluate`` performs on a tree of floats, in
+    its order.
 
-    ``tokens`` (by default the parameters of the source) maps variable
-    names to the source tokens that hold their values; a variable without
-    one raises UnboundVariableError where the walk would.  The printed code dispatches on the scalar type as the walk
-    does, so it serves floats, Dual1, Dual2 and DualBatch values alike.
+    A variable reads the parameter that ``source.tokens`` gives it; one
+    without a parameter raises UnboundVariableError where the walk would.
     ``emit`` walks the tree and hands each node to one method per
     operation; a subclass can print other arithmetic for the same walk.
     """
 
-    def __init__(self, source: Source, tokens: Mapping[str, str] | None = None):
+    def __init__(self, source: Source):
         self.src = source
-        self.tokens = source.tokens if tokens is None else tokens
 
     def emit(self, e: Expr):
         """Statements computing e; returns the token that holds its value."""
@@ -135,7 +129,7 @@ class Emitter:
         if cls is Lit:
             return self.literal(e.value)
         if cls is Var:
-            token = self.tokens.get(e.name)
+            token = self.src.tokens.get(e.name)
             if token is None:
                 self.src.line(f"raise _Unbound({e.name!r})")
                 return self.literal(None)
@@ -172,13 +166,13 @@ class Emitter:
         return self.src.assign(f"{a} {op} {b}")
 
     def divisor_guard(self, right, divisor: Expr) -> bool:
-        """``evaluate``'s check of a real divisor; False when it always raises."""
+        """``evaluate``'s check of a float divisor; False when it always raises."""
         if divisor.__class__ is Lit:
-            if isinstance(divisor.value, (int, float)) and divisor.value == 0.0:
+            if divisor.value == 0.0:
                 self.src.line('raise _DomainError("division by zero")')
                 return False
             return True
-        self.src.line(f"if isinstance({right}, _REALS) and {right} == 0.0:")
+        self.src.line(f"if {right} == 0.0:")
         self.src.line('    raise _DomainError("division by zero")')
         return True
 
@@ -205,41 +199,30 @@ class Emitter:
             sq = self.arith("*", sq, sq)
 
     def fun(self, name: str, a):
-        out = self.src.local()
-        self.src.line(f"if isinstance({a}, _REALS):")
-        self.src.line(f"    {out} = _apply_real({name!r}, float({a}))")
-        self.src.line("else:")
-        self.src.line(f"    {out} = getattr({a}, {name!r})()")
-        return out
+        return self.src.assign(f"_apply_real({name!r}, {a})")
 
     def emit_bool(self, b: BoolExpr) -> str:
         """Statements computing ``evaluate_bool(b)``, and/or short circuit kept."""
         src = self.src
-        if isinstance(b, Comparison):
-            left, right = (
-                # _real of a float literal is the literal
-                self.emit(side) if side.__class__ is Lit and side.value.__class__ is float
-                else src.assign(f"_real({self.emit(side)})")
-                for side in (b.left, b.right)
-            )
+        if b.__class__ is Comparison:
+            left, right = self.emit(b.left), self.emit(b.right)
             op = b.op if b.op in ("<", "<=", ">") else ">="
             return src.assign(f"{left} {op} {right}")
-        conj = isinstance(b, BoolAnd)
-        out = src.assign("True" if conj else "False")
+        conj = b.__class__ is BoolAnd
+        out = src.local()
         depth = src.indent
         for j, term in enumerate(b.terms):
             if j:
                 # later terms run only while the result is unsettled
-                src.line(f"if _any({out}):" if conj else f"if not _all({out}):")
+                src.line(f"if {out}:" if conj else f"if not {out}:")
                 src.indent += 1
-            value = self.emit_bool(term)
-            src.line(f"{out} = {out} {'&' if conj else '|'} {value}")
+            src.line(f"{out} = {self.emit_bool(term)}")
         src.indent = depth
         return out
 
 
 def compile_exprs(exprs, names) -> Callable:
-    """One function of the values of names that evaluates every tree.
+    """One function of the float values of names that evaluates every tree.
 
     ``compile_exprs(exprs, names)(*values)`` is the tuple of
     ``evaluate(e, dict(zip(names, values)))`` over exprs, bitwise, and
@@ -251,7 +234,8 @@ def compile_exprs(exprs, names) -> Callable:
 
 
 def compile_bool(b: BoolExpr, names) -> Callable:
-    """``evaluate_bool(b, dict(zip(names, values)))`` as a function of values."""
+    """``evaluate_bool(b, dict(zip(names, values)))`` as a function of float
+    values: a bool, with the walk's and/or short circuit."""
     src = Source(names, HELPERS)
     return define(src, Emitter(src).emit_bool(b))
 
@@ -264,19 +248,19 @@ class _Forward(Emitter):
     computed with the formula of the Dual1 operation the walk would call,
     guards included, so the numbers are bitwise those of ``ad.gradients``.
     Floats (trees without variables) print as ``Emitter`` prints them;
-    ``emit`` and the squarings of ``ipow`` are inherited.
+    ``emit`` and the squarings of ``ipow`` are inherited.  ``walked`` hands
+    a whole tree to ``ad.gradient`` instead.
     """
 
     def __init__(self, source, seeded):
         super().__init__(source)
         self.plain = Emitter(source)  # for operations on floats
         index = {name: j for j, name in enumerate(seeded)}
-        self.m = len(seeded)
+        self.seeded, self.m = seeded, len(seeded)
         self.seeds = {
             name: tuple("1.0" if index.get(name) == j else "0.0" for j in range(self.m))
-            for name in self.tokens
+            for name in source.tokens
         }
-        self.objects = {}  # Dual1 objects made for trees printed generically
 
     def _raise_if(self, test: str, message: str):
         self.src.line(f"if {test}:")
@@ -398,30 +382,19 @@ class _Forward(Emitter):
             self.src.line(f"    {target} = -{x}")
         return out[0], tuple(out[1:])
 
-    def emit_objects(self, e):
-        """The tree walked generically over Dual1 objects, then unpacked."""
-        src = self.src
-        tokens = {}
-        for name in sorted(variables(e) & self.tokens.keys()):
-            if name not in self.objects:
-                eps = "".join(f"{x}, " for x in self.seeds[name])
-                self.objects[name] = src.assign(f"_Dual1({self.tokens[name]}, ({eps}))")
-            tokens[name] = self.objects[name]
-        r = Emitter(src, tokens).emit(e)
-        out = [src.local() for _ in range(self.m + 1)]
-        src.line(f"if isinstance({r}, _Dual1):")
-        src.line(f"    {out[0]} = {r}.re")
-        for j, target in enumerate(out[1:]):
-            src.line(f"    {target} = {r}.eps[{j}]")
-        src.line("else:")
-        src.line(f"    {out[0]} = float({r})")
-        for target in out[1:]:
-            src.line(f"    {target} = 0.0")
-        return out[0], tuple(out[1:])
+    def walked(self, e):
+        """The tree walked over Dual1 objects by ``ad.gradient`` at run time."""
+        point = "{" + "".join(f"{name!r}: {token}, " for name, token in self.src.tokens.items()) + "}"
+        r = self.src.assign(f"_gradient({self.src.const(e)}, {point}, {self.src.const(self.seeded)})")
+        return f"{r}[0]", tuple(f"{r}[1][{j}]" for j in range(self.m))
 
 
 def _needs_objects(e) -> bool:
-    """A non-literal exponent or an unknown function: Dual1 objects decide."""
+    """A non-literal exponent or an unknown function: the walk decides.
+
+    Whether ``x^p`` takes the integer-power rule depends on the value of p,
+    and an unknown function raises what its Dual1 method lookup raises.
+    """
     stack = [e]
     while stack:
         node = stack.pop()
@@ -446,14 +419,14 @@ def compile_gradients(exprs, names, seeded) -> Callable:
     partials with respect to the m names in seeded, tree by tree: the
     numbers ``ad.gradients(exprs, dict(zip(names, values)), seeded)`` gives,
     bitwise (signed zeros included, NaN where it gives NaN), for float
-    values.  It raises what that call raises.  Dual1 objects are built only for a tree with a
-    non-literal exponent, whose integer test depends on the values.
+    values.  It raises what that call raises.  A tree that ``_needs_objects``
+    flags is handed to ``ad.gradient`` at run time instead of being printed.
     """
-    src = Source(names, {**HELPERS, "_math": math, "_Dual1": Dual1})
+    src = Source(names, {**HELPERS, "_math": math, "_gradient": gradient})
     forward = _Forward(src, tuple(seeded))
     values, partials = [], []
     for e in exprs:
-        re, eps = forward.emit_objects(e) if _needs_objects(e) else forward.emit(e)
+        re, eps = forward.walked(e) if _needs_objects(e) else forward.emit(e)
         if eps is None:
             re, eps = f"float({re})", ("0.0",) * forward.m
         values.append(re)

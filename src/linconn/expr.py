@@ -8,8 +8,8 @@ scalar type, so derivative information propagates through the identical
 traversal that produces plain values.
 
 ``evaluate`` is the definition; :mod:`linconn.codegen` compiles a tree that
-is evaluated many times into a function that returns and raises what the
-walk does.
+is evaluated many times into a function of floats that returns and raises
+what the walk does.
 """
 
 from __future__ import annotations

@@ -140,7 +140,7 @@ class LinearizedConnection:
         """
         self.space.require_in_domain(w.at.x, w.at.y)
         env = self.space.point_env(w.at.x, w.at.y)
-        out = self._cov_env(sigma.comp, list(w.dx), list(w.dy), env)
+        out = self._cov_env(sigma.comp, w.dx.tolist(), w.dy.tolist(), env)
         return np.array([ad.real_part(v) for v in out])
 
     def _cov_env(self, comps, dir_x, dir_y, env) -> list:
@@ -289,13 +289,15 @@ class LinearizedConnection:
         lifted = ad.lift_env(env, direction)
         din_x, din_y = self.conn.horizontal_direction_env(inner.X, lifted, inner.eta)
         tau = self._cov_env(sigma.comp, din_x, din_y, lifted)
-        J0 = self.fiber_jacobian(a)
+        # float products: numpy scalars would warn where they overflow
+        J0 = self.fiber_jacobian(a).tolist()
+        dx = w_out.dx.tolist()
         out = np.empty(sp.k)
         for A in range(sp.k):
             s = ad.dual_part(tau[A])
             for i in range(sp.n):
                 for B in range(sp.k):
-                    s += J0[A, i, B] * ad.real_part(tau[B]) * w_out.dx[i]
+                    s += J0[A][i][B] * ad.real_part(tau[B]) * dx[i]
             out[A] = s
         return out
 

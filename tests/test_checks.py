@@ -89,6 +89,26 @@ def test_flow_checks_redraw_when_their_own_flows_fail(c2):
     assert (row.status, row.samples) == ("pass", 1)
 
 
+EXP400 = '[space]\nbase_dim = 1\nfiber_dim = 1\n[connection]\ngamma_1_1 = "exp(400*y1)"\n'
+
+
+def test_transport_checks_drop_a_diverged_draw():
+    # the transport of (some) draws overflows; the row counts the others
+    spec = loads(EXP400)
+    assert ck._check_transport_reversibility(spec, np.random.default_rng(0), 4) == (0.0, 2)
+    assert ck._check_lambda_transport(spec, np.random.default_rng(1), 4)[1] == 2
+    with pytest.raises(ck._Skip):
+        ck._check_transport_linearity(spec, np.random.default_rng(1), 4)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_diverging_transport_leaves_every_row():
+    rows = {r.name: r for r in ck.run_suite(loads(EXP400), samples=16, seed=0).checks}
+    assert len(rows) == len(ck.CHECKS) == 29
+    for name in ("transport.linearity", "transport.reversibility", "transport.lambda_horizontality"):
+        assert (rows[name].status, rows[name].samples) == ("skip", 0)
+
+
 CHECK_ROW_PINS = {
     "c0": "d8fc4baf255d9a82f4df17a9cae56faf7b71de9d6b89e920725657a8ee54512d",
     "c1": "53e0f48003402f4f2874049b14347f51a20e3d4151a1b57c05683df0f5475677",

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -400,3 +401,14 @@ def test_overflow_prints_no_runtime_warning(tmp_path, spec_text, argv, message):
 def test_json_float_formatting():
     text = to_json({"a": 0.1, "b": [1.0, 2.5e-17]})
     assert text == '{"a": 0.10000000000000001, "b": [1, 2.4999999999999999e-17]}'
+    assert to_json([math.inf, -math.inf, math.nan]) == '["inf", "-inf", "nan"]'
+
+
+def test_check_json_with_infinite_errors_parses(capsys, tmp_path):
+    # the covariant and curvature checks of this spec overflow to inf
+    spec = tmp_path / "spec.ini"
+    spec.write_text('[space]\nbase_dim = 2\nfiber_dim = 1\n[connection]\ngamma_1_1 = "1e200*y1^2"\ngamma_1_2 = "0"\n')
+    code, out = run_cli(capsys, "--json", "check", str(spec), "--samples", "16")
+    assert code == 1
+    errors = [row["max_error"] for row in json.loads(out)["checks"]]
+    assert "inf" in errors

@@ -27,6 +27,7 @@ from linconn.sampling import (
     sample_pullback,
     sample_tangent,
 )
+from linconn.specfile import loads
 
 P0 = PullbackPoint([0.0], [1.0], [3.0])
 A0 = P0.a
@@ -568,3 +569,19 @@ def test_basic_verdicts(c0, c1, c3, c4):
     r1 = lin_of(c1).flatness_report(16, seed=0)
     assert not r1.basic and r1.basic_verdict == "non-basic"
     assert not lin_of(c4).flatness_report(16, seed=0).basic
+
+
+@pytest.mark.filterwarnings("error")
+def test_covariant_sums_overflow_without_a_numpy_warning():
+    # gamma's fiber Jacobian 2e200*y1 overflows the float products of the
+    # covariant-derivative sums; they give inf or nan and print nothing
+    spec = loads('[space]\nbase_dim = 2\nfiber_dim = 1\n[connection]\ngamma_1_1 = "1e200*y1^2"\ngamma_1_2 = "0"\n')
+    lin = LinearizedConnection(spec.conn)
+    sigma = SectionAlongPi((ex.parse("y1"),))
+    a = FiberPoint([0.0, 0.0], [1e100])
+    assert np.isnan(lin.covariant_derivative(sigma, TangentE(a, [0.0, 1.0], [1.0]))).all()
+    y1 = HorBasicField((ex.lit(1.0), ex.lit(0.0)), (ex.lit(0.0),))
+    y2 = HorBasicField((ex.lit(0.0), ex.lit(1.0)), (ex.lit(0.0),))
+    for y in (1.0, 1e50):
+        comm = lin.curvature_commutator(y1, y2, sigma, FiberPoint([0.0, 0.0], [y]))
+        assert not np.isfinite(comm).all()
