@@ -171,27 +171,24 @@ def _share_tau(v: SecondTangent, like: SecondTangent) -> SecondTangent:
     )
 
 
-def _well_inside(sp, x, y, margin: float = 0.3) -> bool:
+def _well_inside(sp, xy: list, margin: float = 0.3) -> bool:
     """Point plus a coordinate neighborhood of it satisfy the domain predicate.
 
-    Keeps sampled curves away from the domain boundary, where connection
-    coefficients may stop being smooth and integrator error constants blow up.
+    xy holds the floats x1..xn, y1..yk.  Keeps sampled curves away from the
+    domain boundary, where connection coefficients may stop being smooth and
+    integrator error constants blow up.
     """
-    if not sp.in_domain(x, y):
-        return False
-    if sp.domain is None:
+    inside = sp.compiled_domain
+    if inside is None:
         return True
-    for j in range(sp.k):
+    if not inside(*xy):
+        return False
+    # the fiber coordinates first, then the base
+    for j in [*range(sp.n, sp.n + sp.k), *range(sp.n)]:
         for sign in (1.0, -1.0):
-            bump = y.copy()
+            bump = xy.copy()
             bump[j] += sign * margin
-            if not sp.in_domain(x, bump):
-                return False
-    for j in range(sp.n):
-        for sign in (1.0, -1.0):
-            bump = x.copy()
-            bump[j] += sign * margin
-            if not sp.in_domain(bump, y):
+            if not inside(*bump):
                 return False
     return True
 
@@ -203,18 +200,22 @@ def _segment(p, q) -> tuple:
 
 
 def _line_curve(spec: SpecFile, rng, knots: int = 65, vertical: bool = False) -> CurveInE:
-    """A straight-line curve staying well inside the domain.
+    """A straight-line curve staying well inside the domain at its knots.
 
     A vertical curve keeps the base point of its first endpoint fixed.
     """
     sp = spec.space
+    width = sp.n + sp.k
     for _ in range(64):
         a = sample_in_domain(sp, rng)
         b = sample_in_domain(sp, rng)
         xs = tuple(ex.lit(xa) for xa in a.x) if vertical else _segment(a.x, b.x)
         curve = CurveInE(xs, _segment(a.y, b.y), 0.0, 1.0)
+        if sp.domain is None:
+            return curve
+        state = curve.compiled_state
         if all(
-            _well_inside(sp, *curve.state(t)[:2]) for t in np.linspace(0.0, 1.0, knots)
+            _well_inside(sp, list(state(t)[:width])) for t in np.linspace(0.0, 1.0, knots).tolist()
         ):
             return curve
     raise _Skip
@@ -912,20 +913,36 @@ def _flow_draws(spec, rng, samples, measure):
 
 
 def _check_lambda_transport(spec, rng, samples):
-    """The family transport integrates the family's own horizontality."""
+    """The family transport integrates the family's own horizontality.
+
+    The reference loop calls the family's array-level formula on the
+    compiled curve state, domain predicate and gamma with its y-gradient at
+    every stage; ``transport_ode`` integrates the tabulated coefficients.
+    """
     sp = spec.space
+    n, k = sp.n, sp.k
+    width, kn = n + k, n * k
+    inside, gamma = sp.compiled_domain, spec.conn.compiled_gamma_gradients
     worst = 0.0
     used = 0
     for _ in range(samples):
         curve = _line_curve(spec, rng)
         lam = float(rng.uniform(-1.5, 1.5))
         fam = LambdaFamilyMember(spec.conn, lam)
-        z0 = rng.uniform(-BOX, BOX, sp.k)
+        z0 = rng.uniform(-BOX, BOX, k)
+        state = curve.compiled_state
 
         def rhs(t, z):
-            x, yv, xd, yd = curve.state(t)
-            p = PullbackPoint(x, yv, z)
-            return fam.apply(p, TangentE(p.a, xd, yd)).dy
+            values = state(t)
+            xy = values[:width]
+            if inside is not None and not inside(*xy):
+                raise sp.left_domain("curve", t, list(xy))
+            out = gamma(*xy)
+            G = np.array(out[:kn], dtype=float).reshape(k, n)
+            J = np.array(out[kn:], dtype=float).reshape(k, n, k)
+            xd = np.array(values[width : width + n], dtype=float)
+            yd = np.array(values[width + n :], dtype=float)
+            return fam.fiber_velocity(J, G, z, xd, yd)
 
         try:
             got = transport_ode(fam, curve, z0, 256).z_final

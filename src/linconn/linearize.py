@@ -93,8 +93,12 @@ class LinearizedConnection:
         self.space.require_in_domain(p.x, p.y)
         _check_leg(p, w)
         J = self.fiber_jacobian(p.a)
-        dy = -np.einsum("aib,b,i->a", J, p.z, w.dx)
-        return TangentE(p.b, w.dx.copy(), dy)
+        return TangentE(p.b, w.dx.copy(), self.fiber_velocity(J, p.z, w.dx))
+
+    @staticmethod
+    def fiber_velocity(J, z, dx) -> np.ndarray:
+        """The formula of ``apply`` on arrays: -J[A, i, B] z^B dx^i."""
+        return -np.einsum("aib,b,i->a", J, z, dx)
 
     def apply_by_limit(self, p: PullbackPoint, w: TangentE) -> TangentE:
         """Limit definition: derivative of the horizontal lift along the fiber.
@@ -433,11 +437,25 @@ class LambdaFamilyMember:
         return LinearizedConnection(self.conn)
 
     def apply(self, p: PullbackPoint, w: TangentE) -> TangentE:
-        base = self.linearization.apply(p, w)
+        lin = self.linearization
+        lin.space.require_in_domain(p.x, p.y)
+        _check_leg(p, w)
+        J = lin.fiber_jacobian(p.a)
+        G = None if self.lam == 0.0 else self.conn.gamma_at(w.at)
+        return TangentE(p.b, w.dx.copy(), self.fiber_velocity(J, G, p.z, w.dx, w.dy))
+
+    def fiber_velocity(self, J, G, z, dx, dy) -> np.ndarray:
+        """The formula of ``apply`` on arrays: the linearization's fiber
+        velocity plus lam times the connector dy + G dx.
+
+        J [A, i, B] and G [A, i] are d_gamma and gamma at the first leg; G is
+        not read when lam = 0.  The transport check's reference loop calls
+        this on compiled values, so a defect here fails that check.
+        """
+        base = LinearizedConnection.fiber_velocity(J, z, dx)
         if self.lam == 0.0:
-            return base  # not base + 0 * kappa(w), which is NaN where kappa is infinite
-        kw = self.conn.connector(w)
-        return TangentE(base.at, base.dx, base.dy + self.lam * kw)
+            return base  # not base + 0 * kappa, which is NaN where kappa is infinite
+        return base + self.lam * (dy + G @ dx)
 
     def lift(self, p: PullbackPoint, w: TangentE) -> TangentPullback:
         return TangentPullback(p, w, self.apply(p, w))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,18 @@ class CurveInE:
         xd = np.array([ad.dual_part(v) for v in xs])
         yd = np.array([ad.dual_part(v) for v in ys])
         return x, y, xd, yd
+
+    @cached_property
+    def compiled_state(self):
+        """``state`` compiled as one function of the float t.
+
+        ``compiled_state(t)`` is the tuple x, y, xdot, ydot of ``state(t)``
+        as n + k + n + k floats, bitwise, and raises what ``state`` raises.
+        The transport checks' curve screen and reference loop call it.
+        """
+        from .codegen import compile_gradients
+
+        return compile_gradients(self.comp_x + self.comp_y, ("t",), ("t",))
 
 
 @dataclass(frozen=True)

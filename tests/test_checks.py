@@ -7,6 +7,7 @@ import pytest
 from linconn import checks as ck
 from linconn import cli
 from linconn.geom import FiberPoint, TangentE
+from linconn.linearize import LambdaFamilyMember, LinearizedConnection
 from linconn.specfile import load_builtin, loads
 
 
@@ -107,6 +108,20 @@ def test_a_diverging_transport_leaves_every_row():
     assert len(rows) == len(ck.CHECKS) == 29
     for name in ("transport.linearity", "transport.reversibility", "transport.lambda_horizontality"):
         assert (rows[name].status, rows[name].samples) == ("skip", 0)
+
+
+@pytest.mark.parametrize("name", ["c0", "c1", "c2", "c3", "c4"])
+def test_lambda_horizontality_fails_a_flipped_lambda_term(monkeypatch, name):
+    # apply and the check's reference loop share the family's formula;
+    # transport_ode integrates its own tabulated coefficients
+    def flipped(self, J, G, z, dx, dy):
+        base = LinearizedConnection.fiber_velocity(J, z, dx)
+        return base if self.lam == 0.0 else base - self.lam * (dy + G @ dx)
+
+    monkeypatch.setattr(LambdaFamilyMember, "fiber_velocity", flipped)
+    monkeypatch.setattr(ck, "CHECKS", _only("transport.lambda_horizontality", ck._check_lambda_transport))
+    (row,) = ck.run_suite(load_builtin(name), samples=32, seed=0).checks
+    assert (row.status, row.samples) == ("fail", 1), row
 
 
 CHECK_ROW_PINS = {

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linconn import ad, codegen, transport
+from linconn import checks as ck
 from linconn import expr as ex
 from linconn.connection import HorBasicField
 from linconn.geom import FiberPoint, PullbackPoint
@@ -33,10 +34,10 @@ VALUES = st.one_of(NUMBERS, st.sampled_from((math.inf, -math.inf, math.nan)))
 EXPONENTS = st.sampled_from((0.0, 1.0, 2.0, 3.0, 5.0, -1.0, -2.0, -3.0, 0.5, -1.5, 2.5, 1e10, math.inf, math.nan))
 
 
-def _trees(names):
+def _trees(names, unbound=("z1",)):
     # z1 is not among the compiled names: a tree reading it is unbound
     leaves = st.one_of(
-        st.sampled_from(names + ("z1",)).map(ex.Var),
+        st.sampled_from(names + unbound).map(ex.Var),
         NUMBERS.map(ex.Lit),
     )
 
@@ -53,6 +54,7 @@ def _trees(names):
 
 
 TREES = _trees(NAMES)
+CURVE_TREES = _trees(("t",), unbound=())  # a curve component reads t only
 
 
 def _bits(v):
@@ -110,6 +112,14 @@ def test_forward_compile_equals_gradients(trees, values, seeded):
         return list(out)
 
     assert _outcome(compiled) == _outcome(walked)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(CURVE_TREES, min_size=1, max_size=2), st.lists(CURVE_TREES, min_size=1, max_size=2), VALUES)
+def test_compiled_curve_state_equals_state(comp_x, comp_y, t):
+    curve = transport.CurveInE(comp_x, comp_y, 0.0, 1.0)
+    walked = _outcome(lambda: [v for part in curve.state(t) for v in part.tolist()])
+    assert _outcome(lambda: curve.compiled_state(t)) == walked
 
 
 def test_forward_compile_covers_every_guard():
@@ -262,3 +272,21 @@ def test_holonomy_compiles_gamma_and_the_domain_once(compiles):
     assert len(compiles) == 2  # gamma as floats, the domain predicate
     assert spec.conn.holonomy_curvature(a, [1.0], [0.5]).tobytes() == first.tobytes()
     assert len(compiles) == 2
+
+
+def test_lambda_check_compiles_each_curve_once(compiles, monkeypatch):
+    spec = _fresh_c4()  # its domain keeps the first curve of every draw
+    curves = []
+    real = ck._line_curve
+
+    def recording(*args, **kwargs):
+        curves.append(real(*args, **kwargs))
+        return curves[-1]
+
+    monkeypatch.setattr(ck, "_line_curve", recording)
+    for seed in (0, 1):
+        assert ck._check_lambda_transport(spec, np.random.default_rng(seed), 1)[1] == 1
+        # the curve of each draw, and per connection the domain predicate
+        # and gamma with its y-gradient
+        assert len(compiles) == len(curves) + 2
+    assert len(curves) == 2
