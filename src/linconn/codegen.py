@@ -12,8 +12,9 @@ same numbers bitwise and raises the same errors:
   owner passes (the ``tolist()`` of a state);
 * ``compile_gradients`` (the forward-mode emitter) prints Dual1 arithmetic
   slot by slot in float locals and returns what ``ad.gradients`` returns.
-  A tree whose derivative the printed code cannot decide (a non-literal
-  exponent, an unknown function) is walked by ``ad.gradient`` at run time.
+  A tree whose derivative the printed code cannot decide (an exponent that
+  is not a literal or a negated literal, an unknown function) is walked by
+  ``ad.gradient`` at run time.
 
 Dual and batched values take the walk: ``evaluate`` and ``evaluate_bool``.
 
@@ -97,6 +98,19 @@ def define(source: Source, result: str) -> Callable:
     return source.namespace["_compiled"]
 
 
+def _literal(e):
+    """The value of a literal or of a negated literal, else None.
+
+    The parser reads ``y1^-2`` as ``y1^(-(2))``; the walk negates the
+    literal exactly, so the negation can be done once when printing.
+    """
+    if e.__class__ is Lit:
+        return e.value
+    if e.__class__ is Neg and e.arg.__class__ is Lit:
+        return -e.arg.value
+    return None
+
+
 def tuple_of(tokens) -> str:
     return "(" + "".join(f"{t}, " for t in tokens) + ")"
 
@@ -135,7 +149,8 @@ class Emitter:
                 return self.literal(None)
             return self.variable(e.name, token)
         if cls is Neg:
-            return self.neg(self.emit(e.arg))
+            value = _literal(e)
+            return self.neg(self.emit(e.arg)) if value is None else self.literal(value)
         if cls is Fun:
             return self.fun(e.name, self.emit(e.arg))
         left = self.emit(e.left)
@@ -147,8 +162,9 @@ class Emitter:
                 return self.literal(None)
             return self.div(left, right)
         # ^, and any other operator, is _pow
-        if e.right.__class__ is Lit:
-            n = _as_const_int(e.right.value)
+        value = _literal(e.right)
+        if value is not None:
+            n = _as_const_int(value)
             if n is not None:
                 return self.ipow(left, n)
         return self.pow(left, self.emit(e.right))
@@ -390,7 +406,8 @@ class _Forward(Emitter):
 
 
 def _needs_objects(e) -> bool:
-    """A non-literal exponent or an unknown function: the walk decides.
+    """An exponent that is not a (negated) literal, or an unknown function:
+    the walk decides.
 
     Whether ``x^p`` takes the integer-power rule depends on the value of p,
     and an unknown function raises what its Dual1 method lookup raises.
@@ -400,7 +417,7 @@ def _needs_objects(e) -> bool:
         node = stack.pop()
         cls = node.__class__
         if cls is Bin:
-            if node.op not in ("+", "-", "*", "/") and node.right.__class__ is not Lit:
+            if node.op not in ("+", "-", "*", "/") and _literal(node.right) is None:
                 return True
             stack += (node.left, node.right)
         elif cls is Fun:

@@ -46,6 +46,8 @@ def _trees(names, unbound=("z1",)):
             st.builds(ex.Neg, sub),
             st.builds(ex.Bin, st.sampled_from(("+", "-", "*", "/", "^")), sub, sub),
             st.builds(ex.Bin, st.just("^"), sub, EXPONENTS.map(ex.Lit)),
+            # the parser reads y1^-2 as y1^(-(2))
+            st.builds(ex.Bin, st.just("^"), sub, EXPONENTS.map(lambda v: ex.Neg(ex.Lit(v)))),
             st.builds(ex.Bin, st.just("/"), sub, st.sampled_from((0.0, -0.0, 2.0)).map(ex.Lit)),
             st.builds(ex.Fun, st.sampled_from(ex.FUNCTIONS), sub),
         )
@@ -147,6 +149,21 @@ def test_forward_compile_covers_every_guard():
             want = ("value", (value, *grad))
         assert got == want, text
         assert _walk_and_compiled(trees, point)[1] == _walk_and_compiled(trees, point)[0], text
+
+
+def test_a_negated_literal_exponent_is_printed(monkeypatch):
+    trees = [ex.parse("x1*y1^-2 + y2"), ex.parse("y1^-0.5")]
+    assert trees[0].left.right == ex.Bin("^", ex.Var("y1"), ex.Neg(ex.Lit(2.0)))
+    point = {"x1": 0.3, "y1": 1.7, "y2": -2.0}
+    pairs = ad.gradients(trees, point, ["y1", "y2"])
+    want = [v for v, _ in pairs] + [d for _, grad in pairs for d in grad]
+
+    def walked(*args):
+        raise AssertionError("the tree was handed to ad.gradient")
+
+    monkeypatch.setattr(codegen, "gradient", walked)
+    got = codegen.compile_gradients(trees, ("x1", "y1", "y2"), ["y1", "y2"])(*point.values())
+    assert _bits(got) == _bits(want)
 
 
 @settings(max_examples=300, deadline=None)
