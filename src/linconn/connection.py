@@ -318,12 +318,19 @@ class HorBasicField:
         return compile_exprs(self.X + self.eta, tuple(f"x{i+1}" for i in range(len(self.X))))
 
     def at(self, conn: NonlinearConnection, a: FiberPoint) -> TangentE:
-        """Float components (X, -gamma X + eta) at a, by the walk."""
+        """Float components (X, -gamma X + eta) at a, by the walk.
+
+        An infinite or huge gamma gives infinite or NaN fiber components
+        without a numpy warning.
+        """
         conn.space.require_in_domain(a.x, a.y)
         env = conn.space.point_env(a.x, a.y)
         dx = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.X])
         eta = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.eta])
-        return TangentE(a, dx, -np.array(conn.gamma_env(env), dtype=float) @ dx + eta)
+        G = np.array(conn.gamma_env(env), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dy = -G @ dx + eta
+        return TangentE(a, dx, dy)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from linconn.connection import (
 )
 from linconn.geom import BundleSpace, FiberPoint, OutOfDomainError, TangentE, vertical_lift
 from linconn.sampling import random_field, sample_in_domain
-from linconn.specfile import load_builtin
+from linconn.specfile import load_builtin, loads
 from linconn.transport import rk4
 
 RNG = np.random.default_rng(0)
@@ -238,6 +238,18 @@ def test_hor_basic_field(c1):
     assert np.max(np.abs(w.dy - w2.dy)) <= 1e-15
     with pytest.raises(ValueError):
         HorBasicField((ex.parse("y1"),), (ex.lit(0.0),))
+
+
+@pytest.mark.filterwarnings("error")
+def test_hor_basic_field_at_a_huge_gamma_prints_no_warning():
+    spec = loads('[space]\nbase_dim = 2\nfiber_dim = 1\n[connection]\ngamma_1_1 = "1e200*y1^2"\ngamma_1_2 = "0"\n')
+    for X, y1 in (((0.0, 1.0), 1e100), ((1e10, 0.0), 1e50), ((1.0, 2.0), 3.0)):
+        # -inf*0 is NaN, 1e300*1e10 overflows; the same bits as the bare product
+        a = FiberPoint([0.0, 0.0], [y1])
+        w = HorBasicField(tuple(map(ex.lit, X)), (ex.lit(0.5),)).at(spec.conn, a)
+        with np.errstate(all="ignore"):
+            want = -spec.conn.gamma_at(a) @ np.array(X) + 0.5
+        assert w.dx.tolist() == list(X) and w.dy.tobytes() == want.tobytes()
 
 
 def test_kappa_section(c1):

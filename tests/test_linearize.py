@@ -582,6 +582,6 @@ def test_covariant_sums_overflow_without_a_numpy_warning():
     assert np.isnan(lin.covariant_derivative(sigma, TangentE(a, [0.0, 1.0], [1.0]))).all()
     y1 = HorBasicField((ex.lit(1.0), ex.lit(0.0)), (ex.lit(0.0),))
     y2 = HorBasicField((ex.lit(0.0), ex.lit(1.0)), (ex.lit(0.0),))
-    for y in (1.0, 1e50):
+    for y in (1.0, 1e50, 1e100):
         comm = lin.curvature_commutator(y1, y2, sigma, FiberPoint([0.0, 0.0], [y]))
         assert not np.isfinite(comm).all()
