@@ -951,7 +951,7 @@ def _check_lambda_transport(spec, rng, samples):
         except _DIVERGED:
             continue
         used += 1
-        worst = max(worst, _mx(got - z))
+        worst = max(worst, _rel(_mx(got - z), _mx(z)))
     return _used_draws(worst, used)
 
 

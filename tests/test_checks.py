@@ -102,6 +102,12 @@ def test_transport_checks_drop_a_diverged_draw():
         ck._check_transport_linearity(spec, np.random.default_rng(1), 4)
 
 
+def test_lambda_horizontality_measures_a_relative_error():
+    # both integrations reach 2.1e48 and differ by 5.9e34, 2.8e-14 relative
+    err, used = ck._check_lambda_transport(loads(EXP400), np.random.default_rng(4), 1)
+    assert used == 1 and 1e-14 < err < 1e-13
+
+
 @pytest.mark.filterwarnings("error")
 def test_a_diverging_transport_leaves_every_row():
     rows = {r.name: r for r in ck.run_suite(loads(EXP400), samples=16, seed=0).checks}
@@ -126,10 +132,10 @@ def test_lambda_horizontality_fails_a_flipped_lambda_term(monkeypatch, name):
 
 CHECK_ROW_PINS = {
     "c0": "d8fc4baf255d9a82f4df17a9cae56faf7b71de9d6b89e920725657a8ee54512d",
-    "c1": "53e0f48003402f4f2874049b14347f51a20e3d4151a1b57c05683df0f5475677",
+    "c1": "419b7c2f444666ce9d00554a8e122490a11fc46f001573784e5d030f30c6355f",
     "c2": "ca7643f4a4856e1f4e6e6ccaa722d70fc55a7a01fe43a8b950e5ffe00670d09a",
     "c3": "87d9a0788725a99a0368886bf3ed9438ebe704c19fe766b98490b6dfae013fab",
-    "c4": "f25c619bee3636be96944719cc73d5184e88382af2d0f09eeaff6a4de617514a",
+    "c4": "072d4f27489cdadaa3c435c27a590ba19fd62f476245ad1a3ca74e3eaec3557a",
 }
 
 
