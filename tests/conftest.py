@@ -29,5 +29,10 @@ def c4():
 
 
 @pytest.fixture(scope="session")
-def all_specs(c0, c1, c2, c3, c4):
-    return {"c0": c0, "c1": c1, "c2": c2, "c3": c3, "c4": c4}
+def c5():
+    return load_builtin("c5")
+
+
+@pytest.fixture(scope="session")
+def all_specs(c0, c1, c2, c3, c4, c5):
+    return {"c0": c0, "c1": c1, "c2": c2, "c3": c3, "c4": c4, "c5": c5}

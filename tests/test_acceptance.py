@@ -30,7 +30,7 @@ from linconn.sampling import (
 from linconn.specfile import builtin_spec_path, load_builtin
 from linconn.transport import fiber_derivative_flow, transport_ode
 
-SPECS = {name: load_builtin(name) for name in ("c0", "c1", "c2", "c3", "c4")}
+SPECS = {name: load_builtin(name) for name in ("c0", "c1", "c2", "c3", "c4", "c5")}
 
 
 def _criterion(num: int, ok: bool, description: str, detail: str = ""):
@@ -346,7 +346,7 @@ def test_criterion_8_cli_deterministic():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     ok = True
     detail = []
-    for name in ("c0", "c1", "c2", "c3", "c4"):
+    for name in ("c0", "c1", "c2", "c3", "c4", "c5"):
         outs = []
         for _ in range(2):
             proc = subprocess.run(

@@ -116,7 +116,7 @@ def test_a_diverging_transport_leaves_every_row():
         assert (rows[name].status, rows[name].samples) == ("skip", 0)
 
 
-@pytest.mark.parametrize("name", ["c0", "c1", "c2", "c3", "c4"])
+@pytest.mark.parametrize("name", ["c0", "c1", "c2", "c3", "c4", "c5"])
 def test_lambda_horizontality_fails_a_flipped_lambda_term(monkeypatch, name):
     # apply and the check's reference loop share the family's formula;
     # transport_ode integrates its own tabulated coefficients
@@ -136,6 +136,7 @@ CHECK_ROW_PINS = {
     "c2": "ca7643f4a4856e1f4e6e6ccaa722d70fc55a7a01fe43a8b950e5ffe00670d09a",
     "c3": "87d9a0788725a99a0368886bf3ed9438ebe704c19fe766b98490b6dfae013fab",
     "c4": "072d4f27489cdadaa3c435c27a590ba19fd62f476245ad1a3ca74e3eaec3557a",
+    "c5": "56b933c6e9df492c80f620789a54059763d96f0dc9ad5d3d73186388957605e5",
 }
 
 

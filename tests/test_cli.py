@@ -84,7 +84,7 @@ def test_dimension_bounds_checked():
 
 
 def test_builtin_specs_load():
-    for name in ("c0", "c1", "c2", "c3", "c4"):
+    for name in ("c0", "c1", "c2", "c3", "c4", "c5"):
         spec = load_builtin(name)
         assert spec.space.n >= 1 and spec.space.k >= 1
     assert load_builtin("c4").space.domain is not None
@@ -101,7 +101,7 @@ def run_cli(capsys, *argv):
 
 
 def test_check_exits_zero_on_shipped_specs(capsys):
-    for name in ("c0", "c1", "c2", "c3", "c4"):
+    for name in ("c0", "c1", "c2", "c3", "c4", "c5"):
         code, out = run_cli(
             capsys, "check", builtin_spec_path(name), "--samples", "16"
         )

@@ -336,7 +336,7 @@ def _conn3(rows, domain=None):
 
 # the shipped specs have base dimension 1 or 2; POLY3 has 3, so that the
 # stacked -G dir product sums three terms per row
-CONNS = {name: load_builtin(name).conn for name in ("c0", "c1", "c2", "c3", "c4")}
+CONNS = {name: load_builtin(name).conn for name in ("c0", "c1", "c2", "c3", "c4", "c5")}
 CONNS["poly3"] = _conn3((
     ("x1*y1 + y2^2", "y1*y2 - x3", "x2*y2 + 0.3*y1^3"),
     ("y1 - x2*y2", "x1*x3*y1", "y2^2*y1 + x1"),

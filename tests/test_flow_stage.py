@@ -17,7 +17,7 @@ from linconn.sampling import random_hor_basic, sample_in_domain, sample_pullback
 from linconn.specfile import loads
 from linconn.transport import fiber_derivative_flow, rk4
 
-SPEC_NAMES = ("c0", "c1", "c2", "c3", "c4")
+SPEC_NAMES = ("c0", "c1", "c2", "c3", "c4", "c5")
 SEEDS = st.integers(0, 2**32 - 1)
 
 
