@@ -6,7 +6,8 @@ a value, two first directional derivatives and the mixed second derivative,
 which is what the curvature formulas need: an outer derivative of quantities
 that already contain one derivative of the connection coefficients.
 DualBatch holds N lanes of Dual1 as arrays, so that one evaluation of a tree
-serves N points (the transport coefficients at every RK4 knot).
+serves N points (the curve and the transport coefficients at every RK4 knot,
+each lane seeded in at least one direction).
 
 Dual1 and Dual2 arithmetic builds its results with the private constructors
 ``_dual1`` and ``_dual2``, which store their arguments without ``float()``.
@@ -162,11 +163,10 @@ class DualBatch:
     """N lanes of Dual1 at once: ``re`` of shape (N,), ``eps`` of shape (m, N).
 
     Lane j follows ``Dual1(re[j], eps[:, j])`` operation for operation, so
-    + - * / and integer powers agree with it bitwise.  Without seed
-    directions (m = 0) the lanes follow the float guards instead (sqrt(0)
-    and abs(0) are allowed), which is what a stacked domain predicate needs.
-    A guard raises the scalar's exception when any lane offends.  The
-    vectorized forward mode of Revels, Lubin and Papamarkou (arXiv:1607.07892).
+    + - * / and integer powers agree with it bitwise, and a guard raises the
+    scalar's exception when any lane offends.  The transport knot table is
+    its one user, with m >= 1 seed directions.  The vectorized forward mode
+    of Revels, Lubin and Papamarkou (arXiv:1607.07892).
     """
 
     __slots__ = ("re", "eps")
@@ -269,18 +269,12 @@ class DualBatch:
         return self._chain(np.log(self.re), 1.0 / self.re)
 
     def sqrt(self):
-        if not len(self.eps):
-            if (self.re < 0.0).any():
-                raise DomainError("sqrt of negative value")
-            return DualBatch(np.sqrt(self.re), self.eps)
         if (self.re <= 0.0).any():
             raise DomainError("sqrt needs a positive value when differentiating")
         v = np.sqrt(self.re)
         return self._chain(v, 0.5 / v)
 
     def abs(self):
-        if not len(self.eps):
-            return DualBatch(np.abs(self.re), self.eps)
         if (self.re == 0.0).any():
             raise DomainError("abs is not differentiable at zero")
         up = self.re > 0.0

@@ -16,7 +16,8 @@ same numbers bitwise and raises the same errors:
   is not a literal or a negated literal, an unknown function) is walked by
   ``ad.gradient`` at run time.
 
-Dual and batched values take the walk: ``evaluate`` and ``evaluate_bool``.
+Dual and batched values take the walk, ``evaluate``; ``in_domain`` walks
+``evaluate_bool`` at one point.
 
 Owners import this module on first use: a process that only loads a spec
 neither compiles a tree nor imports this module (which, without a bytecode

@@ -280,13 +280,9 @@ def _real(v):
     return v.real_part()
 
 
-# A comparison is a bool for scalars and a lane array for a batch.
+# A guard's test is a bool for scalars and a lane array for a batch.
 def _any(flags) -> bool:
     return flags if flags.__class__ is bool else bool(flags.any())
-
-
-def _all(flags) -> bool:
-    return flags if flags.__class__ is bool else bool(flags.all())
 
 
 def _as_const_int(v):
@@ -509,8 +505,9 @@ def parse_bool(text: str) -> BoolExpr:
     return node
 
 
-def evaluate_bool(b: BoolExpr, env: Env):
-    """Truth of the predicate in env: a bool, or a lane array over a batched env."""
+def evaluate_bool(b: BoolExpr, env: Env) -> bool:
+    """Truth of the predicate at the point env; and/or stop at the first
+    term that settles the result, so a later term may be undefined there."""
     if isinstance(b, Comparison):
         left = _real(evaluate(b.left, env))
         right = _real(evaluate(b.right, env))
@@ -521,20 +518,9 @@ def evaluate_bool(b: BoolExpr, env: Env):
         if b.op == ">":
             return left > right
         return left >= right
-    # and/or skip later terms once the result is settled in every lane
     if isinstance(b, BoolAnd):
-        out = True
-        for t in b.terms:
-            out = out & evaluate_bool(t, env)
-            if not _any(out):
-                return out
-        return out
-    out = False
-    for t in b.terms:
-        out = out | evaluate_bool(t, env)
-        if _all(out):
-            return out
-    return out
+        return all(evaluate_bool(t, env) for t in b.terms)
+    return any(evaluate_bool(t, env) for t in b.terms)
 
 
 def bool_variables(b: BoolExpr) -> frozenset[str]:

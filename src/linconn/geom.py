@@ -17,7 +17,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import expr as ex
-from .ad import DualBatch
 
 BASE_TOL = 1e-12  # tolerance for base-point compatibility of separately computed values
 
@@ -83,23 +82,9 @@ class BundleSpace:
         return env
 
     def in_domain(self, x, y) -> bool:
-        """Whether (x, y) satisfies the domain predicate.
-
-        Stacked points, x of shape (n, N) and y of shape (k, N), are tested
-        in one batched pass and pass when every lane does.
-        """
+        """Whether the point (x, y) satisfies the domain predicate."""
         if self.domain is None:
             return True
-        if getattr(x, "ndim", 1) == 2:
-            # each coordinate a DualBatch without seed directions, so the
-            # predicate follows the float guards lane by lane
-            no_seeds = np.zeros((0, x.shape[1]))
-            env = {name: DualBatch(row, no_seeds) for name, row in zip(self.x_names + self.y_names, [*x, *y])}
-            try:
-                return bool(np.all(ex.evaluate_bool(self.domain, env)))
-            except ex.DomainError:
-                # a term that and/or skips for one lane may fail there
-                return all(self.in_domain(x[:, j], y[:, j]) for j in range(x.shape[1]))
         return ex.evaluate_bool(self.domain, self.point_env(x, y))
 
     @cached_property
@@ -108,8 +93,8 @@ class BundleSpace:
 
         ``compiled_domain(*x, *y)`` is ``in_domain(x, y)`` for one point,
         with the and/or short circuit of ``evaluate_bool``.  Flows and
-        holonomy legs test it at every stage (see ``left_domain``);
-        single points keep ``in_domain``.
+        holonomy legs test it at every stage, and the transport knot table
+        at every knot (see ``left_domain``); single points keep ``in_domain``.
         """
         if self.domain is None:
             return None
@@ -118,8 +103,9 @@ class BundleSpace:
         return compile_bool(self.domain, self.x_names + self.y_names)
 
     def left_domain(self, what: str, t, xy: list) -> OutOfDomainError:
-        """The error for an RK4 stage point xy, the floats x1..xn, y1..yk,
-        that ``compiled_domain`` rejects: it names the stage's t and the point.
+        """The error for an RK4 stage point or a curve knot xy, the floats
+        x1..xn, y1..yk, that ``compiled_domain`` rejects: it names the t of
+        the stage or knot and the point.
 
         Integrators test the compiled predicate inline and call this only to
         raise, which keeps a stage free of one more call.

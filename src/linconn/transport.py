@@ -19,7 +19,7 @@ import numpy as np
 from . import ad
 from . import expr as ex
 from .connection import HorBasicField, NonlinearConnection
-from .geom import FiberPoint, OutOfDomainError, PullbackPoint
+from .geom import FiberPoint, PullbackPoint
 from .linearize import LambdaFamilyMember, LinearizedConnection
 
 
@@ -165,9 +165,10 @@ def _coefficients(lin, lam, ts, x, y, xd, yd):
     by a stacked matmul, so each lane is bitwise the per-point value.
     """
     sp = lin.space
-    if not sp.in_domain(x, y):
-        # names ts[0]: a failed batch is redone knot by knot
-        raise OutOfDomainError(f"curve leaves the domain at t = {float(ts[0])!r}")
+    inside = sp.compiled_domain
+    if inside is not None and not all(map(inside, *x.tolist(), *y.tolist())):
+        # names the first knot: a failed batch is redone knot by knot
+        raise sp.left_domain("curve", float(ts[0]), [*x[:, 0].tolist(), *y[:, 0].tolist()])
     count = len(ts)
     env = {name: ad.DualBatch(row, np.zeros((sp.k, count))) for name, row in zip(sp.x_names, x)}
     seeds = np.repeat(np.eye(sp.k)[:, :, None], count, axis=2)

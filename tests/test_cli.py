@@ -285,6 +285,14 @@ def test_numeric_error_leaves_nothing_else_on_stderr(capsys, tmp_path):
     assert capsys.readouterr().err == "numeric error: non-finite state at t = 0.006\n"
 
 
+def test_transport_domain_error_names_t_and_the_knot(capsys):
+    # the curve meets c4's puncture y = 0 at t = 0.5
+    code = main(["transport", builtin_spec_path("c4"), "--curve", "t;t-0.5,0;0;1", "--z0", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "domain error: curve left the domain at t = 0.5, at ([0.5], [0.0, 0.0])\n"
+
+
 def test_underflowing_negative_power_is_a_domain_error(capsys, tmp_path):
     spec = tmp_path / "pow.ini"
     spec.write_text(MINIMAL.replace('"y1^2"', '"y1^-2"'))

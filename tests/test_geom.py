@@ -241,6 +241,18 @@ def test_bundle_space_domain():
         BundleSpace(0, 1)
 
 
+def test_domain_predicate_keeps_the_short_circuit():
+    # the log term is never evaluated where x1 > 0 already fails
+    sp = BundleSpace(1, 1, ex.parse_bool("x1 > 0 and log(x1) < 1"))
+    assert not sp.in_domain([-1.0], [0.0])
+    assert sp.in_domain([2.0], [0.0])
+    sp = BundleSpace(1, 1, ex.parse_bool("x1 < 0 or log(x1) < 1"))
+    assert sp.in_domain([-1.0], [0.0])
+    with pytest.raises(ex.DomainError):
+        sp.in_domain([0.0], [0.0])
+    assert ex.evaluate_bool(sp.domain, {"x1": -1.0, "y1": 0.0}) is True
+
+
 def test_pullback_point_legs():
     p = PullbackPoint([1.0], [2.0], [3.0])
     assert np.array_equal(p.a.y, [2.0]) and np.array_equal(p.b.y, [3.0])
