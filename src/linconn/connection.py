@@ -206,9 +206,8 @@ class NonlinearConnection:
 
         sides = [(s * v1, s * v2, -s * v1, -s * v2) for s in steps]  # per lane
         state = np.tile(np.concatenate([a.x, a.y]), lanes)
-        with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
-            for dirs in zip(*sides):
-                state = leg(state, np.array(dirs))
+        for dirs in zip(*sides):
+            state = leg(state, np.array(dirs))
         y = state.reshape(lanes, width)[:, n:]
         defect = [(y[j] - a.y) / s**2 for j, s in enumerate(steps)]
         g1 = 0.5 * (defect[0] + defect[1])  # symmetrized over s = h, -h

@@ -98,29 +98,33 @@ def rk4(f, t0: float, t1: float, state, steps: int, by_knot: bool = False):
     2s + 2 (see ``knot_time``); with ``by_knot`` f gets the knot index in
     place of its time, for a right-hand side tabulated at the knots.
     Yields (t, state) after each of the ``steps`` steps.  An overflow inside
-    f or a non-finite state raises OverflowError naming t.
+    f or a non-finite state raises OverflowError naming t.  The steps run
+    inside one ``np.errstate`` that silences numpy's overflow and invalid
+    warnings, since the finite-state test reports them; it stays entered
+    while the caller holds a step.
     """
     h = (t1 - t0) / steps
     half = 0.5 * h  # knot j sits at t0 + j*half, as in knot_time
-    for step in range(steps):
-        j = 2 * step
-        if by_knot:
-            start, mid, end = j, j + 1, j + 2
-        else:
-            start, mid, end = t0 + j * half, t0 + (j + 1) * half, t0 + (j + 2) * half
-        try:
-            k1 = f(start, state)
-            k2 = f(mid, state + 0.5 * h * k1)
-            k3 = f(mid, state + 0.5 * h * k2)
-            k4 = f(end, state + h * k3)
-        except OverflowError as err:
-            t = t0 + j * half
-            raise OverflowError(f"{err} in the step from t = {t!r}") from err
-        state = state + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
-        t = t0 + (j + 2) * half
-        if not all(map(math.isfinite, state.tolist())):
-            raise OverflowError(f"non-finite state at t = {t!r}")
-        yield t, state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(steps):
+            j = 2 * step
+            if by_knot:
+                start, mid, end = j, j + 1, j + 2
+            else:
+                start, mid, end = t0 + j * half, t0 + (j + 1) * half, t0 + (j + 2) * half
+            try:
+                k1 = f(start, state)
+                k2 = f(mid, state + 0.5 * h * k1)
+                k3 = f(mid, state + 0.5 * h * k2)
+                k4 = f(end, state + h * k3)
+            except OverflowError as err:
+                t = t0 + j * half
+                raise OverflowError(f"{err} in the step from t = {t!r}") from err
+            state = state + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+            t = t0 + (j + 2) * half
+            if not all(map(math.isfinite, state.tolist())):
+                raise OverflowError(f"non-finite state at t = {t!r}")
+            yield t, state
 
 
 class KnotTable:
@@ -264,18 +268,17 @@ def transport_ode(
     trajectory = []
     stepper = rk4(rhs, curve.t0, curve.t1, z, steps, by_knot=True)
     done = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
-        while done < steps:
-            count = min(BLOCK_STEPS, steps - done)
-            lo = 2 * done
-            ts = knot_time(curve.t0, curve.t1, steps, np.arange(lo, lo + 2 * count + 1))
-            tab = transport_coefficients(lin_or_fam, curve, ts)
-            if record and not done:
-                trajectory.append((curve.t0, *tab.point(0), z))
-            for t, z in itertools.islice(stepper, count):
-                done += 1
-                if record and (done % stride == 0 or done == steps):
-                    trajectory.append((t, *tab.point(2 * done - lo), z))
+    while done < steps:
+        count = min(BLOCK_STEPS, steps - done)
+        lo = 2 * done
+        ts = knot_time(curve.t0, curve.t1, steps, np.arange(lo, lo + 2 * count + 1))
+        tab = transport_coefficients(lin_or_fam, curve, ts)
+        if record and not done:
+            trajectory.append((curve.t0, *tab.point(0), z))
+        for t, z in itertools.islice(stepper, count):
+            done += 1
+            if record and (done % stride == 0 or done == steps):
+                trajectory.append((t, *tab.point(2 * done - lo), z))
     return TransportResult(z, tuple(trajectory) if record else None, steps)
 
 
@@ -303,9 +306,8 @@ def flow(
         return np.concatenate([dx, -G @ dx + np.array(comps[n:], dtype=float)])
 
     state = np.concatenate([a.x, a.y])
-    with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
-        for _, state in rk4(f, 0.0, s, state, steps):
-            pass
+    for _, state in rk4(f, 0.0, s, state, steps):
+        pass
     sp.require_in_domain(state[:n], state[n:], "flow endpoint")
     return FiberPoint(state[:n], state[n:])
 
@@ -349,9 +351,8 @@ def fiber_derivative_flow(
         return np.concatenate([dx, -G @ dx + np.array(comps[n:], dtype=float), dzdot])
 
     state = np.concatenate([p.x, p.y, p.z])
-    with np.errstate(over="ignore", invalid="ignore"):  # rk4 reports non-finite states
-        for _, state in rk4(f, 0.0, s, state, steps):
-            pass
+    for _, state in rk4(f, 0.0, s, state, steps):
+        pass
     end = FiberPoint(state[: sp.n], state[sp.n : sp.n + sp.k])
     sp.require_in_domain(end.x, end.y, "flow endpoint")
     return end, state[sp.n + sp.k :]
