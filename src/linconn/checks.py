@@ -97,9 +97,20 @@ class _Skip(Exception):
 _DIVERGED = (OutOfDomainError, ex.DomainError, OverflowError)
 
 
-def _used_draws(worst, used):
-    """The row of a check that drops diverged draws: the draws it used, or
-    skipped when there were none."""
+def _worst_draw(samples, measure):
+    """The worst error of ``samples`` calls of measure(), one draw each, and
+    the draws used.  A draw whose integration leaves the domain or diverges
+    (measure raises ``_DIVERGED``) is dropped; with none used the check
+    skips."""
+    worst = 0.0
+    used = 0
+    for _ in range(samples):
+        try:
+            err = measure()
+        except _DIVERGED:
+            continue
+        used += 1
+        worst = max(worst, err)
     if used == 0:
         raise _Skip
     return worst, used
@@ -224,20 +235,19 @@ def _line_curve(spec: SpecFile, rng, knots: int = 65, vertical: bool = False) ->
 def _in_domain_flow(spec, rng, measure, tries: int = 64):
     """measure(y, p, s) for a hor-basic field, pullback start point and time.
 
-    A draw whose 64-step flow, or the measurement's own flows, fail (domain
-    or overflow) is replaced by a new one, ``tries`` draws in all: the
-    screen cannot see every flow that leaves the domain at a finer step.
+    A draw whose measurement fails because its own flows leave the domain
+    or overflow is replaced by a new one, ``tries`` draws in all; the last
+    draw's error then propagates, and ``_worst_draw`` drops the sample.
     """
     for _ in range(tries):
         p = sample_pullback(spec.space, rng)
         y = random_hor_basic(rng, spec.space)
         s = float(rng.uniform(0.2, 0.5))
         try:
-            flow(spec.conn, y, p.a, s, 64)
             return measure(y, p, s)
-        except _DIVERGED:
-            continue
-    raise _Skip
+        except _DIVERGED as err:
+            error = err
+    raise error
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +454,8 @@ def _check_curvature_oracle(spec, rng, samples):
     sp = spec.space
     if sp.n < 2:
         raise _Skip  # no two-forms on a one-dimensional base
-    worst = 0.0
-    used = 0
-    for _ in range(samples):
+
+    def measure():
         # unit coordinate rectangles around a point away from the boundary
         a = sample_in_domain(sp, rng)
         i, j = rng.choice(sp.n, size=2, replace=False)
@@ -454,14 +463,10 @@ def _check_curvature_oracle(spec, rng, samples):
         v2 = np.zeros(sp.n)
         v1[i] = 1.0
         v2[j] = 1.0
-        try:
-            ref = conn.holonomy_curvature(a, v1, v2)
-        except _DIVERGED:
-            continue
-        used += 1
-        got = conn.curvature(a, v1, v2)
-        worst = max(worst, _rel(_mx(got - ref), _mx(ref)))
-    return _used_draws(worst, used)
+        ref = conn.holonomy_curvature(a, v1, v2)
+        return _rel(_mx(conn.curvature(a, v1, v2) - ref), _mx(ref))
+
+    return _worst_draw(samples, measure)
 
 
 # ---------------------------------------------------------------------------
@@ -775,53 +780,44 @@ def _check_flatness(spec, rng, samples):
 def _check_transport_linearity(spec, rng, samples):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
-    used = 0
     curve = _line_curve(spec, rng)
-    for _ in range(samples):
+
+    def measure():
         z1 = rng.uniform(-BOX, BOX, sp.k)
         z2 = rng.uniform(-BOX, BOX, sp.k)
         al, be = rng.uniform(-2, 2, 2)
-        try:
-            t1 = transport_ode(lin, curve, z1, 200).z_final
-            t2 = transport_ode(lin, curve, z2, 200).z_final
-            t12 = transport_ode(lin, curve, al * z1 + be * z2, 200).z_final
-        except _DIVERGED:
-            continue
-        used += 1
-        worst = max(worst, _rel(_mx(t12 - (al * t1 + be * t2)), _mx(t12)))
-    return _used_draws(worst, used)
+        t1 = transport_ode(lin, curve, z1, 200).z_final
+        t2 = transport_ode(lin, curve, z2, 200).z_final
+        t12 = transport_ode(lin, curve, al * z1 + be * z2, 200).z_final
+        return _rel(_mx(t12 - (al * t1 + be * t2)), _mx(t12))
+
+    return _worst_draw(samples, measure)
 
 
 def _check_transport_reversibility(spec, rng, samples):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
-    used = 0
-    for _ in range(samples):
+
+    def measure():
         curve = _line_curve(spec, rng)
         back = CurveInE(curve.comp_x, curve.comp_y, curve.t1, curve.t0)
         z0 = rng.uniform(-BOX, BOX, sp.k)
-        try:
-            fwd = transport_ode(lin, curve, z0, 1000).z_final
-            rtn = transport_ode(lin, back, fwd, 1000).z_final
-        except _DIVERGED:
-            continue
-        used += 1
-        worst = max(worst, _mx(rtn - z0))
-    return _used_draws(worst, used)
+        fwd = transport_ode(lin, curve, z0, 1000).z_final
+        return _mx(transport_ode(lin, back, fwd, 1000).z_final - z0)
+
+    return _worst_draw(samples, measure)
 
 
 def _check_transport_vertical(spec, rng, samples):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
-    for _ in range(samples):
+
+    def measure():
         curve = _line_curve(spec, rng, vertical=True)
         z0 = rng.uniform(-BOX, BOX, sp.k)
-        out = transport_ode(lin, curve, z0, 64).z_final
-        worst = max(worst, _mx(out - z0))
-    return worst, samples
+        return _mx(transport_ode(lin, curve, z0, 64).z_final - z0)
+
+    return _worst_draw(samples, measure)
 
 
 def _order_measurable(lin, curve, knots: int = 257, amp: float = 8.0,
@@ -882,7 +878,7 @@ def _check_flow_composition(spec, rng, samples):
         half = flow(conn, y, flow(conn, y, p.a, 0.5 * s, 128), 0.5 * s, 128)
         return _mx(whole.x - half.x, whole.y - half.y)
 
-    return _flow_draws(spec, rng, samples, composition_error)
+    return _worst_draw(samples, lambda: _in_domain_flow(spec, rng, composition_error))
 
 
 def _check_variational(spec, rng, samples):
@@ -896,20 +892,7 @@ def _check_variational(spec, rng, samples):
         bump = (up.y - dn.y) / (2 * eps)
         return _rel(_mx(dz - bump), _mx(bump))
 
-    return _flow_draws(spec, rng, samples, bump_error)
-
-
-def _flow_draws(spec, rng, samples, measure):
-    """Worst measure over the samples; a sample that finds no usable draw is skipped."""
-    worst = 0.0
-    used = 0
-    for _ in range(samples):
-        try:
-            worst = max(worst, _in_domain_flow(spec, rng, measure))
-        except _Skip:
-            continue
-        used += 1
-    return _used_draws(worst, used)
+    return _worst_draw(samples, lambda: _in_domain_flow(spec, rng, bump_error))
 
 
 def _check_lambda_transport(spec, rng, samples):
@@ -923,9 +906,8 @@ def _check_lambda_transport(spec, rng, samples):
     n, k = sp.n, sp.k
     width, kn = n + k, n * k
     inside, gamma = sp.compiled_domain, spec.conn.compiled_gamma_gradients
-    worst = 0.0
-    used = 0
-    for _ in range(samples):
+
+    def measure():
         curve = _line_curve(spec, rng)
         lam = float(rng.uniform(-1.5, 1.5))
         fam = LambdaFamilyMember(spec.conn, lam)
@@ -944,15 +926,12 @@ def _check_lambda_transport(spec, rng, samples):
             yd = np.array(values[width + n :], dtype=float)
             return fam.fiber_velocity(J, G, z, xd, yd)
 
-        try:
-            got = transport_ode(fam, curve, z0, 256).z_final
-            for _, z in rk4(rhs, curve.t0, curve.t1, z0, 256):
-                pass
-        except _DIVERGED:
-            continue
-        used += 1
-        worst = max(worst, _rel(_mx(got - z), _mx(z)))
-    return _used_draws(worst, used)
+        got = transport_ode(fam, curve, z0, 256).z_final
+        for _, z in rk4(rhs, curve.t0, curve.t1, z0, 256):
+            pass
+        return _rel(_mx(got - z), _mx(z))
+
+    return _worst_draw(samples, measure)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,9 @@ def test_relative_error_of_two_infinite_sides_fails(monkeypatch, c1):
 
 
 def test_flow_checks_redraw_when_their_own_flows_fail(c2):
-    # this seed's one c2 flow passes the 64-step screen (at y = -1.7e12) and
-    # overflows at 256 steps; the check draws again instead of skipping
+    # this seed's first flow_composition draw on c2 overflows in the check's
+    # own 256-step flow (its 64-step flow ends at y = -1.7e12); the check
+    # draws again instead of skipping
     for name in ("transport.flow_composition", "transport.variational_bump"):
         index, entry = next((i, e) for i, e in enumerate(ck.CHECKS) if e[0] == name)
         rng = np.random.default_rng([132662940, index])
@@ -100,6 +101,14 @@ def test_transport_checks_drop_a_diverged_draw():
     assert ck._check_lambda_transport(spec, np.random.default_rng(1), 4)[1] == 2
     with pytest.raises(ck._Skip):
         ck._check_transport_linearity(spec, np.random.default_rng(1), 4)
+
+
+def test_vertical_transport_drops_a_diverged_draw():
+    # exp(1000*y1) overflows in the first step along one of the four
+    # vertical curves; the row counts the other three instead of ending
+    # the suite
+    spec = loads('[space]\nbase_dim = 1\nfiber_dim = 1\n[connection]\ngamma_1_1 = "exp(1000*y1)"\n')
+    assert ck._check_transport_vertical(spec, np.random.default_rng(0), 4) == (0.0, 3)
 
 
 def test_lambda_horizontality_measures_a_relative_error():
