@@ -182,8 +182,9 @@ def _share_tau(v: SecondTangent, like: SecondTangent) -> SecondTangent:
     )
 
 
-def _well_inside(sp, xy: list, margin: float = 0.3) -> bool:
-    """Point plus a coordinate neighborhood of it satisfy the domain predicate.
+def _well_inside(sp, xy: list) -> bool:
+    """Point plus its bumps by 0.3 along each coordinate satisfy the domain
+    predicate.
 
     xy holds the floats x1..xn, y1..yk.  Keeps sampled curves away from the
     domain boundary, where connection coefficients may stop being smooth and
@@ -198,7 +199,7 @@ def _well_inside(sp, xy: list, margin: float = 0.3) -> bool:
     for j in [*range(sp.n, sp.n + sp.k), *range(sp.n)]:
         for sign in (1.0, -1.0):
             bump = xy.copy()
-            bump[j] += sign * margin
+            bump[j] += sign * 0.3
             if not inside(*bump):
                 return False
     return True
@@ -210,8 +211,8 @@ def _segment(p, q) -> tuple:
     )
 
 
-def _line_curve(spec: SpecFile, rng, knots: int = 65, vertical: bool = False) -> CurveInE:
-    """A straight-line curve staying well inside the domain at its knots.
+def _line_curve(spec: SpecFile, rng, vertical: bool = False) -> CurveInE:
+    """A straight-line curve staying well inside the domain at 65 knots.
 
     A vertical curve keeps the base point of its first endpoint fixed.
     """
@@ -226,20 +227,20 @@ def _line_curve(spec: SpecFile, rng, knots: int = 65, vertical: bool = False) ->
             return curve
         state = curve.compiled_state
         if all(
-            _well_inside(sp, list(state(t)[:width])) for t in np.linspace(0.0, 1.0, knots).tolist()
+            _well_inside(sp, list(state(t)[:width])) for t in np.linspace(0.0, 1.0, 65).tolist()
         ):
             return curve
     raise _Skip
 
 
-def _in_domain_flow(spec, rng, measure, tries: int = 64):
+def _in_domain_flow(spec, rng, measure):
     """measure(y, p, s) for a hor-basic field, pullback start point and time.
 
     A draw whose measurement fails because its own flows leave the domain
-    or overflow is replaced by a new one, ``tries`` draws in all; the last
-    draw's error then propagates, and ``_worst_draw`` drops the sample.
+    or overflow is replaced by a new one, 64 draws in all; the last draw's
+    error then propagates, and ``_worst_draw`` drops the sample.
     """
-    for _ in range(tries):
+    for _ in range(64):
         p = sample_pullback(spec.space, rng)
         y = random_hor_basic(rng, spec.space)
         s = float(rng.uniform(0.2, 0.5))
@@ -820,8 +821,7 @@ def _check_transport_vertical(spec, rng, samples):
     return _worst_draw(samples, measure)
 
 
-def _order_measurable(lin, curve, knots: int = 257, amp: float = 8.0,
-                      wiggle: float = 1e4) -> bool:
+def _order_measurable(lin, curve) -> bool:
     """A-priori screen for the fourth-order convergence measurement.
 
     The observed error ratio approaches 16 only once the coarse step
@@ -831,6 +831,7 @@ def _order_measurable(lin, curve, knots: int = 257, amp: float = 8.0,
     coefficients lose smoothness, e.g. the puncture of a slit domain).
     The screen uses only the right-hand side, never the convergence outcome.
     """
+    knots, amp, wiggle = 257, 8.0, 1e4
     table = transport_coefficients(lin, curve, np.linspace(curve.t0, curve.t1, knots))
     if table.error is not None:
         return False  # the right-hand side fails somewhere on the curve

@@ -19,6 +19,8 @@ from .geom import BundleSpace, FiberPoint, TangentE
 
 PROJECTABLE_SAMPLES = 32
 PROJECTABLE_TOL = 1e-9
+HOLONOMY_STEP = 1e-2  # side h of the largest loop of holonomy_curvature
+HOLONOMY_SUBSTEPS = 32  # RK4 steps per leg of a holonomy loop
 
 
 class NotProjectableError(ValueError):
@@ -159,15 +161,15 @@ class NonlinearConnection:
         comps = bracket_env(self.space, h1, h2, env)
         return connector_env(self, env, comps[: self.space.n], comps[self.space.n :])
 
-    def holonomy_curvature(self, a: FiberPoint, v1, v2, h: float = 1e-2,
-                           substeps: int = 32) -> np.ndarray:
+    def holonomy_curvature(self, a: FiberPoint, v1, v2) -> np.ndarray:
         """Independent curvature estimate from small horizontal loops.
 
         Lifts the base rectangles spanned by s*v1, s*v2 for s = h, -h, h/2,
-        -h/2 horizontally, measures the fiber defect of each closed loop, and
-        removes the odd and next even error terms by symmetrization and
-        Richardson extrapolation.  The four loops run as four lanes of one
-        flat RK4 state, one leg at a time (``substeps`` steps per leg); each
+        -h/2 horizontally (h = ``HOLONOMY_STEP``), measures the fiber defect
+        of each closed loop, and removes the odd and next even error terms
+        by symmetrization and Richardson extrapolation.  The four loops run
+        as four lanes of one flat RK4 state, one leg at a time
+        (``HOLONOMY_SUBSTEPS`` steps per leg); each
         stage calls the compiled domain predicate and gamma once per lane, so
         each lane is bitwise the loop integrated on its own.  A stage point
         outside the domain raises OutOfDomainError naming its t within the
@@ -180,6 +182,7 @@ class NonlinearConnection:
         v2 = np.asarray(v2, dtype=float)
         sp, inside, gamma = self.space, self.space.compiled_domain, self.compiled_gamma
         n, k, width = sp.n, sp.k, sp.n + sp.k
+        h = HOLONOMY_STEP
         steps = (h, -h, h / 2.0, -h / 2.0)
         lanes = len(steps)
 
@@ -200,7 +203,7 @@ class NonlinearConnection:
                 out[:, n:] = (-np.array(G, dtype=float).reshape(lanes, k, n) @ column)[:, :, 0]
                 return out.ravel()
 
-            for _, state in rk4(f, 0.0, 1.0, state, substeps):
+            for _, state in rk4(f, 0.0, 1.0, state, HOLONOMY_SUBSTEPS):
                 pass
             return state
 

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linconn import connection
 from linconn import expr as ex
 from linconn.connection import (
     FieldOnE,
@@ -352,14 +355,23 @@ COMPONENTS = st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3)
 
 
 def _both_estimates(conn, seed, u1, u2, h, substeps):
-    """(lanes, loop by loop): each an estimate or the class it raised."""
+    """(lanes, loop by loop): each an estimate or the class it raised.
+
+    The lanes run at loop side h and substeps steps per leg in place of
+    the module's constants."""
     a = sample_in_domain(conn.space, np.random.default_rng(seed))
     v1, v2 = u1[: conn.space.n], u2[: conn.space.n]
     outcomes = []
-    for estimate in (conn.holonomy_curvature, lambda *args: _holonomy_one_loop_at_a_time(conn, *args)):
+    for estimate in (
+        lambda: conn.holonomy_curvature(a, v1, v2),
+        lambda: _holonomy_one_loop_at_a_time(conn, a, v1, v2, h, substeps),
+    ):
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                outcomes.append(estimate(a, v1, v2, h, substeps))
+            with (
+                mock.patch.multiple(connection, HOLONOMY_STEP=h, HOLONOMY_SUBSTEPS=substeps),
+                np.errstate(over="ignore", invalid="ignore"),
+            ):
+                outcomes.append(estimate())
         except (OutOfDomainError, ex.DomainError, OverflowError) as err:
             outcomes.append(type(err))
     return a, outcomes
