@@ -97,7 +97,10 @@ class LinearizedConnection:
 
     @staticmethod
     def fiber_velocity(J, z, dx) -> np.ndarray:
-        """The formula of ``apply`` on arrays: -J[A, i, B] z^B dx^i."""
+        """The formula of ``apply`` on arrays: -J[A, i, B] z^B dx^i.
+
+        The family's ``fiber_velocity`` and the variational term of
+        ``transport.fiber_derivative_flow`` call it too."""
         return -np.einsum("aib,b,i->a", J, z, dx)
 
     def apply_by_limit(self, p: PullbackPoint, w: TangentE) -> TangentE:

@@ -347,7 +347,7 @@ def fiber_derivative_flow(
         out = gamma(*xy)
         G = np.array(out[:kn], dtype=float).reshape(k, n)
         J = np.array(out[kn:], dtype=float).reshape(k, n, k)
-        dzdot = -np.einsum("aib,b,i->a", J, state[n + k :], dx)
+        dzdot = LinearizedConnection.fiber_velocity(J, state[n + k :], dx)
         return np.concatenate([dx, -G @ dx + np.array(comps[n:], dtype=float), dzdot])
 
     state = np.concatenate([p.x, p.y, p.z])
