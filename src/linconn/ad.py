@@ -164,9 +164,10 @@ class DualBatch:
 
     Lane j follows ``Dual1(re[j], eps[:, j])`` operation for operation, so
     + - * / and integer powers agree with it bitwise, and a guard raises the
-    scalar's exception when any lane offends.  The transport knot table is
-    its one user, with m >= 1 seed directions.  The vectorized forward mode
-    of Revels, Lubin and Papamarkou (arXiv:1607.07892).
+    scalar's exception when any lane offends.  The batched pass of the
+    transport table is its one user, with m >= 1 seed directions, on trees
+    whose exponents are literals (``expr._walk_decides``).  The vectorized
+    forward mode of Revels, Lubin and Papamarkou (arXiv:1607.07892).
     """
 
     __slots__ = ("re", "eps")
@@ -181,10 +182,6 @@ class DualBatch:
 
     def real_part(self):
         return self.re
-
-    def is_constant(self) -> bool:
-        """No derivative and one value in every lane (a constant exponent)."""
-        return not self.eps.any() and bool((self.re == self.re[0]).all())
 
     def __add__(self, other):
         if isinstance(other, DualBatch):

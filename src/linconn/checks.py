@@ -146,6 +146,9 @@ def _rel(err: float, scale: float) -> float:
     return err / (1.0 + scale)
 
 
+ORACLE_TOLERANCE = 1e-5  # curvature against the holonomy oracle
+
+
 def _st(rng, n, k) -> SecondTangent:
     r = rng.uniform
     return SecondTangent(
@@ -948,7 +951,7 @@ CHECKS = (
     ("structure.involution_vs_lifts", _check_involution_vs_lifts, 1e-12, 1),
     ("connection.splitting", _check_splitting, 1e-12, 4),
     ("connection.curvature_algebra", _check_curvature_algebra, 1e-9, 8),
-    ("connection.curvature_oracle", _check_curvature_oracle, 1e-5, 64),
+    ("connection.curvature_oracle", _check_curvature_oracle, ORACLE_TOLERANCE, 64),
     ("linearize.definition_equivalence", _check_definition_equivalence, 1e-9, 2),
     ("linearize.linearity", _check_linearity, 1e-12, 4),
     ("linearize.basis_pfaff", _check_basis_pfaff, 1e-12, 4),

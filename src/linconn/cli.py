@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import expr as ex
-from .checks import Report, run_suite
+from .checks import ORACLE_TOLERANCE, Report, _mx, _rel, run_suite
 from .connection import SectionAlongPi
 from .geom import OutOfDomainError, PullbackPoint, TangentE
 from .linearize import LambdaFamilyMember, LinearizedConnection
@@ -91,7 +91,7 @@ class UsageError(ValueError):
 
 
 def _parse_vector(text: str, length: int, what: str) -> np.ndarray:
-    parts = [p for p in text.split(",") if p.strip() != ""]
+    parts = text.split(",")
     if len(parts) != length:
         raise UsageError(f"{what}: expected {length} components, got {len(parts)}")
     try:
@@ -303,15 +303,15 @@ def cmd_curvature(args) -> int:
     oracle_lines = []
     if args.oracle:
         ref = spec.conn.holonomy_curvature(a, v1, v2)
-        err = float(np.max(np.abs(r - ref), initial=0.0) / (1.0 + np.max(np.abs(ref), initial=0.0)))
+        err = _rel(_mx(r - ref), _mx(ref))
         checks.append(
             {
                 "name": "curvature_vs_holonomy_oracle",
-                "status": "pass" if err <= 1e-5 else "fail",
+                "status": "pass" if err <= ORACLE_TOLERANCE else "fail",
                 "max_error": err,
                 "samples": 1,
                 "seed": args.seed,
-                "tolerance": 1e-5,
+                "tolerance": ORACLE_TOLERANCE,
             }
         )
         oracle_lines = [

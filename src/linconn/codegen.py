@@ -31,7 +31,6 @@ from typing import Callable, Mapping
 
 from .ad import gradient
 from .expr import (
-    FUNCTIONS,
     Bin,
     BoolAnd,
     BoolExpr,
@@ -46,7 +45,9 @@ from .expr import (
     _apply_real,
     _as_const_int,
     _ipow,
+    _literal,
     _pow,
+    _walk_decides,
 )
 
 
@@ -97,19 +98,6 @@ def define(source: Source, result: str) -> Callable:
     text = f"def _compiled({', '.join(source.params)}):\n{body}\n    return {result}\n"
     exec(text, source.namespace)
     return source.namespace["_compiled"]
-
-
-def _literal(e):
-    """The value of a literal or of a negated literal, else None.
-
-    The parser reads ``y1^-2`` as ``y1^(-(2))``; the walk negates the
-    literal exactly, so the negation can be done once when printing.
-    """
-    if e.__class__ is Lit:
-        return e.value
-    if e.__class__ is Neg and e.arg.__class__ is Lit:
-        return -e.arg.value
-    return None
 
 
 def tuple_of(tokens) -> str:
@@ -355,7 +343,7 @@ class _Forward(Emitter):
         return self.div(self.literal(1.0), power)
 
     def pow(self, a, b):
-        # reached with a literal exponent only (see _needs_objects)
+        # reached with a literal exponent only (see expr._walk_decides)
         re, eps = a
         if eps is None:
             return self.plain.pow(re, b[0]), None
@@ -406,30 +394,6 @@ class _Forward(Emitter):
         return f"{r}[0]", tuple(f"{r}[1][{j}]" for j in range(self.m))
 
 
-def _needs_objects(e) -> bool:
-    """An exponent that is not a (negated) literal, or an unknown function:
-    the walk decides.
-
-    Whether ``x^p`` takes the integer-power rule depends on the value of p,
-    and an unknown function raises what its Dual1 method lookup raises.
-    """
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        cls = node.__class__
-        if cls is Bin:
-            if node.op not in ("+", "-", "*", "/") and _literal(node.right) is None:
-                return True
-            stack += (node.left, node.right)
-        elif cls is Fun:
-            if node.name not in FUNCTIONS:
-                return True
-            stack.append(node.arg)
-        elif cls is Neg:
-            stack.append(node.arg)
-    return False
-
-
 def compile_gradients(exprs, names, seeded) -> Callable:
     """``ad.gradients`` as one straight-line function of the values of names.
 
@@ -437,14 +401,15 @@ def compile_gradients(exprs, names, seeded) -> Callable:
     partials with respect to the m names in seeded, tree by tree: the
     numbers ``ad.gradients(exprs, dict(zip(names, values)), seeded)`` gives,
     bitwise (signed zeros included, NaN where it gives NaN), for float
-    values.  It raises what that call raises.  A tree that ``_needs_objects``
-    flags is handed to ``ad.gradient`` at run time instead of being printed.
+    values.  It raises what that call raises.  A tree that
+    ``expr._walk_decides`` flags is handed to ``ad.gradient`` at run time
+    instead of being printed.
     """
     src = Source(names, {**HELPERS, "_math": math, "_gradient": gradient})
     forward = _Forward(src, tuple(seeded))
     values, partials = [], []
     for e in exprs:
-        re, eps = forward.walked(e) if _needs_objects(e) else forward.emit(e)
+        re, eps = forward.walked(e) if _walk_decides(e) else forward.emit(e)
         if eps is None:
             re, eps = f"float({re})", ("0.0",) * forward.m
         values.append(re)

@@ -291,8 +291,6 @@ def _as_const_int(v):
         f = float(v)
     elif getattr(v, "is_constant", lambda: False)():
         f = v.real_part()
-        if not isinstance(f, float):
-            f = float(f[0])  # a constant batch holds one value in every lane
     else:
         return None
     if math.isfinite(f) and f == int(f) and abs(f) <= 2**31:
@@ -330,6 +328,42 @@ def _pow(b, p):
     if _any(_real(b) <= 0.0):
         raise DomainError("power with non-integer exponent needs a positive base")
     return _exp(p * _log(b))
+
+
+def _literal(e):
+    """The value of a literal or of a negated literal, else None.
+
+    The parser reads ``y1^-2`` as ``y1^(-(2))``; the walk negates the
+    literal exactly, so compiled code can print the negation as a literal.
+    """
+    if e.__class__ is Lit:
+        return e.value
+    if e.__class__ is Neg and e.arg.__class__ is Lit:
+        return -e.arg.value
+    return None
+
+
+def _walk_decides(e) -> bool:
+    """An exponent that is not a (negated) literal, or an unknown function:
+    whether ``x^p`` is an integer power depends on p's value, and an unknown
+    function raises what the scalar's method lookup raises, so only the walk
+    at a point decides (compiled code and the transport table defer to it).
+    """
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls is Bin:
+            if node.op not in ("+", "-", "*", "/") and _literal(node.right) is None:
+                return True
+            stack += (node.left, node.right)
+        elif cls is Fun:
+            if node.name not in FUNCTIONS:
+                return True
+            stack.append(node.arg)
+        elif cls is Neg:
+            stack.append(node.arg)
+    return False
 
 
 def _apply_real(name: str, x: float) -> float:

@@ -258,7 +258,7 @@ def load_spec(path) -> SpecFile:
 
 
 def builtin_spec_path(name: str) -> str:
-    """Filesystem path of one of the shipped example descriptions (c0..c4)."""
+    """Filesystem path of one of the shipped example descriptions (c0..c5)."""
     from importlib.resources import files
 
     path = files("linconn").joinpath(f"specs/{name}.ini")

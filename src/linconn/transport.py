@@ -19,7 +19,7 @@ import numpy as np
 from . import ad
 from . import expr as ex
 from .connection import HorBasicField, NonlinearConnection
-from .geom import FiberPoint, PullbackPoint
+from .geom import FiberPoint, OutOfDomainError, PullbackPoint
 from .linearize import LambdaFamilyMember, LinearizedConnection
 
 
@@ -57,7 +57,8 @@ class CurveInE:
 
         ``compiled_state(t)`` is the tuple x, y, xdot, ydot of ``state(t)``
         as n + k + n + k floats, bitwise, and raises what ``state`` raises.
-        The transport checks' curve screen and reference loop call it.
+        The knot scan of ``transport_coefficients`` and the transport
+        checks' curve screen and reference loop call it.
         """
         from .codegen import compile_gradients
 
@@ -132,9 +133,9 @@ class KnotTable:
 
     ``x`` (n, N) and ``y`` (k, N) hold the curve points, lanes last; ``M``
     (N, k, k) and ``c`` (N, k) the coefficients of zdot = M z + c.  A knot
-    that fails ends the table: ``error`` is what the knot-by-knot
-    computation raises there, and ``point`` and the transport right-hand
-    side raise it for that knot on, as that computation would.
+    that fails ends the table: ``error`` is what the scan of the knots
+    raises there, and ``point`` and the transport right-hand side raise it
+    for that knot on, as a point-by-point evaluation would.
     """
 
     __slots__ = ("x", "y", "M", "c", "error")
@@ -148,87 +149,82 @@ class KnotTable:
         raise self.error
 
 
-def _curve_points(curve: CurveInE, ts):
-    """x, y, xdot, ydot at the times ts (lanes last), t seeded in one pass."""
+def _batched_knots(lin, curve: CurveInE, ts):
+    """x, y, xdot, ydot, gamma and d_gamma at the times ts over ``DualBatch``
+    lanes: the curve with t seeded, then gamma with y seeded.  A failing
+    knot raises, unnamed."""
+    sp = lin.space
     t = ad.DualBatch(ts, np.ones((1, len(ts))))
     env = {"t": t}
-    xs = [ad.lanes(ex.evaluate(e, env), t) for e in curve.comp_x]
-    ys = [ad.lanes(ex.evaluate(e, env), t) for e in curve.comp_y]
-    return (
-        np.array([v.re for v in xs]),
-        np.array([v.re for v in ys]),
-        np.array([v.eps[0] for v in xs]),
-        np.array([v.eps[0] for v in ys]),
-    )
-
-
-def _coefficients(lin, lam, ts, x, y, xd, yd):
-    """M and c at the points (x, y) with velocities (xd, yd), y seeded in one pass.
-
-    The same sums as at a single point: -d_gamma xdot by einsum, gamma xdot
-    by a stacked matmul, so each lane is bitwise the per-point value.
-    """
-    sp = lin.space
+    xy = [ad.lanes(ex.evaluate(e, env), t) for e in curve.comp_x + curve.comp_y]
+    x, y = np.array([v.re for v in xy[: sp.n]]), np.array([v.re for v in xy[sp.n :]])
     inside = sp.compiled_domain
     if inside is not None and not all(map(inside, *x.tolist(), *y.tolist())):
-        # names the first knot: a failed batch is redone knot by knot
-        raise sp.left_domain("curve", float(ts[0]), [*x[:, 0].tolist(), *y[:, 0].tolist()])
+        raise OutOfDomainError("a knot left the domain")
     count = len(ts)
     env = {name: ad.DualBatch(row, np.zeros((sp.k, count))) for name, row in zip(sp.x_names, x)}
     seeds = np.repeat(np.eye(sp.k)[:, :, None], count, axis=2)
     env.update({name: ad.DualBatch(row, seeds[A]) for A, (name, row) in enumerate(zip(sp.y_names, y))})
-    gamma = [[ad.lanes(ex.evaluate(g, env), env[sp.y_names[0]]) for g in row] for row in lin.conn.gamma]
-    J = np.array([[g.eps for g in row] for row in gamma]).transpose(3, 0, 1, 2)
-    xd_lanes = np.ascontiguousarray(xd.T)
-    M = -np.einsum("naib,ni->nab", np.ascontiguousarray(J), xd_lanes)
-    c = np.zeros((count, sp.k))
-    if lam != 0.0:
-        G = np.array([[g.re for g in row] for row in gamma]).transpose(2, 0, 1)
-        c = lam * (yd.T + (np.ascontiguousarray(G) @ xd_lanes[:, :, None])[:, :, 0])
-    return M, c
+    gamma = [ad.lanes(ex.evaluate(g, env), env[sp.y_names[0]]) for row in lin.conn.gamma for g in row]
+    G = np.array([g.re for g in gamma]).reshape(sp.k, sp.n, count).transpose(2, 0, 1)
+    J = np.array([g.eps for g in gamma]).reshape(sp.k, sp.n, sp.k, count).transpose(3, 0, 1, 2)
+    d = np.array([v.eps[0] for v in xy])
+    return x, y, d[: sp.n], d[sp.n :], G, J
+
+
+def _scanned_knots(lin, curve: CurveInE, ts):
+    """The arrays of ``_batched_knots`` knot by knot, from the compiled curve,
+    domain predicate and gamma gradients, up to the first failing knot, and
+    that knot's error or None.  It keeps its curve point when it has one."""
+    sp = lin.space
+    n, k = sp.n, sp.k
+    state, inside, gamma = curve.compiled_state, sp.compiled_domain, lin.conn.compiled_gamma_gradients
+    points, rows, error = [], [], None
+    try:
+        for t in ts.tolist():
+            points.append(state(t))
+            xy = points[-1][: n + k]
+            if inside is not None and not inside(*xy):
+                raise sp.left_domain("curve", t, list(xy))
+            rows.append(gamma(*xy))
+    except (ArithmeticError, ValueError) as err:  # domain, overflow and math errors
+        error = err
+    P = np.array(points, dtype=float).reshape(len(points), 2 * (n + k)).T
+    R = np.array(rows, dtype=float).reshape(len(rows), k * n * (1 + k))
+    used = len(rows)
+    G, J = R[:, : k * n].reshape(used, k, n), R[:, k * n :].reshape(used, k, n, k)
+    return (P[:n], P[n : n + k], P[n + k : 2 * n + k, :used], P[2 * n + k :, :used], G, J), error
 
 
 def transport_coefficients(lin_or_fam, curve: CurveInE, ts) -> KnotTable:
-    """Curve points and transport coefficients at the times ts, in one batched pass.
+    """Curve points and transport coefficients at the times ts.
 
-    The curve is evaluated with t seeded, then gamma with y seeded, so the
-    values give gamma for the lambda term and the derivatives d_gamma.
-    Overflow to inf is as silent as it is for floats; the guards raise what
-    the scalar evaluation raises.
+    One batched pass fills the table.  When it fails, or when a tree has an
+    exponent whose rule depends on its value (``expr._walk_decides``), the
+    knots are scanned one by one instead.  One formula turns the arrays of
+    either into M and c: -d_gamma xdot by einsum, gamma xdot by a stacked
+    matmul, so each lane is bitwise the per-point value.  Overflow to inf is
+    as silent as it is for floats.
     """
     lin, lam = _as_linearization(lin_or_fam)
     ts = np.asarray(ts, dtype=float)
+    trees = [*curve.comp_x, *curve.comp_y, *(g for row in lin.conn.gamma for g in row)]
     with np.errstate(all="ignore"):
-        try:
-            x, y, xd, yd = _curve_points(curve, ts)
-            return KnotTable(x, y, *_coefficients(lin, lam, ts, x, y, xd, yd))
-        except (ArithmeticError, ValueError):  # domain, overflow and math errors
-            pass
-        # some knot fails: redo knot by knot up to the first failure, which
-        # then carries that knot's own error
-        sp = lin.space
-        error = None
-        xs, ys = [np.zeros((sp.n, 0))], [np.zeros((sp.k, 0))]
-        Ms, cs = [np.zeros((0, sp.k, sp.k))], [np.zeros((0, sp.k))]
-        for j in range(len(ts)):
-            one = ts[j : j + 1]
+        knots, error = None, None
+        if not any(map(ex._walk_decides, trees)):
             try:
-                x, y, xd, yd = _curve_points(curve, one)
-                xs.append(x)
-                ys.append(y)
-                M, c = _coefficients(lin, lam, one, x, y, xd, yd)
-            except (ArithmeticError, ValueError) as err:
-                error = err
-                break
-            Ms.append(M)
-            cs.append(c)
-        return KnotTable(
-            np.concatenate(xs, axis=1),
-            np.concatenate(ys, axis=1),
-            np.concatenate(Ms),
-            np.concatenate(cs),
-            error,
-        )
+                knots = _batched_knots(lin, curve, ts)
+            except (ArithmeticError, ValueError):  # some knot fails: the scan names it
+                pass
+        if knots is None:
+            knots, error = _scanned_knots(lin, curve, ts)
+        x, y, xd, yd, G, J = knots
+        xd_lanes = np.ascontiguousarray(xd.T)
+        M = -np.einsum("naib,ni->nab", np.ascontiguousarray(J), xd_lanes)
+        c = np.zeros((len(M), lin.space.k))
+        if lam != 0.0:
+            c = lam * (yd.T + (np.ascontiguousarray(G) @ xd_lanes[:, :, None])[:, :, 0])
+    return KnotTable(x, y, M, c, error)
 
 
 def transport_ode(
@@ -246,8 +242,8 @@ def transport_ode(
     which is exactly the condition that the curve t -> (x, y, z) be
     horizontal for the family member (the lam term vanishes for the plain
     linearization).  The coefficients depend on t only through the curve, so
-    they are tabulated at the RK4 knots, BLOCK_STEPS steps per batched pass,
-    and each stage is a k x k matvec.  ``record`` > 0 samples about that
+    they are tabulated at the RK4 knots, BLOCK_STEPS steps per table, and
+    each stage is a k x k matvec.  ``record`` > 0 samples about that
     many trajectory knots.
     """
     if steps < 1:

@@ -122,13 +122,6 @@ def test_offending_lane_raises_the_scalar_error():
         ex.evaluate(ex.parse("exp(x1 + 800)"), {"x1": x})
 
 
-def test_constant_batch_exponent_is_an_integer_power():
-    base = DualBatch(np.array([-2.0, 3.0]), np.ones((1, 2)))
-    two = DualBatch(np.array([2.0, 2.0]), np.zeros((1, 2)))
-    r = ex.evaluate(ex.parse("x1^x2"), {"x1": base, "x2": two})
-    assert r.re.tolist() == [4.0, 9.0] and r.eps.tolist() == [[-4.0, 6.0]]
-
-
 @pytest.mark.filterwarnings("error")
 def test_integer_power_squares_only_as_far_as_it_needs():
     # y^2 at 1e100 is 1e200; a further, unused squaring would overflow and warn

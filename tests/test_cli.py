@@ -233,6 +233,14 @@ def test_flow_transport_command(capsys):
     assert abs(doc["outputs"]["end_y"][0] - 0.5) <= 1e-6
 
 
+@pytest.mark.parametrize("spec_name, curve, z0", [
+    ("c0", "diagonal", "1,,2"), ("c0", "diagonal", "1,2,"), ("c1", "line", "1,"),
+])
+def test_an_empty_vector_component_is_a_usage_error(capsys, spec_name, curve, z0):
+    assert main(["transport", builtin_spec_path(spec_name), "--curve", curve, "--z0", z0]) == 2
+    assert "--z0" in capsys.readouterr().err
+
+
 def test_exit_codes(capsys, tmp_path):
     # usage error
     assert main(["transport", builtin_spec_path("c1"), "--z0", "1"]) == 2

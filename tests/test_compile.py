@@ -9,8 +9,12 @@ and single-point queries compile nothing.
 """
 
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -271,6 +275,23 @@ def test_single_point_queries_compile_nothing(compiles):
     lin.curvature(y1, y2, random_section(rng, sp), a)
     lin.flatness_report(samples=4, seed=1)
     assert compiles == []
+
+
+def test_loading_specs_and_a_transport_import_no_codegen():
+    # a fresh interpreter: this session has imported linconn.codegen already
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    script = (
+        "import sys\n"
+        "from linconn.linearize import LinearizedConnection\n"
+        "from linconn.specfile import load_builtin\n"
+        "from linconn.transport import transport_ode\n"
+        "c1 = [load_builtin(f'c{j}') for j in range(6)][1]\n"
+        "transport_ode(LinearizedConnection(c1.conn), c1.curves['line'], [1.0], 1000)\n"
+        "print('linconn.codegen' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_gamma_at_compiles_once_per_connection(compiles):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from linconn import expr as ex
+from linconn import transport
 from linconn.connection import HorBasicField
 from linconn.geom import FiberPoint, OutOfDomainError, PullbackPoint
 from linconn.linearize import LambdaFamilyMember, LinearizedConnection
@@ -310,6 +311,62 @@ def test_knot_table_ends_at_the_first_failing_knot(c4):
     assert str(table.error) == "curve left the domain at t = 0.5, at ([0.5], [0.0, 0.0])"
     assert len(table.M) == 5 and table.x.shape == (1, 6)
     assert table.point(5)[1].tolist() == [0.0, 0.0]
+
+
+def _per_point_M(lin, curve, t):
+    x, y, xd, _ = curve.state(t)
+    return -np.einsum("aib,i->ab", np.array(lin.fiber_jacobian_env(lin.space.point_env(x, y))), xd)
+
+
+def test_a_knot_is_its_own_value():
+    # y1^x1 is an integer power where x1 is an integer; a batch of lanes
+    # could not take that rule lane by lane
+    lin = LinearizedConnection(_line_bundle("y1^x1").conn)
+    curve = _curve("t", "3", t1=2.0)
+    ts = np.linspace(0.0, 2.0, 9)
+    table = transport_coefficients(lin, curve, ts)
+    assert table.error is None and table.M[-1].tolist() == [[-6.0]]
+    for t, M in zip(ts.tolist(), table.M):
+        assert M.tobytes() == _per_point_M(lin, curve, t).tobytes()
+
+
+@pytest.mark.parametrize("spec_name", ["c0", "c1", "c2", "c3", "c4", "c5"])
+def test_the_knot_scan_gives_the_batched_arrays(all_specs, spec_name):
+    # bitwise where numpy's sin, cos, exp and log on the lanes agree with
+    # the math module's, as on c0..c4; c5's gamma has exp(0.5*y1) and sin(y2)
+    spec = all_specs[spec_name]
+    lin = LinearizedConnection(spec.conn)
+    for curve in spec.curves.values():
+        ts = np.linspace(curve.t0, curve.t1, 33)
+        scanned, error = transport._scanned_knots(lin, curve, ts)
+        assert error is None
+        for got, want in zip(scanned, transport._batched_knots(lin, curve, ts)):
+            assert got.shape == want.shape
+            if spec_name == "c5":
+                np.testing.assert_array_max_ulp(got, want, maxulp=4)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
+def test_a_failing_table_keeps_the_batched_values_before_its_failing_knot(c4):
+    # the scan's M and c come from the batched pass's formula
+    fam = LambdaFamilyMember(c4.conn, 0.5)
+    curve = _curve("t", "1 - 2*t", "0")
+    ts = np.linspace(0.0, 1.0, 11)
+    table, inside = transport_coefficients(fam, curve, ts), transport_coefficients(fam, curve, ts[:5])
+    assert table.error is not None and inside.error is None
+    assert table.M.tobytes() == inside.M.tobytes() and table.c.tobytes() == inside.c.tobytes()
+    assert table.x[:, :5].tobytes() == inside.x.tobytes()
+
+
+def test_a_late_domain_exit_tabulates_each_block_once(c4, monkeypatch):
+    calls = []
+    batched = transport._batched_knots
+    monkeypatch.setattr(transport, "_batched_knots", lambda *args: calls.append(args) or batched(*args))
+    where = r"^curve left the domain at t = 0\.99, at \(\[0\.99\], \[0\.0, 0\.0\]\)$"
+    with pytest.raises(OutOfDomainError, match=where):
+        transport_ode(LinearizedConnection(c4.conn), _curve("t", "0.99 - t", "0"), [1.0, 0.0], 1000)
+    assert len(calls) == -(-1000 // BLOCK_STEPS)  # one pass per block, the failing one included
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
