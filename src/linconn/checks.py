@@ -217,7 +217,10 @@ def _segment(p, q) -> tuple:
 def _line_curve(spec: SpecFile, rng, vertical: bool = False) -> CurveInE:
     """A straight-line curve staying well inside the domain at 65 knots.
 
-    A vertical curve keeps the base point of its first endpoint fixed.
+    A vertical curve keeps the base point of its first endpoint fixed.  The
+    knots come from one call of the curve's compiled lanes, which its
+    transports reuse; segments use + and * only, so each knot is bitwise
+    the curve's state there.
     """
     sp = spec.space
     width = sp.n + sp.k
@@ -228,10 +231,8 @@ def _line_curve(spec: SpecFile, rng, vertical: bool = False) -> CurveInE:
         curve = CurveInE(xs, _segment(a.y, b.y), 0.0, 1.0)
         if sp.domain is None:
             return curve
-        state = curve.compiled_state
-        if all(
-            _well_inside(sp, list(state(t)[:width])) for t in np.linspace(0.0, 1.0, 65).tolist()
-        ):
+        knots = curve.compiled_lanes(np.linspace(0.0, 1.0, 65))[:width]
+        if all(_well_inside(sp, xy) for xy in knots.T.tolist()):
             return curve
     raise _Skip
 

@@ -20,9 +20,9 @@ import sys
 import numpy as np
 
 from . import expr as ex
-from .checks import ORACLE_TOLERANCE, Report, _mx, _rel, run_suite
-from .connection import SectionAlongPi
-from .geom import OutOfDomainError, PullbackPoint, TangentE
+from .checks import ORACLE_TOLERANCE, CheckResult, _mx, _rel, run_suite
+from .connection import HorBasicField, SectionAlongPi
+from .geom import FiberPoint, OutOfDomainError, PullbackPoint, TangentE
 from .linearize import LambdaFamilyMember, LinearizedConnection
 from .specfile import SpecError, SpecFile, load_spec
 from .transport import CurveInE, fiber_derivative_flow, transport_ode
@@ -172,7 +172,7 @@ def _spec_info(spec: SpecFile) -> dict:
     }
 
 
-def _check_dicts(report: Report):
+def _check_dicts(checks):
     return [
         {
             "name": c.name,
@@ -182,7 +182,7 @@ def _check_dicts(report: Report):
             "seed": c.seed,
             "tolerance": c.tolerance,
         }
-        for c in report.checks
+        for c in checks
     ]
 
 
@@ -218,7 +218,7 @@ def cmd_check(args) -> int:
         "spec": _spec_info(spec),
         "inputs": {"samples": args.samples, "seed": args.seed, "tol": args.tol},
         "outputs": {"passed": report.passed},
-        "checks": _check_dicts(report),
+        "checks": _check_dicts(report.checks),
     }
     lines = []
     for c in report.checks:
@@ -279,13 +279,11 @@ def cmd_curvature(args) -> int:
     v1 = _parse_vector(args.v1, sp.n, "--v1")
     v2 = _parse_vector(args.v2, sp.n, "--v2")
     sigma = _sigma_for(spec, args)
-    a = PullbackPoint(x, y, y).a
+    a = FiberPoint(x, y)
     lin = LinearizedConnection(spec.conn)
     r = spec.conn.curvature(a, v1, v2)
     rie = lin.riemann(v1, v2, sigma, a)
     eta = tuple(ex.lit(1.0) for _ in range(sp.k))
-    from .connection import HorBasicField
-
     y_h = HorBasicField(
         tuple(ex.lit(c) for c in v1), tuple(ex.lit(0.0) for _ in range(sp.k))
     )
@@ -304,15 +302,9 @@ def cmd_curvature(args) -> int:
     if args.oracle:
         ref = spec.conn.holonomy_curvature(a, v1, v2)
         err = _rel(_mx(r - ref), _mx(ref))
+        status = "pass" if err <= ORACLE_TOLERANCE else "fail"
         checks.append(
-            {
-                "name": "curvature_vs_holonomy_oracle",
-                "status": "pass" if err <= ORACLE_TOLERANCE else "fail",
-                "max_error": err,
-                "samples": 1,
-                "seed": args.seed,
-                "tolerance": ORACLE_TOLERANCE,
-            }
+            CheckResult("curvature_vs_holonomy_oracle", status, err, 1, args.seed, ORACLE_TOLERANCE)
         )
         oracle_lines = [
             f"holonomy oracle R(v1,v2) = {ref.tolist()} (|diff| rel = {err:.3e})"
@@ -332,7 +324,7 @@ def cmd_curvature(args) -> int:
             "basic_verdict": flat.basic_verdict,
             "max_curvature_sampled": flat.max_curvature,
         },
-        "checks": checks,
+        "checks": _check_dicts(checks),
     }
     lines = [
         f"R(v1,v2) at a = {r.tolist()}",
@@ -345,9 +337,7 @@ def cmd_curvature(args) -> int:
         f"{flat.max_mixed_component:.3e}, threshold {flat.threshold:.1e})",
     ]
     _emit(args, document, lines)
-    if any(c["status"] == "fail" for c in checks):
-        return 1
-    return 0
+    return 1 if any(c.status == "fail" for c in checks) else 0
 
 
 def cmd_transport(args) -> int:
@@ -422,6 +412,28 @@ def cmd_flow_transport(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _sample_count(text: str) -> int:
+    """--samples: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """--tol: a finite real above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite real > 0, got {text!r}")
+    return value
+
+
 def _add_common(parser, suppress: bool):
     default = (lambda v: argparse.SUPPRESS) if suppress else (lambda v: v)
     parser.add_argument(
@@ -432,10 +444,10 @@ def _add_common(parser, suppress: bool):
         "--seed", type=int, default=default(0), help="seed for sampled checks"
     )
     parser.add_argument(
-        "--samples", type=int, default=default(256), help="sample budget"
+        "--samples", type=_sample_count, default=default(256), help="sample budget"
     )
     parser.add_argument(
-        "--tol", type=float, default=default(1e-7), help="cross-check tolerance"
+        "--tol", type=_tolerance, default=default(1e-7), help="cross-check tolerance"
     )
 
 

@@ -14,9 +14,13 @@ same numbers bitwise and raises the same errors:
   slot by slot in float locals and returns what ``ad.gradients`` returns.
   A tree whose derivative the printed code cannot decide (an exponent that
   is not a literal or a negated literal, an unknown function) is walked by
-  ``ad.gradient`` at run time.
+  ``ad.gradient`` at run time;
+* ``compile_lanes`` prints the same forward-mode code over numpy arrays of
+  lane values, so one call serves N points (the transport table's knots),
+  the vectorized forward mode of Revels, Lubin and Papamarkou
+  (arXiv:1607.07892).  Its guards raise when any lane offends.
 
-Dual and batched values take the walk, ``evaluate``; ``in_domain`` walks
+Dual values take the walk, ``evaluate``; ``in_domain`` walks
 ``evaluate_bool`` at one point.
 
 Owners import this module on first use: a process that only loads a spec
@@ -28,6 +32,8 @@ from __future__ import annotations
 
 import math
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .ad import gradient
 from .expr import (
@@ -254,8 +260,11 @@ class _Forward(Emitter):
     guards included, so the numbers are bitwise those of ``ad.gradients``.
     Floats (trees without variables) print as ``Emitter`` prints them;
     ``emit`` and the squarings of ``ipow`` are inherited.  ``walked`` hands
-    a whole tree to ``ad.gradient`` instead.
+    a whole tree to ``ad.gradient`` instead.  ``lib`` names the module
+    whose functions the printed code calls on a Dual1's value.
     """
+
+    lib = "_math"
 
     def __init__(self, source, seeded):
         super().__init__(source)
@@ -267,9 +276,9 @@ class _Forward(Emitter):
             for name in source.tokens
         }
 
-    def _raise_if(self, test: str, message: str):
+    def _raise_if(self, test: str, message: str, error: str = "_DomainError"):
         self.src.line(f"if {test}:")
-        self.src.line(f"    raise _DomainError({message!r})")
+        self.src.line(f"    raise {error}({message!r})")
 
     def _scaled(self, f1, eps):
         return tuple(self.src.assign(f"{f1} * {x}") for x in eps)
@@ -347,34 +356,30 @@ class _Forward(Emitter):
         re, eps = a
         if eps is None:
             return self.plain.pow(re, b[0]), None
-        put = self.src.assign
         self._raise_if(f"{re} <= 0.0", "power with non-integer exponent needs a positive base")
-        log = put(f"_math.log({re})"), self._scaled(put(f"1.0 / {re}"), eps)
-        arg = self.arith("*", log, b)
-        v = put(f"_math.exp({arg[0]})")
-        return v, self._scaled(v, arg[1])
+        return self.fun("exp", self.arith("*", self.fun("log", a), b))
 
     def fun(self, name, a):
         re, eps = a
         if eps is None:
             return self.plain.fun(name, re), None
-        put = self.src.assign
+        put, lib = self.src.assign, self.lib
         if name == "sin":
-            s = put(f"_math.sin({re})")
-            return s, self._scaled(put(f"_math.cos({re})"), eps)
+            s = put(f"{lib}.sin({re})")
+            return s, self._scaled(put(f"{lib}.cos({re})"), eps)
         if name == "cos":
-            c = put(f"_math.cos({re})")
-            return c, self._scaled(put(f"-_math.sin({re})"), eps)
+            c = put(f"{lib}.cos({re})")
+            return c, self._scaled(put(f"-{lib}.sin({re})"), eps)
         if name == "exp":
-            v = put(f"_math.exp({re})")
+            v = put(f"{lib}.exp({re})")
             return v, self._scaled(v, eps)
         if name == "log":
             self._raise_if(f"{re} <= 0.0", "log of non-positive value")
-            v = put(f"_math.log({re})")
+            v = put(f"{lib}.log({re})")
             return v, self._scaled(put(f"1.0 / {re}"), eps)
         if name == "sqrt":
             self._raise_if(f"{re} <= 0.0", "sqrt needs a positive value when differentiating")
-            v = put(f"_math.sqrt({re})")
+            v = put(f"{lib}.sqrt({re})")
             return v, self._scaled(put(f"0.5 / {v}"), eps)
         # abs
         self._raise_if(f"{re} == 0.0", "abs is not differentiable at zero")
@@ -394,6 +399,19 @@ class _Forward(Emitter):
         return f"{r}[0]", tuple(f"{r}[1][{j}]" for j in range(self.m))
 
 
+def _forward_outputs(forward: _Forward, exprs) -> list:
+    """Tokens of the T values of exprs, then of their T*m partials, tree by
+    tree; a float's partials are zeros."""
+    values, partials = [], []
+    for e in exprs:
+        re, eps = forward.walked(e) if _walk_decides(e) else forward.emit(e)
+        if eps is None:
+            re, eps = f"float({re})", ("0.0",) * forward.m
+        values.append(re)
+        partials += eps
+    return values + partials
+
+
 def compile_gradients(exprs, names, seeded) -> Callable:
     """``ad.gradients`` as one straight-line function of the values of names.
 
@@ -406,12 +424,57 @@ def compile_gradients(exprs, names, seeded) -> Callable:
     instead of being printed.
     """
     src = Source(names, {**HELPERS, "_math": math, "_gradient": gradient})
-    forward = _Forward(src, tuple(seeded))
-    values, partials = [], []
-    for e in exprs:
-        re, eps = forward.walked(e) if _walk_decides(e) else forward.emit(e)
-        if eps is None:
-            re, eps = f"float({re})", ("0.0",) * forward.m
-        values.append(re)
-        partials += eps
-    return define(src, tuple_of(values + partials))
+    return define(src, tuple_of(_forward_outputs(_Forward(src, tuple(seeded)), exprs)))
+
+
+_EXP_MAX = 709.782712893384  # largest x whose math.exp(x) is finite
+
+
+class _Lanes(_Forward):
+    """Prints ``_Forward``'s code over numpy arrays, one element per lane.
+
+    Every Dual1 value is an array, and numpy's + - * / apply the scalar
+    operation lane by lane, so lane j gets the Dual1 numbers at lane j.
+    A guard raises the scalar's exception when any lane offends, including
+    the two that ``math`` raises and numpy does not: sin or cos of an
+    infinity, and exp of a finite value too large for a float.  numpy's
+    sin, cos, exp and log may differ from ``math``'s in the last bit.
+    """
+
+    lib = "_np"
+
+    def _raise_if(self, test, message, error="_DomainError"):
+        super()._raise_if(f"({test}).any()", message, error)
+
+    def fun(self, name, a):
+        re, eps = a
+        if eps is not None:
+            if name in ("sin", "cos"):
+                self._raise_if(f"_np.isinf({re})", "math domain error", "ValueError")
+            elif name == "exp":
+                self._raise_if(f"({re} > {_EXP_MAX!r}) & _np.isfinite({re})", "math range error", "OverflowError")
+            elif name == "abs":
+                self._raise_if(f"{re} == 0.0", "abs is not differentiable at zero")
+                up = self.src.assign(f"{re} > 0.0")
+                re, *eps = [self.src.assign(f"_np.where({up}, {x}, -{x})") for x in (re, *eps)]
+                return re, tuple(eps)
+        return super().fun(name, a)
+
+
+def compile_lanes(exprs, names, seeded) -> Callable:
+    """``compile_gradients`` over lanes: ``f(*arrays)`` takes one array of N
+    lane values per name and returns a (T*(1 + m), N) array whose column j
+    holds what ``compile_gradients(exprs, names, seeded)`` returns at the
+    values of lane j, bitwise for + - * /, integer powers, sqrt and abs
+    (numpy's transcendental functions may differ in the last bit).  It
+    raises when any lane raises.  Trees that ``expr._walk_decides`` flags
+    have no lane code: the caller takes a per-point path for them.
+    """
+    if any(map(_walk_decides, exprs)):
+        raise ValueError("a tree whose exponent or function only the walk decides has no lane code")
+    src = Source(names, {**HELPERS, "_math": math, "_np": np})
+    tokens = _forward_outputs(_Lanes(src, tuple(seeded)), exprs)
+    src.line(f"_out = _np.empty(({len(tokens)}, len({src.params[0]})))")
+    for row, token in enumerate(tokens):  # a float fills its row
+        src.line(f"_out[{row}] = {token}")
+    return define(src, "_out")

@@ -280,11 +280,6 @@ def _real(v):
     return v.real_part()
 
 
-# A guard's test is a bool for scalars and a lane array for a batch.
-def _any(flags) -> bool:
-    return flags if flags.__class__ is bool else bool(flags.any())
-
-
 def _as_const_int(v):
     """Return the exponent as an int when it is an exact constant integer."""
     if isinstance(v, (int, float)):
@@ -303,7 +298,7 @@ def _ipow(base, n: int):
     if n == 0:
         return 1.0
     if n < 0:
-        if _any(_real(base) == 0.0):
+        if _real(base) == 0.0:
             raise DomainError("zero base with negative integer exponent")
         power = _ipow(base, -n)
         # a float power can underflow to 0; dual powers guard the division
@@ -325,7 +320,7 @@ def _pow(b, p):
     n = _as_const_int(p)
     if n is not None:
         return _ipow(b, n)
-    if _any(_real(b) <= 0.0):
+    if _real(b) <= 0.0:
         raise DomainError("power with non-integer exponent needs a positive base")
     return _exp(p * _log(b))
 
@@ -415,7 +410,7 @@ def evaluate(e: Expr, env: Env):
         if op == "*":
             return left * right
         if op == "/":
-            # dual divisors guard themselves, lane-wise for a batch
+            # dual divisors guard themselves
             if isinstance(right, (int, float)) and right == 0.0:
                 raise DomainError("division by zero")
             return left / right

@@ -203,8 +203,14 @@ def loads(text: str, path: str = "<string>") -> SpecFile:
             raise SpecError(f"missing {prefix}_{missing[0]}", lineno)
         return tuple(got[i] for i in range(1, count + 1))
 
+    owners = {"field": spec.fields, "section": spec.sections, "curve": spec.curves}
     for kind, name, lineno, entries in sections:
-        keys = {key for key, _, _ in entries}
+        if kind not in owners:
+            continue
+        if name in owners[kind]:
+            raise SpecError(f"duplicate [{kind} {name}]", lineno)
+        d = as_dict(entries, lineno)
+        keys = set(d)
         if kind == "field":
             spec.fields[name] = HorBasicField(
                 indexed(entries, "X", n, lineno, x_names, f"field {name}"),
@@ -220,8 +226,7 @@ def loads(text: str, path: str = "<string>") -> SpecFile:
             extra = keys - {f"sigma_{j+1}" for j in range(k)}
             if extra:
                 raise SpecError(f"unknown key {sorted(extra)[0]!r} in [section {name}]", lineno)
-        elif kind == "curve":
-            d = as_dict(entries, lineno)
+        else:
             t_entries = {}
             for key in ("t0", "t1"):
                 if key not in d:

@@ -4,7 +4,10 @@ fiber derivative of a flow computed through the variational equation.
 All integrations use the one fixed-step classical RK4 of ``rk4``:
 deterministic, and its fourth-order convergence is itself an acceptance
 check.  The domain predicate is enforced at every stage point; the first
-violation aborts with the offending parameter value.
+violation aborts with the offending parameter value.  Transport along a
+curve tabulates its coefficients at the RK4 knots, by one call of the
+compiled lanes of the curve and of gamma (``codegen.compile_lanes``), or
+knot by knot through the compiled scalar functions.
 """
 
 from __future__ import annotations
@@ -63,6 +66,21 @@ class CurveInE:
         from .codegen import compile_gradients
 
         return compile_gradients(self.comp_x + self.comp_y, ("t",), ("t",))
+
+    @cached_property
+    def compiled_lanes(self):
+        """``compiled_state`` over lanes, compiled on first use.
+
+        ``compiled_lanes(ts)`` is the (2(n + k), N) array x, y, xdot, ydot
+        whose column j is ``compiled_state(ts[j])`` (numpy's sin, cos, exp
+        and log may differ in the last bit), and raises when any time does
+        (``codegen.compile_lanes``).  The batched pass of
+        ``transport_coefficients`` and the transport checks' curve screen
+        call it.
+        """
+        from .codegen import compile_lanes
+
+        return compile_lanes(self.comp_x + self.comp_y, ("t",), ("t",))
 
 
 @dataclass(frozen=True)
@@ -150,26 +168,19 @@ class KnotTable:
 
 
 def _batched_knots(lin, curve: CurveInE, ts):
-    """x, y, xdot, ydot, gamma and d_gamma at the times ts over ``DualBatch``
-    lanes: the curve with t seeded, then gamma with y seeded.  A failing
-    knot raises, unnamed."""
+    """x, y, xdot, ydot (lanes last), gamma and d_gamma (lanes first) at
+    the times ts, from one call of the curve's compiled lanes and one of
+    gamma's.  A failing knot raises, unnamed."""
     sp = lin.space
-    t = ad.DualBatch(ts, np.ones((1, len(ts))))
-    env = {"t": t}
-    xy = [ad.lanes(ex.evaluate(e, env), t) for e in curve.comp_x + curve.comp_y]
-    x, y = np.array([v.re for v in xy[: sp.n]]), np.array([v.re for v in xy[sp.n :]])
+    n, k, count = sp.n, sp.k, len(ts)
+    P = curve.compiled_lanes(ts)
     inside = sp.compiled_domain
-    if inside is not None and not all(map(inside, *x.tolist(), *y.tolist())):
+    if inside is not None and not all(map(inside, *P[: n + k].tolist())):
         raise OutOfDomainError("a knot left the domain")
-    count = len(ts)
-    env = {name: ad.DualBatch(row, np.zeros((sp.k, count))) for name, row in zip(sp.x_names, x)}
-    seeds = np.repeat(np.eye(sp.k)[:, :, None], count, axis=2)
-    env.update({name: ad.DualBatch(row, seeds[A]) for A, (name, row) in enumerate(zip(sp.y_names, y))})
-    gamma = [ad.lanes(ex.evaluate(g, env), env[sp.y_names[0]]) for row in lin.conn.gamma for g in row]
-    G = np.array([g.re for g in gamma]).reshape(sp.k, sp.n, count).transpose(2, 0, 1)
-    J = np.array([g.eps for g in gamma]).reshape(sp.k, sp.n, sp.k, count).transpose(3, 0, 1, 2)
-    d = np.array([v.eps[0] for v in xy])
-    return x, y, d[: sp.n], d[sp.n :], G, J
+    R = lin.conn.compiled_gamma_lanes(*P[: n + k])
+    G = R[: k * n].reshape(k, n, count).transpose(2, 0, 1)
+    J = R[k * n :].reshape(k, n, k, count).transpose(3, 0, 1, 2)
+    return P[:n], P[n : n + k], P[n + k : 2 * n + k], P[2 * n + k :], G, J
 
 
 def _scanned_knots(lin, curve: CurveInE, ts):
@@ -199,7 +210,8 @@ def _scanned_knots(lin, curve: CurveInE, ts):
 def transport_coefficients(lin_or_fam, curve: CurveInE, ts) -> KnotTable:
     """Curve points and transport coefficients at the times ts.
 
-    One batched pass fills the table.  When it fails, or when a tree has an
+    One batched pass over the compiled lanes of the curve and of gamma
+    fills the table.  When it fails, or when a tree has an
     exponent whose rule depends on its value (``expr._walk_decides``), the
     knots are scanned one by one instead.  One formula turns the arrays of
     either into M and c: -d_gamma xdot by einsum, gamma xdot by a stacked

@@ -83,6 +83,23 @@ def test_dimension_bounds_checked():
         loads(MINIMAL.replace('gamma_1_1 = "y1^2"', 'gamma_1_1 = "y1^2"\ngamma_1_2 = "0"'))
 
 
+@pytest.mark.parametrize(
+    "extra, line, message",
+    [
+        ('[field f]\nX_1 = "1"\nX_1 = "2"\neta_1 = "0"\n', 9, "duplicate key 'X_1'"),
+        ('[section s]\nsigma_1 = "y1" ; sigma_1 = "3"\n', 8, "duplicate key 'sigma_1'"),
+        ('[curve c]\nx_1 = "t" ; y_1 = "1" ; t0 = 0 ; t1 = 1 ; t1 = 2\n', 8, "duplicate key 't1'"),
+        ('[field f]\nX_1 = "1" ; eta_1 = "0"\n[field f]\nX_1 = "2" ; eta_1 = "0"\n', 9, r"duplicate \[field f\]"),
+        ('[section s]\nsigma_1 = "y1"\n[section s]\nsigma_1 = "3"\n', 9, r"duplicate \[section s\]"),
+        ('[curve c]\nx_1 = "t" ; y_1 = "1" ; t0 = 0 ; t1 = 1\n[curve c]\nx_1 = "0" ; y_1 = "t" ; t0 = 0 ; t1 = 1\n', 9, r"duplicate \[curve c\]"),
+    ],
+)
+def test_a_duplicate_key_or_named_section_is_rejected(extra, line, message):
+    with pytest.raises(SpecError, match=rf"^line {line}: {message}") as err:
+        loads(MINIMAL + extra)
+    assert err.value.line == line
+
+
 def test_builtin_specs_load():
     for name in ("c0", "c1", "c2", "c3", "c4", "c5"):
         spec = load_builtin(name)
@@ -239,6 +256,27 @@ def test_flow_transport_command(capsys):
 def test_an_empty_vector_component_is_a_usage_error(capsys, spec_name, curve, z0):
     assert main(["transport", builtin_spec_path(spec_name), "--curve", curve, "--z0", z0]) == 2
     assert "--z0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "c1", "--samples", "-5"],
+        ["check", "c1", "--samples", "0"],
+        ["--samples", "0", "check", "c1"],
+        ["curvature", "c2", "--point", "0,0;1", "--v1", "1,0", "--v2", "0,1", "--z", "1", "--samples", "0"],
+        ["check", "c1", "--tol", "nan"],
+        ["check", "c1", "--tol", "inf"],
+        ["check", "c1", "--tol", "0"],
+        ["check", "c1", "--tol", "-1e-7"],
+        ["--tol", "nan", "check", "c1"],
+    ],
+)
+def test_a_sample_count_below_one_or_a_bad_tolerance_is_a_usage_error(capsys, argv):
+    argv = [builtin_spec_path(a) if a in ("c1", "c2") else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and ("--samples" in err or "--tol" in err)
 
 
 def test_exit_codes(capsys, tmp_path):

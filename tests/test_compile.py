@@ -28,7 +28,7 @@ from linconn.connection import HorBasicField
 from linconn.geom import FiberPoint, PullbackPoint
 from linconn.linearize import LinearizedConnection
 from linconn.sampling import random_hor_basic, random_section, sample_in_domain
-from linconn.specfile import loads
+from linconn.specfile import load_builtin, loads
 
 NAMES = ("x1", "x2", "y1", "y2")
 SPECIAL = (0.0, -0.0, 1.0, -1.0, 2.0, 0.5, -0.5, 3.0, 1e-200, 1e200, -1e200, 709.0, 710.0)
@@ -277,21 +277,24 @@ def test_single_point_queries_compile_nothing(compiles):
     assert compiles == []
 
 
-def test_loading_specs_and_a_transport_import_no_codegen():
+def test_loading_specs_and_a_transport_import_no_codegen(compiles):
     # a fresh interpreter: this session has imported linconn.codegen already
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     script = (
         "import sys\n"
-        "from linconn.linearize import LinearizedConnection\n"
         "from linconn.specfile import load_builtin\n"
-        "from linconn.transport import transport_ode\n"
-        "c1 = [load_builtin(f'c{j}') for j in range(6)][1]\n"
-        "transport_ode(LinearizedConnection(c1.conn), c1.curves['line'], [1.0], 1000)\n"
+        "specs = [load_builtin(f'c{j}') for j in range(6)]\n"
         "print('linconn.codegen' in sys.modules)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    # c1 has no domain: a transport compiles the curve's lanes and gamma's
+    c1 = load_builtin("c1")
+    transport.transport_ode(LinearizedConnection(c1.conn), c1.curves["line"], [1.0], 1000)
+    assert len(compiles) == 2
+    transport.transport_ode(LinearizedConnection(c1.conn), c1.curves["line"], [1.0], 1000)
+    assert len(compiles) == 2
 
 
 def test_gamma_at_compiles_once_per_connection(compiles):
@@ -324,7 +327,7 @@ def test_lambda_check_compiles_each_curve_once(compiles, monkeypatch):
     monkeypatch.setattr(ck, "_line_curve", recording)
     for seed in (0, 1):
         assert ck._check_lambda_transport(spec, np.random.default_rng(seed), 1)[1] == 1
-        # the curve of each draw, and per connection the domain predicate
-        # and gamma with its y-gradient
-        assert len(compiles) == len(curves) + 2
+        # the lanes and the state of each draw's curve, and per connection
+        # the domain predicate, gamma with its y-gradient and gamma's lanes
+        assert len(compiles) == 2 * len(curves) + 3
     assert len(curves) == 2
