@@ -903,7 +903,7 @@ def _check_variational(spec, rng, samples):
 def _check_lambda_transport(spec, rng, samples):
     """The family transport integrates the family's own horizontality.
 
-    The reference loop calls the family's array-level formula on the
+    The reference loop calls the family's plain-float formula on the
     compiled curve state, domain predicate and gamma with its y-gradient at
     every stage; ``transport_ode`` integrates the tabulated coefficients.
     """
@@ -925,16 +925,12 @@ def _check_lambda_transport(spec, rng, samples):
             if inside is not None and not inside(*xy):
                 raise sp.left_domain("curve", t, list(xy))
             out = gamma(*xy)
-            G = np.array(out[:kn], dtype=float).reshape(k, n)
-            J = np.array(out[kn:], dtype=float).reshape(k, n, k)
-            xd = np.array(values[width : width + n], dtype=float)
-            yd = np.array(values[width + n :], dtype=float)
-            return fam.fiber_velocity(J, G, z, xd, yd)
+            return fam.fiber_velocity(out[kn:], out[:kn], z, values[width : width + n], values[width + n :])
 
         got = transport_ode(fam, curve, z0, 256).z_final
         for _, z in rk4(rhs, curve.t0, curve.t1, z0, 256):
             pass
-        return _rel(_mx(got - z), _mx(z))
+        return _rel(_mx(got - np.array(z)), _mx(z))
 
     return _worst_draw(samples, measure)
 

@@ -90,13 +90,26 @@ class UsageError(ValueError):
     pass
 
 
+def _finite(text: str) -> float:
+    """A finite real: every real-valued option and vector component of a
+    command passes here, so a NaN or infinite one is a usage error, not a
+    run that ends in a numeric error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite real, got {text!r}")
+    return value
+
+
 def _parse_vector(text: str, length: int, what: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != length:
         raise UsageError(f"{what}: expected {length} components, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
-    except ValueError as err:
+        return np.array([_finite(p) for p in parts])
+    except argparse.ArgumentTypeError as err:
         raise UsageError(f"{what}: {err}") from None
 
 
@@ -157,8 +170,8 @@ def _curve_for(spec: SpecFile, text: str) -> CurveInE:
     xs = _parse_exprs(parts[0], sp.n, {"t"}, "--curve x")
     ys = _parse_exprs(parts[1], sp.k, {"t"}, "--curve y")
     try:
-        t0, t1 = float(parts[2]), float(parts[3])
-    except ValueError as err:
+        t0, t1 = _finite(parts[2]), _finite(parts[3])
+    except argparse.ArgumentTypeError as err:
         raise UsageError(f"--curve: {err}") from None
     return CurveInE(xs, ys, t0, t1)
 
@@ -425,11 +438,8 @@ def _sample_count(text: str) -> int:
 
 def _tolerance(text: str) -> float:
     """--tol: a finite real above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0.0):
+    value = _finite(text)
+    if value <= 0.0:
         raise argparse.ArgumentTypeError(f"expected a finite real > 0, got {text!r}")
     return value
 
@@ -477,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="'x1,..;y1,..'")
     p.add_argument("--z", required=True, help="second-leg fiber vector")
     p.add_argument("--w", required=True, help="tangent components 'dx1,..;dy1,..'")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
     p.set_defaults(fn=cmd_linearize)
 
     p = sub.add_parser("curvature", help="curvature of the connection and its linearization")
@@ -495,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curve", required=True, help="curve name or 'x exprs;y exprs;t0;t1'")
     p.add_argument("--z0", required=True)
     p.add_argument("--steps", type=int, default=1000)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
     p.set_defaults(fn=cmd_transport)
 
     p = sub.add_parser("flow-transport", help="transport via the fiber derivative of a flow")
@@ -503,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True, help="hor-basic field name from the spec file")
     p.add_argument("--point", required=True, help="'x1,..;y1,..'")
     p.add_argument("--z", required=True)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--s", type=_finite, default=1.0)
     p.add_argument("--steps", type=int, default=1000)
     p.set_defaults(fn=cmd_flow_transport)
     return parser

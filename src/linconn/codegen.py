@@ -18,7 +18,9 @@ same numbers bitwise and raises the same errors:
 * ``compile_lanes`` prints the same forward-mode code over numpy arrays of
   lane values, so one call serves N points (the transport table's knots),
   the vectorized forward mode of Revels, Lubin and Papamarkou
-  (arXiv:1607.07892).  Its guards raise when any lane offends.
+  (arXiv:1607.07892).  Its guards raise when any lane offends;
+* ``affine_map`` prints the k x k matrix-vector product plus a vector on
+  floats that a transport stage takes.
 
 Dual values take the walk, ``evaluate``; ``in_domain`` walks
 ``evaluate_bool`` at one point.
@@ -30,6 +32,7 @@ cache, costs about 10 ms to byte-compile).
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Mapping
 
@@ -261,7 +264,9 @@ class _Forward(Emitter):
     Floats (trees without variables) print as ``Emitter`` prints them;
     ``emit`` and the squarings of ``ipow`` are inherited.  ``walked`` hands
     a whole tree to ``ad.gradient`` instead.  ``lib`` names the module
-    whose functions the printed code calls on a Dual1's value.
+    whose functions the printed code calls on a Dual1's value.  A call of
+    ``lib`` or a guard already printed for the same argument token is not
+    printed again: every token is assigned once, so it reads the same value.
     """
 
     lib = "_math"
@@ -269,6 +274,8 @@ class _Forward(Emitter):
     def __init__(self, source, seeded):
         super().__init__(source)
         self.plain = Emitter(source)  # for operations on floats
+        self.calls = {}  # the text of each pure call printed -> its token
+        self.guards = set()  # the guards printed
         index = {name: j for j, name in enumerate(seeded)}
         self.seeded, self.m = seeded, len(seeded)
         self.seeds = {
@@ -277,8 +284,18 @@ class _Forward(Emitter):
         }
 
     def _raise_if(self, test: str, message: str, error: str = "_DomainError"):
-        self.src.line(f"if {test}:")
-        self.src.line(f"    raise {error}({message!r})")
+        # a guard already printed has passed: its test reads the same tokens
+        if (test, message, error) not in self.guards:
+            self.guards.add((test, message, error))
+            self.src.line(f"if {test}:")
+            self.src.line(f"    raise {error}({message!r})")
+
+    def _call(self, text: str) -> str:
+        """The token of a pure call, printed once per text: sin and cos of
+        one argument token, say, serve both a value and a derivative."""
+        if text not in self.calls:
+            self.calls[text] = self.src.assign(text)
+        return self.calls[text]
 
     def _scaled(self, f1, eps):
         return tuple(self.src.assign(f"{f1} * {x}") for x in eps)
@@ -363,23 +380,21 @@ class _Forward(Emitter):
         re, eps = a
         if eps is None:
             return self.plain.fun(name, re), None
-        put, lib = self.src.assign, self.lib
+        put, call, lib = self.src.assign, self._call, self.lib
+        sin, cos = f"{lib}.sin({re})", f"{lib}.cos({re})"
         if name == "sin":
-            s = put(f"{lib}.sin({re})")
-            return s, self._scaled(put(f"{lib}.cos({re})"), eps)
+            return call(sin), self._scaled(call(cos), eps)
         if name == "cos":
-            c = put(f"{lib}.cos({re})")
-            return c, self._scaled(put(f"-{lib}.sin({re})"), eps)
+            return call(cos), self._scaled(put(f"-{call(sin)}"), eps)
         if name == "exp":
-            v = put(f"{lib}.exp({re})")
+            v = call(f"{lib}.exp({re})")
             return v, self._scaled(v, eps)
         if name == "log":
             self._raise_if(f"{re} <= 0.0", "log of non-positive value")
-            v = put(f"{lib}.log({re})")
-            return v, self._scaled(put(f"1.0 / {re}"), eps)
+            return call(f"{lib}.log({re})"), self._scaled(put(f"1.0 / {re}"), eps)
         if name == "sqrt":
             self._raise_if(f"{re} <= 0.0", "sqrt needs a positive value when differentiating")
-            v = put(f"{lib}.sqrt({re})")
+            v = call(f"{lib}.sqrt({re})")
             return v, self._scaled(put(f"0.5 / {v}"), eps)
         # abs
         self._raise_if(f"{re} == 0.0", "abs is not differentiable at zero")
@@ -478,3 +493,24 @@ def compile_lanes(exprs, names, seeded) -> Callable:
     for row, token in enumerate(tokens):  # a float fills its row
         src.line(f"_out[{row}] = {token}")
     return define(src, "_out")
+
+
+@functools.cache
+def affine_map(k: int) -> Callable:
+    """``f(M, z, c)``: the list M z + c for a k x k nested list M of floats
+    and lists z and c of k floats, printed once per k.
+
+    Row A is ``M[A][0]*z[0] + M[A][1]*z[1] + ... + c[A]``, summed left to
+    right in float arithmetic, so its bits depend on no BLAS kernel (numpy's
+    small ``dot`` may use fused multiply-adds).  Every RK4 stage of
+    ``transport_ode`` calls it.
+    """
+    src = Source(("M", "z", "c"), {})
+    M, z, c = src.params
+    rows = [[f"_m{A}_{B}" for B in range(k)] for A in range(k)]
+    zs, cs = [f"_z{B}" for B in range(k)], [f"_r{A}" for A in range(k)]
+    src.line(f"{tuple_of(map(tuple_of, rows))} = {M}")
+    src.line(f"{tuple_of(zs)} = {z}")
+    src.line(f"{tuple_of(cs)} = {c}")
+    sums = [" + ".join([*(f"{m} * {x}" for m, x in zip(row, zs)), r]) for row, r in zip(rows, cs)]
+    return define(src, "[" + ", ".join(sums) + "]")

@@ -27,6 +27,28 @@ class NotProjectableError(ValueError):
     """Operation needs a projectable field and the certificate failed."""
 
 
+def horizontal_velocity(G, X, eta=None) -> list:
+    """Fiber velocity -gamma^A_i X^i + eta^A in plain floats.
+
+    G holds the k*n entries gamma^A_i row by row (as the compiled gamma
+    returns them), X the n base components and eta the k fiber components,
+    or None for the plain horizontal lift.  The order is stated, so the
+    bits do not depend on a BLAS kernel: for each A, the terms
+    ``(-G[A][i]) * X[i]`` summed left to right over i ascending, then
+    ``+ eta[A]``.  Python float arithmetic neither warns nor raises: an
+    infinite gamma gives an infinite or NaN component.  The flows, the
+    holonomy legs and ``HorBasicField.at`` call it.
+    """
+    entries = iter(G)
+    out = []
+    for _ in range(len(G) // len(X)):
+        s = -next(entries) * X[0]
+        for x in X[1:]:
+            s = s + -next(entries) * x
+        out.append(s)
+    return out if eta is None else [s + e for s, e in zip(out, eta)]
+
+
 def _check_arity(exprs, allowed: set[str], what: str):
     for e in exprs:
         bad = ex.variables(e) - allowed
@@ -181,12 +203,12 @@ class NonlinearConnection:
         -h/2 horizontally (h = ``HOLONOMY_STEP``), measures the fiber defect
         of each closed loop, and removes the odd and next even error terms
         by symmetrization and Richardson extrapolation.  The four loops run
-        as four lanes of one flat RK4 state, one leg at a time
-        (``HOLONOMY_SUBSTEPS`` steps per leg); each
-        stage calls the compiled domain predicate and gamma once per lane, so
-        each lane is bitwise the loop integrated on its own.  A stage point
-        outside the domain raises OutOfDomainError naming its t within the
-        leg; a diverged lane raises OverflowError naming t.  Not used on any
+        as four lanes of one flat list of floats stepped by ``rk4``, one leg
+        at a time (``HOLONOMY_SUBSTEPS`` steps per leg); each stage calls
+        the compiled domain predicate, gamma and ``horizontal_velocity`` once
+        per lane, so each lane is bitwise the loop integrated on its own.  A
+        stage point outside the domain raises OutOfDomainError naming its t
+        within the leg; a diverged lane raises OverflowError naming t.  Not used on any
         production path; it exists as a cross-check for ``curvature``.
         """
         from .transport import rk4
@@ -194,37 +216,32 @@ class NonlinearConnection:
         v1 = np.asarray(v1, dtype=float)
         v2 = np.asarray(v2, dtype=float)
         sp, inside, gamma = self.space, self.space.compiled_domain, self.compiled_gamma
-        n, k, width = sp.n, sp.k, sp.n + sp.k
+        n, width = sp.n, sp.n + sp.k
         h = HOLONOMY_STEP
         steps = (h, -h, h / 2.0, -h / 2.0)
-        lanes = len(steps)
 
         def leg(state, dirs):
             # horizontal lift of t -> x + t*dir over [0, 1] in every lane: a
             # lane's state is (x, y) with x' = dir and y' = -gamma(x, y) dir
-            velocity = np.concatenate([dirs, np.zeros((lanes, k))], axis=1)
-            column = dirs[:, :, None]
-
             def f(t, flat):
-                G = []
-                for xy in flat.reshape(lanes, width).tolist():
+                out = []
+                for j, d in enumerate(dirs):
+                    xy = flat[j * width : (j + 1) * width]
                     if inside is not None and not inside(*xy):
                         raise sp.left_domain("holonomy leg", t, xy)
-                    G.append(gamma(*xy))
-                # -G dir per lane, bitwise the per-point product on a C-ordered -G
-                out = velocity.copy()
-                out[:, n:] = (-np.array(G, dtype=float).reshape(lanes, k, n) @ column)[:, :, 0]
-                return out.ravel()
+                    out += d
+                    out += horizontal_velocity(gamma(*xy), d)
+                return out
 
             for _, state in rk4(f, 0.0, 1.0, state, HOLONOMY_SUBSTEPS):
                 pass
             return state
 
         sides = [(s * v1, s * v2, -s * v1, -s * v2) for s in steps]  # per lane
-        state = np.tile(np.concatenate([a.x, a.y]), lanes)
+        state = [*a.x.tolist(), *a.y.tolist()] * len(steps)
         for dirs in zip(*sides):
-            state = leg(state, np.array(dirs))
-        y = state.reshape(lanes, width)[:, n:]
+            state = leg(state, [d.tolist() for d in dirs])
+        y = np.array(state).reshape(len(steps), width)[:, n:]
         defect = [(y[j] - a.y) / s**2 for j, s in enumerate(steps)]
         g1 = 0.5 * (defect[0] + defect[1])  # symmetrized over s = h, -h
         g2 = 0.5 * (defect[2] + defect[3])  # and over s = h/2, -h/2
@@ -335,17 +352,15 @@ class HorBasicField:
     def at(self, conn: NonlinearConnection, a: FiberPoint) -> TangentE:
         """Float components (X, -gamma X + eta) at a, by the walk.
 
-        An infinite or huge gamma gives infinite or NaN fiber components
-        without a numpy warning.
+        The fiber part is ``horizontal_velocity``: an infinite or huge gamma
+        gives infinite or NaN fiber components without a numpy warning.
         """
         conn.space.require_in_domain(a.x, a.y)
         env = conn.space.point_env(a.x, a.y)
-        dx = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.X])
-        eta = np.array([ad.real_part(ex.evaluate(e, env)) for e in self.eta])
-        G = np.array(conn.gamma_env(env), dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            dy = -G @ dx + eta
-        return TangentE(a, dx, dy)
+        dx = [ad.real_part(ex.evaluate(e, env)) for e in self.X]
+        eta = [ad.real_part(ex.evaluate(e, env)) for e in self.eta]
+        G = [g for row in conn.gamma_env(env) for g in row]
+        return TangentE(a, np.array(dx), np.array(horizontal_velocity(G, dx, eta)))
 
 
 # ---------------------------------------------------------------------------

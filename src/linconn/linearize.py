@@ -34,6 +34,7 @@ from .connection import (
     bracket,
     bracket_env,
     connector_env,
+    horizontal_velocity,
 )
 from .geom import (
     BASE_TOL,
@@ -92,16 +93,31 @@ class LinearizedConnection:
         """Coordinate formula: dy^A = -d_gamma^A_iB(x, y) z^B w^i at leg b."""
         self.space.require_in_domain(p.x, p.y)
         _check_leg(p, w)
-        J = self.fiber_jacobian(p.a)
-        return TangentE(p.b, w.dx.copy(), self.fiber_velocity(J, p.z, w.dx))
+        J = self.fiber_jacobian(p.a).ravel().tolist()
+        dy = self.fiber_velocity(J, p.z.tolist(), w.dx.tolist())
+        return TangentE(p.b, w.dx.copy(), np.array(dy))
 
     @staticmethod
-    def fiber_velocity(J, z, dx) -> np.ndarray:
-        """The formula of ``apply`` on arrays: -J[A, i, B] z^B dx^i.
+    def fiber_velocity(J, z, dx) -> list:
+        """The formula of ``apply`` in plain floats: -J[A, i, B] z^B dx^i.
 
-        The family's ``fiber_velocity`` and the variational term of
-        ``transport.fiber_derivative_flow`` call it too."""
-        return -np.einsum("aib,b,i->a", J, z, dx)
+        J holds the entries [A, i, B] flat, row by row, as the compiled
+        gamma gradients return them; z and dx are sequences of floats.  For
+        each A the terms ``J[A, i, B] * z[B] * dx[i]`` are summed onto 0.0,
+        i outer and B inner, and the sum is negated: bitwise numpy's
+        ``-einsum("aib,b,i->a", J, z, dx)``.  The family's
+        ``fiber_velocity`` and the variational stage of
+        ``transport.fiber_derivative_flow`` call it too.
+        """
+        entries = iter(J)
+        out = []
+        for _ in range(len(J) // (len(z) * len(dx))):
+            s = 0.0
+            for xi in dx:
+                for zB in z:
+                    s = s + next(entries) * zB * xi
+            out.append(-s)
+        return out
 
     def apply_by_limit(self, p: PullbackPoint, w: TangentE) -> TangentE:
         """Limit definition: derivative of the horizontal lift along the fiber.
@@ -443,22 +459,27 @@ class LambdaFamilyMember:
         lin = self.linearization
         lin.space.require_in_domain(p.x, p.y)
         _check_leg(p, w)
-        J = lin.fiber_jacobian(p.a)
-        G = None if self.lam == 0.0 else self.conn.gamma_at(w.at)
-        return TangentE(p.b, w.dx.copy(), self.fiber_velocity(J, G, p.z, w.dx, w.dy))
+        J = lin.fiber_jacobian(p.a).ravel().tolist()
+        G = None if self.lam == 0.0 else self.conn.gamma_at(w.at).ravel().tolist()
+        dy = self.fiber_velocity(J, G, p.z.tolist(), w.dx.tolist(), w.dy.tolist())
+        return TangentE(p.b, w.dx.copy(), np.array(dy))
 
-    def fiber_velocity(self, J, G, z, dx, dy) -> np.ndarray:
-        """The formula of ``apply`` on arrays: the linearization's fiber
-        velocity plus lam times the connector dy + G dx.
+    def fiber_velocity(self, J, G, z, dx, dy) -> list:
+        """The formula of ``apply`` in plain floats: the linearization's
+        fiber velocity plus lam times the connector dy + G dx.
 
-        J [A, i, B] and G [A, i] are d_gamma and gamma at the first leg; G is
-        not read when lam = 0.  The transport check's reference loop calls
-        this on compiled values, so a defect here fails that check.
+        J [A, i, B] and G [A, i] are d_gamma and gamma at the first leg,
+        flat as the compiled gamma gradients return them; G is not read when
+        lam = 0.  The connector is dy minus ``horizontal_velocity(G, dx)``,
+        which is dy[A] + (G[A][0] dx[0] + ...) summed left to right.  The
+        transport check's reference loop calls this on compiled values, so a
+        defect here fails that check.
         """
         base = LinearizedConnection.fiber_velocity(J, z, dx)
         if self.lam == 0.0:
             return base  # not base + 0 * kappa, which is NaN where kappa is infinite
-        return base + self.lam * (dy + G @ dx)
+        lam = self.lam
+        return [b + lam * (d - v) for b, d, v in zip(base, dy, horizontal_velocity(G, dx))]
 
     def lift(self, p: PullbackPoint, w: TangentE) -> TangentPullback:
         return TangentPullback(p, w, self.apply(p, w))

@@ -3,11 +3,16 @@ fiber derivative of a flow computed through the variational equation.
 
 All integrations use the one fixed-step classical RK4 of ``rk4``:
 deterministic, and its fourth-order convergence is itself an acceptance
-check.  The domain predicate is enforced at every stage point; the first
-violation aborts with the offending parameter value.  Transport along a
-curve tabulates its coefficients at the RK4 knots, by one call of the
-compiled lanes of the curve and of gamma (``codegen.compile_lanes``), or
-knot by knot through the compiled scalar functions.
+check.  It steps a list of Python floats, and every right-hand side
+returns one, with each sum written out in a stated order (``rk4``,
+``connection.horizontal_velocity``, ``LinearizedConnection.fiber_velocity``,
+``codegen.affine_map``), so no numpy kernel decides a bit of a stage and no
+numpy warning can be raised there.  The domain predicate is enforced at
+every stage point; the first violation aborts with the offending parameter
+value.  Transport along a curve tabulates its coefficients at the RK4
+knots, by one call of the compiled lanes of the curve and of gamma
+(``codegen.compile_lanes``), or knot by knot through the compiled scalar
+functions.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import ad
 from . import expr as ex
-from .connection import HorBasicField, NonlinearConnection
+from .connection import HorBasicField, NonlinearConnection, horizontal_velocity
 from .geom import FiberPoint, OutOfDomainError, PullbackPoint
 from .linearize import LambdaFamilyMember, LinearizedConnection
 
@@ -113,37 +118,42 @@ def knot_time(t0: float, t1: float, steps: int, j):
 def rk4(f, t0: float, t1: float, state, steps: int, by_knot: bool = False):
     """Classical fixed-step RK4 for state' = f(t, state) on [t0, t1].
 
-    The stages of step s sit at the half-step knots 2s, 2s + 1 (twice) and
-    2s + 2 (see ``knot_time``); with ``by_knot`` f gets the knot index in
-    place of its time, for a right-hand side tabulated at the knots.
-    Yields (t, state) after each of the ``steps`` steps.  An overflow inside
-    f or a non-finite state raises OverflowError naming t.  The steps run
-    inside one ``np.errstate`` that silences numpy's overflow and invalid
-    warnings, since the finite-state test reports them; it stays entered
-    while the caller holds a step.
+    The state is a list of Python floats (a sequence of floats on entry),
+    and f returns one.  Each component takes the stage sums
+    ``s + (0.5*h)*k1``, ``s + (0.5*h)*k2``, ``s + h*k3`` and then
+    ``s + (h/6)*(k1 + (k2 + k2) + (k3 + k3) + k4)``, in that order, so the
+    bits depend on no BLAS kernel.  The stages of step s sit at the
+    half-step knots 2s, 2s + 1 (twice) and 2s + 2 (see ``knot_time``);
+    with ``by_knot`` f gets the knot index in place of its time, for a
+    right-hand side tabulated at the knots.  Yields (t, state) after each of
+    the ``steps`` steps.  An OverflowError inside f is re-raised naming t.
+    Float + and * neither warn nor raise, so a state that overflows to inf
+    or NaN shows in the finite-state test, which raises OverflowError
+    naming t.
     """
     h = (t1 - t0) / steps
     half = 0.5 * h  # knot j sits at t0 + j*half, as in knot_time
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(steps):
-            j = 2 * step
-            if by_knot:
-                start, mid, end = j, j + 1, j + 2
-            else:
-                start, mid, end = t0 + j * half, t0 + (j + 1) * half, t0 + (j + 2) * half
-            try:
-                k1 = f(start, state)
-                k2 = f(mid, state + 0.5 * h * k1)
-                k3 = f(mid, state + 0.5 * h * k2)
-                k4 = f(end, state + h * k3)
-            except OverflowError as err:
-                t = t0 + j * half
-                raise OverflowError(f"{err} in the step from t = {t!r}") from err
-            state = state + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
-            t = t0 + (j + 2) * half
-            if not all(map(math.isfinite, state.tolist())):
-                raise OverflowError(f"non-finite state at t = {t!r}")
-            yield t, state
+    sixth = h / 6.0
+    state = [float(v) for v in state]
+    for step in range(steps):
+        j = 2 * step
+        if by_knot:
+            start, mid, end = j, j + 1, j + 2
+        else:
+            start, mid, end = t0 + j * half, t0 + (j + 1) * half, t0 + (j + 2) * half
+        try:
+            k1 = f(start, state)
+            k2 = f(mid, [s + half * a for s, a in zip(state, k1)])
+            k3 = f(mid, [s + half * a for s, a in zip(state, k2)])
+            k4 = f(end, [s + h * a for s, a in zip(state, k3)])
+        except OverflowError as err:
+            t = t0 + j * half
+            raise OverflowError(f"{err} in the step from t = {t!r}") from err
+        state = [s + sixth * (a + (b + b) + (c + c) + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+        t = t0 + (j + 2) * half
+        if not all(map(math.isfinite, state)):
+            raise OverflowError(f"non-finite state at t = {t!r}")
+        yield t, state
 
 
 class KnotTable:
@@ -254,23 +264,28 @@ def transport_ode(
     which is exactly the condition that the curve t -> (x, y, z) be
     horizontal for the family member (the lam term vanishes for the plain
     linearization).  The coefficients depend on t only through the curve, so
-    they are tabulated at the RK4 knots, BLOCK_STEPS steps per table, and
-    each stage is a k x k matvec.  ``record`` > 0 samples about that
-    many trajectory knots.
+    they are tabulated at the RK4 knots, BLOCK_STEPS steps per table; each
+    block turns its table into lists once, and each stage is the printed
+    k x k matvec plus c of ``codegen.affine_map`` on floats.  ``record`` > 0
+    samples about that many trajectory knots.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    from .codegen import affine_map
+
     sp = _as_linearization(lin_or_fam)[0].space
-    z = np.asarray(z0, dtype=float).copy()
-    if z.shape != (sp.k,):
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (sp.k,):
         raise ValueError(f"z0 must have length {sp.k}")
-    tab, lo = None, 0  # the knot table of the current block and its first knot
+    z = z0.tolist()
+    matvec = affine_map(sp.k)
+    tab, M, c, lo = None, [], [], 0  # a block's table, its M and c as lists, its first knot
 
     def rhs(j, z):
         i = j - lo
-        if i >= len(tab.M):
+        if i >= len(M):
             raise tab.error  # the table ends at a failing knot
-        return tab.M[i].dot(z) + tab.c[i]
+        return matvec(M[i], z, c[i])
 
     stride = max(1, steps // record) if record else 0
     trajectory = []
@@ -281,13 +296,14 @@ def transport_ode(
         lo = 2 * done
         ts = knot_time(curve.t0, curve.t1, steps, np.arange(lo, lo + 2 * count + 1))
         tab = transport_coefficients(lin_or_fam, curve, ts)
+        M, c = tab.M.tolist(), tab.c.tolist()
         if record and not done:
-            trajectory.append((curve.t0, *tab.point(0), z))
+            trajectory.append((curve.t0, *tab.point(0), np.array(z)))
         for t, z in itertools.islice(stepper, count):
             done += 1
             if record and (done % stride == 0 or done == steps):
-                trajectory.append((t, *tab.point(2 * done - lo), z))
-    return TransportResult(z, tuple(trajectory) if record else None, steps)
+                trajectory.append((t, *tab.point(2 * done - lo), np.array(z)))
+    return TransportResult(np.array(z), tuple(trajectory) if record else None, steps)
 
 
 def flow(
@@ -301,19 +317,17 @@ def flow(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     sp = conn.space
-    n, k = sp.n, sp.k
+    n = sp.n
     inside, field, gamma = sp.compiled_domain, y_field.compiled_components, conn.compiled_gamma
 
-    def f(t, state):
-        xy = state.tolist()
+    def f(t, xy):
         if inside is not None and not inside(*xy):
             raise sp.left_domain("flow", t, xy)
         comps = field(*xy[:n])
-        dx = np.array(comps[:n], dtype=float)
-        G = np.array(gamma(*xy), dtype=float).reshape(k, n)
-        return np.concatenate([dx, -G @ dx + np.array(comps[n:], dtype=float)])
+        dx = comps[:n]
+        return [*dx, *horizontal_velocity(gamma(*xy), dx, comps[n:])]
 
-    state = np.concatenate([a.x, a.y])
+    state = [*a.x.tolist(), *a.y.tolist()]
     for _, state in rk4(f, 0.0, s, state, steps):
         pass
     sp.require_in_domain(state[:n], state[n:], "flow endpoint")
@@ -340,27 +354,27 @@ def fiber_derivative_flow(
     if steps < 1:
         raise ValueError("steps must be >= 1")
     sp = conn.space
-    n, k = sp.n, sp.k
+    n, width = sp.n, sp.n + sp.k
     inside, field = sp.compiled_domain, y_field.compiled_components
     gamma, kn = conn.compiled_gamma_gradients, sp.k * sp.n
+    fiber_velocity = LinearizedConnection.fiber_velocity
 
     def f(t, state):
         # the velocity and the Jacobian from one pass over gamma seeded in y
-        values = state.tolist()
-        xy = values[: n + k]
+        xy = state[:width]
         if inside is not None and not inside(*xy):
             raise sp.left_domain("flow", t, xy)
-        comps = field(*values[:n])
-        dx = np.array(comps[:n], dtype=float)
+        comps = field(*state[:n])
+        dx = comps[:n]
         out = gamma(*xy)
-        G = np.array(out[:kn], dtype=float).reshape(k, n)
-        J = np.array(out[kn:], dtype=float).reshape(k, n, k)
-        dzdot = LinearizedConnection.fiber_velocity(J, state[n + k :], dx)
-        return np.concatenate([dx, -G @ dx + np.array(comps[n:], dtype=float), dzdot])
+        return [
+            *dx,
+            *horizontal_velocity(out[:kn], dx, comps[n:]),
+            *fiber_velocity(out[kn:], state[width:], dx),
+        ]
 
-    state = np.concatenate([p.x, p.y, p.z])
+    state = [*p.x.tolist(), *p.y.tolist(), *p.z.tolist()]
     for _, state in rk4(f, 0.0, s, state, steps):
         pass
-    end = FiberPoint(state[: sp.n], state[sp.n : sp.n + sp.k])
-    sp.require_in_domain(end.x, end.y, "flow endpoint")
-    return end, state[sp.n + sp.k :]
+    sp.require_in_domain(state[:n], state[n:width], "flow endpoint")
+    return FiberPoint(state[:n], state[n:width]), np.array(state[width:])

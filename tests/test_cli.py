@@ -259,6 +259,30 @@ def test_an_empty_vector_component_is_a_usage_error(capsys, spec_name, curve, z0
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["transport", "c1", "--curve", "line", "--z0", "nan"], "--z0"),
+        (["transport", "c1", "--curve", "line", "--z0", "1", "--lambda", "inf"], "--lambda"),
+        (["transport", "c1", "--curve", "t;1;nan;1", "--z0", "1"], "--curve"),
+        (["transport", "c1", "--curve", "t;1;0;-inf", "--z0", "1"], "--curve"),
+        (["flow-transport", "c1", "--field", "unit", "--point", "nan;1", "--z", "1"], "--point"),
+        (["flow-transport", "c1", "--field", "unit", "--point", "0;1", "--z", "inf"], "--z"),
+        (["flow-transport", "c1", "--field", "unit", "--point", "0;1", "--z", "1", "--s", "nan"], "--s"),
+        (["flow-transport", "c1", "--field", "unit", "--point", "0;1", "--z", "1", "--s", "inf"], "--s"),
+        (["linearize", "c1", "--point", "0;1", "--z", "3", "--w", "1;5", "--lambda", "nan"], "--lambda"),
+        (["linearize", "c1", "--point", "0;1", "--z", "3", "--w", "inf;5"], "--w"),
+        (["curvature", "c2", "--point", "0,0;1", "--v1", "nan,0", "--v2", "0,1", "--z", "1"], "--v1"),
+    ],
+)
+def test_a_non_finite_numeric_input_is_a_usage_error(capsys, argv, flag):
+    # rejected before any integration runs, as --tol nan is
+    argv = [builtin_spec_path(a) if a in ("c1", "c2") else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and flag in err and "expected a finite real" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["check", "c1", "--samples", "-5"],

@@ -229,9 +229,11 @@ def test_every_helper_is_printed(monkeypatch):
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Count the functions made by codegen.define."""
+    """Count the functions made by codegen.define, with no transport matvec
+    printed yet."""
     made = []
     real = codegen.define
+    codegen.affine_map.cache_clear()
 
     def counting(source, result):
         made.append(result)
@@ -289,12 +291,13 @@ def test_loading_specs_and_a_transport_import_no_codegen(compiles):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
-    # c1 has no domain: a transport compiles the curve's lanes and gamma's
+    # c1 has no domain: a transport compiles the curve's lanes and gamma's,
+    # and the process prints its 1 x 1 matvec once
     c1 = load_builtin("c1")
     transport.transport_ode(LinearizedConnection(c1.conn), c1.curves["line"], [1.0], 1000)
-    assert len(compiles) == 2
+    assert len(compiles) == 3
     transport.transport_ode(LinearizedConnection(c1.conn), c1.curves["line"], [1.0], 1000)
-    assert len(compiles) == 2
+    assert len(compiles) == 3
 
 
 def test_gamma_at_compiles_once_per_connection(compiles):
@@ -327,7 +330,27 @@ def test_lambda_check_compiles_each_curve_once(compiles, monkeypatch):
     monkeypatch.setattr(ck, "_line_curve", recording)
     for seed in (0, 1):
         assert ck._check_lambda_transport(spec, np.random.default_rng(seed), 1)[1] == 1
-        # the lanes and the state of each draw's curve, and per connection
-        # the domain predicate, gamma with its y-gradient and gamma's lanes
-        assert len(compiles) == 2 * len(curves) + 3
+        # the lanes and the state of each draw's curve, per connection the
+        # domain predicate, gamma with its y-gradient and gamma's lanes, and
+        # once the 2 x 2 matvec of the transport stage
+        assert len(compiles) == 2 * len(curves) + 4
     assert len(curves) == 2
+
+
+def test_a_transcendental_of_one_argument_is_printed_once():
+    # cos(t) and sin(t) each serve a value and the other's derivative, and
+    # the lanes' infinity guard on t is printed once
+    printed = []
+    real = codegen.define
+
+    def recording(source, result):
+        printed.append("\n".join(source.lines))
+        return real(source, result)
+
+    circle = load_builtin("c4").curves["circle"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codegen, "define", recording)
+        circle.compiled_lanes
+    (text,) = printed
+    assert text.count("_np.sin(") == 1 and text.count("_np.cos(") == 1
+    assert text.count("_np.isinf(") == 1

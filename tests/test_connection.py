@@ -301,21 +301,24 @@ def _holonomy_one_loop_at_a_time(conn, a, v1, v2, h=1e-2, substeps=32):
     n = sp.n
 
     def leg(x, y, dirv):
-        velocity = np.concatenate([dirv, np.zeros(sp.k)])
+        # x' = dir, and y'^A = sum_i (-G[A][i]) dir[i], i ascending
+        d = dirv.tolist()
 
         def f(t, state):
             if not sp.in_domain(state[:n], state[n:]):
                 raise OutOfDomainError("holonomy leg left the domain")
-            G = np.array(conn.gamma_env(sp.point_env(state[:n], state[n:])), dtype=float)
-            out = velocity.copy()
-            out[n:] = -G @ dirv
-            return out
+            fiber = []
+            for row in conn.gamma_env(sp.point_env(state[:n], state[n:])):
+                s = -row[0] * d[0]
+                for i in range(1, n):
+                    s = s + -row[i] * d[i]
+                fiber.append(s)
+            return d + fiber
 
-        state = np.concatenate([x, y])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _, state in rk4(f, 0.0, 1.0, state, substeps):
-                pass
-        return state[:n], state[n:]
+        state = [*x.tolist(), *y.tolist()]
+        for _, state in rk4(f, 0.0, 1.0, state, substeps):
+            pass
+        return np.array(state[:n]), np.array(state[n:])
 
     def loop_defect(step):
         x, y = a.x.copy(), a.y.copy()

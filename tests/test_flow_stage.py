@@ -38,7 +38,7 @@ def test_fused_stage_equals_velocity_and_jacobian(all_specs, name, seed):
     comps = field.compiled_components(*a.x.tolist())
     out = spec.conn.compiled_gamma_gradients(*a.x.tolist(), *a.y.tolist())
     dx = np.array(comps[: sp.n])
-    dy = -np.array(out[:kn]).reshape(sp.k, sp.n) @ dx + np.array(comps[sp.n :])
+    dy = np.array(_hor_velocity(out[:kn], comps[: sp.n], comps[sp.n :]))
     J = np.array(out[kn:]).reshape(sp.k, sp.n, sp.k)
     want = field.at(spec.conn, a)
     assert _bits(dx) == _bits(want.dx) and _bits(dy) == _bits(want.dy)
@@ -48,25 +48,50 @@ def test_fused_stage_equals_velocity_and_jacobian(all_specs, name, seed):
     assert J.shape == (sp.k, sp.n, sp.k) and _bits(J) == _bits(per_entry)
 
 
+def _hor_velocity(G, X, eta):
+    """-gamma X + eta in the stated order: for each A, the terms
+    (-G[A][i]) * X[i] summed left to right, then + eta[A]."""
+    n = len(X)
+    out = []
+    for A in range(len(eta)):
+        s = -G[A * n] * X[0]
+        for i in range(1, n):
+            s = s + -G[A * n + i] * X[i]
+        out.append(s + eta[A])
+    return out
+
+
 def _unfused(conn, field, p, s, steps, seen):
-    """fiber_derivative_flow with velocity and fiber_jacobian_env computed apart."""
+    """fiber_derivative_flow with velocity and fiber_jacobian_env computed
+    apart, in plain floats: the variational term sums J[A][i][B] z[B] X[i]
+    onto 0.0, i outer and B inner, and negates."""
     sp = conn.space
+    n, k = sp.n, sp.k
     lin = LinearizedConnection(conn)
 
     def f(t, state):
         seen.append(t)
-        x, y, dz = state[: sp.n], state[sp.n : sp.n + sp.k], state[sp.n + sp.k :]
+        x, y, dz = state[:n], state[n : n + k], state[n + k :]
         if not sp.in_domain(x, y):
             raise OutOfDomainError("flow left the domain")
         v = field.at(conn, FiberPoint(x, y))
-        J = np.array(lin.fiber_jacobian_env(sp.point_env(x, y)), dtype=float)
-        return np.concatenate([v.dx, v.dy, -np.einsum("aib,b,i->a", J, dz, v.dx)])
+        J = lin.fiber_jacobian_env(sp.point_env(x, y))
+        X = v.dx.tolist()
+        dzdot = []
+        for A in range(k):
+            acc = 0.0
+            for i in range(n):
+                for B in range(k):
+                    acc = acc + J[A][i][B] * dz[B] * X[i]
+            dzdot.append(-acc)
+        return X + v.dy.tolist() + dzdot
 
-    state = np.concatenate([p.x, p.y, p.z])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _, state in rk4(f, 0.0, s, state, steps):
-            pass
-    return state
+    state = [*p.x.tolist(), *p.y.tolist(), *p.z.tolist()]
+    for _, state in rk4(f, 0.0, s, state, steps):
+        pass
+    if not sp.in_domain(state[:n], state[n : n + k]):
+        raise OutOfDomainError("flow endpoint outside the domain")
+    return np.array(state)
 
 
 def _fused(monkeypatch, conn, field, p, s, steps, seen):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -248,9 +249,21 @@ def test_rk4_yields_every_step():
 
 @pytest.mark.filterwarnings("error")
 def test_rk4_blow_up_names_t():
-    # z' = z^2, z(0) = 10 blows up at t = 0.1; rk4 itself keeps numpy quiet
+    # z' = z^2, z(0) = 10 blows up at t = 0.1; float arithmetic does not warn
     with pytest.raises(OverflowError, match=r"t = "):
-        _final(rk4(lambda t, z: z * z, 0.0, 1.0, np.array([10.0]), 100))
+        _final(rk4(lambda t, z: [z[0] * z[0]], 0.0, 1.0, [10.0], 100))
+
+
+def _matvec_plus(M, z, c):
+    """M z + c in the stated order: row A is M[A][0]*z[0] + M[A][1]*z[1] +
+    ... summed left to right, then + c[A]."""
+    out = []
+    for row, cA in zip(M, c):
+        s = row[0] * z[0]
+        for B in range(1, len(z)):
+            s = s + row[B] * z[B]
+        out.append(s + cA)
+    return out
 
 
 def _line_bundle(gamma, domain=None):
@@ -286,13 +299,14 @@ def test_tabulated_transport_equals_per_point_coefficients(all_specs, spec_name,
         x, y, xd, yd = curve.state(t)
         env = sp.point_env(x, y)
         M = -np.einsum("aib,i->ab", np.array(lin.fiber_jacobian_env(env)), xd)
-        return M @ z + lam * (yd + np.array(spec.conn.gamma_env(env), dtype=float) @ xd)
+        c = lam * (yd + np.array(spec.conn.gamma_env(env), dtype=float) @ xd)
+        return _matvec_plus(M.tolist(), z, c.tolist())
 
     z0 = np.linspace(1.0, 2.0, sp.k)
     _, want = _final(rk4(rhs, curve.t0, curve.t1, z0, steps))
     carrier = LambdaFamilyMember(spec.conn, lam) if lam else lin
     got = transport_ode(carrier, curve, z0, steps).z_final
-    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("steps", [10, 1000, 1001])
@@ -402,3 +416,104 @@ def test_curve_overflow_at_a_later_knot_names_its_step(c0):
     curve = CurveInE((ex.parse("t"), ex.parse("t")), (ex.parse("exp(1000*t)"), ex.lit(1.0)), 0.0, 1.0)
     with pytest.raises(OverflowError, match=r"in the step from t = 0\.709$"):
         transport_ode(LinearizedConnection(c0.conn), curve, [1.0, 2.0], 1000, record=16)
+
+
+def _plain_rk4(f, t0, t1, state, steps):
+    """RK4 written out on a list of floats, in rk4's stated order of sums."""
+    h = (t1 - t0) / steps
+    half, sixth = 0.5 * h, h / 6.0
+    for step in range(steps):
+        j = 2 * step
+        k1 = f(t0 + j * half, state)
+        k2 = f(t0 + (j + 1) * half, [s + half * a for s, a in zip(state, k1)])
+        k3 = f(t0 + (j + 1) * half, [s + half * a for s, a in zip(state, k2)])
+        k4 = f(t0 + (j + 2) * half, [s + h * a for s, a in zip(state, k3)])
+        state = [s + sixth * (a + (b + b) + (c + c) + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+    return state
+
+
+@pytest.mark.parametrize("spec_name, curve_name", [("c4", "circle"), ("c5", "arc")])
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_transport_equals_a_plain_float_loop(all_specs, spec_name, curve_name, lam):
+    # k = 2: the stage is M z + c with each row summed left to right, then
+    # + c, where M[A][B] = -(0.0 + J[A][0][B] xdot[0] + J[A][1][B] xdot[1] + ...)
+    # and c[A] = lam (ydot[A] + (G[A][0] xdot[0] + G[A][1] xdot[1] + ...));
+    # no BLAS kernel decides a bit
+    spec = all_specs[spec_name]
+    sp, curve = spec.space, spec.curves[curve_name]
+    n, k = sp.n, sp.k
+    gamma = spec.conn.compiled_gamma_gradients
+
+    def rhs(t, z):
+        values = curve.compiled_state(t)
+        out = gamma(*values[: n + k])
+        G, J = out[: k * n], out[k * n :]
+        xd, yd = values[n + k : 2 * n + k], values[2 * n + k :]
+        zdot = []
+        for A in range(k):
+            s = None
+            for B in range(k):
+                m = 0.0
+                for i in range(n):
+                    m = m + J[(A * n + i) * k + B] * xd[i]
+                s = -m * z[B] if s is None else s + -m * z[B]
+            g = G[A * n] * xd[0]
+            for i in range(1, n):
+                g = g + G[A * n + i] * xd[i]
+            zdot.append(s + lam * (yd[A] + g))
+        return zdot
+
+    z0 = [1.0, 2.0]
+    want = _plain_rk4(rhs, curve.t0, curve.t1, z0, 1000)
+    carrier = LambdaFamilyMember(spec.conn, lam) if lam else LinearizedConnection(spec.conn)
+    got = transport_ode(carrier, curve, z0, 1000).z_final
+    assert got.tolist() == want and got.tobytes() == np.array(want).tobytes()
+
+
+def test_fiber_derivative_flow_equals_a_plain_float_loop(c5):
+    # -gamma X + eta sums (-G[A][i]) X[i] left to right, then adds eta[A];
+    # -dgamma z X sums J[A][i][B] z[B] X[i] onto 0.0, i outer and B inner
+    sp, conn, field = c5.space, c5.conn, c5.fields["drift"]
+    n, k = sp.n, sp.k
+
+    def f(t, state):
+        xy = state[: n + k]
+        comps = field.compiled_components(*state[:n])
+        out = conn.compiled_gamma_gradients(*xy)
+        X, dz = comps[:n], state[n + k :]
+        dy, dzdot = [], []
+        for A in range(k):
+            s = -out[A * n] * X[0]
+            for i in range(1, n):
+                s = s + -out[A * n + i] * X[i]
+            dy.append(s + comps[n + A])
+            acc = 0.0
+            for i in range(n):
+                for B in range(k):
+                    acc = acc + out[k * n + (A * n + i) * k + B] * dz[B] * X[i]
+            dzdot.append(-acc)
+        return [*X, *dy, *dzdot]
+
+    p = PullbackPoint([0.1, -0.2], [0.5, 1.0], [1.0, -0.5])
+    want = _plain_rk4(f, 0.0, 0.7, [*p.x.tolist(), *p.y.tolist(), *p.z.tolist()], 1000)
+    end, dz = fiber_derivative_flow(conn, field, p, 0.7, 1000)
+    assert [*end.x.tolist(), *end.y.tolist(), *dz.tolist()] == want
+
+
+def test_no_integration_warns_or_needs_errstate():
+    # float + and * neither warn nor raise: each integration reports its
+    # overflow as an OverflowError naming t, also where numpy would raise
+    growth = _line_bundle("y1^8")
+    drift = HorBasicField((ex.lit(0.0),), (ex.lit(1e39),))
+    square = loads('[space]\nbase_dim = 2\nfiber_dim = 1\n[connection]\ngamma_1_1 = "y1^8"\ngamma_1_2 = "0"\n')
+    runs = [
+        lambda: transport_ode(LinearizedConnection(_line_bundle("exp(y1)").conn), _curve("t", "40 + t"), [1.0], 1000),
+        lambda: flow(growth.conn, drift, FiberPoint([0.0], [0.0]), 1.0, 10),
+        lambda: fiber_derivative_flow(growth.conn, drift, PullbackPoint([0.0], [0.0], [1.0]), 1.0, 10),
+        lambda: square.conn.holonomy_curvature(FiberPoint([0.0, 0.0], [1e39]), [1.0, 0.0], [0.0, 1.0]),
+    ]
+    for run in runs:
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"at t = \d"):
+                run()
