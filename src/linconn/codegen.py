@@ -20,7 +20,14 @@ same numbers bitwise and raises the same errors:
   the vectorized forward mode of Revels, Lubin and Papamarkou
   (arXiv:1607.07892).  Its guards raise when any lane offends;
 * ``affine_map`` prints the k x k matrix-vector product plus a vector on
-  floats that a transport stage takes.
+  floats that a transport stage takes;
+* ``flow_stage`` prints a whole stage of a flow of a hor-basic field (of
+  ``transport.flow`` or ``fiber_derivative_flow``): the domain test, the
+  field and gamma through the emitters above, and the stage velocities in
+  the stated orders of ``connection.horizontal_velocity`` and
+  ``LinearizedConnection.fiber_velocity``, as one function of the state;
+* ``rk4_step`` prints one step of ``transport.rk4`` for a state width: its
+  four stage sums written out component by component.
 
 Dual values take the walk, ``evaluate``; ``in_domain`` walks
 ``evaluate_bool`` at one point.
@@ -514,3 +521,82 @@ def affine_map(k: int) -> Callable:
     src.line(f"{tuple_of(cs)} = {c}")
     sums = [" + ".join([*(f"{m} * {x}" for m, x in zip(row, zs)), r]) for row, r in zip(rows, cs)]
     return define(src, "[" + ", ".join(sums) + "]")
+
+
+@functools.cache
+def rk4_step(width: int) -> Callable:
+    """``step(f, start, mid, end, s, half, h, sixth)``: one step of
+    ``transport.rk4`` on a list s of width floats, printed once per width.
+
+    It calls ``f(start, s)``, then f at mid on ``s[j] + half*k1[j]`` and on
+    ``s[j] + half*k2[j]``, then at end on ``s[j] + h*k3[j]``, and returns
+    the list ``s[j] + sixth*(k1[j] + (k2[j] + k2[j]) + (k3[j] + k3[j]) +
+    k4[j])``: rk4's stage sums written out component by component, in
+    rk4's order.
+    """
+    src = Source(("f", "start", "mid", "end", "s", "half", "h", "sixth"), {})
+    f, start, mid, end, s, half, h, sixth = src.params
+    xs = [f"_x{j}" for j in range(width)]
+    k1, k2, k3, k4 = ([f"_k{i}_{j}" for j in range(width)] for i in range(1, 5))
+
+    def at(t, scale, k):
+        return f"{f}({t}, [{', '.join(f'{x} + {scale} * {a}' for x, a in zip(xs, k))}])"
+
+    src.line(f"{tuple_of(xs)} = {s}")
+    src.line(f"{tuple_of(k1)} = {f}({start}, {s})")
+    src.line(f"{tuple_of(k2)} = {at(mid, half, k1)}")
+    src.line(f"{tuple_of(k3)} = {at(mid, half, k2)}")
+    src.line(f"{tuple_of(k4)} = {at(end, h, k3)}")
+    sums = [f"{x} + {sixth} * ({a} + ({b} + {b}) + ({c} + {c}) + {d})" for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
+    return define(src, "[" + ", ".join(sums) + "]")
+
+
+def flow_stage(conn, field, variational: bool) -> Callable:
+    """``f(t, state)``: one RK4 stage of a flow of the hor-basic field under
+    the connection, as one printed function of floats.
+
+    The state is x1..xn, y1..yk, and with variational also z1..zk.  f tests
+    the domain predicate and raises ``space.left_domain("flow", t, xy)`` off
+    it, computes the field's X and eta (the float emitter) and gamma (the
+    float emitter, or with variational the forward emitter seeded in y), in
+    that order, so it raises what the compiled predicate, field and gamma
+    raise, one after the other.  It returns the list of X, then
+    ``connection.horizontal_velocity(G, X, eta)``, then with variational
+    ``LinearizedConnection.fiber_velocity(J, z, X)``, printed in their
+    stated orders (for each A: the terms ``-G[A][i] * X[i]`` summed left to
+    right, then ``+ eta[A]``; and ``J[A][i][B] * z[B] * X[i]`` summed onto
+    0.0 with i outer and B inner, negated), so its numbers are bitwise those
+    of the three compiled functions and the two formulas.
+    """
+    sp = conn.space
+    n, k = sp.n, sp.k
+    if (len(field.X), len(field.eta)) != (n, k):
+        raise ValueError(f"a flow needs a field with {n} base and {k} fiber components")
+    helpers = {**HELPERS, "_math": math, "_gradient": gradient, "_left": sp.left_domain}
+    src = Source(sp.x_names + sp.y_names, helpers)
+    xy = src.params
+    zs = [f"_z{B}" for B in range(k)] if variational else []
+    src.params = ["_time", "_state"]  # the values of the names come from the state
+    src.line(f"{tuple_of(xy + zs)} = _state")
+    plain = Emitter(src)
+    if sp.domain is not None:
+        src.line(f"if not {plain.emit_bool(sp.domain)}:")
+        src.line(f"    raise _left('flow', _time, [{', '.join(xy)}])")
+    comps = [plain.emit(e) for e in field.X + field.eta]
+    X, eta = comps[:n], comps[n:]
+    entries = [g for row in conn.gamma for g in row]
+    if variational:
+        out = _forward_outputs(_Forward(src, sp.y_names), entries)
+        G, J = out[: k * n], out[k * n :]
+    else:
+        G = [plain.emit(g) for g in entries]
+    outputs = list(X)
+    for A in range(k):
+        terms = [f"-{g} * {x}" for g, x in zip(G[A * n : (A + 1) * n], X)]
+        outputs.append(" + ".join([*terms, eta[A]]))
+    if variational:
+        for A in range(k):
+            rows = J[A * n * k : (A + 1) * n * k]
+            terms = [f"{rows[i * k + B]} * {zs[B]} * {X[i]}" for i in range(n) for B in range(k)]
+            outputs.append(f"-({' + '.join(['0.0', *terms])})")
+    return define(src, "[" + ", ".join(outputs) + "]")

@@ -36,8 +36,9 @@ def horizontal_velocity(G, X, eta=None) -> list:
     bits do not depend on a BLAS kernel: for each A, the terms
     ``(-G[A][i]) * X[i]`` summed left to right over i ascending, then
     ``+ eta[A]``.  Python float arithmetic neither warns nor raises: an
-    infinite gamma gives an infinite or NaN component.  The flows, the
-    holonomy legs and ``HorBasicField.at`` call it.
+    infinite gamma gives an infinite or NaN component.  The holonomy legs,
+    ``HorBasicField.at``, ``horizontal_lift`` and ``connector`` call it, and
+    ``codegen.flow_stage`` prints the same sums into each flow stage.
     """
     entries = iter(G)
     out = []
@@ -112,9 +113,7 @@ class NonlinearConnection:
 
     def gamma_at(self, a: FiberPoint) -> np.ndarray:
         """Entrywise value of the coefficient matrix at an in-domain point."""
-        self.space.require_in_domain(a.x, a.y)
-        values = self.compiled_gamma(*a.x.tolist(), *a.y.tolist())
-        return np.array(values, dtype=float).reshape(self.space.k, self.space.n)
+        return np.array(self._gamma_values(a), dtype=float).reshape(self.space.k, self.space.n)
 
     def gamma_env(self, env) -> list:
         """Coefficient matrix over a generic (possibly lifted) environment."""
@@ -136,16 +135,23 @@ class NonlinearConnection:
             dir_y.append(s)
         return dir_x, dir_y
 
+    def _gamma_values(self, a: FiberPoint) -> tuple:
+        self.space.require_in_domain(a.x, a.y)
+        return self.compiled_gamma(*a.x.tolist(), *a.y.tolist())
+
     def horizontal_lift(self, a: FiberPoint, v) -> TangentE:
-        """Tangent with base velocity v and fiber velocity -gamma(a) v."""
+        """Tangent with base velocity v and fiber velocity -gamma(a) v, the
+        float sum of ``horizontal_velocity``."""
         v = np.asarray(v, dtype=float)
-        G = self.gamma_at(a)
-        return TangentE(a, v, -G @ v)
+        return TangentE(a, v, np.array(horizontal_velocity(self._gamma_values(a), v.tolist())))
 
     def connector(self, w: TangentE) -> np.ndarray:
-        """Fiber vector kappa(w) = dy + gamma(at) dx; zero iff w is horizontal."""
-        G = self.gamma_at(w.at)
-        return w.dy + G @ w.dx
+        """Fiber vector kappa(w) = dy + gamma(at) dx; zero iff w is horizontal.
+
+        Computed as dy minus ``horizontal_velocity(gamma, dx)``, in floats.
+        """
+        hv = horizontal_velocity(self._gamma_values(w.at), w.dx.tolist())
+        return np.array([d - v for d, v in zip(w.dy.tolist(), hv)])
 
     def project_h(self, w: TangentE) -> TangentE:
         return self.horizontal_lift(w.at, w.dx)
@@ -343,11 +349,25 @@ class HorBasicField:
         return FieldOnE(self.X, tuple(ex.add(d, e) for d, e in zip(drift, self.eta)))
 
     @cached_property
-    def compiled_components(self):
-        """X then eta as floats, one function of x1..xn (flows call it per stage)."""
-        from .codegen import compile_exprs
+    def _stages(self) -> dict:
+        return {}
 
-        return compile_exprs(self.X + self.eta, tuple(f"x{i+1}" for i in range(len(self.X))))
+    def flow_stage(self, conn: NonlinearConnection, variational: bool = False):
+        """The printed right-hand side ``f(t, state)`` of this field's flow
+        under conn (``codegen.flow_stage``), with variational that of
+        ``transport.fiber_derivative_flow``; printed on first use.
+
+        The stages are cached here, keyed by the connection, so a field
+        that is dropped drops its stages (a cache in the module would keep
+        every drawn field alive).
+        """
+        key = (conn, variational)
+        stage = self._stages.get(key)
+        if stage is None:
+            from .codegen import flow_stage
+
+            stage = self._stages[key] = flow_stage(conn, self, variational)
+        return stage
 
     def at(self, conn: NonlinearConnection, a: FiberPoint) -> TangentE:
         """Float components (X, -gamma X + eta) at a, by the walk.

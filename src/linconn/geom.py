@@ -92,9 +92,10 @@ class BundleSpace:
         """The domain predicate compiled over x1..xn, y1..yk; None without one.
 
         ``compiled_domain(*x, *y)`` is ``in_domain(x, y)`` for one point,
-        with the and/or short circuit of ``evaluate_bool``.  Flows and
-        holonomy legs test it at every stage, and the transport knot table
-        at every knot (see ``left_domain``); single points keep ``in_domain``.
+        with the and/or short circuit of ``evaluate_bool``.  Holonomy legs
+        test it at every stage, and the transport knot table at every knot
+        (see ``left_domain``); a flow stage prints the same test inline
+        (``codegen.flow_stage``); single points keep ``in_domain``.
         """
         if self.domain is None:
             return None

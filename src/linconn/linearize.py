@@ -106,8 +106,9 @@ class LinearizedConnection:
         each A the terms ``J[A, i, B] * z[B] * dx[i]`` are summed onto 0.0,
         i outer and B inner, and the sum is negated: bitwise numpy's
         ``-einsum("aib,b,i->a", J, z, dx)``.  The family's
-        ``fiber_velocity`` and the variational stage of
-        ``transport.fiber_derivative_flow`` call it too.
+        ``fiber_velocity`` calls it too, and ``codegen.flow_stage`` prints
+        the same sum into the variational stage of
+        ``transport.fiber_derivative_flow``.
         """
         entries = iter(J)
         out = []

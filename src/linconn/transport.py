@@ -7,12 +7,14 @@ check.  It steps a list of Python floats, and every right-hand side
 returns one, with each sum written out in a stated order (``rk4``,
 ``connection.horizontal_velocity``, ``LinearizedConnection.fiber_velocity``,
 ``codegen.affine_map``), so no numpy kernel decides a bit of a stage and no
-numpy warning can be raised there.  The domain predicate is enforced at
-every stage point; the first violation aborts with the offending parameter
-value.  Transport along a curve tabulates its coefficients at the RK4
-knots, by one call of the compiled lanes of the curve and of gamma
-(``codegen.compile_lanes``), or knot by knot through the compiled scalar
-functions.
+numpy warning can be raised there.  Its step is printed once per state
+width (``codegen.rk4_step``), and a flow's stage once per field, connection
+and kind (``codegen.flow_stage``): both are straight-line code.  The domain
+predicate is enforced at every stage point; the first violation aborts with
+the offending parameter value.  Transport along a curve tabulates its
+coefficients at the RK4 knots, by one call of the compiled lanes of the
+curve and of gamma (``codegen.compile_lanes``), or knot by knot through the
+compiled scalar functions.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from . import ad
 from . import expr as ex
-from .connection import HorBasicField, NonlinearConnection, horizontal_velocity
+from .connection import HorBasicField, NonlinearConnection
 from .geom import FiberPoint, OutOfDomainError, PullbackPoint
 from .linearize import LambdaFamilyMember, LinearizedConnection
 
@@ -122,34 +124,35 @@ def rk4(f, t0: float, t1: float, state, steps: int, by_knot: bool = False):
     and f returns one.  Each component takes the stage sums
     ``s + (0.5*h)*k1``, ``s + (0.5*h)*k2``, ``s + h*k3`` and then
     ``s + (h/6)*(k1 + (k2 + k2) + (k3 + k3) + k4)``, in that order, so the
-    bits depend on no BLAS kernel.  The stages of step s sit at the
-    half-step knots 2s, 2s + 1 (twice) and 2s + 2 (see ``knot_time``);
-    with ``by_knot`` f gets the knot index in place of its time, for a
-    right-hand side tabulated at the knots.  Yields (t, state) after each of
-    the ``steps`` steps.  An OverflowError inside f is re-raised naming t.
+    bits depend on no BLAS kernel.  A step is one call of
+    ``codegen.rk4_step``: the four calls of f and these sums, printed once
+    per state width with no loop over the components.  The stages of step
+    s sit at the half-step knots 2s, 2s + 1 (twice) and 2s + 2 (see
+    ``knot_time``); with ``by_knot`` f gets the knot index in place of its
+    time, for a right-hand side tabulated at the knots.  Yields (t, state)
+    after each of the ``steps`` steps.  An OverflowError inside f is re-raised naming t.
     Float + and * neither warn nor raise, so a state that overflows to inf
     or NaN shows in the finite-state test, which raises OverflowError
     naming t.
     """
+    from .codegen import rk4_step
+
     h = (t1 - t0) / steps
     half = 0.5 * h  # knot j sits at t0 + j*half, as in knot_time
     sixth = h / 6.0
     state = [float(v) for v in state]
-    for step in range(steps):
-        j = 2 * step
+    step = rk4_step(len(state))
+    for s in range(steps):
+        j = 2 * s
         if by_knot:
             start, mid, end = j, j + 1, j + 2
         else:
             start, mid, end = t0 + j * half, t0 + (j + 1) * half, t0 + (j + 2) * half
         try:
-            k1 = f(start, state)
-            k2 = f(mid, [s + half * a for s, a in zip(state, k1)])
-            k3 = f(mid, [s + half * a for s, a in zip(state, k2)])
-            k4 = f(end, [s + h * a for s, a in zip(state, k3)])
+            state = step(f, start, mid, end, state, half, h, sixth)
         except OverflowError as err:
             t = t0 + j * half
             raise OverflowError(f"{err} in the step from t = {t!r}") from err
-        state = [s + sixth * (a + (b + b) + (c + c) + d) for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
         t = t0 + (j + 2) * half
         if not all(map(math.isfinite, state)):
             raise OverflowError(f"non-finite state at t = {t!r}")
@@ -313,22 +316,19 @@ def flow(
     s: float,
     steps: int,
 ) -> FiberPoint:
-    """Flow of the hor-basic field for time s from a, by RK4."""
+    """Flow of the hor-basic field for time s from a, by RK4.
+
+    Each stage is one call of the field's printed stage
+    (``HorBasicField.flow_stage``, ``codegen.flow_stage``): the domain test,
+    which raises naming t and the point, the field's X and eta, gamma as
+    floats, and ``-gamma X + eta`` in ``horizontal_velocity``'s order.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     sp = conn.space
     n = sp.n
-    inside, field, gamma = sp.compiled_domain, y_field.compiled_components, conn.compiled_gamma
-
-    def f(t, xy):
-        if inside is not None and not inside(*xy):
-            raise sp.left_domain("flow", t, xy)
-        comps = field(*xy[:n])
-        dx = comps[:n]
-        return [*dx, *horizontal_velocity(gamma(*xy), dx, comps[n:])]
-
     state = [*a.x.tolist(), *a.y.tolist()]
-    for _, state in rk4(f, 0.0, s, state, steps):
+    for _, state in rk4(y_field.flow_stage(conn), 0.0, s, state, steps):
         pass
     sp.require_in_domain(state[:n], state[n:], "flow endpoint")
     return FiberPoint(state[:n], state[n:])
@@ -349,32 +349,18 @@ def fiber_derivative_flow(
         delta_ydot^A = -d_gamma^A_iB(x, y) delta_y^B X^i(x).
     Returns the flow endpoint and the transported variation; for the
     linearized connection this is the parallel transport of (a, z) along the
-    flow line.
+    flow line.  Each stage is one call of the field's printed variational
+    stage (``HorBasicField.flow_stage``, ``codegen.flow_stage``): the domain
+    test, the field, one forward-mode pass over gamma seeded in y, then
+    ``-gamma X + eta`` and ``-d_gamma z X`` in the stated orders of
+    ``horizontal_velocity`` and ``LinearizedConnection.fiber_velocity``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     sp = conn.space
     n, width = sp.n, sp.n + sp.k
-    inside, field = sp.compiled_domain, y_field.compiled_components
-    gamma, kn = conn.compiled_gamma_gradients, sp.k * sp.n
-    fiber_velocity = LinearizedConnection.fiber_velocity
-
-    def f(t, state):
-        # the velocity and the Jacobian from one pass over gamma seeded in y
-        xy = state[:width]
-        if inside is not None and not inside(*xy):
-            raise sp.left_domain("flow", t, xy)
-        comps = field(*state[:n])
-        dx = comps[:n]
-        out = gamma(*xy)
-        return [
-            *dx,
-            *horizontal_velocity(out[:kn], dx, comps[n:]),
-            *fiber_velocity(out[kn:], state[width:], dx),
-        ]
-
     state = [*p.x.tolist(), *p.y.tolist(), *p.z.tolist()]
-    for _, state in rk4(f, 0.0, s, state, steps):
+    for _, state in rk4(y_field.flow_stage(conn, variational=True), 0.0, s, state, steps):
         pass
     sp.require_in_domain(state[:n], state[n:width], "flow endpoint")
     return FiberPoint(state[:n], state[n:width]), np.array(state[width:])

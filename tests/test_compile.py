@@ -230,10 +230,11 @@ def test_every_helper_is_printed(monkeypatch):
 @pytest.fixture
 def compiles(monkeypatch):
     """Count the functions made by codegen.define, with no transport matvec
-    printed yet."""
+    or RK4 step printed yet."""
     made = []
     real = codegen.define
     codegen.affine_map.cache_clear()
+    codegen.rk4_step.cache_clear()
 
     def counting(source, result):
         made.append(result)
@@ -256,12 +257,13 @@ def test_a_flow_compiles_its_trees_once(compiles):
     field = HorBasicField((ex.parse("1 + x1/4"),), (ex.parse("x1"), ex.lit(0.0)))
     p = PullbackPoint([0.1], [1.0, 0.5], [1.0, -1.0])
     transport.fiber_derivative_flow(spec.conn, field, p, 0.5, 1000)
-    # gamma with its y-gradient, the field, the domain predicate
-    assert len(compiles) == 3
+    # one stage (the domain predicate, the field, gamma with its y-gradient)
+    # and the RK4 step of width n + 2k = 5
+    assert len(compiles) == 2
     transport.fiber_derivative_flow(spec.conn, field, p, 0.5, 1000)
-    assert len(compiles) == 3
+    assert len(compiles) == 2
     transport.flow(spec.conn, field, p.a, 0.5, 100)
-    assert len(compiles) == 4  # gamma as floats
+    assert len(compiles) == 4  # the stage with gamma as floats, the step of width 3
     transport.flow(spec.conn, field, p.a, -0.5, 100)
     assert len(compiles) == 4
 
@@ -292,12 +294,12 @@ def test_loading_specs_and_a_transport_import_no_codegen(compiles):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
     # c1 has no domain: a transport compiles the curve's lanes and gamma's,
-    # and the process prints its 1 x 1 matvec once
+    # and the process prints its 1 x 1 matvec and its RK4 step of width 1 once
     c1 = load_builtin("c1")
     transport.transport_ode(LinearizedConnection(c1.conn), c1.curves["line"], [1.0], 1000)
-    assert len(compiles) == 3
+    assert len(compiles) == 4
     transport.transport_ode(LinearizedConnection(c1.conn), c1.curves["line"], [1.0], 1000)
-    assert len(compiles) == 3
+    assert len(compiles) == 4
 
 
 def test_gamma_at_compiles_once_per_connection(compiles):
@@ -313,9 +315,10 @@ def test_holonomy_compiles_gamma_and_the_domain_once(compiles):
     spec = _fresh_c4()
     a = FiberPoint([0.3], [1.0, 2.0])
     first = spec.conn.holonomy_curvature(a, [1.0], [0.5])
-    assert len(compiles) == 2  # gamma as floats, the domain predicate
+    # gamma as floats, the domain predicate, the RK4 step of four lanes of width 3
+    assert len(compiles) == 3
     assert spec.conn.holonomy_curvature(a, [1.0], [0.5]).tobytes() == first.tobytes()
-    assert len(compiles) == 2
+    assert len(compiles) == 3
 
 
 def test_lambda_check_compiles_each_curve_once(compiles, monkeypatch):
@@ -332,8 +335,9 @@ def test_lambda_check_compiles_each_curve_once(compiles, monkeypatch):
         assert ck._check_lambda_transport(spec, np.random.default_rng(seed), 1)[1] == 1
         # the lanes and the state of each draw's curve, per connection the
         # domain predicate, gamma with its y-gradient and gamma's lanes, and
-        # once the 2 x 2 matvec of the transport stage
-        assert len(compiles) == 2 * len(curves) + 4
+        # once the 2 x 2 matvec of the transport stage and the RK4 step of
+        # width 2 that the transport and the reference loop share
+        assert len(compiles) == 2 * len(curves) + 5
     assert len(curves) == 2
 
 

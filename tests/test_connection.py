@@ -88,6 +88,39 @@ def test_projectors(c1):
         assert np.max(np.abs(pv.dx)) == 0.0
 
 
+def _stated_sum(G, v, n):
+    """For each A, the terms G[A][i] * v[i] summed left to right over i
+    ascending."""
+    out = []
+    for A in range(len(G) // n):
+        s = G[A * n] * v[0]
+        for i in range(1, n):
+            s = s + G[A * n + i] * v[i]
+        out.append(s)
+    return out
+
+
+SIGNED = st.one_of(st.floats(-3.0, 3.0), st.sampled_from((0.0, -0.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("c0", "c1", "c2", "c3", "c4", "c5")), st.integers(0, 2**32 - 1), st.lists(SIGNED, min_size=5, max_size=5))
+def test_lift_and_connector_are_stated_order_float_sums(all_specs, name, seed, values):
+    # no BLAS kernel decides a bit: the lift's fiber part is
+    # (-G[A][0]) v[0] + (-G[A][1]) v[1] + ..., and the connector dy minus it
+    spec = all_specs[name]
+    sp, conn = spec.space, spec.conn
+    n, k = sp.n, sp.k
+    a = sample_in_domain(sp, np.random.default_rng(seed))
+    v, dy = values[:n], values[n : n + k]
+    env = sp.point_env(a.x, a.y)
+    hv = _stated_sum([-ex.evaluate(g, env) for row in conn.gamma for g in row], v, n)
+    lift = conn.horizontal_lift(a, v)
+    assert lift.dx.tobytes() == np.array(v).tobytes() and lift.dy.tobytes() == np.array(hv).tobytes()
+    kappa = conn.connector(TangentE(a, v, dy))
+    assert kappa.tobytes() == np.array([d - h for d, h in zip(dy, hv)]).tobytes()
+
+
 def test_bracket_antisymmetry_and_example(c0):
     sp = c0.space
     f = random_field(RNG, sp)

@@ -1,7 +1,11 @@
-"""The fused flow stage of fiber_derivative_flow: one compiled pass over gamma
-seeded in y gives the hor-basic velocity and the fiber Jacobian, bitwise as
-HorBasicField.at and fiber_jacobian_env, and a failing stage fails as the two
-separate computations do."""
+"""The printed flow stage (codegen.flow_stage) of flow and
+fiber_derivative_flow: one function tests the domain, computes the field and
+gamma (seeded in y for the variational stage) and the two velocities, bitwise
+as HorBasicField.at, fiber_jacobian_env and the walk, and a failing stage
+fails as the separate computations do, at the same stage."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 
 from linconn import ad, transport
 from linconn import expr as ex
-from linconn.connection import HorBasicField
+from linconn.connection import HorBasicField, horizontal_velocity
 from linconn.geom import FiberPoint, OutOfDomainError, PullbackPoint
 from linconn.linearize import LinearizedConnection
 from linconn.sampling import random_hor_basic, sample_in_domain, sample_pullback
@@ -30,35 +34,127 @@ def _bits(a):
 def test_fused_stage_equals_velocity_and_jacobian(all_specs, name, seed):
     spec = all_specs[name]
     sp = spec.space
+    n, k = sp.n, sp.k
     rng = np.random.default_rng(seed)
     a = sample_in_domain(sp, rng)
     field = random_hor_basic(rng, sp)
+    z = rng.uniform(-2.0, 2.0, k).tolist()
     env = sp.point_env(a.x, a.y)
-    kn = sp.k * sp.n
-    comps = field.compiled_components(*a.x.tolist())
+    got = field.flow_stage(spec.conn, variational=True)(0.0, [*a.x.tolist(), *a.y.tolist(), *z])
     out = spec.conn.compiled_gamma_gradients(*a.x.tolist(), *a.y.tolist())
-    dx = np.array(comps[: sp.n])
-    dy = np.array(_hor_velocity(out[:kn], comps[: sp.n], comps[sp.n :]))
-    J = np.array(out[kn:]).reshape(sp.k, sp.n, sp.k)
+    dx, dy = np.array(got[:n]), np.array(got[n : n + k])
+    J = np.array(out[k * n :]).reshape(k, n, k)
     want = field.at(spec.conn, a)
     assert _bits(dx) == _bits(want.dx) and _bits(dy) == _bits(want.dy)
+    assert _bits(got[n + k :]) == _bits(LinearizedConnection.fiber_velocity(out[k * n :], z, got[:n]))
     assert _bits(J) == _bits(LinearizedConnection(spec.conn).fiber_jacobian_env(env))
     # and as one ad.gradient per entry, the computation before gradients
     per_entry = [[ad.gradient(g, env, sp.y_names)[1] for g in row] for row in spec.conn.gamma]
     assert J.shape == (sp.k, sp.n, sp.k) and _bits(J) == _bits(per_entry)
 
 
-def _hor_velocity(G, X, eta):
-    """-gamma X + eta in the stated order: for each A, the terms
-    (-G[A][i]) * X[i] summed left to right, then + eta[A]."""
-    n = len(X)
-    out = []
-    for A in range(len(eta)):
-        s = -G[A * n] * X[0]
-        for i in range(1, n):
-            s = s + -G[A * n + i] * X[i]
-        out.append(s + eta[A])
-    return out
+def _walked_stage(conn, field, variational):
+    """The stage of the flow (with variational, of fiber_derivative_flow) by
+    the walk: the domain by ``in_domain``, X and eta by ``evaluate``, gamma
+    by ``evaluate`` or, with variational, gamma and its y-partials by
+    ``ad.gradients``; then ``horizontal_velocity`` and ``fiber_velocity``
+    on those floats."""
+    sp = conn.space
+    n, k = sp.n, sp.k
+    entries = [g for row in conn.gamma for g in row]
+
+    def f(t, state):
+        xy = state[: n + k]
+        if not sp.in_domain(xy[:n], xy[n:]):
+            raise sp.left_domain("flow", t, xy)
+        env = sp.point_env(xy[:n], xy[n:])
+        X = [ex.evaluate(e, env) for e in field.X]
+        eta = [ex.evaluate(e, env) for e in field.eta]
+        if not variational:
+            return [*X, *horizontal_velocity([ex.evaluate(g, env) for g in entries], X, eta)]
+        pairs = ad.gradients(entries, env, sp.y_names)
+        G, J = [v for v, _ in pairs], [d for _, grad in pairs for d in grad]
+        return [*X, *horizontal_velocity(G, X, eta), *LinearizedConnection.fiber_velocity(J, state[n + k :], X)]
+
+    return f
+
+
+def _run(f, t0, t1, state, steps, seen):
+    """The end state of rk4 over f as bits, or the error it raised; seen
+    records the time of every stage."""
+
+    def recording(t, state):
+        seen.append(t)
+        return f(t, state)
+
+    try:
+        for _, state in rk4(recording, t0, t1, state, steps):
+            pass
+    except (ArithmeticError, ValueError) as err:
+        return "raise", type(err), str(err)
+    return "value", _bits(state)
+
+
+# Mutation check: printing fiber_velocity's sum with B outer and i inner in
+# codegen.flow_stage fails this test, and so does adding eta before the
+# gamma terms.
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SPEC_NAMES), SEEDS, st.booleans(), st.floats(-3.0, 3.0), st.integers(1, 6))
+def test_printed_stage_equals_the_walk(all_specs, name, seed, variational, s, steps):
+    spec = all_specs[name]
+    sp = spec.space
+    rng = np.random.default_rng(seed)
+    p = sample_pullback(sp, rng)
+    field = random_hor_basic(rng, sp)
+    state = [*p.x.tolist(), *p.y.tolist(), *(p.z.tolist() if variational else [])]
+    printed, walked = field.flow_stage(spec.conn, variational), _walked_stage(spec.conn, field, variational)
+    # one stage at the drawn point, bitwise
+    assert _bits(printed(0.0, state)) == _bits(walked(0.0, state))
+    # and a short flow: the same numbers, or the same error at the same stage
+    got_seen, want_seen = [], []
+    got = _run(printed, 0.0, s, state, steps, got_seen)
+    assert got == _run(walked, 0.0, s, state, steps, want_seen)
+    assert got_seen == want_seen
+
+
+def _outcome(f, state):
+    try:
+        return "value", _bits(f(0.0, state))
+    except (ArithmeticError, ValueError) as err:
+        return "raise", type(err), str(err)
+
+
+@pytest.mark.parametrize(
+    "gamma, domain, x, error, message",
+    [
+        ("sqrt(y1)", "y1 > -1", 1.0, ex.DomainError, "sqrt"),  # gamma fails
+        ("sqrt(y1)", "y1 > -1", 0.0, ex.DomainError, "division by zero"),  # the field, 1/x1, first
+        ("y1", "y1 > 0", 0.0, OutOfDomainError, "flow left the domain at t = 0.0"),  # the domain first
+    ],
+)
+@pytest.mark.parametrize("variational", [False, True])
+def test_printed_stage_raises_what_the_walk_raises(gamma, domain, x, error, message, variational):
+    spec = _line_bundle(gamma, domain)
+    field = HorBasicField((ex.parse("1/x1"),), (ex.lit(0.0),))
+    state = [x, -0.5, *([1.0] if variational else [])]
+    got = _outcome(field.flow_stage(spec.conn, variational), state)
+    assert got == _outcome(_walked_stage(spec.conn, field, variational), state)
+    assert got[1] is error and message in got[2]
+
+
+def test_a_dropped_field_frees_its_stages(c5):
+    # the stages live on the field: a cache in the module kept every drawn
+    # field of a run alive, and the peak RSS of a flow benchmark grew by 30%
+    field = random_hor_basic(np.random.default_rng(1), c5.space)
+    p = PullbackPoint([0.1, -0.2], [0.5, 1.0], [1.0, -0.5])
+    fiber_derivative_flow(c5.conn, field, p, 0.1, 4)
+    transport.flow(c5.conn, field, p.a, 0.1, 4)
+    stages = [weakref.ref(field.flow_stage(c5.conn, kind)) for kind in (False, True)]
+    assert field.flow_stage(c5.conn) is stages[0]()  # printed once per kind
+    dropped = weakref.ref(field)
+    del field
+    gc.collect()
+    assert dropped() is None and [ref() for ref in stages] == [None, None]
 
 
 def _unfused(conn, field, p, s, steps, seen):
@@ -186,3 +282,15 @@ def test_blow_up_is_an_overflow_naming_t_without_numpy_warnings():
         fiber_derivative_flow(spec.conn, _drift(1e39), p, 1.0, 10)
     with pytest.raises(OverflowError, match=r"non-finite state at t = 0\.4$"):
         transport.flow(spec.conn, _drift(1e39), p.a, 1.0, 10)
+
+
+def test_a_field_of_other_dimensions_is_refused():
+    # the stage prints one velocity per fiber component from n base terms;
+    # eta of length 1 on a rank-2 bundle was cut short without a word
+    spec = _line_bundle(C4_NORM, "y1^2 + y2^2 > 0", k=2)
+    p = PullbackPoint([0.0], [1.0, 0.0], [1.0, 1.0])
+    for field in (_drift(-1.0), HorBasicField((ex.lit(1.0), ex.lit(0.0)), (ex.lit(0.0), ex.lit(0.0)))):
+        with pytest.raises(ValueError, match="1 base and 2 fiber components"):
+            fiber_derivative_flow(spec.conn, field, p, 1.0, 4)
+        with pytest.raises(ValueError, match="1 base and 2 fiber components"):
+            transport.flow(spec.conn, field, p.a, 1.0, 4)

@@ -1,11 +1,14 @@
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from linconn import codegen, transport
 from linconn import expr as ex
-from linconn import transport
 from linconn.connection import HorBasicField
 from linconn.geom import FiberPoint, OutOfDomainError, PullbackPoint
 from linconn.linearize import LambdaFamilyMember, LinearizedConnection
@@ -283,6 +286,83 @@ def test_rk4_stage_times_are_the_knots():
     assert knot_time(0.0, 1.0, 3, np.arange(7)).tolist() == [knot_time(0.0, 1.0, 3, j) for j in range(7)]
 
 
+# -- the printed RK4 step ---------------------------------------------------
+
+STAGE_VALUES = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.sampled_from((0.0, -0.0, 1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan)),
+)
+
+
+def _by_hand(f, start, mid, end, s, half, h, sixth):
+    """One step of rk4 with its stage sums written out component by component."""
+    k1 = f(start, s)
+    k2 = f(mid, [s[j] + half * k1[j] for j in range(len(s))])
+    k3 = f(mid, [s[j] + half * k2[j] for j in range(len(s))])
+    k4 = f(end, [s[j] + h * k3[j] for j in range(len(s))])
+    return [s[j] + sixth * (k1[j] + (k2[j] + k2[j]) + (k3[j] + k3[j]) + k4[j]) for j in range(len(s))]
+
+
+def _float_bits(values):
+    # every NaN counts as one value (see tests/test_compile.py::_bits)
+    return [b"nan" if v != v else struct.pack("<d", v) for v in values]
+
+
+def _replaying(stages, seen):
+    """A right-hand side that returns the given stage values in turn and
+    records each time and the bits of each state it is called on."""
+    values = iter(stages)
+
+    def f(t, s):
+        seen.append((t, _float_bits(s)))
+        return next(values)
+
+    return f
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 24).flatmap(lambda w: st.lists(st.lists(STAGE_VALUES, min_size=w, max_size=w), min_size=5, max_size=5)),
+    st.sampled_from((0.1, -0.25, 1e-3, 3.0)),
+    st.booleans(),
+)
+def test_printed_step_equals_the_stage_sums_by_hand(rows, h, by_knot):
+    # signed zeros, infinities and NaN in the state and the stage values
+    state, stages = rows[0], rows[1:]
+    times = (4, 5, 6) if by_knot else (0.25, 0.25 + 0.5 * h, 0.25 + h)
+    got_seen, want_seen = [], []
+    step = codegen.rk4_step(len(state))
+    got = step(_replaying(stages, got_seen), *times, state, 0.5 * h, h, h / 6.0)
+    want = _by_hand(_replaying(stages, want_seen), *times, state, 0.5 * h, h, h / 6.0)
+    assert _float_bits(got) == _float_bits(want)
+    assert got_seen == want_seen and [t for t, _ in got_seen] == [times[0], times[1], times[1], times[2]]
+    assert codegen.rk4_step(len(state)) is step  # printed once per width
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 24])
+@pytest.mark.parametrize("by_knot", [False, True])
+def test_rk4_equals_a_loop_of_steps_by_hand(width, by_knot):
+    # a linear right-hand side whose coefficients change with the knot or
+    # time, with signed zeros in the state and the coefficients
+    rng = np.random.default_rng(width)
+    table = rng.uniform(-2.0, 2.0, (7, width))
+    table[:, ::3] = -0.0
+    state = [(-0.0 if j % 2 else 0.0) if j % 3 == 0 else float(v) for j, v in enumerate(rng.uniform(-1, 1, width))]
+
+    def f(t, s):
+        row = table[t] if by_knot else table[int(round(4 * t)) % 7]
+        return [a * x + 0.0 * a for a, x in zip(row.tolist(), s)]
+
+    got = [(t, list(s)) for t, s in rk4(f, 0.0, 0.75, state, 3, by_knot=by_knot)]
+    want, s, h = [], list(state), 0.25
+    for step in range(3):
+        j = 2 * step
+        knots = [j, j + 1, j + 2] if by_knot else [knot_time(0.0, 0.75, 3, i) for i in (j, j + 1, j + 2)]
+        s = _by_hand(f, *knots, s, 0.5 * h, h, h / 6.0)
+        want.append((knot_time(0.0, 0.75, 3, j + 2), s))
+    assert [(t, _float_bits(s)) for t, s in got] == [(t, _float_bits(s)) for t, s in want]
+
+
 @pytest.mark.parametrize("spec_name, curve_name, lam", [
     ("c2", "sweep", 0.0), ("c2", "sweep", 0.7), ("c1", "flowline", 0.5), ("c4", "circle", 0.0),
 ])
@@ -478,7 +558,8 @@ def test_fiber_derivative_flow_equals_a_plain_float_loop(c5):
 
     def f(t, state):
         xy = state[: n + k]
-        comps = field.compiled_components(*state[:n])
+        env = sp.point_env(xy[:n], xy[n:])
+        comps = [ex.evaluate(e, env) for e in field.X + field.eta]
         out = conn.compiled_gamma_gradients(*xy)
         X, dz = comps[:n], state[n + k :]
         dy, dzdot = [], []
