@@ -5,8 +5,8 @@ exact first derivatives in up to m directions per evaluation.  Dual2 carries
 a value, two first directional derivatives and the mixed second derivative,
 which is what the curvature formulas need: an outer derivative of quantities
 that already contain one derivative of the connection coefficients.  Both
-are scalars; ``codegen.compile_gradients`` and ``codegen.compile_lanes``
-print Dual1 arithmetic for float values and for lanes of N points.
+are scalars; ``codegen.compile_gradients`` prints Dual1 arithmetic slot by
+slot for float values.
 
 Dual1 and Dual2 arithmetic builds its results with the private constructors
 ``_dual1`` and ``_dual2``, which store their arguments without ``float()``.

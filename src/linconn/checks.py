@@ -62,7 +62,6 @@ from .transport import (
     fiber_derivative_flow,
     flow,
     rk4,
-    transport_coefficients,
     transport_ode,
 )
 
@@ -218,9 +217,7 @@ def _line_curve(spec: SpecFile, rng, vertical: bool = False) -> CurveInE:
     """A straight-line curve staying well inside the domain at 65 knots.
 
     A vertical curve keeps the base point of its first endpoint fixed.  The
-    knots come from one call of the curve's compiled lanes, which its
-    transports reuse; segments use + and * only, so each knot is bitwise
-    the curve's state there.
+    knots come from the curve's compiled state.
     """
     sp = spec.space
     width = sp.n + sp.k
@@ -231,8 +228,8 @@ def _line_curve(spec: SpecFile, rng, vertical: bool = False) -> CurveInE:
         curve = CurveInE(xs, _segment(a.y, b.y), 0.0, 1.0)
         if sp.domain is None:
             return curve
-        knots = curve.compiled_lanes(np.linspace(0.0, 1.0, 65))[:width]
-        if all(_well_inside(sp, xy) for xy in knots.T.tolist()):
+        state = curve.compiled_state
+        if all(_well_inside(sp, list(state(t)[:width])) for t in np.linspace(0.0, 1.0, 65).tolist()):
             return curve
     raise _Skip
 
@@ -836,14 +833,35 @@ def _order_measurable(lin, curve) -> bool:
     The screen uses only the right-hand side, never the convergence outcome.
     """
     knots, amp, wiggle = 257, 8.0, 1e4
-    table = transport_coefficients(lin, curve, np.linspace(curve.t0, curve.t1, knots))
-    if table.error is not None:
-        return False  # the right-hand side fails somewhere on the curve
+    sp = lin.space
+    n, k = sp.n, sp.k
+    state, inside, gamma = curve.compiled_state, sp.compiled_domain, lin.conn.compiled_gamma_gradients
+    mats = []
+    try:
+        for t in np.linspace(curve.t0, curve.t1, knots).tolist():
+            values = state(t)
+            xy, xd = values[: n + k], values[n + k : 2 * n + k]
+            if inside is not None and not inside(*xy):
+                return False  # the right-hand side fails somewhere on the curve
+            J = gamma(*xy)[k * n :]
+            mats.append([[_transport_entry(J, xd, k, A, B) for B in range(k)] for A in range(k)])
+    except (ArithmeticError, ValueError):  # an overflow or a math error there
+        return False
     h = (curve.t1 - curve.t0) / (knots - 1)
-    mats = table.M
+    mats = np.array(mats)
     peak = np.abs(mats).max(initial=0.0)
     d4 = np.abs(np.diff(mats, n=4, axis=0)).max(initial=0.0) / h**4
     return peak <= amp and d4 / (1.0 + peak) <= wiggle
+
+
+def _transport_entry(J, xd, k, A, B) -> float:
+    """M[A][B] = -(0.0 + J[A][0][B] xdot[0] + J[A][1][B] xdot[1] + ...), the
+    transport matrix entry in ``codegen.curve_stage``'s stated order, from
+    the flat y-gradients of the compiled gamma gradients."""
+    m = 0.0
+    for i, x in enumerate(xd):
+        m = m + J[(A * len(xd) + i) * k + B] * x
+    return -m
 
 
 def _check_transport_order(spec, rng, samples):
@@ -905,7 +923,7 @@ def _check_lambda_transport(spec, rng, samples):
 
     The reference loop calls the family's plain-float formula on the
     compiled curve state, domain predicate and gamma with its y-gradient at
-    every stage; ``transport_ode`` integrates the tabulated coefficients.
+    every stage; ``transport_ode`` integrates the curve's printed stage.
     """
     sp = spec.space
     n, k = sp.n, sp.k

@@ -8,24 +8,22 @@ operations in the walk's order through the same guards, so it returns the
 same numbers bitwise and raises the same errors:
 
 * ``compile_exprs`` and ``compile_bool`` (the float emitter) print float
-  arithmetic; their functions take Python floats, which is what every
+  arithmetic, each function of the math module called directly behind the
+  walk's guard; their functions take Python floats, which is what every
   owner passes (the ``tolist()`` of a state);
 * ``compile_gradients`` (the forward-mode emitter) prints Dual1 arithmetic
   slot by slot in float locals and returns what ``ad.gradients`` returns.
   A tree whose derivative the printed code cannot decide (an exponent that
   is not a literal or a negated literal, an unknown function) is walked by
   ``ad.gradient`` at run time;
-* ``compile_lanes`` prints the same forward-mode code over numpy arrays of
-  lane values, so one call serves N points (the transport table's knots),
-  the vectorized forward mode of Revels, Lubin and Papamarkou
-  (arXiv:1607.07892).  Its guards raise when any lane offends;
-* ``affine_map`` prints the k x k matrix-vector product plus a vector on
-  floats that a transport stage takes;
 * ``flow_stage`` prints a whole stage of a flow of a hor-basic field (of
   ``transport.flow`` or ``fiber_derivative_flow``): the domain test, the
   field and gamma through the emitters above, and the stage velocities in
   the stated orders of ``connection.horizontal_velocity`` and
   ``LinearizedConnection.fiber_velocity``, as one function of the state;
+* ``curve_stage`` prints a whole stage of ``transport.transport_ode``: the
+  curve seeded in t, the domain test, gamma seeded in y, and ``M z + c`` in
+  its stated order, as one function of the time and the transported vector;
 * ``rk4_step`` prints one step of ``transport.rk4`` for a state width: its
   four stage sums written out component by component.
 
@@ -43,10 +41,9 @@ import functools
 import math
 from typing import Callable, Mapping
 
-import numpy as np
-
 from .ad import gradient
 from .expr import (
+    FUNCTIONS,
     Bin,
     BoolAnd,
     BoolExpr,
@@ -58,7 +55,6 @@ from .expr import (
     Neg,
     UnboundVariableError,
     Var,
-    _apply_real,
     _as_const_int,
     _ipow,
     _literal,
@@ -125,7 +121,7 @@ HELPERS = {
     "_Unbound": UnboundVariableError,
     "_pow": _pow,
     "_ipow": _ipow,
-    "_apply_real": _apply_real,
+    "_math": math,
 }
 
 
@@ -220,7 +216,20 @@ class Emitter:
             sq = self.arith("*", sq, sq)
 
     def fun(self, name: str, a):
-        return self.src.assign(f"_apply_real({name!r}, {a})")
+        """``expr._apply_real(name, a)``: its guard printed inline and the
+        math function called directly; an unknown name raises its ValueError."""
+        if name == "abs":
+            return self.src.assign(f"abs({a})")
+        if name not in FUNCTIONS:
+            self.src.line(f"raise ValueError({f'unknown function {name!r}'!r})")
+            return self.literal(None)
+        if name == "log":
+            self.src.line(f"if {a} <= 0.0:")
+            self.src.line('    raise _DomainError("log of non-positive value")')
+        elif name == "sqrt":
+            self.src.line(f"if {a} < 0.0:")
+            self.src.line('    raise _DomainError("sqrt of negative value")')
+        return self.src.assign(f"_math.{name}({a})")
 
     def emit_bool(self, b: BoolExpr) -> str:
         """Statements computing ``evaluate_bool(b)``, and/or short circuit kept."""
@@ -270,13 +279,10 @@ class _Forward(Emitter):
     guards included, so the numbers are bitwise those of ``ad.gradients``.
     Floats (trees without variables) print as ``Emitter`` prints them;
     ``emit`` and the squarings of ``ipow`` are inherited.  ``walked`` hands
-    a whole tree to ``ad.gradient`` instead.  ``lib`` names the module
-    whose functions the printed code calls on a Dual1's value.  A call of
-    ``lib`` or a guard already printed for the same argument token is not
-    printed again: every token is assigned once, so it reads the same value.
+    a whole tree to ``ad.gradient`` instead.  A call of a math function or
+    a guard already printed for the same argument token is not printed
+    again: every token is assigned once, so it reads the same value.
     """
-
-    lib = "_math"
 
     def __init__(self, source, seeded):
         super().__init__(source)
@@ -290,12 +296,12 @@ class _Forward(Emitter):
             for name in source.tokens
         }
 
-    def _raise_if(self, test: str, message: str, error: str = "_DomainError"):
+    def _raise_if(self, test: str, message: str):
         # a guard already printed has passed: its test reads the same tokens
-        if (test, message, error) not in self.guards:
-            self.guards.add((test, message, error))
+        if (test, message) not in self.guards:
+            self.guards.add((test, message))
             self.src.line(f"if {test}:")
-            self.src.line(f"    raise {error}({message!r})")
+            self.src.line(f"    raise _DomainError({message!r})")
 
     def _call(self, text: str) -> str:
         """The token of a pure call, printed once per text: sin and cos of
@@ -387,21 +393,21 @@ class _Forward(Emitter):
         re, eps = a
         if eps is None:
             return self.plain.fun(name, re), None
-        put, call, lib = self.src.assign, self._call, self.lib
-        sin, cos = f"{lib}.sin({re})", f"{lib}.cos({re})"
+        put, call = self.src.assign, self._call
+        sin, cos = f"_math.sin({re})", f"_math.cos({re})"
         if name == "sin":
             return call(sin), self._scaled(call(cos), eps)
         if name == "cos":
             return call(cos), self._scaled(put(f"-{call(sin)}"), eps)
         if name == "exp":
-            v = call(f"{lib}.exp({re})")
+            v = call(f"_math.exp({re})")
             return v, self._scaled(v, eps)
         if name == "log":
             self._raise_if(f"{re} <= 0.0", "log of non-positive value")
-            return call(f"{lib}.log({re})"), self._scaled(put(f"1.0 / {re}"), eps)
+            return call(f"_math.log({re})"), self._scaled(put(f"1.0 / {re}"), eps)
         if name == "sqrt":
             self._raise_if(f"{re} <= 0.0", "sqrt needs a positive value when differentiating")
-            v = call(f"{lib}.sqrt({re})")
+            v = call(f"_math.sqrt({re})")
             return v, self._scaled(put(f"0.5 / {v}"), eps)
         # abs
         self._raise_if(f"{re} == 0.0", "abs is not differentiable at zero")
@@ -445,82 +451,8 @@ def compile_gradients(exprs, names, seeded) -> Callable:
     ``expr._walk_decides`` flags is handed to ``ad.gradient`` at run time
     instead of being printed.
     """
-    src = Source(names, {**HELPERS, "_math": math, "_gradient": gradient})
+    src = Source(names, {**HELPERS, "_gradient": gradient})
     return define(src, tuple_of(_forward_outputs(_Forward(src, tuple(seeded)), exprs)))
-
-
-_EXP_MAX = 709.782712893384  # largest x whose math.exp(x) is finite
-
-
-class _Lanes(_Forward):
-    """Prints ``_Forward``'s code over numpy arrays, one element per lane.
-
-    Every Dual1 value is an array, and numpy's + - * / apply the scalar
-    operation lane by lane, so lane j gets the Dual1 numbers at lane j.
-    A guard raises the scalar's exception when any lane offends, including
-    the two that ``math`` raises and numpy does not: sin or cos of an
-    infinity, and exp of a finite value too large for a float.  numpy's
-    sin, cos, exp and log may differ from ``math``'s in the last bit.
-    """
-
-    lib = "_np"
-
-    def _raise_if(self, test, message, error="_DomainError"):
-        super()._raise_if(f"({test}).any()", message, error)
-
-    def fun(self, name, a):
-        re, eps = a
-        if eps is not None:
-            if name in ("sin", "cos"):
-                self._raise_if(f"_np.isinf({re})", "math domain error", "ValueError")
-            elif name == "exp":
-                self._raise_if(f"({re} > {_EXP_MAX!r}) & _np.isfinite({re})", "math range error", "OverflowError")
-            elif name == "abs":
-                self._raise_if(f"{re} == 0.0", "abs is not differentiable at zero")
-                up = self.src.assign(f"{re} > 0.0")
-                re, *eps = [self.src.assign(f"_np.where({up}, {x}, -{x})") for x in (re, *eps)]
-                return re, tuple(eps)
-        return super().fun(name, a)
-
-
-def compile_lanes(exprs, names, seeded) -> Callable:
-    """``compile_gradients`` over lanes: ``f(*arrays)`` takes one array of N
-    lane values per name and returns a (T*(1 + m), N) array whose column j
-    holds what ``compile_gradients(exprs, names, seeded)`` returns at the
-    values of lane j, bitwise for + - * /, integer powers, sqrt and abs
-    (numpy's transcendental functions may differ in the last bit).  It
-    raises when any lane raises.  Trees that ``expr._walk_decides`` flags
-    have no lane code: the caller takes a per-point path for them.
-    """
-    if any(map(_walk_decides, exprs)):
-        raise ValueError("a tree whose exponent or function only the walk decides has no lane code")
-    src = Source(names, {**HELPERS, "_math": math, "_np": np})
-    tokens = _forward_outputs(_Lanes(src, tuple(seeded)), exprs)
-    src.line(f"_out = _np.empty(({len(tokens)}, len({src.params[0]})))")
-    for row, token in enumerate(tokens):  # a float fills its row
-        src.line(f"_out[{row}] = {token}")
-    return define(src, "_out")
-
-
-@functools.cache
-def affine_map(k: int) -> Callable:
-    """``f(M, z, c)``: the list M z + c for a k x k nested list M of floats
-    and lists z and c of k floats, printed once per k.
-
-    Row A is ``M[A][0]*z[0] + M[A][1]*z[1] + ... + c[A]``, summed left to
-    right in float arithmetic, so its bits depend on no BLAS kernel (numpy's
-    small ``dot`` may use fused multiply-adds).  Every RK4 stage of
-    ``transport_ode`` calls it.
-    """
-    src = Source(("M", "z", "c"), {})
-    M, z, c = src.params
-    rows = [[f"_m{A}_{B}" for B in range(k)] for A in range(k)]
-    zs, cs = [f"_z{B}" for B in range(k)], [f"_r{A}" for A in range(k)]
-    src.line(f"{tuple_of(map(tuple_of, rows))} = {M}")
-    src.line(f"{tuple_of(zs)} = {z}")
-    src.line(f"{tuple_of(cs)} = {c}")
-    sums = [" + ".join([*(f"{m} * {x}" for m, x in zip(row, zs)), r]) for row, r in zip(rows, cs)]
-    return define(src, "[" + ", ".join(sums) + "]")
 
 
 @functools.cache
@@ -572,7 +504,7 @@ def flow_stage(conn, field, variational: bool) -> Callable:
     n, k = sp.n, sp.k
     if (len(field.X), len(field.eta)) != (n, k):
         raise ValueError(f"a flow needs a field with {n} base and {k} fiber components")
-    helpers = {**HELPERS, "_math": math, "_gradient": gradient, "_left": sp.left_domain}
+    helpers = {**HELPERS, "_gradient": gradient, "_left": sp.left_domain}
     src = Source(sp.x_names + sp.y_names, helpers)
     xy = src.params
     zs = [f"_z{B}" for B in range(k)] if variational else []
@@ -600,3 +532,50 @@ def flow_stage(conn, field, variational: bool) -> Callable:
             terms = [f"{rows[i * k + B]} * {zs[B]} * {X[i]}" for i in range(n) for B in range(k)]
             outputs.append(f"-({' + '.join(['0.0', *terms])})")
     return define(src, "[" + ", ".join(outputs) + "]")
+
+
+def curve_stage(lin, curve, lam: float) -> Callable:
+    """``f(t, z)``: one RK4 stage of ``transport.transport_ode`` along the
+    curve under the linearization lin (with lam != 0 the family member), as
+    one printed function of floats.
+
+    f computes the curve's x, y, xdot and ydot (the forward emitter seeded
+    in t, as ``CurveInE.compiled_state``), tests the domain predicate at
+    (x, y) and raises ``space.left_domain("curve", t, xy)`` off it, then
+    computes gamma and d_gamma (the forward emitter seeded in y over the
+    curve's values, as ``compiled_gamma_gradients``), in that order, so it
+    raises what those compiled functions raise, one after the other.  It
+    returns the list ``M z + c`` with ``M[A][B] = -(0.0 + J[A][0][B] *
+    xdot[0] + J[A][1][B] * xdot[1] + ...)`` and row A summed left to right,
+    ``M[A][0] * z[0] + M[A][1] * z[1] + ...``, then ``+ c[A]`` with ``c[A] =
+    lam * (ydot[A] + (G[A][0] * xdot[0] + G[A][1] * xdot[1] + ...))``; with
+    lam = 0 there is no c.
+    """
+    sp = lin.space
+    n, k = sp.n, sp.k
+    src = Source(("t",), {**HELPERS, "_gradient": gradient, "_left": sp.left_domain})
+    time = src.params[0]
+    zs = [f"_z{B}" for B in range(k)]
+    src.params = [time, "_state"]
+    src.line(f"{tuple_of(zs)} = _state")
+    out = _forward_outputs(_Forward(src, ("t",)), curve.comp_x + curve.comp_y)
+    xy = [src.assign(v) for v in out[: n + k]]
+    xd, yd = out[n + k : 2 * n + k], out[2 * n + k :]
+    src.tokens = dict(zip(sp.x_names + sp.y_names, xy))  # gamma reads the curve's point
+    if sp.domain is not None:
+        src.line(f"if not {Emitter(src).emit_bool(sp.domain)}:")
+        src.line(f"    raise _left('curve', {time}, [{', '.join(xy)}])")
+    out = _forward_outputs(_Forward(src, sp.y_names), [g for row in lin.conn.gamma for g in row])
+    G, J = out[: k * n], out[k * n :]
+    rows = []
+    for A in range(k):
+        M = [
+            src.assign(f"-({' + '.join(['0.0', *(f'{J[(A * n + i) * k + B]} * {xd[i]}' for i in range(n))])})")
+            for B in range(k)
+        ]
+        row = " + ".join(f"{m} * {z}" for m, z in zip(M, zs))
+        if lam != 0.0:
+            g = " + ".join(f"{G[A * n + i]} * {xd[i]}" for i in range(n))
+            row += f" + {src.const(float(lam))} * ({yd[A]} + ({g}))"
+        rows.append(row)
+    return define(src, "[" + ", ".join(rows) + "]")

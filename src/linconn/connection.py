@@ -98,19 +98,6 @@ class NonlinearConnection:
         entries = [g for row in self.gamma for g in row]
         return compile_gradients(entries, sp.x_names + sp.y_names, sp.y_names)
 
-    @cached_property
-    def compiled_gamma_lanes(self):
-        """``compiled_gamma_gradients`` over lanes: one array of lane values
-        per x1..xn, y1..yk, and the (k*n*(1 + k), N) array of the entries and
-        their y-partials, lanes last (``codegen.compile_lanes``).  The batched
-        pass of the transport table calls it.
-        """
-        from .codegen import compile_lanes
-
-        sp = self.space
-        entries = [g for row in self.gamma for g in row]
-        return compile_lanes(entries, sp.x_names + sp.y_names, sp.y_names)
-
     def gamma_at(self, a: FiberPoint) -> np.ndarray:
         """Entrywise value of the coefficient matrix at an in-domain point."""
         return np.array(self._gamma_values(a), dtype=float).reshape(self.space.k, self.space.n)

@@ -342,7 +342,7 @@ def _walk_decides(e) -> bool:
     """An exponent that is not a (negated) literal, or an unknown function:
     whether ``x^p`` is an integer power depends on p's value, and an unknown
     function raises what the scalar's method lookup raises, so only the walk
-    at a point decides (compiled code and the transport table defer to it).
+    at a point decides (compiled code defers to it).
     """
     stack = [e]
     while stack:

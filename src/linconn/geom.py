@@ -93,9 +93,9 @@ class BundleSpace:
 
         ``compiled_domain(*x, *y)`` is ``in_domain(x, y)`` for one point,
         with the and/or short circuit of ``evaluate_bool``.  Holonomy legs
-        test it at every stage, and the transport knot table at every knot
-        (see ``left_domain``); a flow stage prints the same test inline
-        (``codegen.flow_stage``); single points keep ``in_domain``.
+        test it at every stage (see ``left_domain``); a flow stage and a
+        transport stage print the same test inline (``codegen.flow_stage``,
+        ``codegen.curve_stage``); single points keep ``in_domain``.
         """
         if self.domain is None:
             return None
@@ -104,9 +104,9 @@ class BundleSpace:
         return compile_bool(self.domain, self.x_names + self.y_names)
 
     def left_domain(self, what: str, t, xy: list) -> OutOfDomainError:
-        """The error for an RK4 stage point or a curve knot xy, the floats
-        x1..xn, y1..yk, that ``compiled_domain`` rejects: it names the t of
-        the stage or knot and the point.
+        """The error for an RK4 stage point xy, the floats x1..xn, y1..yk,
+        that ``compiled_domain`` rejects: it names the t of the stage and
+        the point.
 
         Integrators test the compiled predicate inline and call this only to
         raise, which keeps a stage free of one more call.

@@ -80,12 +80,12 @@ class LinearizedConnection:
             return [
                 [ad.partials_in(g, env, y_names) for g in row] for row in self.conn.gamma
             ]
-        # plain env: every entry over one env seeded in y
-        point = {name: ad.real_part(v) for name, v in env.items()}
-        flat = [g for row in self.conn.gamma for g in row]
-        grads = [grad for _, grad in ad.gradients(flat, point, y_names)]
-        n = self.space.n
-        return [grads[A * n : (A + 1) * n] for A in range(self.space.k)]
+        # plain env: the compiled gamma gradients, bitwise ad.gradients
+        sp = self.space
+        n, k = sp.n, sp.k
+        out = self.conn.compiled_gamma_gradients(*(float(env[name]) for name in sp.x_names + y_names))
+        J = out[k * n :]
+        return [[J[(A * n + i) * k : (A * n + i + 1) * k] for i in range(n)] for A in range(k)]
 
     # -- the linearized horizontal action ---------------------------------
 

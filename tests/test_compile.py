@@ -219,9 +219,17 @@ def test_every_helper_is_printed(monkeypatch):
     codegen.compile_gradients(corpus, NAMES, ["y1"])
     codegen.compile_bool(ex.parse_bool("x1 < 1/y1 and y1 >= 0 or x1 > 2 or x2 <= 0"), NAMES)
     text = "\n".join(printed)
-    unprinted = [name for name in (*codegen.HELPERS, "_math", "_gradient") if not re.search(rf"\b{name}\b", text)]
+    unprinted = [name for name in (*codegen.HELPERS, "_gradient") if not re.search(rf"\b{name}\b", text)]
     assert not unprinted, text
     assert "isinstance" not in text  # float code: no type dispatch
+    assert "_apply_real" not in text  # nor a dispatch on the function's name
+
+
+def test_an_unknown_function_raises_the_walks_error_at_run_time():
+    tree = ex.Fun("tan", ex.Var("x1"))
+    f = codegen.compile_exprs([tree], ("x1",))  # printing it does not raise
+    assert _outcome(lambda: f(0.5)) == _outcome(lambda: ex.evaluate(tree, {"x1": 0.5}))
+    assert _outcome(lambda: f(0.5))[1:] == (ValueError, "unknown function 'tan'")
 
 
 # -- compile once, and never on a single-point path --------------------------
@@ -229,11 +237,10 @@ def test_every_helper_is_printed(monkeypatch):
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Count the functions made by codegen.define, with no transport matvec
-    or RK4 step printed yet."""
+    """Count the functions made by codegen.define, with no RK4 step printed
+    yet."""
     made = []
     real = codegen.define
-    codegen.affine_map.cache_clear()
     codegen.rk4_step.cache_clear()
 
     def counting(source, result):
@@ -293,13 +300,13 @@ def test_loading_specs_and_a_transport_import_no_codegen(compiles):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
-    # c1 has no domain: a transport compiles the curve's lanes and gamma's,
-    # and the process prints its 1 x 1 matvec and its RK4 step of width 1 once
+    # c1 has no domain: a transport prints the curve's stage, and the process
+    # its RK4 step of width 1, once
     c1 = load_builtin("c1")
     transport.transport_ode(LinearizedConnection(c1.conn), c1.curves["line"], [1.0], 1000)
-    assert len(compiles) == 4
+    assert len(compiles) == 2
     transport.transport_ode(LinearizedConnection(c1.conn), c1.curves["line"], [1.0], 1000)
-    assert len(compiles) == 4
+    assert len(compiles) == 2
 
 
 def test_gamma_at_compiles_once_per_connection(compiles):
@@ -333,17 +340,16 @@ def test_lambda_check_compiles_each_curve_once(compiles, monkeypatch):
     monkeypatch.setattr(ck, "_line_curve", recording)
     for seed in (0, 1):
         assert ck._check_lambda_transport(spec, np.random.default_rng(seed), 1)[1] == 1
-        # the lanes and the state of each draw's curve, per connection the
-        # domain predicate, gamma with its y-gradient and gamma's lanes, and
-        # once the 2 x 2 matvec of the transport stage and the RK4 step of
-        # width 2 that the transport and the reference loop share
-        assert len(compiles) == 2 * len(curves) + 5
+        # the state and the transport stage of each draw's curve, per
+        # connection the domain predicate and gamma with its y-gradient (the
+        # reference loop's), and once the RK4 step of width 2 that the
+        # transport and the reference loop share
+        assert len(compiles) == 2 * len(curves) + 3
     assert len(curves) == 2
 
 
 def test_a_transcendental_of_one_argument_is_printed_once():
-    # cos(t) and sin(t) each serve a value and the other's derivative, and
-    # the lanes' infinity guard on t is printed once
+    # cos(t) and sin(t) each serve a value and the other's derivative
     printed = []
     real = codegen.define
 
@@ -354,7 +360,6 @@ def test_a_transcendental_of_one_argument_is_printed_once():
     circle = load_builtin("c4").curves["circle"]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codegen, "define", recording)
-        circle.compiled_lanes
+        circle.compiled_state
     (text,) = printed
-    assert text.count("_np.sin(") == 1 and text.count("_np.cos(") == 1
-    assert text.count("_np.isinf(") == 1
+    assert text.count("_math.sin(") == 1 and text.count("_math.cos(") == 1

@@ -191,12 +191,12 @@ def _unfused(conn, field, p, s, steps, seen):
 
 
 def _fused(monkeypatch, conn, field, p, s, steps, seen):
-    def recording_rk4(f, t0, t1, state, steps, by_knot=False):
+    def recording_rk4(f, t0, t1, state, steps):
         def g(t, state):
             seen.append(t)
             return f(t, state)
 
-        return rk4(g, t0, t1, state, steps, by_knot)
+        return rk4(g, t0, t1, state, steps)
 
     monkeypatch.setattr(transport, "rk4", recording_rk4)
     end, dz = fiber_derivative_flow(conn, field, p, s, steps)

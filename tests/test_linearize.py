@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from linconn import ad
 from linconn import expr as ex
 from linconn.connection import HorBasicField, SectionAlongPi, bracket
 from linconn.geom import (
@@ -50,6 +51,21 @@ def test_fiber_jacobian_examples(c0, c1, c3):
         assert np.allclose(J[:, 0, :], np.diag([1.0, 2.0]))
     a0 = sample_in_domain(c0.space, rng)
     assert np.all(lin_of(c0).fiber_jacobian(a0) == 0.0)
+
+
+@pytest.mark.parametrize("name", ["c0", "c1", "c2", "c3", "c4", "c5"])
+def test_fiber_jacobian_on_a_plain_env_is_the_walk(all_specs, name):
+    # the compiled gamma gradients, bitwise what ad.gradients walks
+    spec = all_specs[name]
+    sp = spec.space
+    rng = np.random.default_rng(1)
+    flat = [g for row in spec.conn.gamma for g in row]
+    for _ in range(20):
+        a = sample_in_domain(sp, rng)
+        env = sp.point_env(a.x, a.y)
+        grads = [grad for _, grad in ad.gradients(flat, env, sp.y_names)]
+        want = np.array([grads[A * sp.n : (A + 1) * sp.n] for A in range(sp.k)])
+        assert np.array(lin_of(spec).fiber_jacobian_env(env)).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,10 @@ from linconn.geom import FiberPoint, OutOfDomainError, PullbackPoint
 from linconn.linearize import LambdaFamilyMember, LinearizedConnection
 from linconn.specfile import loads
 from linconn.transport import (
-    BLOCK_STEPS,
     CurveInE,
     fiber_derivative_flow,
     flow,
-    knot_time,
     rk4,
-    transport_coefficients,
     transport_ode,
 )
 
@@ -257,18 +254,6 @@ def test_rk4_blow_up_names_t():
         _final(rk4(lambda t, z: [z[0] * z[0]], 0.0, 1.0, [10.0], 100))
 
 
-def _matvec_plus(M, z, c):
-    """M z + c in the stated order: row A is M[A][0]*z[0] + M[A][1]*z[1] +
-    ... summed left to right, then + c[A]."""
-    out = []
-    for row, cA in zip(M, c):
-        s = row[0] * z[0]
-        for B in range(1, len(z)):
-            s = s + row[B] * z[B]
-        out.append(s + cA)
-    return out
-
-
 def _line_bundle(gamma, domain=None):
     text = f'[space]\nbase_dim = 1\nfiber_dim = 1\n[connection]\ngamma_1_1 = "{gamma}"\n'
     return loads(text + (f'domain = "{domain}"\n' if domain else ""))
@@ -279,11 +264,11 @@ def _curve(x, *ys, t1=1.0):
 
 
 def test_rk4_stage_times_are_the_knots():
+    # step s has its stages at t0 + j*(h/2) for j = 2s, 2s + 1 (twice), 2s + 2
     seen = []
     _final(rk4(lambda t, z: seen.append(t) or z, 0.0, 1.0, np.array([1.0]), 3))
-    knots = [knot_time(0.0, 1.0, 3, j) for j in (0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6)]
-    assert seen == knots
-    assert knot_time(0.0, 1.0, 3, np.arange(7)).tolist() == [knot_time(0.0, 1.0, 3, j) for j in range(7)]
+    half = 0.5 * (1.0 / 3)
+    assert seen == [0.0 + j * half for j in (0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6)]
 
 
 # -- the printed RK4 step ---------------------------------------------------
@@ -324,12 +309,11 @@ def _replaying(stages, seen):
 @given(
     st.integers(1, 24).flatmap(lambda w: st.lists(st.lists(STAGE_VALUES, min_size=w, max_size=w), min_size=5, max_size=5)),
     st.sampled_from((0.1, -0.25, 1e-3, 3.0)),
-    st.booleans(),
 )
-def test_printed_step_equals_the_stage_sums_by_hand(rows, h, by_knot):
+def test_printed_step_equals_the_stage_sums_by_hand(rows, h):
     # signed zeros, infinities and NaN in the state and the stage values
     state, stages = rows[0], rows[1:]
-    times = (4, 5, 6) if by_knot else (0.25, 0.25 + 0.5 * h, 0.25 + h)
+    times = (0.25, 0.25 + 0.5 * h, 0.25 + h)
     got_seen, want_seen = [], []
     step = codegen.rk4_step(len(state))
     got = step(_replaying(stages, got_seen), *times, state, 0.5 * h, h, h / 6.0)
@@ -340,53 +324,25 @@ def test_printed_step_equals_the_stage_sums_by_hand(rows, h, by_knot):
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 24])
-@pytest.mark.parametrize("by_knot", [False, True])
-def test_rk4_equals_a_loop_of_steps_by_hand(width, by_knot):
-    # a linear right-hand side whose coefficients change with the knot or
-    # time, with signed zeros in the state and the coefficients
+def test_rk4_equals_a_loop_of_steps_by_hand(width):
+    # a linear right-hand side whose coefficients change with the time,
+    # with signed zeros in the state and the coefficients
     rng = np.random.default_rng(width)
     table = rng.uniform(-2.0, 2.0, (7, width))
     table[:, ::3] = -0.0
     state = [(-0.0 if j % 2 else 0.0) if j % 3 == 0 else float(v) for j, v in enumerate(rng.uniform(-1, 1, width))]
 
     def f(t, s):
-        row = table[t] if by_knot else table[int(round(4 * t)) % 7]
+        row = table[int(round(4 * t)) % 7]
         return [a * x + 0.0 * a for a, x in zip(row.tolist(), s)]
 
-    got = [(t, list(s)) for t, s in rk4(f, 0.0, 0.75, state, 3, by_knot=by_knot)]
+    got = [(t, list(s)) for t, s in rk4(f, 0.0, 0.75, state, 3)]
     want, s, h = [], list(state), 0.25
     for step in range(3):
         j = 2 * step
-        knots = [j, j + 1, j + 2] if by_knot else [knot_time(0.0, 0.75, 3, i) for i in (j, j + 1, j + 2)]
-        s = _by_hand(f, *knots, s, 0.5 * h, h, h / 6.0)
-        want.append((knot_time(0.0, 0.75, 3, j + 2), s))
+        s = _by_hand(f, *(0.0 + i * (0.5 * h) for i in (j, j + 1, j + 2)), s, 0.5 * h, h, h / 6.0)
+        want.append((0.0 + (j + 2) * (0.5 * h), s))
     assert [(t, _float_bits(s)) for t, s in got] == [(t, _float_bits(s)) for t, s in want]
-
-
-@pytest.mark.parametrize("spec_name, curve_name, lam", [
-    ("c2", "sweep", 0.0), ("c2", "sweep", 0.7), ("c1", "flowline", 0.5), ("c4", "circle", 0.0),
-])
-def test_tabulated_transport_equals_per_point_coefficients(all_specs, spec_name, curve_name, lam):
-    # the batched tables give bitwise the coefficients of a point-by-point
-    # right-hand side at the same knots, across block boundaries
-    spec = all_specs[spec_name]
-    lin = LinearizedConnection(spec.conn)
-    curve = spec.curves[curve_name]
-    sp = spec.space
-    steps = 2 * BLOCK_STEPS + 37
-
-    def rhs(t, z):
-        x, y, xd, yd = curve.state(t)
-        env = sp.point_env(x, y)
-        M = -np.einsum("aib,i->ab", np.array(lin.fiber_jacobian_env(env)), xd)
-        c = lam * (yd + np.array(spec.conn.gamma_env(env), dtype=float) @ xd)
-        return _matvec_plus(M.tolist(), z, c.tolist())
-
-    z0 = np.linspace(1.0, 2.0, sp.k)
-    _, want = _final(rk4(rhs, curve.t0, curve.t1, z0, steps))
-    carrier = LambdaFamilyMember(spec.conn, lam) if lam else lin
-    got = transport_ode(carrier, curve, z0, steps).z_final
-    assert got.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("steps", [10, 1000, 1001])
@@ -398,75 +354,38 @@ def test_puncture_abort_names_t_half(c4, steps):
         transport_ode(lin, curve, [1.0, 0.0], steps)
 
 
-def test_knot_table_ends_at_the_first_failing_knot(c4):
-    curve = _curve("t", "1 - 2*t", "0")
-    table = transport_coefficients(LinearizedConnection(c4.conn), curve, np.linspace(0.0, 1.0, 11))
-    assert isinstance(table.error, OutOfDomainError)
-    assert str(table.error) == "curve left the domain at t = 0.5, at ([0.5], [0.0, 0.0])"
-    assert len(table.M) == 5 and table.x.shape == (1, 6)
-    assert table.point(5)[1].tolist() == [0.0, 0.0]
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_a_midpoint_exit_names_t_half(c4, lam):
+    # one step: its second and third stages sit at the midpoint t = 0.5,
+    # where the curve meets the puncture
+    carrier = LambdaFamilyMember(c4.conn, lam)
+    where = r"^curve left the domain at t = 0\.5, at \(\[0\.5\], \[0\.0, 0\.0\]\)$"
+    with pytest.raises(OutOfDomainError, match=where):
+        transport_ode(carrier, _curve("t", "1 - 2*t", "0"), [1.0, 0.0], 1)
 
 
-def _per_point_M(lin, curve, t):
-    x, y, xd, _ = curve.state(t)
-    return -np.einsum("aib,i->ab", np.array(lin.fiber_jacobian_env(lin.space.point_env(x, y))), xd)
-
-
-def test_a_knot_is_its_own_value():
-    # y1^x1 is an integer power where x1 is an integer; a batch of lanes
-    # could not take that rule lane by lane
-    lin = LinearizedConnection(_line_bundle("y1^x1").conn)
-    curve = _curve("t", "3", t1=2.0)
-    ts = np.linspace(0.0, 2.0, 9)
-    table = transport_coefficients(lin, curve, ts)
-    assert table.error is None and table.M[-1].tolist() == [[-6.0]]
-    for t, M in zip(ts.tolist(), table.M):
-        assert M.tobytes() == _per_point_M(lin, curve, t).tobytes()
-
-
-@pytest.mark.parametrize("spec_name", ["c0", "c1", "c2", "c3", "c4", "c5"])
-def test_the_knot_scan_gives_the_batched_arrays(all_specs, spec_name):
-    # bitwise where numpy's sin, cos, exp and log on the lanes agree with
-    # the math module's, as on c0..c4; c5's gamma has exp(0.5*y1) and sin(y2)
-    spec = all_specs[spec_name]
-    lin = LinearizedConnection(spec.conn)
-    for curve in spec.curves.values():
-        ts = np.linspace(curve.t0, curve.t1, 33)
-        scanned, error = transport._scanned_knots(lin, curve, ts)
-        assert error is None
-        for got, want in zip(scanned, transport._batched_knots(lin, curve, ts)):
-            assert got.shape == want.shape
-            if spec_name == "c5":
-                np.testing.assert_array_max_ulp(got, want, maxulp=4)
-            else:
-                assert got.tobytes() == want.tobytes()
-
-
-def test_a_failing_table_keeps_the_batched_values_before_its_failing_knot(c4):
-    # the scan's M and c come from the batched pass's formula
-    fam = LambdaFamilyMember(c4.conn, 0.5)
-    curve = _curve("t", "1 - 2*t", "0")
-    ts = np.linspace(0.0, 1.0, 11)
-    table, inside = transport_coefficients(fam, curve, ts), transport_coefficients(fam, curve, ts[:5])
-    assert table.error is not None and inside.error is None
-    assert table.M.tobytes() == inside.M.tobytes() and table.c.tobytes() == inside.c.tobytes()
-    assert table.x[:, :5].tobytes() == inside.x.tobytes()
-
-
-def test_a_late_domain_exit_tabulates_each_block_once(c4, monkeypatch):
-    calls = []
-    batched = transport._batched_knots
-    monkeypatch.setattr(transport, "_batched_knots", lambda *args: calls.append(args) or batched(*args))
+def test_a_late_domain_exit_names_t(c4):
     where = r"^curve left the domain at t = 0\.99, at \(\[0\.99\], \[0\.0, 0\.0\]\)$"
     with pytest.raises(OutOfDomainError, match=where):
         transport_ode(LinearizedConnection(c4.conn), _curve("t", "0.99 - t", "0"), [1.0, 0.0], 1000)
-    assert len(calls) == -(-1000 // BLOCK_STEPS)  # one pass per block, the failing one included
+
+
+def test_an_integer_power_decided_at_each_point_equals_the_plain_float_loop():
+    # y1^x1 is an integer power where x1 is an integer: only the walk at a
+    # point decides its rule, and at t = 2 the stage is -2*3 exactly
+    spec = _line_bundle("y1^x1")
+    lin, curve = LinearizedConnection(spec.conn), _curve("t", "3", t1=2.0)
+    assert curve.transport_stage(lin, 0.0)(2.0, [1.0]) == [-6.0]
+    for lam in (0.0, 0.5):
+        carrier = LambdaFamilyMember(spec.conn, lam)
+        want = _plain_rk4(_plain_rhs(spec, curve, lam), curve.t0, curve.t1, [1.0], 1000)
+        assert transport_ode(carrier, curve, [1.0], 1000).z_final.tobytes() == np.array(want).tobytes()
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_state_overflow_before_a_later_domain_exit(lam):
-    # z' = 800 z overflows near t = 0.89; the curve leaves the domain at
-    # t = 1, in the same tabulated block
+    # z' = 800 z overflows near t = 0.89, before the curve leaves the
+    # domain at t = 1
     spec = _line_bundle("-400*y1^2", "x1 < 1")
     carrier = LambdaFamilyMember(spec.conn, lam)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -512,15 +431,13 @@ def _plain_rk4(f, t0, t1, state, steps):
     return state
 
 
-@pytest.mark.parametrize("spec_name, curve_name", [("c4", "circle"), ("c5", "arc")])
-@pytest.mark.parametrize("lam", [0.0, 0.5])
-def test_transport_equals_a_plain_float_loop(all_specs, spec_name, curve_name, lam):
-    # k = 2: the stage is M z + c with each row summed left to right, then
-    # + c, where M[A][B] = -(0.0 + J[A][0][B] xdot[0] + J[A][1][B] xdot[1] + ...)
-    # and c[A] = lam (ydot[A] + (G[A][0] xdot[0] + G[A][1] xdot[1] + ...));
-    # no BLAS kernel decides a bit
-    spec = all_specs[spec_name]
-    sp, curve = spec.space, spec.curves[curve_name]
+def _plain_rhs(spec, curve, lam):
+    """The transport stage as a plain float loop over the compiled curve
+    state and gamma gradients: M z + c with each row summed left to right,
+    then + c, where M[A][B] = -(0.0 + J[A][0][B] xdot[0] + J[A][1][B] xdot[1]
+    + ...) and c[A] = lam (ydot[A] + (G[A][0] xdot[0] + G[A][1] xdot[1] +
+    ...)); no BLAS kernel decides a bit."""
+    sp = spec.space
     n, k = sp.n, sp.k
     gamma = spec.conn.compiled_gamma_gradients
 
@@ -543,11 +460,48 @@ def test_transport_equals_a_plain_float_loop(all_specs, spec_name, curve_name, l
             zdot.append(s + lam * (yd[A] + g))
         return zdot
 
-    z0 = [1.0, 2.0]
-    want = _plain_rk4(rhs, curve.t0, curve.t1, z0, 1000)
+    return rhs
+
+
+NAMED_CURVES = [
+    ("c1", "line"), ("c1", "flowline"), ("c1", "vertical"), ("c2", "sweep"),
+    ("c3", "line"), ("c4", "circle"), ("c5", "arc"),
+]
+
+
+@pytest.mark.parametrize("spec_name, curve_name", NAMED_CURVES)
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_transport_equals_a_plain_float_loop(all_specs, spec_name, curve_name, lam):
+    spec = all_specs[spec_name]
+    curve = spec.curves[curve_name]
+    z0 = np.linspace(1.0, 2.0, spec.space.k).tolist()
+    want = _plain_rk4(_plain_rhs(spec, curve, lam), curve.t0, curve.t1, z0, 1000)
     carrier = LambdaFamilyMember(spec.conn, lam) if lam else LinearizedConnection(spec.conn)
     got = transport_ode(carrier, curve, z0, 1000).z_final
     assert got.tolist() == want and got.tobytes() == np.array(want).tobytes()
+
+
+def test_transport_lambda_term_equals_the_plain_float_loop_on_c2(c2):
+    # G xdot summed left to right: a stacked numpy matmul differs from this
+    # order in the last bit on this curve
+    curve = CurveInE(
+        (ex.parse("0.55 + 0.337*t"), ex.parse("-0.08 - 1.105*t")), (ex.parse("-0.137 - 0.583*t"),), 0.0, 1.0
+    )
+    want = _plain_rk4(_plain_rhs(c2, curve, 0.7), curve.t0, curve.t1, [1.0], 1000)
+    got = transport_ode(LambdaFamilyMember(c2.conn, 0.7), curve, [1.0], 1000).z_final
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_recorded_points_are_the_compiled_curve_state(all_specs):
+    for spec_name, curve_name in NAMED_CURVES:
+        spec = all_specs[spec_name]
+        n, k = spec.space.n, spec.space.k
+        curve = spec.curves[curve_name]
+        res = transport_ode(LinearizedConnection(spec.conn), curve, np.ones(k), 100, record=7)
+        for t, x, y, _ in res.trajectory:
+            values = curve.compiled_state(t)
+            assert x.tobytes() == np.array(values[:n]).tobytes()
+            assert y.tobytes() == np.array(values[n : n + k]).tobytes()
 
 
 def test_fiber_derivative_flow_equals_a_plain_float_loop(c5):
