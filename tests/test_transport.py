@@ -481,6 +481,22 @@ def test_transport_equals_a_plain_float_loop(all_specs, spec_name, curve_name, l
     assert got.tolist() == want and got.tobytes() == np.array(want).tobytes()
 
 
+@pytest.mark.parametrize("spec_name, curve_name, lam", [
+    ("c2", "sweep", 0.0), ("c2", "sweep", 0.7), ("c1", "flowline", 0.5), ("c4", "circle", 0.0),
+])
+def test_tabulated_transport_equals_per_point_coefficients(all_specs, spec_name, curve_name, lam):
+    # the printed transport stage, which computes its coefficients at each
+    # stage point, gives bitwise what rk4 gives on a point-by-point
+    # right-hand side, over an odd number of steps
+    spec = all_specs[spec_name]
+    curve = spec.curves[curve_name]
+    z0 = np.linspace(1.0, 2.0, spec.space.k).tolist()
+    _, want = _final(rk4(_plain_rhs(spec, curve, lam), curve.t0, curve.t1, z0, 549))
+    carrier = LambdaFamilyMember(spec.conn, lam) if lam else LinearizedConnection(spec.conn)
+    got = transport_ode(carrier, curve, z0, 549).z_final
+    assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_transport_lambda_term_equals_the_plain_float_loop_on_c2(c2):
     # G xdot summed left to right: a stacked numpy matmul differs from this
     # order in the last bit on this curve
