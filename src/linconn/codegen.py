@@ -24,6 +24,12 @@ same numbers bitwise and raises the same errors:
 * ``curve_stage`` prints a whole stage of ``transport.transport_ode``: the
   curve seeded in t, the domain test, gamma seeded in y, and ``M z + c`` in
   its stated order, as one function of the time and the transported vector;
+* ``holonomy_stage`` prints a whole stage of the four loops of
+  ``NonlinearConnection.holonomy_curvature`` side by side (``lane_stage``,
+  one lane per loop): per lane, the domain test, gamma through the float
+  emitter, and the lane's direction with its horizontal lift in the stated
+  order of ``connection.horizontal_velocity``, as one function of the
+  directions, the time and the four lanes' state;
 * ``rk4_step`` prints one step of ``transport.rk4`` for a state width: its
   four stage sums written out component by component.
 
@@ -579,3 +585,59 @@ def curve_stage(lin, curve, lam: float) -> Callable:
             row += f" + {src.const(float(lam))} * ({yd[A]} + ({g}))"
         rows.append(row)
     return define(src, "[" + ", ".join(rows) + "]")
+
+
+def lane_stage(sp, lanes: int, width: int, what: str, lane) -> Callable:
+    """``f(dirs, t, state)``: one RK4 stage of lanes integrations side by
+    side, each along its own base direction, as one printed function of
+    floats.
+
+    Lane j reads its n directions from ``dirs[j*n : (j+1)*n]`` and its
+    width floats, x1..xn, y1..yk and any more, from ``state[j*width :
+    (j+1)*width]``.  Lane by lane, in order, f tests the domain predicate at
+    the lane's (x, y) and raises ``space.left_domain(what, t, xy)`` off it,
+    then runs the statements that ``lane(src, state, d)`` prints, with the
+    tokens of the lane's state and directions and ``src.tokens`` naming its
+    x and y.  That call returns the lane's output expressions; f returns
+    every lane's outputs in one list, lane after lane.
+    """
+    n = sp.n
+    names = sp.x_names + sp.y_names
+    src = Source(names, {**HELPERS, "_left": sp.left_domain})
+    src.params = ["_dirs", "_time", "_state"]
+    dirs = [[f"_d{j}_{i}" for i in range(n)] for j in range(lanes)]
+    states = [[f"_s{j}_{c}" for c in range(width)] for j in range(lanes)]
+    src.line(f"{tuple_of([d for lane_dirs in dirs for d in lane_dirs])} = _dirs")
+    src.line(f"{tuple_of([s for lane_state in states for s in lane_state])} = _state")
+    outputs = []
+    for d, state in zip(dirs, states):
+        xy = state[: len(names)]
+        src.tokens = dict(zip(names, xy))
+        if sp.domain is not None:
+            src.line(f"if not {Emitter(src).emit_bool(sp.domain)}:")
+            src.line(f"    raise _left({what!r}, _time, [{', '.join(xy)}])")
+        outputs += lane(src, state, d)
+    return define(src, "[" + ", ".join(outputs) + "]")
+
+
+def holonomy_stage(conn) -> Callable:
+    """``f(dirs, t, state)``: one RK4 stage of the four loops of
+    ``NonlinearConnection.holonomy_curvature`` (``lane_stage`` over four
+    lanes of x1..xn, y1..yk), as one printed function of floats.
+
+    Lane j's velocity is its direction d and then the horizontal lift of d,
+    ``connection.horizontal_velocity(G, d)`` in its stated order (for each
+    A, the terms ``-G[A][i] * d[i]`` summed left to right), with gamma from
+    the float emitter at the lane's point.  Each lane raises what the
+    compiled domain predicate and gamma raise there, in that order, so f is
+    bitwise the four loops stepped one at a time.
+    """
+    n, k = conn.space.n, conn.space.k
+    entries = [g for row in conn.gamma for g in row]
+
+    def lane(src, state, d):
+        emitter = Emitter(src)
+        G = [emitter.emit(g) for g in entries]
+        return [*d, *(" + ".join(f"-{g} * {x}" for g, x in zip(G[A * n : (A + 1) * n], d)) for A in range(k))]
+
+    return lane_stage(conn.space, 4, n + k, "holonomy leg", lane)

@@ -9,7 +9,7 @@ gamma^A_i dx^i and vanishes exactly on horizontal vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,9 +36,10 @@ def horizontal_velocity(G, X, eta=None) -> list:
     bits do not depend on a BLAS kernel: for each A, the terms
     ``(-G[A][i]) * X[i]`` summed left to right over i ascending, then
     ``+ eta[A]``.  Python float arithmetic neither warns nor raises: an
-    infinite gamma gives an infinite or NaN component.  The holonomy legs,
-    ``HorBasicField.at``, ``horizontal_lift`` and ``connector`` call it, and
-    ``codegen.flow_stage`` prints the same sums into each flow stage.
+    infinite gamma gives an infinite or NaN component.
+    ``HorBasicField.at``, ``horizontal_lift`` and ``connector`` call it;
+    ``codegen.flow_stage`` prints the same sums into each flow stage, and
+    ``codegen.holonomy_stage`` into each lane of the holonomy legs.
     """
     entries = iter(G)
     out = []
@@ -179,6 +180,7 @@ class NonlinearConnection:
         Antisymmetric and bilinear in (v1, v2); identically zero when the
         horizontal distribution is involutive.
         """
+        v1, v2 = self.space.base_pair(v1, v2)
         self.space.require_in_domain(a.x, a.y)
         env = self.space.point_env(a.x, a.y)
         return np.array(self.curvature_env(env, v1, v2), dtype=float)
@@ -189,6 +191,18 @@ class NonlinearConnection:
         comps = bracket_env(self.space, h1, h2, env)
         return connector_env(self, env, comps[: self.space.n], comps[self.space.n :])
 
+    @cached_property
+    def holonomy_stage(self):
+        """The printed stage ``f(dirs, t, state)`` of the four loops of
+        ``holonomy_curvature`` (``codegen.holonomy_stage``).
+
+        Printed on first use and cached here, like ``compiled_gamma``, so a
+        connection that is dropped drops its stage.
+        """
+        from .codegen import holonomy_stage
+
+        return holonomy_stage(self)
+
     def holonomy_curvature(self, a: FiberPoint, v1, v2) -> np.ndarray:
         """Independent curvature estimate from small horizontal loops.
 
@@ -197,43 +211,28 @@ class NonlinearConnection:
         of each closed loop, and removes the odd and next even error terms
         by symmetrization and Richardson extrapolation.  The four loops run
         as four lanes of one flat list of floats stepped by ``rk4``, one leg
-        at a time (``HOLONOMY_SUBSTEPS`` steps per leg); each stage calls
-        the compiled domain predicate, gamma and ``horizontal_velocity`` once
-        per lane, so each lane is bitwise the loop integrated on its own.  A
-        stage point outside the domain raises OutOfDomainError naming its t
-        within the leg; a diverged lane raises OverflowError naming t.  Not used on any
-        production path; it exists as a cross-check for ``curvature``.
+        at a time (``HOLONOMY_SUBSTEPS`` steps per leg); each stage is one
+        call of ``holonomy_stage``, which tests the domain, evaluates gamma
+        and sums the horizontal lift lane by lane, so each lane is bitwise
+        the loop integrated on its own.  A stage point outside the domain
+        raises OutOfDomainError naming its t within the leg; a diverged
+        lane raises OverflowError naming t.  Not used on any production
+        path; it exists as a cross-check for ``curvature``.
         """
         from .transport import rk4
 
-        v1 = np.asarray(v1, dtype=float)
-        v2 = np.asarray(v2, dtype=float)
-        sp, inside, gamma = self.space, self.space.compiled_domain, self.compiled_gamma
-        n, width = sp.n, sp.n + sp.k
+        v1, v2 = self.space.base_pair(v1, v2)
+        n, width = self.space.n, self.space.n + self.space.k
         h = HOLONOMY_STEP
         steps = (h, -h, h / 2.0, -h / 2.0)
-
-        def leg(state, dirs):
-            # horizontal lift of t -> x + t*dir over [0, 1] in every lane: a
-            # lane's state is (x, y) with x' = dir and y' = -gamma(x, y) dir
-            def f(t, flat):
-                out = []
-                for j, d in enumerate(dirs):
-                    xy = flat[j * width : (j + 1) * width]
-                    if inside is not None and not inside(*xy):
-                        raise sp.left_domain("holonomy leg", t, xy)
-                    out += d
-                    out += horizontal_velocity(gamma(*xy), d)
-                return out
-
-            for _, state in rk4(f, 0.0, 1.0, state, HOLONOMY_SUBSTEPS):
-                pass
-            return state
-
         sides = [(s * v1, s * v2, -s * v1, -s * v2) for s in steps]  # per lane
         state = [*a.x.tolist(), *a.y.tolist()] * len(steps)
         for dirs in zip(*sides):
-            state = leg(state, [d.tolist() for d in dirs])
+            # one leg: the horizontal lift of t -> x + t*dir over [0, 1] in
+            # every lane, x' = dir and y' = -gamma(x, y) dir
+            leg = partial(self.holonomy_stage, [c for d in dirs for c in d.tolist()])
+            for _, state in rk4(leg, 0.0, 1.0, state, HOLONOMY_SUBSTEPS):
+                pass
         y = np.array(state).reshape(len(steps), width)[:, n:]
         defect = [(y[j] - a.y) / s**2 for j, s in enumerate(steps)]
         g1 = 0.5 * (defect[0] + defect[1])  # symmetrized over s = h, -h

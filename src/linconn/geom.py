@@ -81,6 +81,11 @@ class BundleSpace:
         env.update(zip(_names("y", self.k), map(float, y)))
         return env
 
+    def base_pair(self, v1, v2) -> tuple[np.ndarray, np.ndarray]:
+        """The base vectors v1 and v2 as float arrays of length n; a ValueError
+        names the one of another shape."""
+        return _vec(v1, self.n, "v1"), _vec(v2, self.n, "v2")
+
     def in_domain(self, x, y) -> bool:
         """Whether the point (x, y) satisfies the domain predicate."""
         if self.domain is None:
@@ -92,10 +97,11 @@ class BundleSpace:
         """The domain predicate compiled over x1..xn, y1..yk; None without one.
 
         ``compiled_domain(*x, *y)`` is ``in_domain(x, y)`` for one point,
-        with the and/or short circuit of ``evaluate_bool``.  Holonomy legs
-        test it at every stage (see ``left_domain``); a flow stage and a
-        transport stage print the same test inline (``codegen.flow_stage``,
-        ``codegen.curve_stage``); single points keep ``in_domain``.
+        with the and/or short circuit of ``evaluate_bool``.  The transport
+        checks' curve screens call it; a flow stage, a transport stage and
+        the holonomy lanes print the same test inline
+        (``codegen.flow_stage``, ``codegen.curve_stage``,
+        ``codegen.holonomy_stage``); single points keep ``in_domain``.
         """
         if self.domain is None:
             return None

@@ -349,11 +349,12 @@ class LinearizedConnection:
     def riemann(self, v1, v2, sigma: SectionAlongPi, a: FiberPoint) -> np.ndarray:
         """Base-base curvature component: minus the vertical derivative of R."""
         sp = self.space
+        v1, v2 = sp.base_pair(v1, v2)
         sp.require_in_domain(a.x, a.y)
         env = sp.point_env(a.x, a.y)
         sig_a = [ad.real_part(ex.evaluate(c, env)) for c in sigma.comp]
         lifted = ad.lift_env(env, dict(zip(sp.y_names, sig_a)))
-        rho = self.conn.curvature_env(lifted, np.asarray(v1, float), np.asarray(v2, float))
+        rho = self.conn.curvature_env(lifted, v1, v2)
         return -np.array([ad.dual_part(r) for r in rho])
 
     # -- flatness -------------------------------------------------------------

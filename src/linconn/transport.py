@@ -163,7 +163,9 @@ def transport_ode(
     (``CurveInE.transport_stage``, ``codegen.curve_stage``): the curve, the
     domain test, which raises naming t and the point, gamma and its
     y-gradient, and ``M z + c`` in its stated order.  ``record`` > 0
-    samples about that many steps, with x and y from ``compiled_state``.
+    samples t0 and about that many steps, with x and y from
+    ``compiled_state``; the t0 sample is taken once the first step has
+    returned, so a curve that fails at t0 raises the step's error.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -179,8 +181,12 @@ def transport_ode(
 
     z = z0.tolist()
     stride = max(1, steps // record) if record else 0
-    trajectory = [sample(curve.t0, z)] if record else None
+    trajectory = []
     for done, (t, z) in enumerate(rk4(curve.transport_stage(lin, lam), curve.t0, curve.t1, z, steps), 1):
+        if record and done == 1:
+            # after the first step, whose stage has evaluated the curve at t0
+            # and raised naming the step if it fails there
+            trajectory.append(sample(curve.t0, z0))
         if record and (done % stride == 0 or done == steps):
             trajectory.append(sample(t, z))
     return TransportResult(np.array(z), tuple(trajectory) if record else None, steps)

@@ -445,6 +445,13 @@ eta_1 = "1e39"
 """
 
 
+def test_transport_of_a_curve_failing_at_t0_names_the_step(capsys):
+    # the command records a trajectory; its t0 sample used to fail first
+    code = main(["transport", builtin_spec_path("c1"), "--curve", "t;exp(1000 - 1000*t);0;1", "--z0", "1"])
+    assert code == 3
+    assert capsys.readouterr().err == "numeric error: math range error in the step from t = 0.0\n"
+
+
 @pytest.mark.parametrize(
     "spec_text, argv, message",
     [

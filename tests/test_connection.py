@@ -1,3 +1,5 @@
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -310,11 +312,49 @@ def test_holonomy_loop_leaving_the_domain_is_an_error():
     # the loop around a = (0, 0; 1) reaches y1 = 0.99, outside y1 > 0.9995
     conn = _rank_one_over_plane("y1 > 0.9995")
     a = FiberPoint(np.zeros(2), np.ones(1))
-    with pytest.raises(OutOfDomainError, match=r"t = "):
+    with pytest.raises(OutOfDomainError) as err:
         conn.holonomy_curvature(a, [1.0, 0.0], [0.0, 1.0])
+    # the t within the leg and the stage point of the lane that left
+    assert str(err.value) == (
+        "holonomy leg left the domain at t = 0.0625, at ([0.000625, 0.0], [0.9993751952692735])"
+    )
     inside = _rank_one_over_plane("y1 > 0.5")
     ref = inside.holonomy_curvature(a, [1.0, 0.0], [0.0, 1.0])
     assert np.max(np.abs(ref - inside.curvature(a, [1.0, 0.0], [0.0, 1.0]))) <= 1e-6
+
+
+@pytest.mark.parametrize("wrong", [[1.0, 0.0, 0.5], [1.0]])
+@pytest.mark.parametrize("which", ["v1", "v2"])
+def test_base_vectors_of_the_wrong_length_are_rejected(c5, wrong, which):
+    # a length-3 v1 on c5 (n = 2) used to return numbers, a length-1 v1 to
+    # end in an IndexError or a failed unpacking
+    from linconn.linearize import LinearizedConnection
+
+    a = FiberPoint([0.1, -0.2], [0.5, 1.0])
+    v = {"v1": [1.0, 0.0], "v2": [0.0, 1.0], which: wrong}
+    queries = {
+        "curvature": lambda: c5.conn.curvature(a, v["v1"], v["v2"]),
+        "holonomy": lambda: c5.conn.holonomy_curvature(a, v["v1"], v["v2"]),
+        "riemann": lambda: LinearizedConnection(c5.conn).riemann(v["v1"], v["v2"], c5.sections["identity"], a),
+    }
+    for query in queries.values():
+        with pytest.raises(ValueError) as err:
+            query()
+        assert str(err.value) == f"{which}: expected length 2, got shape ({len(wrong)},)"
+
+
+def test_a_dropped_connection_frees_its_lane_stage():
+    # the holonomy lanes live on the connection, like compiled_gamma: a cache
+    # in the module would keep every connection it printed for alive
+    conn = _rank_one_over_plane("y1 > 0.5")
+    a = FiberPoint(np.zeros(2), np.ones(1))
+    conn.holonomy_curvature(a, [1.0, 0.0], [0.0, 1.0])
+    stage = weakref.ref(conn.holonomy_stage)
+    assert conn.holonomy_stage is stage()  # printed once
+    dropped = weakref.ref(conn)
+    del conn
+    gc.collect()
+    assert dropped() is None and stage() is None
 
 
 def test_projectability_certificate_is_per_domain():

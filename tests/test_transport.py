@@ -411,6 +411,15 @@ def test_state_overflow_names_t_without_numpy_warnings():
         transport_ode(lin, _curve("t", "40 + t"), [1.0], 1000)
 
 
+@pytest.mark.parametrize("record", [0, 16])
+def test_a_curve_failing_at_t0_names_the_step(c1, record):
+    # the t0 sample is taken after the first step, whose stage evaluates the
+    # curve at t0 first; it used to raise the bare "math range error"
+    curve = _curve("t", "exp(1000 - 1000*t)")
+    with pytest.raises(OverflowError, match=r"^math range error in the step from t = 0\.0$"):
+        transport_ode(LinearizedConnection(c1.conn), curve, [1.0], 100, record=record)
+
+
 def test_curve_overflow_at_a_later_knot_names_its_step(c0):
     curve = CurveInE((ex.parse("t"), ex.parse("t")), (ex.parse("exp(1000*t)"), ex.lit(1.0)), 0.0, 1.0)
     with pytest.raises(OverflowError, match=r"in the step from t = 0\.709$"):
