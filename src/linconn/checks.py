@@ -5,10 +5,19 @@ and reports its worst absolute error against a fixed tolerance.  Exact slot
 identities are held to 1e-12, cross-formula identities to the command
 tolerance (default 1e-7), and integrator or oracle comparisons to the
 looser bounds their error analysis supports.
+
+Most checks are written as one draw, ``draw(spec, rng) -> error``, and
+``_each_draw`` makes each into a check; ``_worst_draw`` is the one loop
+that takes the worst of their draws and owns the drop policy.  Three checks
+aggregate across draws themselves: ``transport.order`` (a median),
+``linearize.lambda_family`` (a property of all draws together) and
+``linearize.flatness`` (one report); ``transport.linearity`` reuses one
+curve for every draw and calls ``_worst_draw`` directly.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -96,23 +105,40 @@ class _Skip(Exception):
 _DIVERGED = (OutOfDomainError, ex.DomainError, OverflowError)
 
 
-def _worst_draw(samples, measure):
+def _worst_draw(samples, measure, drop=_DIVERGED):
     """The worst error of ``samples`` calls of measure(), one draw each, and
-    the draws used.  A draw whose integration leaves the domain or diverges
-    (measure raises ``_DIVERGED``) is dropped; with none used the check
+    the draws used.  A draw that raises one of ``drop`` is dropped (by
+    default one whose integration leaves the domain or diverges); any other
+    error ends the check and the suite.  With no draw used the check
     skips."""
     worst = 0.0
     used = 0
     for _ in range(samples):
         try:
             err = measure()
-        except _DIVERGED:
+        except drop:
             continue
         used += 1
         worst = max(worst, err)
     if used == 0:
         raise _Skip
     return worst, used
+
+
+def _each_draw(drop=_DIVERGED):
+    """Decorator: ``draw(spec, rng) -> error`` becomes the check
+    ``check(spec, rng, samples) -> (worst, used)`` over ``samples`` draws,
+    through ``_worst_draw`` with its drop policy.  A pointwise check passes
+    ``drop=()``, so its domain or numeric error ends the suite."""
+
+    def wrap(draw):
+        @functools.wraps(draw)
+        def check(spec, rng, samples):
+            return _worst_draw(samples, lambda: draw(spec, rng), drop)
+
+        return check
+
+    return wrap
 
 
 @dataclass(frozen=True)
@@ -256,290 +282,243 @@ def _in_domain_flow(spec, rng, measure):
 # Structure suite (exact slot identities)
 
 
-def _check_interchange(spec, rng, samples):
+@_each_draw(drop=())
+def _check_interchange(spec, rng):
     n, k = spec.space.n, spec.space.k
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(-BOX, BOX, n)
-        dxs = rng.uniform(-BOX, BOX, (2, n))
-        ys = rng.uniform(-BOX, BOX, (2, k))
-        w = {
-            (r, c): TangentE(FiberPoint(x, ys[r]), dxs[c], rng.uniform(-BOX, BOX, k))
-            for r in range(2)
-            for c in range(2)
-        }
-        lhs = tau_add(tangent_add(w[0, 0], w[0, 1]), tangent_add(w[1, 0], w[1, 1]))
-        rhs = tangent_add(tau_add(w[0, 0], w[1, 0]), tau_add(w[0, 1], w[1, 1]))
-        worst = max(worst, _teq(lhs, rhs))
-        # the same law on second tangents with the slotwise operations
-        s1 = _st(rng, n, k)
-        s2 = _share_base(_st(rng, n, k), s1)
-        s3 = _share_tau(_st(rng, n, k), s1)
-        s4 = _share_base(_st(rng, n, k), s3)
-        lhs2 = tau_add(tangent_add(s1, s2), tangent_add(s3, s4))
-        rhs2 = tangent_add(tau_add(s1, s3), tau_add(s2, s4))
-        worst = max(worst, _steq(lhs2, rhs2))
-    return worst, samples
+    x = rng.uniform(-BOX, BOX, n)
+    dxs = rng.uniform(-BOX, BOX, (2, n))
+    ys = rng.uniform(-BOX, BOX, (2, k))
+    w = {
+        (r, c): TangentE(FiberPoint(x, ys[r]), dxs[c], rng.uniform(-BOX, BOX, k))
+        for r in range(2)
+        for c in range(2)
+    }
+    lhs = tau_add(tangent_add(w[0, 0], w[0, 1]), tangent_add(w[1, 0], w[1, 1]))
+    rhs = tangent_add(tau_add(w[0, 0], w[1, 0]), tau_add(w[0, 1], w[1, 1]))
+    # the same law on second tangents with the slotwise operations
+    s1 = _st(rng, n, k)
+    s2 = _share_base(_st(rng, n, k), s1)
+    s3 = _share_tau(_st(rng, n, k), s1)
+    s4 = _share_base(_st(rng, n, k), s3)
+    lhs2 = tau_add(tangent_add(s1, s2), tangent_add(s3, s4))
+    rhs2 = tangent_add(tau_add(s1, s3), tau_add(s2, s4))
+    return max(_teq(lhs, rhs), _steq(lhs2, rhs2))
 
 
-def _check_tau_ops(spec, rng, samples):
+@_each_draw(drop=())
+def _check_tau_ops(spec, rng):
     n, k = spec.space.n, spec.space.k
-    worst = 0.0
-    for _ in range(samples):
-        v = _st(rng, n, k)
-        worst = max(worst, _steq(tau_add(v, tau_zero(v)), v))
-        w = _share_tau(_st(rng, n, k), v)
-        sx, sdx = tpi_image(tau_add(v, w))
-        worst = max(worst, _mx(sx - v.x, sdx - v.dx))
-        # vertical projection over the tangent base: homogeneity both ways
-        x = rng.uniform(-BOX, BOX, n)
-        dx = rng.uniform(-BOX, BOX, n)
-        u1 = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
-        u2 = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
-        big = tpi_vertical_lift(u1, u2)
-        lam = float(rng.uniform(-2, 2))
-        worst = max(
-            worst,
-            _teq(
-                tpi_vertical_project(tau_scale(lam, big)),
-                tangent_scale(lam, tpi_vertical_project(big)),
-            ),
+    v = _st(rng, n, k)
+    w = _share_tau(_st(rng, n, k), v)
+    sx, sdx = tpi_image(tau_add(v, w))
+    # vertical projection over the tangent base: homogeneity both ways
+    x = rng.uniform(-BOX, BOX, n)
+    dx = rng.uniform(-BOX, BOX, n)
+    u1 = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
+    u2 = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
+    big = tpi_vertical_lift(u1, u2)
+    lam = float(rng.uniform(-2, 2))
+    return max(
+        _steq(tau_add(v, tau_zero(v)), v),
+        _mx(sx - v.x, sdx - v.dx),
+        _teq(tpi_vertical_project(tau_scale(lam, big)), tangent_scale(lam, tpi_vertical_project(big))),
+        _teq(tpi_vertical_project(tangent_scale(lam, big)), tau_scale(lam, tpi_vertical_project(big))),
+    )
+
+
+@_each_draw(drop=())
+def _check_involution(spec, rng):
+    n, k = spec.space.n, spec.space.k
+    v = _st(rng, n, k)
+    # exchanges verticality over the two structures
+    zn = np.zeros(n)
+    img = canonical_involution(SecondTangent(v.x, v.y, v.dx, v.dy, zn, v.delta_y, zn, v.delta_dy))
+    return max(
+        _steq(canonical_involution(canonical_involution(v)), v),
+        _teq(canonical_involution(v).base_tangent(), tangent_of_projection(v)),
+        _mx(img.dx, img.delta_dx),
+    )
+
+
+@_each_draw(drop=())
+def _check_vertical_roundtrip(spec, rng):
+    n, k = spec.space.n, spec.space.k
+    a = FiberPoint(rng.uniform(-BOX, BOX, n), rng.uniform(-BOX, BOX, k))
+    b = rng.uniform(-BOX, BOX, k)
+    c = rng.uniform(-BOX, BOX, k)
+    al, be = rng.uniform(-2, 2, 2)
+    combo = vertical_project(
+        tangent_add(
+            tangent_scale(al, vertical_lift(a, b)),
+            tangent_scale(be, vertical_lift(a, c)),
         )
-        worst = max(
-            worst,
-            _teq(
-                tpi_vertical_project(tangent_scale(lam, big)),
-                tau_scale(lam, tpi_vertical_project(big)),
-            ),
-        )
-    return worst, samples
+    )
+    # round trips of the lifted structures
+    x = rng.uniform(-BOX, BOX, n)
+    dx = rng.uniform(-BOX, BOX, n)
+    u = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
+    w = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
+    return max(
+        _mx(vertical_project(vertical_lift(a, b)) - b),
+        _mx(combo - (al * b + be * c)),
+        _teq(tpi_vertical_project(tpi_vertical_lift(u, w)), w),
+    )
 
 
-def _check_involution(spec, rng, samples):
+@_each_draw(drop=())
+def _check_projection_tangents(spec, rng):
     n, k = spec.space.n, spec.space.k
-    worst = 0.0
-    for _ in range(samples):
-        v = _st(rng, n, k)
-        worst = max(worst, _steq(canonical_involution(canonical_involution(v)), v))
-        worst = max(
-            worst,
-            _teq(canonical_involution(v).base_tangent(), tangent_of_projection(v)),
-        )
-        # exchanges verticality over the two structures
-        zn = np.zeros(n)
-        vert = SecondTangent(v.x, v.y, v.dx, v.dy, zn, v.delta_y, zn, v.delta_dy)
-        img = canonical_involution(vert)
-        worst = max(worst, _mx(img.dx, img.delta_dx))
-    return worst, samples
-
-
-def _check_vertical_roundtrip(spec, rng, samples):
-    n, k = spec.space.n, spec.space.k
-    worst = 0.0
-    for _ in range(samples):
-        a = FiberPoint(rng.uniform(-BOX, BOX, n), rng.uniform(-BOX, BOX, k))
-        b = rng.uniform(-BOX, BOX, k)
-        worst = max(worst, _mx(vertical_project(vertical_lift(a, b)) - b))
-        c = rng.uniform(-BOX, BOX, k)
-        al, be = rng.uniform(-2, 2, 2)
-        combo = vertical_project(
-            tangent_add(
-                tangent_scale(al, vertical_lift(a, b)),
-                tangent_scale(be, vertical_lift(a, c)),
-            )
-        )
-        worst = max(worst, _mx(combo - (al * b + be * c)))
-        # round trips of the lifted structures
-        x = rng.uniform(-BOX, BOX, n)
-        dx = rng.uniform(-BOX, BOX, n)
-        u = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
-        w = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
-        worst = max(worst, _teq(tpi_vertical_project(tpi_vertical_lift(u, w)), w))
-    return worst, samples
-
-
-def _check_projection_tangents(spec, rng, samples):
-    n, k = spec.space.n, spec.space.k
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(-BOX, BOX, n)
-        dx = rng.uniform(-BOX, BOX, n)
-        v = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
-        w = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
-        big = tpi_vertical_lift(v, w)
-        # (1) foot of the vertical projection = vertical projection of the foot map tangent
-        lhs = tpi_vertical_project(big).at
-        rhs_t = tangent_of_projection(big)
-        rhs_y = vertical_project(rhs_t)
-        worst = max(worst, _mx(lhs.x - rhs_t.at.x, lhs.y - rhs_y))
+    x = rng.uniform(-BOX, BOX, n)
+    dx = rng.uniform(-BOX, BOX, n)
+    v = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
+    w = TangentE(FiberPoint(x, rng.uniform(-BOX, BOX, k)), dx, rng.uniform(-BOX, BOX, k))
+    big = tpi_vertical_lift(v, w)
+    # (1) foot of the vertical projection = vertical projection of the foot map tangent
+    lhs = tpi_vertical_project(big).at
+    rhs_t = tangent_of_projection(big)
+    rhs_y = vertical_project(rhs_t)
+    # (3) tangent of the vertical projection on pairs of verticals
+    a = FiberPoint(x, rng.uniform(-BOX, BOX, k))
+    vv = vertical_lift(a, rng.uniform(-BOX, BOX, k))
+    ww = vertical_lift(a, rng.uniform(-BOX, BOX, k))
+    lhs3 = tangent_of_vertical_project(taue_vertical_lift(vv, ww))
+    rhs3 = vertical_lift(FiberPoint(a.x, vv.dy), ww.dy)
+    return max(
+        _mx(lhs.x - rhs_t.at.x, lhs.y - rhs_y),
         # (2) foot-map tangent of the lift is the vertical lift of the feet
-        worst = max(worst, _teq(tangent_of_projection(big), vertical_lift(v.at, w.at.y)))
-        # (3) tangent of the vertical projection on pairs of verticals
-        a = FiberPoint(x, rng.uniform(-BOX, BOX, k))
-        vv = vertical_lift(a, rng.uniform(-BOX, BOX, k))
-        ww = vertical_lift(a, rng.uniform(-BOX, BOX, k))
-        big2 = taue_vertical_lift(vv, ww)
-        lhs3 = tangent_of_vertical_project(big2)
-        rhs3 = vertical_lift(FiberPoint(a.x, vv.dy), ww.dy)
-        worst = max(worst, _teq(lhs3, rhs3))
-    return worst, samples
+        _teq(tangent_of_projection(big), vertical_lift(v.at, w.at.y)),
+        _teq(lhs3, rhs3),
+    )
 
 
-def _check_involution_vs_lifts(spec, rng, samples):
+@_each_draw(drop=())
+def _check_involution_vs_lifts(spec, rng):
     n, k = spec.space.n, spec.space.k
-    worst = 0.0
-    for _ in range(samples):
-        x = rng.uniform(-BOX, BOX, n)
-        y, z = rng.uniform(-BOX, BOX, (2, k))
-        p = PullbackPoint(x, y, z)
-        dx = rng.uniform(-BOX, BOX, n)
-        w1 = TangentE(p.a, dx, rng.uniform(-BOX, BOX, k))
-        w2 = TangentE(p.b, dx, rng.uniform(-BOX, BOX, k))
-        t = TangentPullback(p, w1, w2)
+    x = rng.uniform(-BOX, BOX, n)
+    y, z = rng.uniform(-BOX, BOX, (2, k))
+    p = PullbackPoint(x, y, z)
+    dx = rng.uniform(-BOX, BOX, n)
+    w1 = TangentE(p.a, dx, rng.uniform(-BOX, BOX, k))
+    w2 = TangentE(p.b, dx, rng.uniform(-BOX, BOX, k))
+    t = TangentPullback(p, w1, w2)
+    big = tpi_vertical_lift(w1, w2)
+    img = canonical_involution(big)
+    return max(
         # (1) lift over the tangent base = involution of the tangent of the lift
-        worst = max(
-            worst,
-            _steq(canonical_involution(tangent_of_vertical_lift(t)), tpi_vertical_lift(w1, w2)),
-        )
+        _steq(canonical_involution(tangent_of_vertical_lift(t)), big),
         # (2) projection factors through the involution
-        big = tpi_vertical_lift(w1, w2)
-        lhs2 = tangent_of_vertical_project(canonical_involution(big))
-        worst = max(worst, _teq(lhs2, tpi_vertical_project(big)))
+        _teq(tangent_of_vertical_project(img), tpi_vertical_project(big)),
         # (3) the involution maps one vertical bundle onto the other
-        img = canonical_involution(big)
-        worst = max(worst, _mx(img.dx, img.delta_dx))
-    return worst, samples
+        _mx(img.dx, img.delta_dx),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Connection
 
 
-def _check_splitting(spec, rng, samples):
+@_each_draw(drop=())
+def _check_splitting(spec, rng):
     conn = spec.conn
-    worst = 0.0
-    for _ in range(samples):
-        a = sample_in_domain(spec.space, rng)
-        v = rng.uniform(-BOX, BOX, spec.space.n)
-        h = conn.horizontal_lift(a, v)
-        worst = max(worst, _mx(h.dx - v, conn.connector(h)))
-        w = sample_tangent(rng, a)
-        ph = conn.project_h(w)
-        pv = conn.project_v(w)
-        worst = max(worst, _teq(tangent_add(ph, pv), w))
-        worst = max(worst, _teq(conn.project_h(ph), ph))
-        worst = max(worst, _teq(pv, vertical_lift(a, conn.connector(w))))
-        worst = max(worst, _mx(conn.connector(vertical_lift(a, w.dy)) - w.dy))
-    return worst, samples
+    a = sample_in_domain(spec.space, rng)
+    v = rng.uniform(-BOX, BOX, spec.space.n)
+    h = conn.horizontal_lift(a, v)
+    w = sample_tangent(rng, a)
+    ph = conn.project_h(w)
+    pv = conn.project_v(w)
+    return max(
+        _mx(h.dx - v, conn.connector(h)),
+        _teq(tangent_add(ph, pv), w),
+        _teq(conn.project_h(ph), ph),
+        _teq(pv, vertical_lift(a, conn.connector(w))),
+        _mx(conn.connector(vertical_lift(a, w.dy)) - w.dy),
+    )
 
 
-def _check_curvature_algebra(spec, rng, samples):
+@_each_draw(drop=())
+def _check_curvature_algebra(spec, rng):
     conn = spec.conn
     sp = spec.space
-    worst = 0.0
-    for _ in range(samples):
-        a = sample_in_domain(sp, rng)
-        v1 = rng.uniform(-BOX, BOX, sp.n)
-        v2 = rng.uniform(-BOX, BOX, sp.n)
-        worst = max(worst, _mx(conn.curvature(a, v1, v1)))
-        r12 = conn.curvature(a, v1, v2)
-        worst = max(worst, _mx(r12 + conn.curvature(a, v2, v1)))
-        al, be = rng.uniform(-2, 2, 2)
-        lhs = conn.curvature(a, al * v1 + be * v2, v2)
-        rhs = al * r12 + be * conn.curvature(a, v2, v2)
-        worst = max(worst, _rel(_mx(lhs - rhs), _mx(rhs)))
-    return worst, samples
+    a = sample_in_domain(sp, rng)
+    v1 = rng.uniform(-BOX, BOX, sp.n)
+    v2 = rng.uniform(-BOX, BOX, sp.n)
+    r11 = conn.curvature(a, v1, v1)
+    r12 = conn.curvature(a, v1, v2)
+    antisym = _mx(r12 + conn.curvature(a, v2, v1))
+    al, be = rng.uniform(-2, 2, 2)
+    lhs = conn.curvature(a, al * v1 + be * v2, v2)
+    rhs = al * r12 + be * conn.curvature(a, v2, v2)
+    return max(_mx(r11), antisym, _rel(_mx(lhs - rhs), _mx(rhs)))
 
 
-def _check_curvature_oracle(spec, rng, samples):
+@_each_draw()
+def _check_curvature_oracle(spec, rng):
     conn = spec.conn
     sp = spec.space
     if sp.n < 2:
         raise _Skip  # no two-forms on a one-dimensional base
-
-    def measure():
-        # unit coordinate rectangles around a point away from the boundary
-        a = sample_in_domain(sp, rng)
-        i, j = rng.choice(sp.n, size=2, replace=False)
-        v1 = np.zeros(sp.n)
-        v2 = np.zeros(sp.n)
-        v1[i] = 1.0
-        v2[j] = 1.0
-        ref = conn.holonomy_curvature(a, v1, v2)
-        return _rel(_mx(conn.curvature(a, v1, v2) - ref), _mx(ref))
-
-    return _worst_draw(samples, measure)
+    # unit coordinate rectangles around a point away from the boundary
+    a = sample_in_domain(sp, rng)
+    i, j = rng.choice(sp.n, size=2, replace=False)
+    v1 = np.zeros(sp.n)
+    v2 = np.zeros(sp.n)
+    v1[i] = 1.0
+    v2[j] = 1.0
+    ref = conn.holonomy_curvature(a, v1, v2)
+    return _rel(_mx(conn.curvature(a, v1, v2) - ref), _mx(ref))
 
 
 # ---------------------------------------------------------------------------
 # Linearization
 
 
-def _check_definition_equivalence(spec, rng, samples):
+@_each_draw(drop=())
+def _check_definition_equivalence(spec, rng):
     lin = LinearizedConnection(spec.conn)
-    worst = 0.0
-    for _ in range(samples):
-        p = sample_pullback(spec.space, rng)
-        w = sample_tangent(rng, p.a)
-        got = lin.apply(p, w)
-        ref = lin.apply_by_limit(p, w)
-        worst = max(worst, _rel(_teq(got, ref), _mx(ref.dy)))
-    return worst, samples
+    p = sample_pullback(spec.space, rng)
+    w = sample_tangent(rng, p.a)
+    got = lin.apply(p, w)
+    ref = lin.apply_by_limit(p, w)
+    return _rel(_teq(got, ref), _mx(ref.dy))
 
 
-def _check_linearity(spec, rng, samples):
-    lin = LinearizedConnection(spec.conn)
-    sp = spec.space
-    worst = 0.0
-    for _ in range(samples):
-        p = sample_pullback(sp, rng)
-        w1 = sample_tangent(rng, p.a)
-        w2 = sample_tangent(rng, p.a)
-        al, be = rng.uniform(-2, 2, 2)
-        combo = lin.apply(p, tangent_add(tangent_scale(al, w1), tangent_scale(be, w2)))
-        split = tangent_add(
-            tangent_scale(al, lin.apply(p, w1)), tangent_scale(be, lin.apply(p, w2))
-        )
-        worst = max(worst, _rel(_teq(combo, split), _mx(split.dy)))
-        # vanishing on verticals is exact
-        out = lin.apply(p, vertical_lift(p.a, rng.uniform(-BOX, BOX, sp.k)))
-        worst = max(worst, _mx(out.dx, out.dy))
-        # additivity and homogeneity in the second leg, in the tau structure
-        z2 = rng.uniform(-BOX, BOX, sp.k)
-        lhs = lin.apply(PullbackPoint(p.x, p.y, p.z + z2), w1)
-        rhs = tau_add(lin.apply(p, w1), lin.apply(PullbackPoint(p.x, p.y, z2), w1))
-        worst = max(worst, _rel(_teq(lhs, rhs), _mx(lhs.dy)))
-        lam = float(rng.uniform(-2, 2))
-        worst = max(
-            worst,
-            _rel(
-                _teq(
-                    lin.apply(PullbackPoint(p.x, p.y, lam * p.z), w1),
-                    tau_scale(lam, lin.apply(p, w1)),
-                ),
-                _mx(lhs.dy),
-            ),
-        )
-    return worst, samples
-
-
-def _check_basis_pfaff(spec, rng, samples):
+@_each_draw(drop=())
+def _check_linearity(spec, rng):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
-    for _ in range(samples):
-        p = sample_pullback(sp, rng)
-        J = lin.fiber_jacobian(p.a)
-        for A in range(sp.k):
-            e = np.zeros(sp.k)
-            e[A] = 1.0
-            t = lin.lift(p, vertical_lift(p.a, e))
-            worst = max(worst, _mx(t.w2.dx, t.w2.dy))
-        w = sample_tangent(rng, p.a)
-        t = lin.lift(p, w)
-        pfaff = t.w2.dy + np.einsum("aib,b,i->a", J, p.z, t.w.dx)
-        worst = max(worst, _mx(pfaff))
-    return worst, samples
+    p = sample_pullback(sp, rng)
+    w1 = sample_tangent(rng, p.a)
+    w2 = sample_tangent(rng, p.a)
+    al, be = rng.uniform(-2, 2, 2)
+    combo = lin.apply(p, tangent_add(tangent_scale(al, w1), tangent_scale(be, w2)))
+    split = tangent_add(tangent_scale(al, lin.apply(p, w1)), tangent_scale(be, lin.apply(p, w2)))
+    # vanishing on verticals is exact
+    out = lin.apply(p, vertical_lift(p.a, rng.uniform(-BOX, BOX, sp.k)))
+    # additivity and homogeneity in the second leg, in the tau structure
+    z2 = rng.uniform(-BOX, BOX, sp.k)
+    lhs = lin.apply(PullbackPoint(p.x, p.y, p.z + z2), w1)
+    rhs = tau_add(lin.apply(p, w1), lin.apply(PullbackPoint(p.x, p.y, z2), w1))
+    lam = float(rng.uniform(-2, 2))
+    scaled = lin.apply(PullbackPoint(p.x, p.y, lam * p.z), w1)
+    return max(
+        _rel(_teq(combo, split), _mx(split.dy)),
+        _mx(out.dx, out.dy),
+        _rel(_teq(lhs, rhs), _mx(lhs.dy)),
+        _rel(_teq(scaled, tau_scale(lam, lin.apply(p, w1))), _mx(lhs.dy)),
+    )
+
+
+@_each_draw(drop=())
+def _check_basis_pfaff(spec, rng):
+    lin = LinearizedConnection(spec.conn)
+    sp = spec.space
+    p = sample_pullback(sp, rng)
+    J = lin.fiber_jacobian(p.a)
+    # the lifts of the vertical basis vanish; the Pfaff form kills every lift
+    vert = [lin.lift(p, vertical_lift(p.a, e)).w2 for e in np.eye(sp.k)]
+    t = lin.lift(p, sample_tangent(rng, p.a))
+    pfaff = t.w2.dy + np.einsum("aib,b,i->a", J, p.z, t.w.dx)
+    return _mx(*(s for u in vert for s in (u.dx, u.dy)), pfaff)
 
 
 def _check_lambda_family(spec, rng, samples):
@@ -567,51 +546,41 @@ def _check_lambda_family(spec, rng, samples):
     return worst, samples
 
 
-def _check_pullback_connector(spec, rng, samples):
+@_each_draw(drop=())
+def _check_pullback_connector(spec, rng):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
-    for _ in range(samples):
-        p = sample_pullback(sp, rng)
-        w = sample_tangent(rng, p.a)
-        worst = max(worst, _mx(lin.connector(lin.lift(p, w))))
-        c = rng.uniform(-BOX, BOX, sp.k)
-        t = TangentPullback(
-            p, TangentE(p.a, np.zeros(sp.n), np.zeros(sp.k)), vertical_lift(p.b, c)
-        )
-        worst = max(worst, _mx(lin.connector(t) - c))
-    return worst, samples
+    p = sample_pullback(sp, rng)
+    w = sample_tangent(rng, p.a)
+    c = rng.uniform(-BOX, BOX, sp.k)
+    t = TangentPullback(p, TangentE(p.a, np.zeros(sp.n), np.zeros(sp.k)), vertical_lift(p.b, c))
+    return max(_mx(lin.connector(lin.lift(p, w))), _mx(lin.connector(t) - c))
 
 
-def _check_covariant_cross(spec, rng, samples):
+@_each_draw(drop=())
+def _check_covariant_cross(spec, rng):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
-    for _ in range(samples):
-        a = sample_in_domain(sp, rng)
-        sigma = random_section(rng, sp)
-        w_field = random_field(rng, sp)
-        direct = lin.covariant_derivative(sigma, w_field.at(sp, a))
-        form = lin.covariant_derivative_bracket(sigma, w_field, a)
-        worst = max(worst, _mx(direct - form))
-    return worst, samples
+    a = sample_in_domain(sp, rng)
+    sigma = random_section(rng, sp)
+    w_field = random_field(rng, sp)
+    direct = lin.covariant_derivative(sigma, w_field.at(sp, a))
+    return _mx(direct - lin.covariant_derivative_bracket(sigma, w_field, a))
 
 
-def _check_lie_vs_covariant(spec, rng, samples):
+@_each_draw(drop=())
+def _check_lie_vs_covariant(spec, rng):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
-    for _ in range(samples):
-        a = sample_in_domain(sp, rng)
-        sigma = random_section(rng, sp)
-        y_field = random_field(rng, sp, projectable=True)
-        lie = lin.lie_derivation(y_field, sigma, a)
-        dy_sigma = lin.covariant_derivative(sigma, y_field.at(sp, a))
-        correction = lin.covariant_derivative(
-            kappa_section(spec.conn, y_field), vertical_lift(a, sigma.at(sp, a))
-        )
-        worst = max(worst, _mx(lie - (dy_sigma - correction)))
-    return worst, samples
+    a = sample_in_domain(sp, rng)
+    sigma = random_section(rng, sp)
+    y_field = random_field(rng, sp, projectable=True)
+    lie = lin.lie_derivation(y_field, sigma, a)
+    dy_sigma = lin.covariant_derivative(sigma, y_field.at(sp, a))
+    correction = lin.covariant_derivative(
+        kappa_section(spec.conn, y_field), vertical_lift(a, sigma.at(sp, a))
+    )
+    return _mx(lie - (dy_sigma - correction))
 
 
 def _derivation_env(sp, y_field, sigma_comps, env):
@@ -651,119 +620,101 @@ def _derivation_of_numeric(sp, y_field, tau_fn, a):
     return out
 
 
-def _check_lie_commutator(spec, rng, samples):
+
+@_each_draw(drop=())
+def _check_lie_commutator(spec, rng):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
     names = sp.x_names + sp.y_names
-    for _ in range(samples):
-        a = sample_in_domain(sp, rng)
-        y1 = random_field(rng, sp, projectable=True)
-        y2 = random_field(rng, sp, projectable=True)
-        sigma = random_section(rng, sp)
-        env0 = sp.point_env(a.x, a.y)
-        # sanity: the env form matches the bracket form of the derivation
-        plain = np.array(
-            [ad.real_part(v) for v in _derivation_env(sp, y1, sigma.comp, env0)]
-        )
-        worst = max(worst, _mx(plain - lin.lie_derivation(y1, sigma, a)))
-        # commutator of derivations
-        lhs = _derivation_of_numeric(
-            sp, y1, lambda env: _derivation_env(sp, y2, sigma.comp, env), a
-        ) - _derivation_of_numeric(
-            sp, y2, lambda env: _derivation_env(sp, y1, sigma.comp, env), a
-        )
-        # derivation along the bracket field
-        comps0 = [ad.real_part(v) for v in bracket_env(sp, y1, y2, env0)]
-        lifted = ad.lift_env(env0, dict(zip(names, comps0)))
-        sig_l = [ex.evaluate(c, lifted) for c in sigma.comp]
-        sig_0 = sigma.at(sp, a)
-        rhs = np.empty(sp.k)
-        for A in range(sp.k):
-            s = ad.dual_part(sig_l[A])
-            for B in range(sp.k):
-                lift_b = ad.lift_env(env0, {sp.y_names[B]: 1.0})
-                br_a = bracket_env(sp, y1, y2, lift_b)[sp.n + A]
-                s -= sig_0[B] * ad.dual_part(br_a)
-            rhs[A] = s
-        worst = max(worst, _mx(lhs - rhs))
-    return worst, samples
+    a = sample_in_domain(sp, rng)
+    y1 = random_field(rng, sp, projectable=True)
+    y2 = random_field(rng, sp, projectable=True)
+    sigma = random_section(rng, sp)
+    env0 = sp.point_env(a.x, a.y)
+    # sanity: the env form matches the bracket form of the derivation
+    plain = np.array([ad.real_part(v) for v in _derivation_env(sp, y1, sigma.comp, env0)])
+    sanity = _mx(plain - lin.lie_derivation(y1, sigma, a))
+    # commutator of derivations
+    lhs = _derivation_of_numeric(
+        sp, y1, lambda env: _derivation_env(sp, y2, sigma.comp, env), a
+    ) - _derivation_of_numeric(
+        sp, y2, lambda env: _derivation_env(sp, y1, sigma.comp, env), a
+    )
+    # derivation along the bracket field
+    comps0 = [ad.real_part(v) for v in bracket_env(sp, y1, y2, env0)]
+    lifted = ad.lift_env(env0, dict(zip(names, comps0)))
+    sig_l = [ex.evaluate(c, lifted) for c in sigma.comp]
+    sig_0 = sigma.at(sp, a)
+    rhs = np.empty(sp.k)
+    for A in range(sp.k):
+        s = ad.dual_part(sig_l[A])
+        for B in range(sp.k):
+            lift_b = ad.lift_env(env0, {sp.y_names[B]: 1.0})
+            br_a = bracket_env(sp, y1, y2, lift_b)[sp.n + A]
+            s -= sig_0[B] * ad.dual_part(br_a)
+        rhs[A] = s
+    return max(sanity, _mx(lhs - rhs))
 
 
-def _check_curvature_cross(spec, rng, samples):
+@_each_draw(drop=())
+def _check_curvature_cross(spec, rng):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
-    for _ in range(samples):
-        a = sample_in_domain(sp, rng)
-        y1 = random_hor_basic(rng, sp)
-        y2 = random_hor_basic(rng, sp)
-        sigma = random_section(rng, sp)
-        closed = lin.curvature(y1, y2, sigma, a)
-        comm = lin.curvature_commutator(y1, y2, sigma, a)
-        worst = max(worst, _mx(closed - comm))
-        worst = max(worst, _mx(comm + lin.curvature_commutator(y2, y1, sigma, a)))
-    return worst, samples
+    a = sample_in_domain(sp, rng)
+    y1 = random_hor_basic(rng, sp)
+    y2 = random_hor_basic(rng, sp)
+    sigma = random_section(rng, sp)
+    closed = lin.curvature(y1, y2, sigma, a)
+    comm = lin.curvature_commutator(y1, y2, sigma, a)
+    return max(_mx(closed - comm), _mx(comm + lin.curvature_commutator(y2, y1, sigma, a)))
 
 
-def _check_curvature_special(spec, rng, samples):
+@_each_draw(drop=())
+def _check_curvature_special(spec, rng):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
     zero_x = tuple(ex.lit(0.0) for _ in range(sp.n))
     zero_y = tuple(ex.lit(0.0) for _ in range(sp.k))
-    for _ in range(samples):
-        a = sample_in_domain(sp, rng)
-        sigma = random_section(rng, sp)
-        eta1 = tuple(random_polynomial(rng, sp.x_names) for _ in range(sp.k))
-        eta2 = tuple(random_polynomial(rng, sp.x_names) for _ in range(sp.k))
-        vv = lin.curvature(
-            HorBasicField(zero_x, eta1), HorBasicField(zero_x, eta2), sigma, a
-        )
-        worst = max(worst, _mx(vv))
-        v1 = rng.uniform(-BOX, BOX, sp.n)
-        v2 = rng.uniform(-BOX, BOX, sp.n)
-        y1 = HorBasicField(tuple(ex.lit(c) for c in v1), zero_y)
-        y2 = HorBasicField(tuple(ex.lit(c) for c in v2), zero_y)
-        worst = max(
-            worst, _mx(lin.riemann(v1, v2, sigma, a) - lin.curvature(y1, y2, sigma, a))
-        )
-        theta = lin.berwald(eta1, y2, sigma, a)
-        worst = max(
-            worst, _mx(theta - lin.curvature(HorBasicField(zero_x, eta1), y2, sigma, a))
-        )
-    return worst, samples
+    a = sample_in_domain(sp, rng)
+    sigma = random_section(rng, sp)
+    eta1 = tuple(random_polynomial(rng, sp.x_names) for _ in range(sp.k))
+    eta2 = tuple(random_polynomial(rng, sp.x_names) for _ in range(sp.k))
+    vv = lin.curvature(HorBasicField(zero_x, eta1), HorBasicField(zero_x, eta2), sigma, a)
+    v1 = rng.uniform(-BOX, BOX, sp.n)
+    v2 = rng.uniform(-BOX, BOX, sp.n)
+    y1 = HorBasicField(tuple(ex.lit(c) for c in v1), zero_y)
+    y2 = HorBasicField(tuple(ex.lit(c) for c in v2), zero_y)
+    return max(
+        _mx(vv),
+        _mx(lin.riemann(v1, v2, sigma, a) - lin.curvature(y1, y2, sigma, a)),
+        _mx(lin.berwald(eta1, y2, sigma, a) - lin.curvature(HorBasicField(zero_x, eta1), y2, sigma, a)),
+    )
 
 
-def _check_curvature_tensorial(spec, rng, samples):
+@_each_draw(drop=())
+def _check_curvature_tensorial(spec, rng):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
-    for _ in range(samples):
-        a = sample_in_domain(sp, rng)
-        y1 = random_hor_basic(rng, sp)
-        y2 = random_hor_basic(rng, sp)
-        sigma = random_section(rng, sp)
-        f = random_polynomial(rng, sp.x_names + sp.y_names)
-        scaled = SectionAlongPi(tuple(ex.mul(f, c) for c in sigma.comp))
-        f_a = ad.real_part(ex.evaluate(f, sp.point_env(a.x, a.y)))
-        lhs = lin.curvature(y1, y2, scaled, a)
-        rhs = f_a * lin.curvature(y1, y2, sigma, a)
-        worst = max(worst, _rel(_mx(lhs - rhs), _mx(rhs)))
-    return worst, samples
+    a = sample_in_domain(sp, rng)
+    y1 = random_hor_basic(rng, sp)
+    y2 = random_hor_basic(rng, sp)
+    sigma = random_section(rng, sp)
+    f = random_polynomial(rng, sp.x_names + sp.y_names)
+    scaled = SectionAlongPi(tuple(ex.mul(f, c) for c in sigma.comp))
+    f_a = ad.real_part(ex.evaluate(f, sp.point_env(a.x, a.y)))
+    lhs = lin.curvature(y1, y2, scaled, a)
+    rhs = f_a * lin.curvature(y1, y2, sigma, a)
+    return _rel(_mx(lhs - rhs), _mx(rhs))
 
 
-def _check_field_fiber_derivative(spec, rng, samples):
+@_each_draw(drop=())
+def _check_field_fiber_derivative(spec, rng):
     lin = LinearizedConnection(spec.conn)
-    sp = spec.space
-    worst = 0.0
-    for _ in range(samples):
-        p = sample_pullback(sp, rng)
-        y = random_hor_basic(rng, sp)
-        got = fiber_derivative_of_field(spec.conn, y, p)
-        ref = lin.lift(p, y.at(spec.conn, p.a)).w2
-        worst = max(worst, _rel(_teq(got, ref), _mx(ref.dy)))
-    return worst, samples
+    p = sample_pullback(spec.space, rng)
+    y = random_hor_basic(rng, spec.space)
+    got = fiber_derivative_of_field(spec.conn, y, p)
+    ref = lin.lift(p, y.at(spec.conn, p.a)).w2
+    return _rel(_teq(got, ref), _mx(ref.dy))
 
 
 def _check_flatness(spec, rng, samples):
@@ -796,30 +747,32 @@ def _check_transport_linearity(spec, rng, samples):
     return _worst_draw(samples, measure)
 
 
-def _check_transport_reversibility(spec, rng, samples):
+@_each_draw()
+def _check_transport_reversibility(spec, rng):
     lin = LinearizedConnection(spec.conn)
-    sp = spec.space
-
-    def measure():
-        curve = _line_curve(spec, rng)
-        back = CurveInE(curve.comp_x, curve.comp_y, curve.t1, curve.t0)
-        z0 = rng.uniform(-BOX, BOX, sp.k)
-        fwd = transport_ode(lin, curve, z0, 1000).z_final
-        return _mx(transport_ode(lin, back, fwd, 1000).z_final - z0)
-
-    return _worst_draw(samples, measure)
+    curve = _line_curve(spec, rng)
+    back = CurveInE(curve.comp_x, curve.comp_y, curve.t1, curve.t0)
+    z0 = rng.uniform(-BOX, BOX, spec.space.k)
+    fwd = transport_ode(lin, curve, z0, 1000).z_final
+    return _mx(transport_ode(lin, back, fwd, 1000).z_final - z0)
 
 
-def _check_transport_vertical(spec, rng, samples):
+@_each_draw()
+def _check_transport_vertical(spec, rng):
     lin = LinearizedConnection(spec.conn)
-    sp = spec.space
+    curve = _line_curve(spec, rng, vertical=True)
+    z0 = rng.uniform(-BOX, BOX, spec.space.k)
+    return _mx(transport_ode(lin, curve, z0, 64).z_final - z0)
 
-    def measure():
-        curve = _line_curve(spec, rng, vertical=True)
-        z0 = rng.uniform(-BOX, BOX, sp.k)
-        return _mx(transport_ode(lin, curve, z0, 64).z_final - z0)
 
-    return _worst_draw(samples, measure)
+def _transport_matrices(lin, curve, knots: int):
+    """The transport matrices M at ``knots`` evenly spaced t, as an array
+    [t, A, B], read from the curve's printed stage: ``stage(t, e_B)`` is
+    column B of M.  Raises what the stage raises."""
+    stage = curve.transport_stage(lin, 0.0)
+    basis = np.eye(lin.space.k).tolist()
+    ts = np.linspace(curve.t0, curve.t1, knots).tolist()
+    return np.array([[stage(t, e) for e in basis] for t in ts]).transpose(0, 2, 1)
 
 
 def _order_measurable(lin, curve) -> bool:
@@ -830,38 +783,19 @@ def _order_measurable(lin, curve) -> bool:
     curves whose matrix is moderate in size (amp) and in scaled fourth
     difference (wiggle; rules out curves passing near points where the
     coefficients lose smoothness, e.g. the puncture of a slit domain).
-    The screen uses only the right-hand side, never the convergence outcome.
+    The screen uses only the right-hand side, never the convergence outcome;
+    a curve on which it fails (off the domain, an overflow or a math error)
+    is not measurable.
     """
     knots, amp, wiggle = 257, 8.0, 1e4
-    sp = lin.space
-    n, k = sp.n, sp.k
-    state, inside, gamma = curve.compiled_state, sp.compiled_domain, lin.conn.compiled_gamma_gradients
-    mats = []
     try:
-        for t in np.linspace(curve.t0, curve.t1, knots).tolist():
-            values = state(t)
-            xy, xd = values[: n + k], values[n + k : 2 * n + k]
-            if inside is not None and not inside(*xy):
-                return False  # the right-hand side fails somewhere on the curve
-            J = gamma(*xy)[k * n :]
-            mats.append([[_transport_entry(J, xd, k, A, B) for B in range(k)] for A in range(k)])
-    except (ArithmeticError, ValueError):  # an overflow or a math error there
+        mats = _transport_matrices(lin, curve, knots)
+    except (ArithmeticError, ValueError):
         return False
     h = (curve.t1 - curve.t0) / (knots - 1)
-    mats = np.array(mats)
     peak = np.abs(mats).max(initial=0.0)
     d4 = np.abs(np.diff(mats, n=4, axis=0)).max(initial=0.0) / h**4
     return peak <= amp and d4 / (1.0 + peak) <= wiggle
-
-
-def _transport_entry(J, xd, k, A, B) -> float:
-    """M[A][B] = -(0.0 + J[A][0][B] xdot[0] + J[A][1][B] xdot[1] + ...), the
-    transport matrix entry in ``codegen.curve_stage``'s stated order, from
-    the flat y-gradients of the compiled gamma gradients."""
-    m = 0.0
-    for i, x in enumerate(xd):
-        m = m + J[(A * len(xd) + i) * k + B] * x
-    return -m
 
 
 def _check_transport_order(spec, rng, samples):
@@ -893,7 +827,8 @@ def _check_transport_order(spec, rng, samples):
     return worst, len(ratios)
 
 
-def _check_flow_composition(spec, rng, samples):
+@_each_draw()
+def _check_flow_composition(spec, rng):
     conn = spec.conn
 
     def composition_error(y, p, s):
@@ -901,10 +836,11 @@ def _check_flow_composition(spec, rng, samples):
         half = flow(conn, y, flow(conn, y, p.a, 0.5 * s, 128), 0.5 * s, 128)
         return _mx(whole.x - half.x, whole.y - half.y)
 
-    return _worst_draw(samples, lambda: _in_domain_flow(spec, rng, composition_error))
+    return _in_domain_flow(spec, rng, composition_error)
 
 
-def _check_variational(spec, rng, samples):
+@_each_draw()
+def _check_variational(spec, rng):
     conn = spec.conn
     eps = 1e-6
 
@@ -915,10 +851,11 @@ def _check_variational(spec, rng, samples):
         bump = (up.y - dn.y) / (2 * eps)
         return _rel(_mx(dz - bump), _mx(bump))
 
-    return _worst_draw(samples, lambda: _in_domain_flow(spec, rng, bump_error))
+    return _in_domain_flow(spec, rng, bump_error)
 
 
-def _check_lambda_transport(spec, rng, samples):
+@_each_draw()
+def _check_lambda_transport(spec, rng):
     """The family transport integrates the family's own horizontality.
 
     The reference loop calls the family's plain-float formula on the
@@ -929,28 +866,24 @@ def _check_lambda_transport(spec, rng, samples):
     n, k = sp.n, sp.k
     width, kn = n + k, n * k
     inside, gamma = sp.compiled_domain, spec.conn.compiled_gamma_gradients
+    curve = _line_curve(spec, rng)
+    lam = float(rng.uniform(-1.5, 1.5))
+    fam = LambdaFamilyMember(spec.conn, lam)
+    z0 = rng.uniform(-BOX, BOX, k)
+    state = curve.compiled_state
 
-    def measure():
-        curve = _line_curve(spec, rng)
-        lam = float(rng.uniform(-1.5, 1.5))
-        fam = LambdaFamilyMember(spec.conn, lam)
-        z0 = rng.uniform(-BOX, BOX, k)
-        state = curve.compiled_state
+    def rhs(t, z):
+        values = state(t)
+        xy = values[:width]
+        if inside is not None and not inside(*xy):
+            raise sp.left_domain("curve", t, list(xy))
+        out = gamma(*xy)
+        return fam.fiber_velocity(out[kn:], out[:kn], z, values[width : width + n], values[width + n :])
 
-        def rhs(t, z):
-            values = state(t)
-            xy = values[:width]
-            if inside is not None and not inside(*xy):
-                raise sp.left_domain("curve", t, list(xy))
-            out = gamma(*xy)
-            return fam.fiber_velocity(out[kn:], out[:kn], z, values[width : width + n], values[width + n :])
-
-        got = transport_ode(fam, curve, z0, 256).z_final
-        for _, z in rk4(rhs, curve.t0, curve.t1, z0, 256):
-            pass
-        return _rel(_mx(got - np.array(z)), _mx(z))
-
-    return _worst_draw(samples, measure)
+    got = transport_ode(fam, curve, z0, 256).z_final
+    for _, z in rk4(rhs, curve.t0, curve.t1, z0, 256):
+        pass
+    return _rel(_mx(got - np.array(z)), _mx(z))
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,10 @@ class _Parser:
     def atom(self) -> Expr:
         kind, value, offset = self.advance()
         if kind == "num":
-            return Lit(float(value))
+            number = float(value)
+            if not math.isfinite(number):
+                raise ParseError(f"number {value!r} does not fit in a float", offset)
+            return Lit(number)
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":

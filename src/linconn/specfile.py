@@ -21,6 +21,7 @@ be quoted; '#' starts a comment outside quotes.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -233,9 +234,12 @@ def loads(text: str, path: str = "<string>") -> SpecFile:
                     raise SpecError(f"missing {key} in [curve {name}]", lineno)
                 value, ln = d[key]
                 try:
-                    t_entries[key] = float(value)
+                    t = float(value)
                 except ValueError:
-                    raise SpecError(f"{key} must be a real, got {value!r}", ln) from None
+                    t = math.nan
+                if not math.isfinite(t):
+                    raise SpecError(f"{key} must be a finite real, got {value!r}", ln)
+                t_entries[key] = t
             spec.curves[name] = CurveInE(
                 indexed(entries, "x", n, lineno, {"t"}, f"curve {name}"),
                 indexed(entries, "y", k, lineno, {"t"}, f"curve {name}"),

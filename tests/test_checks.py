@@ -6,10 +6,12 @@ import pytest
 
 from linconn import checks as ck
 from linconn import cli
+from linconn import expr as ex
 from linconn.connection import horizontal_velocity
-from linconn.geom import FiberPoint, TangentE
+from linconn.geom import FiberPoint, OutOfDomainError, TangentE
 from linconn.linearize import LambdaFamilyMember, LinearizedConnection
 from linconn.specfile import load_builtin, loads
+from linconn.transport import CurveInE
 
 
 def _only(entry_name, fn):
@@ -110,6 +112,52 @@ def test_vertical_transport_drops_a_diverged_draw():
     # the suite
     spec = loads('[space]\nbase_dim = 1\nfiber_dim = 1\n[connection]\ngamma_1_1 = "exp(1000*y1)"\n')
     assert ck._check_transport_vertical(spec, np.random.default_rng(0), 4) == (0.0, 3)
+
+
+LOG_NO_DOMAIN = '[space]\nbase_dim = 1\nfiber_dim = 1\n[connection]\ngamma_1_1 = "log(y1)"\n'
+
+
+def test_a_pointwise_check_error_ends_the_suite(capsys, tmp_path):
+    # a pointwise check drops no draw: log(y1) at a drawn y1 <= 0 ends the
+    # check, and the command with a domain error, instead of being skipped
+    with pytest.raises(ex.DomainError, match="log of non-positive value"):
+        ck._check_definition_equivalence(loads(LOG_NO_DOMAIN), np.random.default_rng(0), 8)
+    spec = tmp_path / "log.ini"
+    spec.write_text(LOG_NO_DOMAIN)
+    assert cli.main(["check", str(spec)]) == 3
+    assert capsys.readouterr().err == "domain error: log of non-positive value\n"
+
+
+def test_order_screen_reads_the_matrix_of_the_printed_stage(c5):
+    # M[A][B] = -(0.0 + J[A][0][B] xdot[0] + J[A][1][B] xdot[1]), built by
+    # hand from the compiled gamma gradients along a drawn c5 line
+    n, k = c5.space.n, c5.space.k
+
+    def entry(J, xd, A, B):
+        m = 0.0
+        for i in range(n):
+            m = m + J[(A * n + i) * k + B] * xd[i]
+        return -m
+
+    curve = ck._line_curve(c5, np.random.default_rng(7))
+    want = []
+    for t in np.linspace(curve.t0, curve.t1, 33).tolist():
+        values = curve.compiled_state(t)
+        J = c5.conn.compiled_gamma_gradients(*values[: n + k])[k * n :]
+        xd = values[n + k : 2 * n + k]
+        want.append([[entry(J, xd, A, B) for B in range(k)] for A in range(k)])
+    lin = LinearizedConnection(c5.conn)
+    np.testing.assert_array_equal(ck._transport_matrices(lin, curve, 33), want)
+    assert ck._order_measurable(lin, curve)
+
+
+def test_order_screen_rejects_a_curve_leaving_the_domain(c4):
+    # the line meets c4's puncture y = 0 at the middle knot, t = 0.5
+    lin = LinearizedConnection(c4.conn)
+    curve = CurveInE((ex.parse("t"),), (ex.parse("t - 0.5"), ex.lit(0.0)), 0.0, 1.0)
+    with pytest.raises(OutOfDomainError, match="at t = 0.5"):
+        ck._transport_matrices(lin, curve, 257)
+    assert not ck._order_measurable(lin, curve)
 
 
 def test_lambda_horizontality_measures_a_relative_error():

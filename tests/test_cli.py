@@ -363,6 +363,28 @@ def test_transport_domain_error_names_t_and_the_knot(capsys):
     assert captured.err == "domain error: curve left the domain at t = 0.5, at ([0.5], [0.0, 0.0])\n"
 
 
+@pytest.mark.parametrize("bounds", ["t0 = 0 ; t1 = nan", "t0 = -inf ; t1 = 1"])
+def test_a_non_finite_curve_bound_in_a_spec_is_a_usage_error(capsys, tmp_path, bounds):
+    # a t1 of nan used to load and end `transport` with a numeric error
+    text = MINIMAL + f'[curve c]\nx_1 = "t" ; y_1 = "1"\n{bounds}\n'
+    with pytest.raises(SpecError, match=r"line 9: t[01] must be a finite real"):
+        loads(text)
+    spec = tmp_path / "curve.ini"
+    spec.write_text(text)
+    assert main(["transport", str(spec), "--curve", "c", "--z0", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: line 9: t")
+
+
+def test_an_overflowing_number_literal_in_a_spec_is_a_usage_error(capsys, tmp_path):
+    # 1e999 used to load as inf; `linearize` then ended with a numeric error
+    spec = tmp_path / "big.ini"
+    spec.write_text(MINIMAL.replace('"y1^2"', '"1e999*y1"'))
+    assert main(["linearize", str(spec), "--point", "0;1", "--z", "1", "--w", "1;0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 6: gamma_1_1: number '1e999' does not fit in a float (at offset 1)\n"
+    )
+
+
 def test_underflowing_negative_power_is_a_domain_error(capsys, tmp_path):
     spec = tmp_path / "pow.ini"
     spec.write_text(MINIMAL.replace('"y1^2"', '"y1^-2"'))

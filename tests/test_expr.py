@@ -33,6 +33,14 @@ def test_unknown_function_offset():
     assert err.value.offset == 5
 
 
+def test_a_number_that_overflows_a_float_is_a_parse_error():
+    for text, offset in (("1e999*y1", 1), ("y1 + 2.5e308", 6)):
+        with pytest.raises(ex.ParseError, match="does not fit in a float") as err:
+            ex.parse(text)
+        assert err.value.offset == offset
+    assert ex.parse("1.7e308") == ex.Lit(1.7e308)
+
+
 def test_trailing_tokens():
     with pytest.raises(ex.ParseError):
         ex.parse("x1 )")
