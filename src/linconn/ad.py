@@ -19,7 +19,11 @@ point" and "point moving in one outer direction": an env whose values are
 floats yields floats, an env lifted with :func:`lift_env` yields Dual1
 scalars whose eps slot is the outer derivative.  Derivatives requested
 through :func:`partial_in` on a lifted env are computed with Dual2, never by
-differencing derivative output.
+differencing derivative output.  The direction of :func:`partial_in` may be
+lifted too (a vector field's values over the same env): its outer
+derivative seeds the mixed slot, so a contraction u^β ∂_β e along a moving
+vector u is one Dual2 walk, which is how brackets and covariant derivatives
+are taken.
 """
 
 from __future__ import annotations
@@ -401,18 +405,23 @@ def is_lifted(env) -> bool:
 
 
 def partial_in(e, env, seed):
-    """Directional derivative of e at env for a float direction ``seed``.
+    """Directional derivative De·u of e at env along the direction ``seed``.
 
-    On a plain env the result is a float.  On a lifted env the result is a
-    Dual1 carrying the derivative and its outer-direction derivative, via a
-    single Dual2 evaluation (inner seed u, outer direction v).
+    On a plain env the seed entries are floats and the result is a float.
+    On a lifted env (outer direction v) the result is a Dual1 carrying the
+    derivative and its outer derivative, via a single Dual2 evaluation.  A
+    seed entry there may be a float or a lifted scalar u + t·u′: the walk
+    evaluates e(x + s·u + t·v + st·u′), so the mixed slot is the full outer
+    derivative D²e(u, v) + De·u′ of De·u.  A contraction Σ_β u^β ∂_β e is
+    thus one walk, not n + k.  Float seeds seed the mixed slot with 0.0.
     """
     if not is_lifted(env):
         return directional(e, env, seed)[1]
     env2 = {}
     for name, v in env.items():
         outer = v.eps[0] if isinstance(v, Dual1) else 0.0
-        env2[name] = Dual2(real_part(v), seed.get(name, 0.0), outer)
+        u = seed.get(name, 0.0)
+        env2[name] = Dual2(real_part(v), real_part(u), outer, dual_part(u))
     r = expr.evaluate(e, env2)
     if isinstance(r, Dual2):
         return Dual1(r.fu, (r.fuv,))

@@ -645,13 +645,15 @@ def _check_lie_commutator(spec, rng):
     lifted = ad.lift_env(env0, dict(zip(names, comps0)))
     sig_l = [ex.evaluate(c, lifted) for c in sigma.comp]
     sig_0 = sigma.at(sp, a)
+    # fiber components of the bracket over env0 lifted along each y^B
+    br_y = [
+        bracket_env(sp, y1, y2, ad.lift_env(env0, {yname: 1.0}))[sp.n :] for yname in sp.y_names
+    ]
     rhs = np.empty(sp.k)
     for A in range(sp.k):
         s = ad.dual_part(sig_l[A])
         for B in range(sp.k):
-            lift_b = ad.lift_env(env0, {sp.y_names[B]: 1.0})
-            br_a = bracket_env(sp, y1, y2, lift_b)[sp.n + A]
-            s -= sig_0[B] * ad.dual_part(br_a)
+            s -= sig_0[B] * ad.dual_part(br_y[B][A])
         rhs[A] = s
     return max(sanity, _mx(lhs - rhs))
 

@@ -374,20 +374,18 @@ class HorBasicField:
 
 
 def bracket_env(space: BundleSpace, w1: FieldOnE, w2: FieldOnE, env) -> list:
-    """Components of the Lie bracket [w1, w2] over a generic environment."""
+    """Components [w1, w2]^α = D_{w1} w2^α - D_{w2} w1^α over a generic env.
+
+    Each term is one ``ad.partial_in`` along the other field's values at
+    env, which on a lifted env are lifted scalars themselves.
+    """
     names = space.x_names + space.y_names
-    m = space.n + space.k
-    c1 = [ex.evaluate(w1.component(i), env) for i in range(m)]
-    c2 = [ex.evaluate(w2.component(i), env) for i in range(m)]
-    out = []
-    for alpha in range(m):
-        g2 = ad.partials_in(w2.component(alpha), env, names)
-        g1 = ad.partials_in(w1.component(alpha), env, names)
-        s = 0.0
-        for beta in range(m):
-            s = s + c1[beta] * g2[beta] - c2[beta] * g1[beta]
-        out.append(s)
-    return out
+    c1 = {name: ex.evaluate(w1.component(i), env) for i, name in enumerate(names)}
+    c2 = {name: ex.evaluate(w2.component(i), env) for i, name in enumerate(names)}
+    return [
+        ad.partial_in(w2.component(alpha), env, c1) - ad.partial_in(w1.component(alpha), env, c2)
+        for alpha in range(len(names))
+    ]
 
 
 def bracket(space: BundleSpace, w1: FieldOnE, w2: FieldOnE, p: FiberPoint) -> TangentE:

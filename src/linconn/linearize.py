@@ -168,19 +168,18 @@ class LinearizedConnection:
         return np.array([ad.real_part(v) for v in out])
 
     def _cov_env(self, comps, dir_x, dir_y, env) -> list:
-        """Covariant derivative components over a generic environment."""
+        """Covariant derivative components over a generic environment.
+
+        The term dσ^A(w) is one ``ad.partial_in`` along (dir_x, dir_y),
+        which may be lifted scalars over a lifted env.
+        """
         sp = self.space
-        names = sp.x_names + sp.y_names
+        direction = dict(zip(sp.x_names + sp.y_names, [*dir_x, *dir_y]))
         J = self.fiber_jacobian_env(env)
         vals = [ex.evaluate(c, env) for c in comps]
         out = []
         for A in range(sp.k):
-            grads = ad.partials_in(comps[A], env, names)
-            s = 0.0
-            for i in range(sp.n):
-                s = s + grads[i] * dir_x[i]
-            for B in range(sp.k):
-                s = s + grads[sp.n + B] * dir_y[B]
+            s = ad.partial_in(comps[A], env, direction)
             for i in range(sp.n):
                 for B in range(sp.k):
                     s = s + J[A][i][B] * vals[B] * dir_x[i]
@@ -208,10 +207,8 @@ class LinearizedConnection:
         # tangent of sigma on the vertical part of W(a)
         pv = conn.project_v(w_field.at(sp, a))
         env = sp.point_env(a.x, a.y)
-        second = np.empty(sp.k)
-        for A in range(sp.k):
-            grads = ad.partials_in(sigma.comp[A], env, sp.y_names)
-            second[A] = float(np.dot(grads, pv.dy))
+        along = dict(zip(sp.y_names, pv.dy.tolist()))
+        second = np.array([ad.partial_in(c, env, along) for c in sigma.comp], dtype=float)
         return first + second
 
     # -- Lie derivations -----------------------------------------------------
@@ -370,10 +367,14 @@ class LinearizedConnection:
         a different code path from ``curvature``) and tracks the largest
         mixed vertical-horizontal component, whose vanishing flags the
         linearization as basic.  Sampling cannot prove a universal: the
-        verdicts carry their sample count, seed and threshold.
+        verdicts carry their sample count, seed and threshold.  A sample
+        count below 1 is a ValueError; OutOfDomainError means that every
+        drawn point missed the domain.
         """
         from .sampling import random_hor_basic, random_polynomial, random_section, sample_in_domain
 
+        if samples < 1:
+            raise ValueError(f"flatness_report needs at least 1 sample, got {samples}")
         sp = self.space
         rng = np.random.default_rng(seed)
         max_curv = 0.0

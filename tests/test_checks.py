@@ -191,12 +191,12 @@ def test_lambda_horizontality_fails_a_flipped_lambda_term(monkeypatch, name):
 
 
 CHECK_ROW_PINS = {
-    "c0": "d8fc4baf255d9a82f4df17a9cae56faf7b71de9d6b89e920725657a8ee54512d",
-    "c1": "419b7c2f444666ce9d00554a8e122490a11fc46f001573784e5d030f30c6355f",
-    "c2": "ca7643f4a4856e1f4e6e6ccaa722d70fc55a7a01fe43a8b950e5ffe00670d09a",
-    "c3": "87d9a0788725a99a0368886bf3ed9438ebe704c19fe766b98490b6dfae013fab",
-    "c4": "217bada7d857eb6ed4b67a78fa2ee9d0699bf99972886bfa454f37ac4d6e31af",
-    "c5": "50e55adf0b9e06a74f8bad90bf2424a7cc100f0856f98fc168ccc2617b77aa7e",
+    "c0": "0bc8c9d02565ea28e432bd9fb001cdaab0c31b63a2f462bc0821eb3ff0120e53",
+    "c1": "7735f3c2ee113c8a0206917726318dc55eb307dd58a7f2e21b126f9ffdc7f551",
+    "c2": "b0c825936ada412ce085bf32201cb9ddb85ebcf13e22fe7603ed87f67de5a208",
+    "c3": "f2eb9710e8bdc40931d9eec0d4c4e418491be03ed5de9ef2ee08580eafd2a537",
+    "c4": "35ffac7cc4c1bff2b5c78edc111314ffb706ee562645a7d9e1e572ebd63883f2",
+    "c5": "fe7d67f3925180c3caa02e2fac4b6f7dcac9b5501b4ae30bb7199cd39b58c7e3",
 }
 
 

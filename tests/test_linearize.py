@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from linconn import ad
+from linconn import ad, connection
 from linconn import expr as ex
-from linconn.connection import HorBasicField, SectionAlongPi, bracket
+from linconn.connection import HorBasicField, SectionAlongPi, bracket, bracket_env
 from linconn.geom import (
     FiberPoint,
     OutOfDomainError,
@@ -496,6 +496,14 @@ def test_flatness_reports(c0, c1, c3):
     assert lin_of(c3).flatness_report(16, seed=0).max_curvature <= 1e-9
 
 
+@pytest.mark.parametrize("samples", [0, -1, -16])
+def test_flatness_report_needs_at_least_one_sample(c1, samples):
+    # a bad count is the caller's error, not a domain error
+    with pytest.raises(ValueError, match="at least 1 sample") as err:
+        lin_of(c1).flatness_report(samples, seed=0)
+    assert not isinstance(err.value, OutOfDomainError)
+
+
 def test_fiber_derivative_of_field_matches_lift(all_specs):
     rng = np.random.default_rng(18)
     for spec in all_specs.values():
@@ -601,3 +609,144 @@ def test_covariant_sums_overflow_without_a_numpy_warning():
     for y in (1.0, 1e50, 1e100):
         comm = lin.curvature_commutator(y1, y2, sigma, FiberPoint([0.0, 0.0], [y]))
         assert not np.isfinite(comm).all()
+
+
+# ---------------------------------------------------------------------------
+# contracted derivatives against gradient-then-contract references
+
+SPEC_NAMES = ["c0", "c1", "c2", "c3", "c4", "c5"]
+ULPS = 8  # allowed difference, in units of eps times the largest summand
+
+
+def _parts(v):
+    return ad.real_part(v), ad.dual_part(v)
+
+
+class _GradientThenContract:
+    """``bracket_env`` and ``LinearizedConnection._cov_env`` written as full
+    gradients (``ad.partials_in``) dotted with the contracting vector.
+
+    ``largest`` is the largest magnitude, value or outer part, of any
+    summand or partial sum formed: the scale of the rounding that a
+    different summation order may move.
+    """
+
+    def __init__(self):
+        self.largest = 1.0
+
+    def _add(self, s, term):
+        s = s + term
+        self.largest = max(self.largest, *map(abs, _parts(term)), *map(abs, _parts(s)))
+        return s
+
+    def bracket_env(self, space, w1, w2, env):
+        names = space.x_names + space.y_names
+        m = len(names)
+        c1 = [ex.evaluate(w1.component(i), env) for i in range(m)]
+        c2 = [ex.evaluate(w2.component(i), env) for i in range(m)]
+        out = []
+        for alpha in range(m):
+            g2 = ad.partials_in(w2.component(alpha), env, names)
+            g1 = ad.partials_in(w1.component(alpha), env, names)
+            s = 0.0
+            for beta in range(m):
+                s = self._add(s, c1[beta] * g2[beta])
+                s = self._add(s, -(c2[beta] * g1[beta]))
+            out.append(s)
+        return out
+
+    def cov_env(self, lin, comps, dir_x, dir_y, env):
+        sp = lin.space
+        J = lin.fiber_jacobian_env(env)
+        vals = [ex.evaluate(c, env) for c in comps]
+        out = []
+        for A in range(sp.k):
+            grads = ad.partials_in(comps[A], env, sp.x_names + sp.y_names)
+            s = 0.0
+            for d, g in zip([*dir_x, *dir_y], grads):
+                s = self._add(s, g * d)
+            for i in range(sp.n):
+                for B in range(sp.k):
+                    s = self._add(s, J[A][i][B] * vals[B] * dir_x[i])
+            out.append(s)
+        return out
+
+    def patch(self, monkeypatch):
+        """Route the library's curvature formulas through this reference."""
+        monkeypatch.setattr(connection, "bracket_env", self.bracket_env)
+        monkeypatch.setattr(LinearizedConnection, "_cov_env", lambda lin, *a: self.cov_env(lin, *a))
+
+
+def _assert_within_ulps(got, want, scale):
+    bound = ULPS * np.finfo(float).eps * scale
+    for g, w in zip(got, want, strict=True):
+        for gp, wp in zip(_parts(g), _parts(w)):
+            assert abs(gp - wp) <= bound, (got, want, scale)
+
+
+def _moving_env(rng, sp, a):
+    """The env at a lifted along a random direction in every coordinate."""
+    names = sp.x_names + sp.y_names
+    direction = dict(zip(names, rng.uniform(-1.5, 1.5, len(names)).tolist()))
+    return ad.lift_env(sp.point_env(a.x, a.y), direction)
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_bracket_env_is_the_contracted_gradient(all_specs, name):
+    sp = all_specs[name].space
+    rng = np.random.default_rng(31)
+    seed_moves = False
+    for _ in range(40):
+        a = sample_in_domain(sp, rng)
+        w1, w2 = random_field(rng, sp), random_field(rng, sp)
+        lifted = _moving_env(rng, sp, a)
+        for env in (sp.point_env(a.x, a.y), lifted):
+            ref = _GradientThenContract()
+            want = ref.bracket_env(sp, w1, w2, env)
+            _assert_within_ulps(bracket_env(sp, w1, w2, env), want, ref.largest)
+        # on the lifted env the contracting vector w1 has an outer derivative
+        seed_moves |= any(ad.dual_part(ex.evaluate(c, lifted)) != 0.0 for c in w1.comp_x + w1.comp_y)
+    assert seed_moves
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_covariant_derivative_is_the_contracted_gradient(all_specs, name):
+    sp = all_specs[name].space
+    lin = lin_of(all_specs[name])
+    rng = np.random.default_rng(32)
+    for _ in range(40):
+        a = sample_in_domain(sp, rng)
+        sigma = random_section(rng, sp)
+        w = sample_tangent(rng, a)
+        ref = _GradientThenContract()
+        env = sp.point_env(a.x, a.y)
+        want = ref.cov_env(lin, sigma.comp, w.dx.tolist(), w.dy.tolist(), env)
+        _assert_within_ulps(lin.covariant_derivative(sigma, w), want, ref.largest)
+        # a lifted direction whose components move along the lifted env
+        lifted = _moving_env(rng, sp, a)
+        names = sp.x_names + sp.y_names
+        direction = [ex.evaluate(random_polynomial(rng, names), lifted) for _ in names]
+        assert any(ad.dual_part(d) != 0.0 for d in direction)
+        ref = _GradientThenContract()
+        want = ref.cov_env(lin, sigma.comp, direction[: sp.n], direction[sp.n :], lifted)
+        got = lin._cov_env(sigma.comp, direction[: sp.n], direction[sp.n :], lifted)
+        _assert_within_ulps(got, want, ref.largest)
+
+
+@pytest.mark.parametrize("name", SPEC_NAMES)
+def test_curvature_and_berwald_are_the_contracted_gradients(all_specs, name, monkeypatch):
+    sp = all_specs[name].space
+    lin = lin_of(all_specs[name])
+    rng = np.random.default_rng(33)
+    for _ in range(20):
+        a = sample_in_domain(sp, rng)
+        y1, y2 = random_hor_basic(rng, sp), random_hor_basic(rng, sp)
+        sigma = random_section(rng, sp)
+        eta = tuple(random_polynomial(rng, sp.x_names) for _ in range(sp.k))
+        got = (lin.curvature(y1, y2, sigma, a), lin.berwald(eta, y2, sigma, a))
+        ref = _GradientThenContract()
+        with monkeypatch.context() as m:
+            ref.patch(m)
+            want = (lin.curvature(y1, y2, sigma, a), lin.berwald(eta, y2, sigma, a))
+        for g, w in zip(got, want):
+            _assert_within_ulps(g, w, ref.largest)
