@@ -53,6 +53,7 @@ from .linearize import (
     BASIC_VERDICT_TOL,
     LambdaFamilyMember,
     LinearizedConnection,
+    _mx,
     fiber_derivative_of_field,
 )
 from .sampling import (
@@ -148,17 +149,6 @@ class _Shown:
     label: str
     max_error: float
     tolerance: float
-
-
-def _mx(*values) -> float:
-    """Largest absolute entry; inf if any entry is not finite."""
-    worst = 0.0
-    for v in values:
-        a = np.abs(np.asarray(v))
-        if not np.all(np.isfinite(a)):
-            return math.inf
-        worst = max(worst, float(np.max(a, initial=0.0)))
-    return worst
 
 
 def _rel(err: float, scale: float) -> float:

@@ -28,17 +28,21 @@ class NotProjectableError(ValueError):
 
 
 def horizontal_velocity(G, X, eta=None) -> list:
-    """Fiber velocity -gamma^A_i X^i + eta^A in plain floats.
+    """Fiber velocity -gamma^A_i X^i + eta^A, the one sum of a gamma row
+    against a base vector.
 
-    G holds the k*n entries gamma^A_i row by row (as the compiled gamma
-    returns them), X the n base components and eta the k fiber components,
-    or None for the plain horizontal lift.  The order is stated, so the
-    bits do not depend on a BLAS kernel: for each A, the terms
-    ``(-G[A][i]) * X[i]`` summed left to right over i ascending, then
-    ``+ eta[A]``.  Python float arithmetic neither warns nor raises: an
-    infinite gamma gives an infinite or NaN component.
-    ``HorBasicField.at``, ``horizontal_lift`` and ``connector`` call it;
-    ``codegen.flow_stage`` prints the same sums into each flow stage, and
+    G holds the k*n entries gamma^A_i row by row (the layout of
+    ``compiled_gamma`` and ``gamma_env``), X the n base components and eta
+    the k fiber components, or None for the plain horizontal lift.  The
+    entries may be floats or lifted ``ad.Dual1`` scalars, mixed freely.
+    The order is stated, so the bits do not depend on a BLAS kernel: for
+    each A, the terms ``(-G[A][i]) * X[i]`` summed left to right over i
+    ascending, then ``+ eta[A]``.  Python float arithmetic neither warns
+    nor raises: an infinite gamma gives an infinite or NaN component.
+    ``HorBasicField.at``, ``horizontal_lift``, ``connector``,
+    ``horizontal_direction_env``, ``connector_env`` and the J term of
+    ``LinearizedConnection._cov_env`` call it; ``codegen.flow_stage``
+    prints the same sums into each flow stage, and
     ``codegen.holonomy_stage`` into each lane of the holonomy legs.
     """
     entries = iter(G)
@@ -104,24 +108,20 @@ class NonlinearConnection:
         return np.array(self._gamma_values(a), dtype=float).reshape(self.space.k, self.space.n)
 
     def gamma_env(self, env) -> list:
-        """Coefficient matrix over a generic (possibly lifted) environment."""
-        return [[ex.evaluate(g, env) for g in row] for row in self.gamma]
+        """The k*n entries gamma^A_i row by row over a plain or lifted env,
+        the layout of ``compiled_gamma``."""
+        return [ex.evaluate(g, env) for row in self.gamma for g in row]
 
     def horizontal_direction_env(self, comp_x, env, eta=None):
-        """Components (X, -gamma X + eta) of a lifted base field over env.
+        """Components (X, -gamma X + eta) of a lifted base field over env,
+        the fiber part by ``horizontal_velocity``.
 
         ``comp_x`` and ``eta`` are expression tuples; eta None is the zero
         section, i.e. the plain horizontal lift of X.
         """
         dir_x = [ex.evaluate(e, env) for e in comp_x]
-        G = self.gamma_env(env)
-        dir_y = []
-        for A in range(self.space.k):
-            s = 0.0 if eta is None else ex.evaluate(eta[A], env)
-            for i in range(self.space.n):
-                s = s - G[A][i] * dir_x[i]
-            dir_y.append(s)
-        return dir_x, dir_y
+        eta = None if eta is None else [ex.evaluate(e, env) for e in eta]
+        return dir_x, horizontal_velocity(self.gamma_env(env), dir_x, eta)
 
     def _gamma_values(self, a: FiberPoint) -> tuple:
         self.space.require_in_domain(a.x, a.y)
@@ -365,8 +365,7 @@ class HorBasicField:
         env = conn.space.point_env(a.x, a.y)
         dx = [ad.real_part(ex.evaluate(e, env)) for e in self.X]
         eta = [ad.real_part(ex.evaluate(e, env)) for e in self.eta]
-        G = [g for row in conn.gamma_env(env) for g in row]
-        return TangentE(a, np.array(dx), np.array(horizontal_velocity(G, dx, eta)))
+        return TangentE(a, np.array(dx), np.array(horizontal_velocity(conn.gamma_env(env), dx, eta)))
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +399,9 @@ def bracket(space: BundleSpace, w1: FieldOnE, w2: FieldOnE, p: FiberPoint) -> Ta
 
 
 def connector_env(conn: NonlinearConnection, env, wx, wy) -> list:
-    """kappa of a tangent with components (wx, wy) over a generic environment."""
-    G = conn.gamma_env(env)
-    out = []
-    for A in range(conn.space.k):
-        s = wy[A]
-        for i in range(conn.space.n):
-            s = s + G[A][i] * wx[i]
-        out.append(s)
-    return out
+    """kappa of a tangent with components (wx, wy) over a generic env: wy
+    minus ``horizontal_velocity(gamma, wx)``, the formula of ``connector``."""
+    return [d - v for d, v in zip(wy, horizontal_velocity(conn.gamma_env(env), wx))]
 
 
 def kappa_section(conn: NonlinearConnection, w: FieldOnE) -> SectionAlongPi:
@@ -418,9 +411,8 @@ def kappa_section(conn: NonlinearConnection, w: FieldOnE) -> SectionAlongPi:
     to dual-number evaluation.
     """
     comps = []
-    for A in range(conn.space.k):
-        s = w.comp_y[A]
-        for i in range(conn.space.n):
-            s = ex.add(s, ex.mul(conn.gamma[A][i], w.comp_x[i]))
+    for row, s in zip(conn.gamma, w.comp_y):
+        for g, wx in zip(row, w.comp_x):
+            s = ex.add(s, ex.mul(g, wx))
         comps.append(s)
     return SectionAlongPi(tuple(comps))

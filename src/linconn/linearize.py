@@ -19,6 +19,7 @@ run through Dual2 scalars, never through differencing of derivative output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,21 @@ from .geom import (
 BASIC_VERDICT_TOL = 1e-8  # threshold on sampled magnitudes for basic/flat verdicts
 
 
+def _mx(*values) -> float:
+    """Largest absolute entry; inf if any entry is not finite.
+
+    ``max(worst, nan)`` keeps worst, so without this rule a NaN sample
+    would read as a pass.
+    """
+    worst = 0.0
+    for v in values:
+        a = np.abs(np.asarray(v))
+        if not np.all(np.isfinite(a)):
+            return math.inf
+        worst = max(worst, float(np.max(a, initial=0.0)))
+    return worst
+
+
 def _check_leg(p: PullbackPoint, w: TangentE):
     if (
         np.max(np.abs(w.at.x - p.x), initial=0.0) > BASE_TOL
@@ -70,22 +86,18 @@ class LinearizedConnection:
 
     def fiber_jacobian(self, a: FiberPoint) -> np.ndarray:
         """Array [A, i, B] of fiber derivatives of the coefficients at a."""
-        self.space.require_in_domain(a.x, a.y)
-        env = self.space.point_env(a.x, a.y)
-        return np.array(self.fiber_jacobian_env(env), dtype=float)
-
-    def fiber_jacobian_env(self, env) -> list:
-        y_names = self.space.y_names
-        if ad.is_lifted(env):
-            return [
-                [ad.partials_in(g, env, y_names) for g in row] for row in self.conn.gamma
-            ]
-        # plain env: the compiled gamma gradients, bitwise ad.gradients
         sp = self.space
-        n, k = sp.n, sp.k
-        out = self.conn.compiled_gamma_gradients(*(float(env[name]) for name in sp.x_names + y_names))
-        J = out[k * n :]
-        return [[J[(A * n + i) * k : (A * n + i + 1) * k] for i in range(n)] for A in range(k)]
+        sp.require_in_domain(a.x, a.y)
+        J = self.fiber_jacobian_env(sp.point_env(a.x, a.y))
+        return np.array(J, dtype=float).reshape(sp.k, sp.n, sp.k)
+
+    def fiber_jacobian_env(self, env) -> tuple:
+        """The k*n*k entries d_gamma^A_i/dy^B at a plain env, flat [A, i, B]
+        row by row: the tail of ``compiled_gamma_gradients``, bitwise
+        ``ad.gradients``.  The layout ``fiber_velocity`` reads."""
+        sp = self.space
+        out = self.conn.compiled_gamma_gradients(*(float(env[name]) for name in sp.x_names + sp.y_names))
+        return out[sp.k * sp.n :]
 
     # -- the linearized horizontal action ---------------------------------
 
@@ -93,7 +105,7 @@ class LinearizedConnection:
         """Coordinate formula: dy^A = -d_gamma^A_iB(x, y) z^B w^i at leg b."""
         self.space.require_in_domain(p.x, p.y)
         _check_leg(p, w)
-        J = self.fiber_jacobian(p.a).ravel().tolist()
+        J = self.fiber_jacobian_env(self.space.point_env(p.x, p.y))
         dy = self.fiber_velocity(J, p.z.tolist(), w.dx.tolist())
         return TangentE(p.b, w.dx.copy(), np.array(dy))
 
@@ -101,14 +113,14 @@ class LinearizedConnection:
     def fiber_velocity(J, z, dx) -> list:
         """The formula of ``apply`` in plain floats: -J[A, i, B] z^B dx^i.
 
-        J holds the entries [A, i, B] flat, row by row, as the compiled
-        gamma gradients return them; z and dx are sequences of floats.  For
-        each A the terms ``J[A, i, B] * z[B] * dx[i]`` are summed onto 0.0,
-        i outer and B inner, and the sum is negated: bitwise numpy's
-        ``-einsum("aib,b,i->a", J, z, dx)``.  The family's
-        ``fiber_velocity`` calls it too, and ``codegen.flow_stage`` prints
-        the same sum into the variational stage of
-        ``transport.fiber_derivative_flow``.
+        J holds the entries [A, i, B] flat, row by row, as
+        ``fiber_jacobian_env`` returns them; z and dx are sequences of
+        floats.  For each A the terms ``J[A, i, B] * z[B] * dx[i]`` are
+        summed onto 0.0, i outer and B inner, and the sum is negated:
+        bitwise numpy's ``-einsum("aib,b,i->a", J, z, dx)``.  The family's
+        ``fiber_velocity`` and the float J term of ``_cov_of_cov`` call it
+        too, and ``codegen.flow_stage`` prints the same sum into the
+        variational stage of ``transport.fiber_derivative_flow``.
         """
         entries = iter(J)
         out = []
@@ -168,23 +180,23 @@ class LinearizedConnection:
         return np.array([ad.real_part(v) for v in out])
 
     def _cov_env(self, comps, dir_x, dir_y, env) -> list:
-        """Covariant derivative components over a generic environment.
+        """Covariant derivative components over a plain or lifted env.
 
-        The term dσ^A(w) is one ``ad.partial_in`` along (dir_x, dir_y),
-        which may be lifted scalars over a lifted env.
+        Contract, then differentiate: the term dσ^A(w) is one
+        ``ad.partial_in`` along (dir_x, dir_y), and the J term is
+        ``horizontal_velocity(D, dir_x)`` subtracted, where D^A_i is one
+        ``ad.partial_in`` of gamma^A_i along the section's values σ^B, the
+        contraction d_gamma^A_iB σ^B.  Every direction may be lifted scalars
+        over a lifted env.
         """
         sp = self.space
         direction = dict(zip(sp.x_names + sp.y_names, [*dir_x, *dir_y]))
-        J = self.fiber_jacobian_env(env)
-        vals = [ex.evaluate(c, env) for c in comps]
-        out = []
-        for A in range(sp.k):
-            s = ad.partial_in(comps[A], env, direction)
-            for i in range(sp.n):
-                for B in range(sp.k):
-                    s = s + J[A][i][B] * vals[B] * dir_x[i]
-            out.append(s)
-        return out
+        sigma = dict(zip(sp.y_names, [ex.evaluate(c, env) for c in comps]))
+        D = [ad.partial_in(g, env, sigma) for row in self.conn.gamma for g in row]
+        return [
+            ad.partial_in(c, env, direction) - v
+            for c, v in zip(comps, horizontal_velocity(D, dir_x))
+        ]
 
     def covariant_derivative_bracket(
         self, sigma: SectionAlongPi, w_field: FieldOnE, a: FiberPoint
@@ -311,16 +323,9 @@ class LinearizedConnection:
         din_x, din_y = self.conn.horizontal_direction_env(inner.X, lifted, inner.eta)
         tau = self._cov_env(sigma.comp, din_x, din_y, lifted)
         # float products: numpy scalars would warn where they overflow
-        J0 = self.fiber_jacobian(a).tolist()
-        dx = w_out.dx.tolist()
-        out = np.empty(sp.k)
-        for A in range(sp.k):
-            s = ad.dual_part(tau[A])
-            for i in range(sp.n):
-                for B in range(sp.k):
-                    s += J0[A][i][B] * ad.real_part(tau[B]) * dx[i]
-            out[A] = s
-        return out
+        J0 = self.fiber_jacobian_env(env)
+        fv = self.fiber_velocity(J0, [ad.real_part(t) for t in tau], w_out.dx.tolist())
+        return np.array([ad.dual_part(t) - v for t, v in zip(tau, fv)])
 
     def berwald(
         self, eta, y: HorBasicField, sigma: SectionAlongPi, a: FiberPoint
@@ -368,8 +373,10 @@ class LinearizedConnection:
         mixed vertical-horizontal component, whose vanishing flags the
         linearization as basic.  Sampling cannot prove a universal: the
         verdicts carry their sample count, seed and threshold.  A sample
-        count below 1 is a ValueError; OutOfDomainError means that every
-        drawn point missed the domain.
+        that is not finite counts as inf (``_mx``), so it reads as non-flat
+        and non-basic, never as flat.  A sample count below 1 is a
+        ValueError; OutOfDomainError means that every drawn point missed
+        the domain.
         """
         from .sampling import random_hor_basic, random_polynomial, random_section, sample_in_domain
 
@@ -389,11 +396,9 @@ class LinearizedConnection:
             y1 = random_hor_basic(rng, sp)
             y2 = random_hor_basic(rng, sp)
             sigma = random_section(rng, sp)
-            c = self.curvature(y1, y2, sigma, a)
-            max_curv = max(max_curv, float(np.max(np.abs(c), initial=0.0)))
+            max_curv = max(max_curv, _mx(self.curvature(y1, y2, sigma, a)))
             eta = tuple(random_polynomial(rng, sp.x_names) for _ in range(sp.k))
-            theta = self.berwald(eta, y2, sigma, a)
-            max_mixed = max(max_mixed, float(np.max(np.abs(theta), initial=0.0)))
+            max_mixed = max(max_mixed, _mx(self.berwald(eta, y2, sigma, a)))
             f1 = y1.as_field(self.conn)
             f2 = y2.as_field(self.conn)
             env = sp.point_env(a.x, a.y)
@@ -401,8 +406,7 @@ class LinearizedConnection:
                 lifted = ad.lift_env(env, {yname: 1.0})
                 comps = bracket_env(sp, f1, f2, lifted)
                 kap = connector_env(self.conn, lifted, comps[: sp.n], comps[sp.n :])
-                defect = max(abs(ad.dual_part(kv)) for kv in kap)
-                max_nonbasic = max(max_nonbasic, defect)
+                max_nonbasic = max(max_nonbasic, _mx([ad.dual_part(kv) for kv in kap]))
             used += 1
         if used == 0:
             raise OutOfDomainError("no in-domain sample points found")
@@ -462,7 +466,7 @@ class LambdaFamilyMember:
         lin = self.linearization
         lin.space.require_in_domain(p.x, p.y)
         _check_leg(p, w)
-        J = lin.fiber_jacobian(p.a).ravel().tolist()
+        J = lin.fiber_jacobian_env(lin.space.point_env(p.x, p.y))
         G = None if self.lam == 0.0 else self.conn.gamma_at(w.at).ravel().tolist()
         dy = self.fiber_velocity(J, G, p.z.tolist(), w.dx.tolist(), w.dy.tolist())
         return TangentE(p.b, w.dx.copy(), np.array(dy))

@@ -170,7 +170,7 @@ def loads(text: str, path: str = "<string>") -> SpecFile:
             raise SpecError(f"domain may reference x/y only, found {sorted(bad)}", ln)
 
     gamma = [[None] * n for _ in range(k)]
-    gamma_key = re.compile(r"gamma_([0-9]+)_([0-9]+)$")
+    gamma_key = re.compile(r"gamma_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)$")  # gamma_01_1 is unknown
     for key in list(conn_entries):
         m = gamma_key.match(key)
         if not m:
@@ -180,10 +180,10 @@ def loads(text: str, path: str = "<string>") -> SpecFile:
             raise SpecError(f"{key} is out of range for {k} x {n}", conn_entries[key][1])
         value, ln = conn_entries.pop(key)
         gamma[A - 1][i - 1] = _parse_expr(value, ln, x_names | y_names, key)
-    for A in range(k):
-        for i in range(n):
-            if gamma[A][i] is None:
-                raise SpecError(f"missing gamma_{A+1}_{i+1}")
+    for A, row in enumerate(gamma, start=1):
+        for i, g in enumerate(row, start=1):
+            if g is None:
+                raise SpecError(f"missing gamma_{A}_{i}")
 
     space = BundleSpace(n, k, domain)
     conn = NonlinearConnection(space, tuple(tuple(r) for r in gamma))

@@ -190,13 +190,45 @@ def test_lambda_horizontality_fails_a_flipped_lambda_term(monkeypatch, name):
     assert (row.status, row.samples) == ("fail", 1), row
 
 
+def _dropped_eta(G, X, eta=None):
+    return horizontal_velocity(G, X)
+
+
+def _reversed_row(G, X, eta=None):
+    # gamma^A_i meets X^(n-1-i): a no-op where n = 1
+    return horizontal_velocity(G, X[::-1], eta)
+
+
+CURVATURE_CROSS = {"linearize.curvature_cross"}
+BASE_ORDER = {
+    "linearize.covariant_cross",
+    "linearize.lie_vs_covariant",
+    "linearize.curvature_cross",
+    "transport.lambda_horizontality",
+}
+
+
+@pytest.mark.parametrize(
+    "defect, name, caught",
+    [(_dropped_eta, name, CURVATURE_CROSS) for name in ("c0", "c1", "c2", "c3", "c4", "c5")]
+    + [(_reversed_row, name, BASE_ORDER) for name in ("c2", "c5")],
+)
+def test_a_defect_in_the_one_gamma_contraction_fails_a_check(monkeypatch, defect, name, caught):
+    # horizontal_velocity is the only code that sums a gamma row against a
+    # base vector, over floats and lifted scalars alike
+    monkeypatch.setattr("linconn.connection.horizontal_velocity", defect)
+    monkeypatch.setattr("linconn.linearize.horizontal_velocity", defect)
+    rows = ck.run_suite(load_builtin(name), samples=32, seed=0).checks
+    assert caught <= {r.name for r in rows if r.status == "fail"}, rows
+
+
 CHECK_ROW_PINS = {
     "c0": "0bc8c9d02565ea28e432bd9fb001cdaab0c31b63a2f462bc0821eb3ff0120e53",
     "c1": "7735f3c2ee113c8a0206917726318dc55eb307dd58a7f2e21b126f9ffdc7f551",
-    "c2": "b0c825936ada412ce085bf32201cb9ddb85ebcf13e22fe7603ed87f67de5a208",
+    "c2": "c9dfae871f50dd0c659a4191e4ae11e18b96fded866717abb38972f15bf17a53",
     "c3": "f2eb9710e8bdc40931d9eec0d4c4e418491be03ed5de9ef2ee08580eafd2a537",
-    "c4": "35ffac7cc4c1bff2b5c78edc111314ffb706ee562645a7d9e1e572ebd63883f2",
-    "c5": "fe7d67f3925180c3caa02e2fac4b6f7dcac9b5501b4ae30bb7199cd39b58c7e3",
+    "c4": "2fa714da8606a86f002621f2693e1e226bd087b8672281a72050bf95c9a86132",
+    "c5": "18c8cd0a35c10e2f367ea941d4e1d3e7245ffbd82e9c2542bfe3f41b3f8884fc",
 }
 
 

@@ -385,6 +385,15 @@ def test_an_overflowing_number_literal_in_a_spec_is_a_usage_error(capsys, tmp_pa
     )
 
 
+@pytest.mark.parametrize("key", ["gamma_01_1", "gamma_1_01", "gamma_001_1"])
+def test_a_zero_padded_gamma_key_is_a_usage_error(capsys, tmp_path, key):
+    # gamma_01_1 used to load and override gamma_1_1 silently
+    spec = tmp_path / "pad.ini"
+    spec.write_text(MINIMAL + f'{key} = "2*y1"\n')
+    assert main(["linearize", str(spec), "--point", "0;1", "--z", "1", "--w", "1;0"]) == 2
+    assert capsys.readouterr().err == f"error: line 7: unknown key '{key}' in [connection]\n"
+
+
 def test_underflowing_negative_power_is_a_domain_error(capsys, tmp_path):
     spec = tmp_path / "pow.ini"
     spec.write_text(MINIMAL.replace('"y1^2"', '"y1^-2"'))

@@ -381,7 +381,8 @@ def _holonomy_one_loop_at_a_time(conn, a, v1, v2, h=1e-2, substeps=32):
             if not sp.in_domain(state[:n], state[n:]):
                 raise OutOfDomainError("holonomy leg left the domain")
             fiber = []
-            for row in conn.gamma_env(sp.point_env(state[:n], state[n:])):
+            G = conn.gamma_env(sp.point_env(state[:n], state[n:]))
+            for row in (G[A * n : (A + 1) * n] for A in range(sp.k)):
                 s = -row[0] * d[0]
                 for i in range(1, n):
                     s = s + -row[i] * d[i]

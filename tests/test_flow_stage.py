@@ -178,7 +178,7 @@ def _unfused(conn, field, p, s, steps, seen):
             acc = 0.0
             for i in range(n):
                 for B in range(k):
-                    acc = acc + J[A][i][B] * dz[B] * X[i]
+                    acc = acc + J[(A * n + i) * k + B] * dz[B] * X[i]
             dzdot.append(-acc)
         return X + v.dy.tolist() + dzdot
 

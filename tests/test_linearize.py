@@ -496,6 +496,18 @@ def test_flatness_reports(c0, c1, c3):
     assert lin_of(c3).flatness_report(16, seed=0).max_curvature <= 1e-9
 
 
+def test_a_non_finite_curvature_sample_reads_as_non_flat():
+    # the curvature at the first draw is [nan]; max(0.0, nan) kept 0.0, so
+    # the report used to read flat with max_curvature 0.0
+    spec = loads(
+        '[space]\nbase_dim = 2\nfiber_dim = 1\n[connection]\n'
+        'gamma_1_1 = "1e200*y1^2*x2"\ngamma_1_2 = "1e200*y1*x1"\n'
+    )
+    report = lin_of(spec).flatness_report(samples=8)
+    assert report.max_curvature == np.inf and report.max_nonbasic_defect == np.inf
+    assert (report.flat, report.verdict, report.equivalence_consistent) == (False, "non-flat", True)
+
+
 @pytest.mark.parametrize("samples", [0, -1, -16])
 def test_flatness_report_needs_at_least_one_sample(c1, samples):
     # a bad count is the caller's error, not a domain error
@@ -657,7 +669,7 @@ class _GradientThenContract:
 
     def cov_env(self, lin, comps, dir_x, dir_y, env):
         sp = lin.space
-        J = lin.fiber_jacobian_env(env)
+        J = [[ad.partials_in(g, env, sp.y_names) for g in row] for row in lin.conn.gamma]
         vals = [ex.evaluate(c, env) for c in comps]
         out = []
         for A in range(sp.k):
