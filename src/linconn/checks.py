@@ -165,22 +165,41 @@ ORACLE_TOLERANCE = 1e-5  # curvature against the holonomy oracle
 
 
 def _st(rng, n, k) -> SecondTangent:
-    r = rng.uniform
-    return SecondTangent(
-        r(-BOX, BOX, n), r(-BOX, BOX, k), r(-BOX, BOX, n), r(-BOX, BOX, k),
-        r(-BOX, BOX, n), r(-BOX, BOX, k), r(-BOX, BOX, n), r(-BOX, BOX, k),
-    )
+    """A second tangent with uniform slots in the box: one draw of 4(n + k)
+    values cut into the eight slots, the random stream of eight draws of
+    n or k values in slot order."""
+    flat = rng.uniform(-BOX, BOX, 4 * (n + k))
+    slots, at = [], 0
+    for size in (n, k) * 4:
+        slots.append(flat[at : at + size])
+        at += size
+    return SecondTangent(*slots)
+
+
+def _mx_diff(*pairs) -> float:
+    """``_mx(a - b, ...)`` over the equal-length vector pairs (a, b),
+    subtracting Python floats slot by slot; a float64 subtraction gives the
+    same bits as numpy's."""
+    worst = 0.0
+    for a, b in pairs:
+        for p, q in zip(a.tolist(), b.tolist(), strict=True):
+            d = abs(p - q)
+            if not math.isfinite(d):
+                return math.inf
+            if d > worst:
+                worst = d
+    return worst
 
 
 def _teq(u: TangentE, v: TangentE) -> float:
-    return _mx(u.at.x - v.at.x, u.at.y - v.at.y, u.dx - v.dx, u.dy - v.dy)
+    return _mx_diff((u.at.x, v.at.x), (u.at.y, v.at.y), (u.dx, v.dx), (u.dy, v.dy))
 
 
 def _steq(u: SecondTangent, v: SecondTangent) -> float:
-    return _mx(
-        u.x - v.x, u.y - v.y, u.dx - v.dx, u.dy - v.dy,
-        u.delta_x - v.delta_x, u.delta_y - v.delta_y,
-        u.delta_dx - v.delta_dx, u.delta_dy - v.delta_dy,
+    return _mx_diff(
+        (u.x, v.x), (u.y, v.y), (u.dx, v.dx), (u.dy, v.dy),
+        (u.delta_x, v.delta_x), (u.delta_y, v.delta_y),
+        (u.delta_dx, v.delta_dx), (u.delta_dy, v.delta_dy),
     )
 
 

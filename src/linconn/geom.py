@@ -46,6 +46,18 @@ def _vec(v, length: int, what: str) -> np.ndarray:
     return arr
 
 
+def _zero(*slots) -> bool:
+    """Whether every entry of the arrays is exactly 0.0; a NaN is not.
+
+    A Python float is falsy only at +-0.0, so ``any`` over the entries as
+    floats is numpy's ``any(a != 0.0)`` without a reduction.
+    """
+    for s in slots:
+        if any(s.ravel().tolist()):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class BundleSpace:
     """Chart data: base dimension n, fiber rank k, optional domain predicate.
@@ -173,7 +185,7 @@ class TangentE:
         object.__setattr__(self, "dy", _vec(self.dy, len(self.at.y), "dy"))
 
     def is_vertical(self) -> bool:
-        return bool(np.all(self.dx == 0.0))
+        return _zero(self.dx)
 
 
 @dataclass(frozen=True)
@@ -185,8 +197,7 @@ class TangentPullback:
     w2: TangentE
 
     def __post_init__(self):
-        if np.max(np.abs(self.w.dx - self.w2.dx)) > BASE_TOL:
-            raise ValueError("legs must share the base velocity dx")
+        _check_close(self.w.dx, self.w2.dx, "the legs' base velocities dx")
 
 
 @dataclass(frozen=True)
@@ -211,7 +222,7 @@ class SecondTangent:
         return TangentE(FiberPoint(self.x, self.y), self.dx, self.dy)
 
     def is_tpi_vertical(self) -> bool:
-        return bool(np.all(self.delta_x == 0.0) and np.all(self.delta_dx == 0.0))
+        return _zero(self.delta_x, self.delta_dx)
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +247,18 @@ def vertical_project(w: TangentE) -> np.ndarray:
 
 
 def _check_close(u, v, what: str):
-    if np.max(np.abs(np.asarray(u) - np.asarray(v)), initial=0.0) > BASE_TOL:
-        raise ValueError(f"{what} differ beyond {BASE_TOL}")
+    """Raise a ValueError unless u and v have one shape and every pair of
+    entries satisfies abs(a - b) <= BASE_TOL, which a NaN entry does not.
+
+    Compares Python floats entry by entry: the vectors are short, and a
+    numpy reduction over them costs more than the loop.
+    """
+    u, v = np.asarray(u), np.asarray(v)
+    if u.shape != v.shape:
+        raise ValueError(f"{what} differ in shape: {u.shape} and {v.shape}")
+    for a, b in zip(u.ravel().tolist(), v.ravel().tolist()):
+        if not abs(a - b) <= BASE_TOL:
+            raise ValueError(f"{what} differ beyond {BASE_TOL}")
 
 
 def tangent_add(u, v):
@@ -343,7 +364,7 @@ def taue_vertical_lift(v: TangentE, w: TangentE) -> SecondTangent:
 
 
 def taue_vertical_project(V: SecondTangent) -> TangentE:
-    if np.any(V.delta_x != 0.0) or np.any(V.delta_y != 0.0):
+    if not _zero(V.delta_x, V.delta_y):
         raise NotVerticalError("second tangent is not vertical over the tangent space")
     return TangentE(FiberPoint(V.x, V.y), V.delta_dx, V.delta_dy)
 
@@ -362,7 +383,7 @@ def tangent_of_projection(V: SecondTangent) -> TangentE:
 
 def tangent_of_vertical_project(V: SecondTangent) -> TangentE:
     """Tangent map of the fiber-vector extraction, on tangents to verticals."""
-    if np.any(V.dx != 0.0) or np.any(V.delta_dx != 0.0):
+    if not _zero(V.dx, V.delta_dx):
         raise NotVerticalError("second tangent is not tangent to the vertical bundle")
     return TangentE(FiberPoint(V.x, V.dy), V.delta_x, V.delta_dy)
 

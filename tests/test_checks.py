@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from linconn import checks as ck
 from linconn import cli
 from linconn import expr as ex
 from linconn.connection import horizontal_velocity
-from linconn.geom import FiberPoint, OutOfDomainError, TangentE
+from linconn.geom import FiberPoint, OutOfDomainError, SecondTangent, TangentE
 from linconn.linearize import LambdaFamilyMember, LinearizedConnection
+from linconn.sampling import BOX
 from linconn.specfile import load_builtin, loads
 from linconn.transport import CurveInE
 
@@ -24,6 +28,82 @@ def test_mx_non_finite_is_inf():
     assert ck._mx([-np.inf]) == math.inf
     assert ck._mx(np.array([1.0, -3.0]), [2.0]) == 3.0
     assert ck._mx() == 0.0
+
+
+# every float64 class the float loops must treat as numpy does
+ENTRIES = st.one_of(
+    st.floats(),
+    st.sampled_from((0.0, -0.0, 5e-324, -2.2e-308, 1.7976931348623157e308, math.inf, -math.inf, math.nan)),
+)
+SLOTS = ("x", "y", "dx", "dy", "delta_x", "delta_y", "delta_dx", "delta_dy")
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _numpy_mx(*values) -> float:
+    """The numpy reduction that ``_mx`` replaced, kept as its reference."""
+    worst = 0.0
+    for v in values:
+        a = np.abs(np.asarray(v))
+        if not np.all(np.isfinite(a)):
+            return math.inf
+        worst = max(worst, float(np.max(a, initial=0.0)))
+    return worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4),
+            elements=ENTRIES,
+        ),
+        max_size=4,
+    )
+)
+def test_mx_is_the_numpy_reduction(values):
+    # the largest absolute entry, inf if any entry is not finite, 0.0 with
+    # no entries; 2-D input is ravelled
+    got = ck._mx(*values)
+    assert type(got) is float and _bits(got) == _bits(_numpy_mx(*values))
+
+
+@st.composite
+def _two_slot_lists(draw):
+    """The eight slots of two second tangents over one (n, k)."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return [[draw(hnp.arrays(np.float64, m, elements=ENTRIES)) for m in (n, k) * 4] for _ in range(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_slot_lists())
+def test_slot_errors_are_the_numpy_slot_subtraction(pair):
+    a, b = pair
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_t = _numpy_mx(*(p - q for p, q in zip(a[:4], b[:4])))
+        want_s = _numpy_mx(*(p - q for p, q in zip(a, b)))
+    got_t = ck._teq(TangentE(FiberPoint(a[0], a[1]), a[2], a[3]), TangentE(FiberPoint(b[0], b[1]), b[2], b[3]))
+    assert _bits(got_t) == _bits(want_t)
+    assert _bits(ck._steq(SecondTangent(*a), SecondTangent(*b))) == _bits(want_s)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+@example(1, 1, 0)
+@example(2, 1, 0)
+@example(1, 2, 0)
+@example(2, 2, 0)
+@example(3, 4, 0)
+def test_one_second_tangent_draw_is_eight_slot_draws(n, k, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ck._st(rng, n, k)
+    for slot, m in zip(SLOTS, (n, k) * 4):
+        assert getattr(got, slot).tobytes() == ref.uniform(-BOX, BOX, m).tobytes()
+    # and the stream goes on from the same place
+    assert rng.random() == ref.random()
 
 
 def test_nan_error_fails_its_check(monkeypatch, c1):
@@ -242,3 +322,22 @@ def test_check_rows_are_pinned(name):
     """
     rows = cli.to_json(cli._check_dicts(ck.run_suite(load_builtin(name), samples=32, seed=0).checks))
     assert hashlib.sha256(rows.encode()).hexdigest() == CHECK_ROW_PINS[name], rows
+
+
+DEFAULT_SAMPLE_PINS = {
+    "c0": "e7c352a089a13a7ed9e5bbd538c38c68eba9696bda79fe29f7ca0d95a13b1612",
+    "c1": "d91708a237776d437e41127e36083163aa240f29ab8889989cecd08fb907fade",
+    "c2": "2753470daeb401068a95502fd6fb39f95cad34f6c80cf36b672b774f2b03eafb",
+    "c3": "6a8fc02b86adc302e6442a507b85d87a56b0ea347c1fb0105dadeff268b763b8",
+    "c4": "1d273b574e50b5cf8494d35ece465d0f11519a790b826331ea798a59fba1a903",
+    "c5": "313bedcbc45c36b7923fb00ee6dae129036b777c68615ef2ec73db4490243101",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_SAMPLE_PINS))
+def test_default_sample_rows_are_pinned(name):
+    """sha256 of the check rows of run_suite(samples=256, seed=0), what
+    ``linconn check`` runs by default, printed as `linconn --json check`
+    prints them.  The same rule as ``CHECK_ROW_PINS``."""
+    rows = cli.to_json(cli._check_dicts(ck.run_suite(load_builtin(name), samples=256, seed=0).checks))
+    assert hashlib.sha256(rows.encode()).hexdigest() == DEFAULT_SAMPLE_PINS[name], rows

@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from linconn.geom import (
+    BASE_TOL,
     BundleSpace,
     FiberPoint,
     NotTpiVerticalError,
@@ -26,6 +32,8 @@ from linconn.geom import (
     taue_vertical_project,
     vertical_lift,
     vertical_project,
+    _check_close,
+    _zero,
 )
 from linconn import expr as ex
 
@@ -266,6 +274,85 @@ def test_tangent_pullback_requires_shared_dx():
     w1 = TangentE(p.a, [1.0], [0.0])
     w2 = TangentE(p.b, [2.0], [0.0])
     with pytest.raises(ValueError):
+        TangentPullback(p, w1, w2)
+
+
+# exact zeros, entries within and beyond BASE_TOL of each other, and the
+# float64 classes numpy and Python floats must agree on
+ENTRIES = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, BASE_TOL, 2 * BASE_TOL, math.inf, -math.inf, math.nan)),
+    st.floats(),
+)
+ARRAYS = hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3), elements=ENTRIES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARRAYS, ARRAYS)
+def test_zero_is_numpy_all_equal_zero(a, b):
+    assert _zero(a) is bool(np.all(a == 0.0))
+    assert _zero(a, b) is bool(np.all(a == 0.0) and np.all(b == 0.0))
+
+
+OFFSETS = st.sampled_from((0.0, -0.0, BASE_TOL / 2, -BASE_TOL, 2 * BASE_TOL, math.nan))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ARRAYS, st.data())
+def test_check_close_wants_one_shape_and_every_entry_within_tol(a, data):
+    # numpy's test on one shape, which a NaN entry fails; a shape mismatch
+    # never broadcasts
+    with np.errstate(invalid="ignore", over="ignore"):
+        near = a + data.draw(hnp.arrays(np.float64, a.shape, elements=OFFSETS))
+        b = data.draw(st.one_of(st.just(near), ARRAYS))
+        close = a.shape == b.shape and bool(np.all(np.abs(a - b) <= BASE_TOL))
+    try:
+        _check_close(a, b, "slots")
+    except ValueError:
+        assert not close
+    else:
+        assert close
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_tangent_add_rejects_a_nan_foot_point_in_either_order(first):
+    # nan > tol is False, so the sum used to keep whichever foot came first
+    pair = [
+        TangentE(FiberPoint([np.nan, 1.0], [0.5]), [1.0, 0.0], [2.0]),
+        TangentE(FiberPoint([0.0, 1.0], [0.5]), [0.0, 1.0], [3.0]),
+    ]
+    with pytest.raises(ValueError, match="base points differ beyond"):
+        tangent_add(pair[first], pair[1 - first])
+
+
+def test_tangent_add_rejects_a_tangent_over_another_base_dimension():
+    # the length-1 slots used to broadcast against the length-2 ones
+    u = TangentE(FiberPoint([1.0, 1.0], [0.0]), [2.0, 1.0], [0.0])
+    v = TangentE(FiberPoint([1.0], [0.0]), [4.0], [0.0])
+    for pair in ((u, v), (v, u)):
+        with pytest.raises(ValueError, match=r"base points differ in shape: \(\d,\) and \(\d,\)"):
+            tangent_add(*pair)
+
+
+@pytest.mark.parametrize("other_x", [[np.nan], [0.0]])
+def test_tau_add_rejects_second_tangents_at_a_nan_x(other_x):
+    def at(x):
+        return SecondTangent(x, [1.0], [0.5], [0.0], [0.0], [1.0], [0.0], [2.0])
+
+    with pytest.raises(ValueError, match="x slots differ beyond"):
+        tau_add(at([np.nan]), at(other_x))
+
+
+@pytest.mark.parametrize(
+    "dx1, x2, dx2",
+    [([np.nan], [1.0], [1.0]), ([1.0], [1.0, 1.0], [1.0, 1.0])],
+    ids=["nan", "other-base-dimension"],
+)
+def test_tangent_pullback_rejects_legs_without_one_base_velocity(dx1, x2, dx2):
+    # nan - 1 = nan passed the old test, and [1] - [1, 1] broadcast to zeros
+    p = PullbackPoint([1.0], [2.0], [3.0])
+    w1 = TangentE(p.a, dx1, [0.0])
+    w2 = TangentE(FiberPoint(x2, [3.0]), dx2, [0.0])
+    with pytest.raises(ValueError, match="the legs' base velocities dx differ"):
         TangentPullback(p, w1, w2)
 
 

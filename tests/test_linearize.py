@@ -129,6 +129,25 @@ def test_apply_requires_leg_and_domain(c4):
         lin.apply(good, stray)
 
 
+@pytest.mark.parametrize("method", ["apply", "apply_by_limit", "lambda_apply"])
+@pytest.mark.parametrize(
+    "wx", [[np.nan, 0.2], [0.1]], ids=["nan-foot", "other-base-dimension"]
+)
+def test_apply_rejects_a_tangent_not_at_the_first_leg(c2, method, wx):
+    # a NaN foot passed the old leg test, and a length-1 foot broadcast
+    # against x = (0.1, 0.1)
+    p = PullbackPoint([0.1, 0.1], [1.0], [0.5])
+    w = TangentE(FiberPoint(wx, [1.0]), np.ones(len(wx)), [0.0])
+    lin = lin_of(c2)
+    call = {
+        "apply": lin.apply,
+        "apply_by_limit": lin.apply_by_limit,
+        "lambda_apply": LambdaFamilyMember(c2.conn, 0.5).apply,
+    }[method]
+    with pytest.raises(ValueError, match="tangent vector is not attached at the first leg"):
+        call(p, w)
+
+
 def test_slit_domain_additivity(c4):
     # the second leg is unconstrained: additivity holds on the slit domain
     lin = lin_of(c4)
