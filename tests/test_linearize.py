@@ -618,6 +618,69 @@ def test_berwald_analytic_oracle_slit_norm(c4):
         assert got[1] == pytest.approx(0.0, abs=1e-12)
 
 
+# A curved linear connection, gamma^A_i = Gamma^A_iB(x) y^B: its
+# linearization is the pullback connection, whose curvature is the classical
+# R^A_Bij = d_i Gamma^A_jB - d_j Gamma^A_iB + Gamma^A_iC Gamma^C_jB - Gamma^A_jC Gamma^C_iB.
+CURVED_LINEAR = """
+[space]
+base_dim = 2
+fiber_dim = 2
+[connection]
+gamma_1_1 = "x2*y1 + y2"
+gamma_1_2 = "x1*y2"
+gamma_2_1 = "-y1 + x1*y2"
+gamma_2_2 = "x2*y1"
+"""
+
+
+def _christoffel(x):
+    """Gamma[A][i][B] of CURVED_LINEAR and its x-derivatives dGamma[j][A][i][B]."""
+    x1, x2 = x
+    gamma = np.array([[[x2, 1.0], [0.0, x1]], [[-1.0, x1], [x2, 0.0]]])
+    d = np.zeros((2, 2, 2, 2))
+    d[1, 0, 0, 0] = 1.0  # d/dx2 of Gamma^1_11 = x2
+    d[0, 0, 1, 1] = 1.0  # d/dx1 of Gamma^1_22 = x1
+    d[0, 1, 0, 1] = 1.0  # d/dx1 of Gamma^2_12 = x1
+    d[1, 1, 1, 0] = 1.0  # d/dx2 of Gamma^2_21 = x2
+    return gamma, d
+
+
+def _classical_riemann(x, v1, v2) -> np.ndarray:
+    """The matrix R(v1, v2)^A_B = R^A_Bij v1^i v2^j, by hand."""
+    g, d = _christoffel(x)
+    r = np.einsum("iajb->abij", d) - np.einsum("jaib->abij", d)
+    r += np.einsum("aic,cjb->abij", g, g) - np.einsum("ajc,cib->abij", g, g)
+    return np.einsum("abij,i,j->ab", r, v1, v2)
+
+
+def _rel_err(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_a_curved_linear_connection_has_the_classical_curvature():
+    spec = loads(CURVED_LINEAR)
+    sp, conn = spec.space, spec.conn
+    lin = LinearizedConnection(conn)
+    rng = np.random.default_rng(0)
+    worst = {"riemann": 0.0, "connection": 0.0, "hor-basic": 0.0}
+    for _ in range(50):
+        a = sample_in_domain(sp, rng)
+        v1, v2 = rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.5, 1.5, 2)
+        sigma = random_section(rng, sp)
+        y1, y2 = random_hor_basic(rng, sp), random_hor_basic(rng, sp)
+        env = sp.point_env(a.x, a.y)
+        sig = np.array([ex.evaluate(c, env) for c in sigma.comp])
+        r = _classical_riemann(a.x, v1, v2)
+        worst["riemann"] = max(worst["riemann"], _rel_err(lin.riemann(v1, v2, sigma, a), r @ sig))
+        worst["connection"] = max(worst["connection"], _rel_err(conn.curvature(a, v1, v2), -(r @ a.y)))
+        # eta drops out on hor-basic pairs, as the pullback connection predicts
+        X1 = np.array([ex.evaluate(e, env) for e in y1.X])
+        X2 = np.array([ex.evaluate(e, env) for e in y2.X])
+        got = lin.curvature(y1, y2, sigma, a)
+        worst["hor-basic"] = max(worst["hor-basic"], _rel_err(got, _classical_riemann(a.x, X1, X2) @ sig))
+    assert max(worst.values()) <= 1e-13, worst
+
+
 def test_basic_verdicts(c0, c1, c3, c4):
     assert lin_of(c0).flatness_report(16, seed=0).basic
     assert lin_of(c3).flatness_report(16, seed=0).basic
