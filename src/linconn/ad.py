@@ -374,6 +374,26 @@ def gradient(e, point, names):
     return gradients((e,), point, names)[0]
 
 
+def second_partials(e, point, direction, names):
+    """The slots of one Dual2 walk of e per name, seeded along that name
+    and along the outer direction: (value, partials, derivative along the
+    direction, derivatives of the partials along it).
+
+    Walk j evaluates e over ``{c: Dual2(point[c], u_j[c], direction[c])}``
+    with u_j the unit vector of the j-th name; the value and the outer
+    derivative do not depend on u_j and are read from the first walk (from
+    a walk with u = 0 when names is empty).  A float result has zero
+    derivatives.  ``codegen.compile_second`` prints the same walks.
+    """
+    walks = []
+    for name in names or (None,):
+        env = {c: Dual2(v, 1.0 if c == name else 0.0, direction[c]) for c, v in point.items()}
+        r = expr.evaluate(e, env)
+        walks.append(r if isinstance(r, Dual2) else _dual2(float(r), 0.0, 0.0, 0.0))
+    m = len(names)
+    return walks[0].f, [w.fu for w in walks[:m]], walks[0].fv, [w.fuv for w in walks[:m]]
+
+
 # ---------------------------------------------------------------------------
 # Generic point-or-lifted-point calculus
 

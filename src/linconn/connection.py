@@ -55,6 +55,48 @@ def horizontal_velocity(G, X, eta=None) -> list:
     return out if eta is None else [s + e for s, e in zip(out, eta)]
 
 
+def curvature_sum(G, dG, Gv, dGv, v1, v2) -> tuple[list, list]:
+    """R^A(v1, v2) and its derivative along an outer direction, in floats.
+
+    R^A(v1, v2) = sum_ij v1^i v2^j (d_j gamma^A_i - d_i gamma^A_j
+    + gamma^B_i d_B gamma^A_j - gamma^B_j d_B gamma^A_i), summed over i < j.
+    G holds the k*n entries gamma^A_i row by row and dG their partials
+    [A, i, beta] flat, beta over x1..xn then y1..yk; Gv and dGv hold their
+    derivatives along the outer direction in the same layouts (the slots of
+    ``compiled_gamma_second``); v1 and v2 are the n base components.  The
+    order is stated: for each A, over the pairs i < j (i outer, j inner,
+    ascending), the coefficient ``c = dG[A, i, x_j] - dG[A, j, x_i]`` gets
+    ``+ (G[B, i] * dG[A, j, y_B] - G[B, j] * dG[A, i, y_B])`` for B
+    ascending, its derivative ``dc`` the same terms differentiated by the
+    product rule, ``(Gv * dG + G * dGv)`` for each product, and
+    ``(v1[i] * v2[j] - v1[j] * v2[i])`` times each is summed onto 0.0.
+    Exchanging v1 and v2 negates each weight exactly, so R(v2, v1) =
+    -R(v1, v2) and R(v, v) = 0 hold bitwise for finite entries: the
+    antisymmetry is structural.
+    """
+    n = len(v1)
+    k = len(G) // n
+    m = n + k
+    R, dR = [], []
+    for A in range(k):
+        s = ds = 0.0
+        for i in range(n):
+            for j in range(i + 1, n):
+                di, dj = (A * n + i) * m, (A * n + j) * m
+                c = dG[di + j] - dG[dj + i]
+                dc = dGv[di + j] - dGv[dj + i]
+                for B in range(k):
+                    bi, bj, yi, yj = B * n + i, B * n + j, di + n + B, dj + n + B
+                    c = c + (G[bi] * dG[yj] - G[bj] * dG[yi])
+                    dc = dc + ((Gv[bi] * dG[yj] + G[bi] * dGv[yj]) - (Gv[bj] * dG[yi] + G[bj] * dGv[yi]))
+                w = v1[i] * v2[j] - v1[j] * v2[i]
+                s = s + w * c
+                ds = ds + w * dc
+        R.append(s)
+        dR.append(ds)
+    return R, dR
+
+
 def _check_arity(exprs, allowed: set[str], what: str):
     for e in exprs:
         bad = ex.variables(e) - allowed
@@ -102,6 +144,33 @@ class NonlinearConnection:
         sp = self.space
         entries = [g for row in self.gamma for g in row]
         return compile_gradients(entries, sp.x_names + sp.y_names, sp.y_names)
+
+    @cached_property
+    def compiled_gamma_second(self):
+        """The second-order pass of the entries (``codegen.compile_second``),
+        seeded in every name.
+
+        One function of the floats x1..xn, y1..yk and an outer direction
+        v1..v(n+k): the k*n entries row by row, their partials [A, i, beta]
+        with beta over x1..xn, y1..yk, their derivatives along v, and the
+        derivatives of the partials along v [A, i, beta]; bitwise the Dual2
+        walks seeded with u = e_beta and v.  Printed on first use and cached
+        here, like ``compiled_gamma``.
+        """
+        from .codegen import compile_second
+
+        names = self.space.x_names + self.space.y_names
+        return compile_second([g for row in self.gamma for g in row], names, names)
+
+    def gamma_second(self, values, direction) -> tuple:
+        """(G, dG, Gv, dGv): one call of ``compiled_gamma_second`` at the
+        floats x1..xn, y1..yk along the outer direction (n + k floats),
+        sliced into the entries, their partials [A, i, beta], their
+        derivatives along the direction and those of their partials."""
+        out = self.compiled_gamma_second(*values, *direction)
+        T = self.space.k * self.space.n
+        m = len(values)
+        return out[:T], out[T : T + T * m], out[T + T * m : 2 * T + T * m], out[2 * T + T * m :]
 
     def gamma_at(self, a: FiberPoint) -> np.ndarray:
         """Entrywise value of the coefficient matrix at an in-domain point."""
@@ -165,20 +234,12 @@ class NonlinearConnection:
         )
         return FieldOnE(comp_x, comp_y)
 
-    def horizontal_field(self, v) -> "FieldOnE":
-        """Horizontal lift of a constant base vector, as an expression field."""
-        v = np.asarray(v, dtype=float)
-        comp_x = tuple(ex.lit(vi) for vi in v)
-        comp_y = tuple(
-            ex.neg(ex.scaled_sum(zip(v, row))) for row in self.gamma
-        )
-        return FieldOnE(comp_x, comp_y)
-
     def curvature(self, a: FiberPoint, v1, v2) -> np.ndarray:
         """Connector of the bracket of the two constant horizontal lifts.
 
         Antisymmetric and bilinear in (v1, v2); identically zero when the
-        horizontal distribution is involutive.
+        horizontal distribution is involutive.  Computed by the coordinate
+        formula of ``curvature_env``.
         """
         v1, v2 = self.space.base_pair(v1, v2)
         self.space.require_in_domain(a.x, a.y)
@@ -186,10 +247,20 @@ class NonlinearConnection:
         return np.array(self.curvature_env(env, v1, v2), dtype=float)
 
     def curvature_env(self, env, v1, v2) -> list:
-        h1 = self.horizontal_field(v1)
-        h2 = self.horizontal_field(v2)
-        comps = bracket_env(self.space, h1, h2, env)
-        return connector_env(self, env, comps[: self.space.n], comps[self.space.n :])
+        """R(v1, v2) over a plain env (floats) or a lifted env (``ad.Dual1``
+        pairs of R and its outer derivative), for float base vectors v1, v2.
+
+        R is the connector of the bracket of the two constant horizontal
+        lifts, in coordinates ``curvature_sum`` of one call of the
+        second-order pass (``gamma_second``), whose outer direction is the
+        env's (zero on a plain env).
+        """
+        values = [env[name] for name in self.space.x_names + self.space.y_names]
+        slots = self.gamma_second(list(map(ad.real_part, values)), list(map(ad.dual_part, values)))
+        R, dR = curvature_sum(*slots, list(map(float, v1)), list(map(float, v2)))
+        if not any(isinstance(v, ad.Dual1) for v in values):
+            return R
+        return [ad.Dual1(r, (d,)) for r, d in zip(R, dR)]
 
     @cached_property
     def holonomy_stage(self):

@@ -197,7 +197,13 @@ class TangentPullback:
     w2: TangentE
 
     def __post_init__(self):
+        """The legs share dx, and w sits at (x, y) and w2 at (x, z), each
+        within ``BASE_TOL`` (``_check_close``)."""
         _check_close(self.w.dx, self.w2.dx, "the legs' base velocities dx")
+        p = self.at
+        for leg, name, fiber, fiber_name in ((self.w, "w", p.y, "y"), (self.w2, "w2", p.z, "z")):
+            _check_close(leg.at.x, p.x, f"{name}'s base point and x")
+            _check_close(leg.at.y, fiber, f"{name}'s fiber point and {fiber_name}")
 
 
 @dataclass(frozen=True)
@@ -214,8 +220,22 @@ class SecondTangent:
     delta_dy: np.ndarray
 
     def __post_init__(self):
-        for name in ("x", "y", "dx", "dy", "delta_x", "delta_y", "delta_dx", "delta_dy"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        """Convert each slot once to a float array and check it against one
+        (n, k): x and y must be vectors, and every other slot a vector of
+        the length of x (dx, delta_x, delta_dx) or of y (dy, delta_y,
+        delta_dy), so no slot can broadcast in an addition."""
+        x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
+        if x.ndim != 1 or y.ndim != 1:
+            raise ValueError(f"x and y must be vectors, got shapes {x.shape} and {y.shape}")
+        shapes = (x.shape, y.shape)
+        put = object.__setattr__
+        put(self, "x", x)
+        put(self, "y", y)
+        for j, name in enumerate(("dx", "dy", "delta_x", "delta_y", "delta_dx", "delta_dy")):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != shapes[j % 2]:
+                raise ValueError(f"{name}: expected shape {shapes[j % 2]}, got {arr.shape}")
+            put(self, name, arr)
 
     def base_tangent(self) -> TangentE:
         """Foot point in the tangent space (the standard bundle projection)."""

@@ -35,6 +35,7 @@ from .connection import (
     bracket,
     bracket_env,
     connector_env,
+    curvature_sum,
     horizontal_velocity,
 )
 from .geom import (
@@ -252,22 +253,23 @@ class LinearizedConnection:
 
     # -- curvature of the linearization --------------------------------------
 
-    def _pair_section_env(self, y1: HorBasicField, y2: HorBasicField, env) -> list:
-        """rho = R(X1, X2) + D_{X1 lift} eta2 - D_{X2 lift} eta1 over env.
+    def _vertical_pass(self, sigma: SectionAlongPi, a: FiberPoint) -> tuple:
+        """(env, slots, H) at a along the vertical direction v = (0, sigma(a)).
 
-        Valid only over plain envs or envs lifted in a vertical direction
-        (the base coordinates must not move, because the base fields are
-        frozen to their values at the base point).
+        slots are ``NonlinearConnection.gamma_second`` along v; H^A_iB =
+        d_sigma d_{y^B} gamma^A_i, the y-columns of its last slot, is flat
+        [A, i, B], the layout ``fiber_velocity`` reads.  sigma(a) is
+        evaluated as floats.
         """
-        point = {name: ad.real_part(v) for name, v in env.items()}
-        v1 = [ad.real_part(ex.evaluate(e, point)) for e in y1.X]
-        v2 = [ad.real_part(ex.evaluate(e, point)) for e in y2.X]
-        rho = self.conn.curvature_env(env, np.array(v1), np.array(v2))
-        d1x, d1y = self.conn.horizontal_direction_env(y1.X, env)
-        d2x, d2y = self.conn.horizontal_direction_env(y2.X, env)
-        t12 = self._cov_env(y2.eta, d1x, d1y, env)
-        t21 = self._cov_env(y1.eta, d2x, d2y, env)
-        return [rho[A] + t12[A] - t21[A] for A in range(self.space.k)]
+        sp = self.space
+        sp.require_in_domain(a.x, a.y)
+        env = sp.point_env(a.x, a.y)
+        sig_a = [ex.evaluate(c, env) for c in sigma.comp]
+        slots = self.conn.gamma_second([env[name] for name in sp.x_names + sp.y_names], [0.0] * sp.n + sig_a)
+        m = sp.n + sp.k
+        dGv = slots[3]
+        H = [h for r in range(0, len(dGv), m) for h in dGv[r + sp.n : r + m]]
+        return env, slots, H
 
     def curvature(
         self,
@@ -278,19 +280,22 @@ class LinearizedConnection:
     ) -> np.ndarray:
         """Closed-form curvature on a pair of hor-basic fields.
 
-        Returns minus the vertical derivative, in the direction sigma(a), of
-        the section R(X1, X2) + D_{X1 lift} eta2 - D_{X2 lift} eta1.  The
-        vertical derivative is where second fiber derivatives of gamma enter;
-        they are taken with Dual2 scalars.
+        Minus the vertical derivative, in the direction sigma(a), of the
+        section R(X1, X2) + D_{X1 lift} eta2 - D_{X2 lift} eta1 with the base
+        fields frozen at a:
+        -[d_sigma R(X1, X2) + H(sigma)^A_iB (eta2^B X1^i - eta1^B X2^i)],
+        with H^A_iB = d_sigma d_{y^B} gamma^A_i.  Both come from one call of
+        the second-order pass (``_vertical_pass``); X1, X2, eta1 and eta2 are
+        evaluated at a as floats.  The order is stated: with
+        ``p = fiber_velocity(H, eta2, X1)``, ``q = fiber_velocity(H, eta1,
+        X2)`` and r the derivative part of ``curvature_sum`` at (X1, X2),
+        each component is ``(p - q) - r``.
         """
-        sp = self.space
-        sp.require_in_domain(a.x, a.y)
-        env = sp.point_env(a.x, a.y)
-        sig_a = [ad.real_part(ex.evaluate(c, env)) for c in sigma.comp]
-        direction = dict(zip(sp.y_names, sig_a))
-        lifted = ad.lift_env(env, direction)
-        rho = self._pair_section_env(y1, y2, lifted)
-        return -np.array([ad.dual_part(r) for r in rho])
+        env, slots, H = self._vertical_pass(sigma, a)
+        X1, X2, eta1, eta2 = ([ex.evaluate(e, env) for e in comps] for comps in (y1.X, y2.X, y1.eta, y2.eta))
+        _, r = curvature_sum(*slots, X1, X2)
+        p, q = self.fiber_velocity(H, eta2, X1), self.fiber_velocity(H, eta1, X2)
+        return np.array([(pA - qA) - rA for pA, qA, rA in zip(p, q, r)])
 
     def curvature_commutator(
         self,
@@ -338,22 +343,19 @@ class LinearizedConnection:
 
         The vertical derivative, in the direction sigma(a), of the section
         p -> (D_{X lift} eta)(p), for a basic section eta (x-only component
-        expressions) and the horizontal part X of y.  Vanishing of this
-        component at all sampled points is what flags a linearization as
-        basic.
+        expressions) and the horizontal part X of y: H(sigma)^A_iB eta^B X^i,
+        which is ``-fiber_velocity(H, eta, X)`` (``_vertical_pass``).
+        Vanishing of this component at all sampled points is what flags a
+        linearization as basic.
         """
-        sp = self.space
-        sp.require_in_domain(a.x, a.y)
-        eta = tuple(eta)
-        env = sp.point_env(a.x, a.y)
-        sig_a = [ad.real_part(ex.evaluate(c, env)) for c in sigma.comp]
-        lifted = ad.lift_env(env, dict(zip(sp.y_names, sig_a)))
-        dirx, diry = self.conn.horizontal_direction_env(y.X, lifted)
-        tau = self._cov_env(eta, dirx, diry, lifted)
-        return np.array([ad.dual_part(t) for t in tau])
+        env, _, H = self._vertical_pass(sigma, a)
+        X = [ex.evaluate(e, env) for e in y.X]
+        return -np.array(self.fiber_velocity(H, [ex.evaluate(e, env) for e in eta], X))
 
     def riemann(self, v1, v2, sigma: SectionAlongPi, a: FiberPoint) -> np.ndarray:
-        """Base-base curvature component: minus the vertical derivative of R."""
+        """Base-base curvature component: minus the vertical derivative of R,
+        -d_sigma R(v1, v2), the outer part of ``curvature_env`` over the env
+        lifted along (0, sigma(a))."""
         sp = self.space
         v1, v2 = sp.base_pair(v1, v2)
         sp.require_in_domain(a.x, a.y)

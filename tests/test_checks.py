@@ -304,11 +304,11 @@ def test_a_defect_in_the_one_gamma_contraction_fails_a_check(monkeypatch, defect
 
 CHECK_ROW_PINS = {
     "c0": "0bc8c9d02565ea28e432bd9fb001cdaab0c31b63a2f462bc0821eb3ff0120e53",
-    "c1": "7735f3c2ee113c8a0206917726318dc55eb307dd58a7f2e21b126f9ffdc7f551",
-    "c2": "c9dfae871f50dd0c659a4191e4ae11e18b96fded866717abb38972f15bf17a53",
-    "c3": "f2eb9710e8bdc40931d9eec0d4c4e418491be03ed5de9ef2ee08580eafd2a537",
-    "c4": "2fa714da8606a86f002621f2693e1e226bd087b8672281a72050bf95c9a86132",
-    "c5": "18c8cd0a35c10e2f367ea941d4e1d3e7245ffbd82e9c2542bfe3f41b3f8884fc",
+    "c1": "e81bb75a144fb641d02087d8c475535308bd658bcb1e9e3d5fd06a9ac5200724",
+    "c2": "ae6303b2da67582ae34e2cd3344918ea2a8a249b54e217cd21dff29c1a48af48",
+    "c3": "47d5786a765be74b6d59fd524405e6d5afcdc93daf758197c048ea0f8a5b2a05",
+    "c4": "94807b7a9b179f74d928073764342732332d89873f463b6923dc262fc7265c4a",
+    "c5": "e56f1a0ef3ed7f861a747e0e503903563d18e514113eac17c5ddd390511463f4",
 }
 
 
@@ -326,11 +326,11 @@ def test_check_rows_are_pinned(name):
 
 DEFAULT_SAMPLE_PINS = {
     "c0": "e7c352a089a13a7ed9e5bbd538c38c68eba9696bda79fe29f7ca0d95a13b1612",
-    "c1": "d91708a237776d437e41127e36083163aa240f29ab8889989cecd08fb907fade",
-    "c2": "2753470daeb401068a95502fd6fb39f95cad34f6c80cf36b672b774f2b03eafb",
-    "c3": "6a8fc02b86adc302e6442a507b85d87a56b0ea347c1fb0105dadeff268b763b8",
-    "c4": "1d273b574e50b5cf8494d35ece465d0f11519a790b826331ea798a59fba1a903",
-    "c5": "313bedcbc45c36b7923fb00ee6dae129036b777c68615ef2ec73db4490243101",
+    "c1": "cca5ac0f13643bcd250fde45d9c882e595b8c3aaa1992a072d14350087aacd21",
+    "c2": "05d7608042ad59f3b21752c61883f3c2235aa2f7c49ccf51a1058ef53cb23b70",
+    "c3": "5733e769bafc186dd276e453720168287c7d9db6ecaaaaa6f4c420eade477d8f",
+    "c4": "9f0a422a0d9f2f590a9917d8df4410fae3af546b311d979a9b1927ce4d1fff08",
+    "c5": "7a2b31cdd53294689f5b6514ddb374fe05e5f5eeeb6c9581f23bfb87eaf5bbd5",
 }
 
 

@@ -4,8 +4,9 @@
 float values and must return bitwise what ``evaluate``, ``evaluate_bool``
 and ``ad.gradients`` return on them (signed zeros compared by their bits,
 NaN where they give NaN), or raise the same exception class with the same
-message.  The owners that cache compiled functions compile once per object,
-and single-point queries compile nothing.
+message; ``compile_second`` returns and raises what its ``Dual2`` walks do.
+The owners that cache compiled functions compile once per object, and
+drawn fields and sections are never compiled.
 """
 
 import math
@@ -120,6 +121,56 @@ def test_forward_compile_equals_gradients(trees, values, seeded):
     assert _outcome(compiled) == _outcome(walked)
 
 
+def _second_walks(trees, point, direction, seeded):
+    """m Dual2 walks of each tree, walk j seeded with u = e_j and the outer
+    direction, in the layout of ``compile_second``: every f slot, then the
+    u slots, the v slots and the mixed slots, tree by tree."""
+    f, fu, fv, fuv = [], [], [], []
+    for e in trees:
+        walks = []
+        for name in seeded or (None,):
+            env = {c: ad.Dual2(v, 1.0 if c == name else 0.0, direction[c]) for c, v in point.items()}
+            r = ex.evaluate(e, env)
+            walks.append((r.f, r.fu, r.fv, r.fuv) if isinstance(r, ad.Dual2) else (float(r), 0.0, 0.0, 0.0))
+        # the value and v slots do not depend on the seed
+        assert len({_bits([w[0], w[2]]) for w in walks}) == 1
+        f.append(walks[0][0])
+        fu += [w[1] for w in walks[: len(seeded)]]
+        fv.append(walks[0][2])
+        fuv += [w[3] for w in walks[: len(seeded)]]
+    return f + fu + fv + fuv
+
+
+@settings(max_examples=700, deadline=None)
+@given(
+    st.lists(TREES, min_size=1, max_size=3),
+    st.tuples(*[VALUES] * len(NAMES)),
+    st.tuples(*[VALUES] * len(NAMES)),
+    st.lists(st.sampled_from(NAMES + ("y3",)), max_size=4),
+)
+def test_second_order_compile_equals_dual2_walks(trees, values, direction, seeded):
+    # walk j seeds the u slot with e_j and the v slot with the direction;
+    # y3 is seeded but absent, and a name outside seeded has u = 0
+    point, outer = dict(zip(NAMES, values)), dict(zip(NAMES, direction))
+    m = len(seeded)
+
+    def compiled():
+        out = codegen.compile_second(trees, NAMES, seeded)(*values, *direction)
+        assert len(out) == len(trees) * (2 * m + 2)
+        return list(out)
+
+    def walked_at_run_time():
+        # what a tree that expr._walk_decides flags calls
+        slots = [ad.second_partials(e, point, outer, seeded) for e in trees]
+        return [s[0] for s in slots] + [d for s in slots for d in s[1]] + [s[2] for s in slots] + [
+            d for s in slots for d in s[3]
+        ]
+
+    want = _outcome(lambda: _second_walks(trees, point, outer, seeded))
+    assert _outcome(compiled) == want
+    assert _outcome(walked_at_run_time) == want
+
+
 @settings(max_examples=400, deadline=None)
 @given(st.lists(CURVE_TREES, min_size=1, max_size=2), st.lists(CURVE_TREES, min_size=1, max_size=2), VALUES)
 def test_compiled_curve_state_equals_state(comp_x, comp_y, t):
@@ -153,6 +204,30 @@ def test_forward_compile_covers_every_guard():
             want = ("value", (value, *grad))
         assert got == want, text
         assert _walk_and_compiled(trees, point)[1] == _walk_and_compiled(trees, point)[0], text
+
+
+def test_second_order_compile_covers_every_guard():
+    # the guards of test_forward_compile_covers_every_guard, and second
+    # derivatives that overflow (ad._second): 1/y1 cubes y1, log(y1) squares
+    # it, and sqrt(y1) multiplies y1 by its root
+    cases = [
+        ("1/y1", 0.0), ("1/y1", -0.0), ("x1/y1", 0.0), ("y1/0", 1.0), ("y1/(x1 - x1)", 1.0),
+        ("log(y1)", 0.0), ("log(y1)", -1.0), ("sqrt(y1)", 0.0), ("sqrt(y1)", -1.0),
+        ("abs(y1)", 0.0), ("abs(y1)", -0.0), ("abs(y1)", -2.0), ("exp(y1)", 710.0), ("sin(y1)", math.inf),
+        ("y1^-2", 0.0), ("y1^-2", 1e-200), ("y1^0.5", 0.0), ("y1^0.5", -1.0), ("y1^x1", -1.0),
+        ("y1^x1", 0.0), ("(x1 - x1)^y1", 2.0), ("exp(y1)^2.5", 300.0), ("z1 + y1", 1.0),
+        ("1/y1", 1e-120), ("1/y1", 1e200), ("x1/y1", 1e-110), ("log(y1)", 1e-170), ("sqrt(y1)", 1e-300),
+        ("y1^-1", 1e-110), ("y1^0.5", 1e-300), ("1/y1 + log(y1)", 1e-160),
+    ]
+    y1 = ex.Var("y1")
+    unparsable = [ex.Bin("%", y1, ex.Lit(2.0)), ex.Bin("%", y1, ex.Var("x1")), ex.Fun("tan", y1)]
+    for tree, y in [(ex.parse(text), y) for text, y in cases] + [(t, 1.5) for t in unparsable]:
+        point, outer = {"x1": 0.5, "y1": y}, {"x1": -1.0, "y1": 0.75}
+        want = _outcome(lambda: _second_walks([tree], point, outer, ["y1", "x1"]))
+        got = _outcome(lambda: codegen.compile_second([tree], ("x1", "y1"), ["y1", "x1"])(0.5, y, -1.0, 0.75))
+        assert got == want, repr(tree)
+    with pytest.raises(OverflowError, match="second derivative overflows"):
+        codegen.compile_second([ex.parse("1/y1")], ("y1",), ["y1"])(1e-120, 0.0)
 
 
 def test_a_negated_literal_exponent_is_printed(monkeypatch):
@@ -217,9 +292,10 @@ def test_every_helper_is_printed(monkeypatch):
     corpus.append(ex.Bin("^", y1, ex.Lit(-2.0)))  # parse reads y1^-2 as y1^(-(2))
     codegen.compile_exprs(corpus, NAMES)
     codegen.compile_gradients(corpus, NAMES, ["y1"])
+    codegen.compile_second(corpus + [ex.parse("1/y1 + log(y1)")], NAMES, ["y1"])
     codegen.compile_bool(ex.parse_bool("x1 < 1/y1 and y1 >= 0 or x1 > 2 or x2 <= 0"), NAMES)
     text = "\n".join(printed)
-    unprinted = [name for name in (*codegen.HELPERS, "_gradient") if not re.search(rf"\b{name}\b", text)]
+    unprinted = [name for name in (*codegen.HELPERS, "_gradient", "_second", "_second_partials") if not re.search(rf"\b{name}\b", text)]
     assert not unprinted, text
     assert "isinstance" not in text  # float code: no type dispatch
     assert "_apply_real" not in text  # nor a dispatch on the function's name
@@ -232,7 +308,7 @@ def test_an_unknown_function_raises_the_walks_error_at_run_time():
     assert _outcome(lambda: f(0.5))[1:] == (ValueError, "unknown function 'tan'")
 
 
-# -- compile once, and never on a single-point path --------------------------
+# -- compile once per owner, and never for a drawn tree ----------------------
 
 
 @pytest.fixture
@@ -275,17 +351,29 @@ def test_a_flow_compiles_its_trees_once(compiles):
     assert len(compiles) == 4
 
 
-def test_single_point_queries_compile_nothing(compiles):
+def test_curvature_compiles_the_second_order_pass_once_per_connection(compiles):
     spec = _fresh_c4()
     sp = spec.space
     lin = LinearizedConnection(spec.conn)
     rng = np.random.default_rng(3)
     a = sample_in_domain(sp, rng)
     y1, y2 = random_hor_basic(rng, sp), random_hor_basic(rng, sp)
-    y1.at(spec.conn, a)
-    lin.curvature(y1, y2, random_section(rng, sp), a)
-    lin.flatness_report(samples=4, seed=1)
+    sigma = random_section(rng, sp)
+    y1.at(spec.conn, a)  # a drawn field is walked, never compiled
     assert compiles == []
+    first = lin.curvature(y1, y2, sigma, a)
+    assert len(compiles) == 1  # gamma's second-order pass
+    # a repeated query, the other curvature queries and drawn fields, sections
+    # and points read the same pass
+    assert lin.curvature(y1, y2, sigma, a).tobytes() == first.tobytes()
+    spec.conn.curvature(a, [1.0], [0.5])
+    lin.riemann([1.0], [0.5], sigma, a)
+    lin.berwald(y2.eta, y1, sigma, a)
+    lin.flatness_report(samples=4, seed=1)
+    assert len(compiles) == 1
+    # the pass is cached on its connection: another one prints its own
+    LinearizedConnection(_fresh_c4().conn).curvature(y1, y2, sigma, a)
+    assert len(compiles) == 2
 
 
 def test_loading_specs_and_a_transport_import_no_codegen(compiles):

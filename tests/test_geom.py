@@ -362,3 +362,38 @@ def test_dimension_mismatch():
         vertical_lift(a, [1.0, 2.0])
     with pytest.raises(ValueError):
         TangentE(a, [1.0, 2.0], [0.0])
+
+
+def test_second_tangent_slots_share_one_base_and_fiber_dimension():
+    # delta_x = [1, 2] over n = 1 used to broadcast in tangent_add and
+    # tau_add: the sum of delta_x = [1] and [1, 2] read [2, 3]
+    u = SecondTangent([0.0], [0.0], [0.0], [0.0], [1.0], [0.0], [0.0], [0.0])
+    with pytest.raises(ValueError, match=r"delta_x: expected shape \(1,\), got \(2,\)"):
+        SecondTangent([0.0], [0.0], [0.0], [0.0], [1.0, 2.0], [0.0], [0.0], [0.0])
+    for j, name in enumerate(("dx", "dy", "delta_x", "delta_y", "delta_dx", "delta_dy")):
+        slots = [[0.0]] * 8
+        slots[2 + j] = [0.0, 1.0]
+        with pytest.raises(ValueError, match=f"{name}: expected shape"):
+            SecondTangent(*slots)
+    with pytest.raises(ValueError, match="x and y must be vectors"):
+        SecondTangent(0.0, [0.0], *[[0.0]] * 6)
+    assert tangent_add(u, u).delta_x.tolist() == tau_add(u, u).delta_x.tolist() == [2.0]
+
+
+def test_tangent_pullback_legs_sit_at_its_two_points():
+    # both legs used to be accepted anywhere: here at (5, 7) and (9, 9)
+    p = PullbackPoint([0.0], [1.0], [2.0])
+    cases = [
+        (FiberPoint([5.0], [7.0]), FiberPoint([9.0], [9.0]), "w's base point and x"),
+        (FiberPoint([0.0], [7.0]), p.b, "w's fiber point and y"),
+        (p.a, FiberPoint([9.0], [2.0]), "w2's base point and x"),
+        (p.a, FiberPoint([0.0], [1.0]), "w2's fiber point and z"),
+        (FiberPoint([0.0, 0.0], [1.0]), FiberPoint([0.0, 0.0], [2.0]), r"w's base point and x differ in shape"),
+    ]
+    for foot, foot2, message in cases:
+        dx = [1.0] * len(foot.x)
+        with pytest.raises(ValueError, match=message):
+            TangentPullback(p, TangentE(foot, dx, [0.0]), TangentE(foot2, dx, [0.0]))
+    # within BASE_TOL of the points is at them
+    t = TangentPullback(p, TangentE(FiberPoint([1e-13], [1.0]), [1.0], [0.0]), TangentE(p.b, [1.0], [0.0]))
+    assert tangent_of_vertical_lift(t).x.tolist() == [0.0]
