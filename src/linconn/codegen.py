@@ -16,6 +16,10 @@ same numbers bitwise and raises the same errors:
   A tree whose derivative the printed code cannot decide (an exponent that
   is not a literal or a negated literal, an unknown function) is walked by
   ``ad.gradient`` at run time;
+* ``compile_second`` (the second-order emitter) prints the Dual2 arithmetic
+  of one walk per seeded name along one outer direction, slot by slot, the
+  value and outer-derivative slots shared; a tree that the printed code
+  cannot decide is walked by ``ad.second_partials`` at run time;
 * ``flow_stage`` prints a whole stage of a flow of a hor-basic field (of
   ``transport.flow`` or ``fiber_derivative_flow``): the domain test, the
   field and gamma through the emitters above, and the stage velocities in

@@ -206,7 +206,11 @@ class TangentPullback:
             _check_close(leg.at.y, fiber, f"{name}'s fiber point and {fiber_name}")
 
 
-@dataclass(frozen=True)
+_FLOAT = np.dtype(float)
+_SECOND_SLOTS = ("x", "y", "dx", "dy", "delta_x", "delta_y", "delta_dx", "delta_dy")
+
+
+@dataclass(frozen=True, init=False)
 class SecondTangent:
     """A point of the double tangent space in its eight coordinate slots."""
 
@@ -219,23 +223,18 @@ class SecondTangent:
     delta_dx: np.ndarray
     delta_dy: np.ndarray
 
-    def __post_init__(self):
-        """Convert each slot once to a float array and check it against one
-        (n, k): x and y must be vectors, and every other slot a vector of
-        the length of x (dx, delta_x, delta_dx) or of y (dy, delta_y,
-        delta_dy), so no slot can broadcast in an addition."""
-        x, y = np.asarray(self.x, dtype=float), np.asarray(self.y, dtype=float)
-        if x.ndim != 1 or y.ndim != 1:
-            raise ValueError(f"x and y must be vectors, got shapes {x.shape} and {y.shape}")
-        shapes = (x.shape, y.shape)
-        put = object.__setattr__
-        put(self, "x", x)
-        put(self, "y", y)
-        for j, name in enumerate(("dx", "dy", "delta_x", "delta_y", "delta_dx", "delta_dy")):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shapes[j % 2]:
-                raise ValueError(f"{name}: expected shape {shapes[j % 2]}, got {arr.shape}")
-            put(self, name, arr)
+    def __init__(self, x, y, dx, dy, delta_x, delta_y, delta_dx, delta_dy):
+        """Convert each slot once to a float array and check the eight
+        against one (n, k): x and y are vectors, and every other slot a
+        vector of the length of x (dx, delta_x, delta_dx) or of y (dy,
+        delta_y, delta_dy), so no slot can broadcast in an addition.  A
+        float64 array is stored as it is (``np.asarray`` returns it)."""
+        slots = [np.asarray(v, _FLOAT) for v in (x, y, dx, dy, delta_x, delta_y, delta_dx, delta_dy)]
+        n, k = slots[0].shape, slots[1].shape
+        if len(n) != 1 or len(k) != 1 or tuple([v.shape for v in slots[2:]]) != (n, k) * 3:
+            shapes = ", ".join(f"{name} {v.shape}" for name, v in zip(_SECOND_SLOTS, slots))
+            raise ValueError(f"second tangent slots need one (n, k): got {shapes}")
+        self.__dict__.update(zip(_SECOND_SLOTS, slots))  # frozen: written once, here
 
     def base_tangent(self) -> TangentE:
         """Foot point in the tangent space (the standard bundle projection)."""
@@ -305,11 +304,20 @@ def tangent_scale(lam: float, u):
     return TangentE(u.at, lam * u.dx, lam * u.dy)
 
 
+def _same_fiber(u, v, what: str):
+    if u.shape != v.shape:
+        raise ValueError(f"{what} differ in shape: {u.shape} and {v.shape}")
+
+
 def tau_add(u, v):
-    """Addition over the tangent of the base: feet add fiberwise, dx is shared."""
+    """Addition over the tangent of the base: feet add fiberwise, dx is shared.
+
+    The fiber slots are added, so they must agree in shape, not broadcast.
+    """
     if isinstance(u, SecondTangent):
         _check_close(u.x, v.x, "x slots")
         _check_close(u.dx, v.dx, "dx slots")
+        _same_fiber(u.y, v.y, "fiber slots")
         return SecondTangent(
             u.x, u.y + v.y, u.dx, u.dy + v.dy,
             u.delta_x + v.delta_x, u.delta_y + v.delta_y,
@@ -317,6 +325,7 @@ def tau_add(u, v):
         )
     _check_close(u.at.x, v.at.x, "base points")
     _check_close(u.dx, v.dx, "base velocities")
+    _same_fiber(u.at.y, v.at.y, "fiber points")
     return TangentE(FiberPoint(u.at.x, u.at.y + v.at.y), u.dx, u.dy + v.dy)
 
 

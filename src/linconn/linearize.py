@@ -12,9 +12,11 @@ test suite holds them to that.
 Covariant derivatives, the one-parameter affine family of prolongations,
 and the curvature of the linearization (with its mixed and base-base
 components) are computed here as well.  Every derivative on a production
-path comes from dual-number evaluation; the second-order pieces (an outer
-derivative of quantities already containing a first derivative of gamma)
-run through Dual2 scalars, never through differencing of derivative output.
+path comes from dual-number evaluation, never from differencing of
+derivative output.  The curvature components are fiber derivatives of the
+nonlinear curvature, second order in gamma: they read gamma's printed
+second-order pass (``NonlinearConnection.compiled_gamma_second``, the
+arithmetic of Dual2 scalars) along the vertical direction (0, sigma(a)).
 """
 
 from __future__ import annotations

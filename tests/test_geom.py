@@ -368,16 +368,19 @@ def test_second_tangent_slots_share_one_base_and_fiber_dimension():
     # delta_x = [1, 2] over n = 1 used to broadcast in tangent_add and
     # tau_add: the sum of delta_x = [1] and [1, 2] read [2, 3]
     u = SecondTangent([0.0], [0.0], [0.0], [0.0], [1.0], [0.0], [0.0], [0.0])
-    with pytest.raises(ValueError, match=r"delta_x: expected shape \(1,\), got \(2,\)"):
+    with pytest.raises(ValueError, match=r"need one \(n, k\): .*delta_x \(2,\)"):
         SecondTangent([0.0], [0.0], [0.0], [0.0], [1.0, 2.0], [0.0], [0.0], [0.0])
-    for j, name in enumerate(("dx", "dy", "delta_x", "delta_y", "delta_dx", "delta_dy")):
+    for j in range(8):
         slots = [[0.0]] * 8
-        slots[2 + j] = [0.0, 1.0]
-        with pytest.raises(ValueError, match=f"{name}: expected shape"):
+        slots[j] = [0.0, 1.0] if j >= 2 else 0.0
+        with pytest.raises(ValueError, match=r"need one \(n, k\)"):
             SecondTangent(*slots)
-    with pytest.raises(ValueError, match="x and y must be vectors"):
-        SecondTangent(0.0, [0.0], *[[0.0]] * 6)
     assert tangent_add(u, u).delta_x.tolist() == tau_add(u, u).delta_x.tolist() == [2.0]
+    # tau_add adds the fiber slots: they must agree in shape, not broadcast
+    wide = SecondTangent([0.0], [0.0, 1.0], [0.0], [0.0, 0.0], [1.0], [0.0, 0.0], [0.0], [0.0, 0.0])
+    for pair in ((u, wide), (wide, u)):
+        with pytest.raises(ValueError, match="fiber slots differ in shape"):
+            tau_add(*pair)
 
 
 def test_tangent_pullback_legs_sit_at_its_two_points():
