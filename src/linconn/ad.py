@@ -6,7 +6,7 @@ a value, two first directional derivatives and the mixed second derivative,
 which is what the curvature formulas need: an outer derivative of quantities
 that already contain one derivative of the connection coefficients.  Both
 are scalars; ``codegen.compile_gradients`` prints Dual1 arithmetic and
-``codegen.compile_second`` Dual2 arithmetic slot by slot for float values.
+``second_order.compile_second`` Dual2 arithmetic slot by slot for float values.
 
 Dual1 and Dual2 arithmetic builds its results with the private constructors
 ``_dual1`` and ``_dual2``, which store their arguments without ``float()``.
@@ -383,7 +383,7 @@ def second_partials(e, point, direction, names):
     with u_j the unit vector of the j-th name; the value and the outer
     derivative do not depend on u_j and are read from the first walk (from
     a walk with u = 0 when names is empty).  A float result has zero
-    derivatives.  ``codegen.compile_second`` prints the same walks.
+    derivatives.  ``second_order.compile_second`` prints the same walks.
     """
     walks = []
     for name in names or (None,):

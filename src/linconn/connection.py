@@ -147,7 +147,7 @@ class NonlinearConnection:
 
     @cached_property
     def compiled_gamma_second(self):
-        """The second-order pass of the entries (``codegen.compile_second``),
+        """The second-order pass of the entries (``second_order.compile_second``),
         seeded in every name.
 
         One function of the floats x1..xn, y1..yk and an outer direction
@@ -157,7 +157,7 @@ class NonlinearConnection:
         walks seeded with u = e_beta and v.  Printed on first use and cached
         here, like ``compiled_gamma``.
         """
-        from .codegen import compile_second
+        from .second_order import compile_second
 
         names = self.space.x_names + self.space.y_names
         return compile_second([g for row in self.gamma for g in row], names, names)

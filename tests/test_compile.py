@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linconn import ad, codegen, transport
+from linconn import ad, codegen, second_order, transport
 from linconn import checks as ck
 from linconn import expr as ex
 from linconn.connection import HorBasicField
@@ -155,7 +155,7 @@ def test_second_order_compile_equals_dual2_walks(trees, values, direction, seede
     m = len(seeded)
 
     def compiled():
-        out = codegen.compile_second(trees, NAMES, seeded)(*values, *direction)
+        out = second_order.compile_second(trees, NAMES, seeded)(*values, *direction)
         assert len(out) == len(trees) * (2 * m + 2)
         return list(out)
 
@@ -224,10 +224,10 @@ def test_second_order_compile_covers_every_guard():
     for tree, y in [(ex.parse(text), y) for text, y in cases] + [(t, 1.5) for t in unparsable]:
         point, outer = {"x1": 0.5, "y1": y}, {"x1": -1.0, "y1": 0.75}
         want = _outcome(lambda: _second_walks([tree], point, outer, ["y1", "x1"]))
-        got = _outcome(lambda: codegen.compile_second([tree], ("x1", "y1"), ["y1", "x1"])(0.5, y, -1.0, 0.75))
+        got = _outcome(lambda: second_order.compile_second([tree], ("x1", "y1"), ["y1", "x1"])(0.5, y, -1.0, 0.75))
         assert got == want, repr(tree)
     with pytest.raises(OverflowError, match="second derivative overflows"):
-        codegen.compile_second([ex.parse("1/y1")], ("y1",), ["y1"])(1e-120, 0.0)
+        second_order.compile_second([ex.parse("1/y1")], ("y1",), ["y1"])(1e-120, 0.0)
 
 
 def test_a_negated_literal_exponent_is_printed(monkeypatch):
@@ -292,7 +292,7 @@ def test_every_helper_is_printed(monkeypatch):
     corpus.append(ex.Bin("^", y1, ex.Lit(-2.0)))  # parse reads y1^-2 as y1^(-(2))
     codegen.compile_exprs(corpus, NAMES)
     codegen.compile_gradients(corpus, NAMES, ["y1"])
-    codegen.compile_second(corpus + [ex.parse("1/y1 + log(y1)")], NAMES, ["y1"])
+    second_order.compile_second(corpus + [ex.parse("1/y1 + log(y1)")], NAMES, ["y1"])
     codegen.compile_bool(ex.parse_bool("x1 < 1/y1 and y1 >= 0 or x1 > 2 or x2 <= 0"), NAMES)
     text = "\n".join(printed)
     unprinted = [name for name in (*codegen.HELPERS, "_gradient", "_second", "_second_partials") if not re.search(rf"\b{name}\b", text)]
