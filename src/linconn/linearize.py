@@ -126,8 +126,10 @@ class LinearizedConnection:
         summed onto 0.0, i outer and B inner, and the sum is negated:
         bitwise numpy's ``-einsum("aib,b,i->a", J, z, dx)``.  The family's
         ``fiber_velocity`` and the float J term of ``_cov_of_cov`` call it
-        too, and ``codegen.flow_stage`` prints the same sum into the
-        variational stage of ``transport.fiber_derivative_flow``.
+        too, ``curvature`` and ``berwald`` call it on H (the outer
+        derivative of J, in its layout), and ``codegen.flow_stage`` prints
+        the same sum into the variational stage of
+        ``transport.fiber_derivative_flow``.
         """
         entries = iter(J)
         out = []
@@ -273,6 +275,19 @@ class LinearizedConnection:
         H = [h for r in range(0, len(dGv), m) for h in dGv[r + sp.n : r + m]]
         return env, slots, H
 
+    def _field_values(self, env, *comps) -> list:
+        """The base components X (n of them), then the fiber components eta
+        (k), of hor-basic fields as floats at env; other lengths are a
+        ValueError, as the pass's layout has no room for them."""
+        sp = self.space
+        out = []
+        for j, c in enumerate(comps):
+            want = sp.n if j < len(comps) // 2 else sp.k
+            if len(c) != want:
+                raise ValueError(f"curvature needs fields with {sp.n} base and {sp.k} fiber components")
+            out.append([ex.evaluate(e, env) for e in c])
+        return out
+
     def curvature(
         self,
         y1: HorBasicField,
@@ -294,7 +309,7 @@ class LinearizedConnection:
         each component is ``(p - q) - r``.
         """
         env, slots, H = self._vertical_pass(sigma, a)
-        X1, X2, eta1, eta2 = ([ex.evaluate(e, env) for e in comps] for comps in (y1.X, y2.X, y1.eta, y2.eta))
+        X1, X2, eta1, eta2 = self._field_values(env, y1.X, y2.X, y1.eta, y2.eta)
         _, r = curvature_sum(*slots, X1, X2)
         p, q = self.fiber_velocity(H, eta2, X1), self.fiber_velocity(H, eta1, X2)
         return np.array([(pA - qA) - rA for pA, qA, rA in zip(p, q, r)])
@@ -351,8 +366,8 @@ class LinearizedConnection:
         linearization as basic.
         """
         env, _, H = self._vertical_pass(sigma, a)
-        X = [ex.evaluate(e, env) for e in y.X]
-        return -np.array(self.fiber_velocity(H, [ex.evaluate(e, env) for e in eta], X))
+        X, eta = self._field_values(env, y.X, tuple(eta))
+        return -np.array(self.fiber_velocity(H, eta, X))
 
     def riemann(self, v1, v2, sigma: SectionAlongPi, a: FiberPoint) -> np.ndarray:
         """Base-base curvature component: minus the vertical derivative of R,

@@ -880,3 +880,19 @@ def test_curvature_and_berwald_are_the_contracted_gradients(all_specs, name):
         zero = [0.0] * sp.k
         riemann, _ = ref.vertical_curvatures(lin, X1, X2, zero, zero, sigma, a)
         _assert_within_ulps(lin.riemann(X1, X2, sigma, a), riemann, ref.largest)
+
+
+def test_curvature_rejects_fields_of_another_dimension(c5):
+    # the second-order pass is laid out for n = 2 base and k = 2 fiber
+    # components; a field of other lengths has no place in it
+    lin = lin_of(c5)
+    a = FiberPoint([0.1, 0.2], [1.0, 0.5])
+    sigma = SectionAlongPi((ex.parse("y1"), ex.parse("y2")))
+    good = HorBasicField((ex.lit(1.0), ex.lit(0.0)), (ex.lit(0.0), ex.lit(1.0)))
+    wide = HorBasicField((ex.lit(1.0),) * 3, (ex.lit(0.0), ex.lit(1.0)))
+    narrow = HorBasicField((ex.lit(1.0), ex.lit(0.0)), (ex.lit(0.0),))
+    for bad in (wide, narrow):
+        with pytest.raises(ValueError, match="2 base and 2 fiber components"):
+            lin.curvature(good, bad, sigma, a)
+        with pytest.raises(ValueError, match="2 base and 2 fiber components"):
+            lin.berwald(bad.eta, bad, sigma, a)
