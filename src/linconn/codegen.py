@@ -282,11 +282,17 @@ def compile_bool(b: BoolExpr, names) -> Callable:
 class _Slots(Emitter):
     """Base of the emitters that print a dual number's slots as float locals.
 
-    Floats (trees without variables) print as ``Emitter`` prints them,
-    through ``plain``.  A call of a math function or a guard already
-    printed for the same argument token is not printed again: every token
-    is assigned once, so it reads the same value.
+    A value is a tuple whose first entry is the token of the value and
+    whose second is None for a float.  Floats (trees without variables)
+    print as ``Emitter`` prints them, through ``plain``, and carry
+    ``blank``, the Nones of the other slots.  A call of a math function or
+    a guard already printed for the same argument token is not printed
+    again: every token is assigned once, so it reads the same value.
+    The guards and integer powers of the two dual types are alike, so they
+    are written once here.
     """
+
+    blank: tuple = ()
 
     def __init__(self, source):
         super().__init__(source)
@@ -308,6 +314,34 @@ class _Slots(Emitter):
             self.calls[text] = self.src.assign(text)
         return self.calls[text]
 
+    def literal(self, value):
+        return self.plain.literal(value), *self.blank
+
+    def divisor_guard(self, right, divisor):
+        if right[1] is None:
+            return self.plain.divisor_guard(right[0], divisor)
+        self._raise_if(f"{right[0]} == 0.0", "division by zero")
+        return True
+
+    def ipow(self, base, n):
+        if base[1] is None:
+            return self.plain.ipow(base[0], n), *self.blank
+        if n == 0:
+            return self.literal(1.0)
+        if n > 0:
+            return super().ipow(base, n)
+        self._raise_if(f"{base[0]} == 0.0", "zero base with negative integer exponent")
+        power = self.ipow(base, -n)
+        self._raise_if(f"{power[0]} == 0.0", "division by zero")
+        return self.div(self.literal(1.0), power)
+
+    def pow(self, a, b):
+        # reached with a literal exponent only (see expr._walk_decides)
+        if a[1] is None:
+            return self.plain.pow(a[0], b[0]), *self.blank
+        self._raise_if(f"{a[0]} <= 0.0", "power with non-integer exponent needs a positive base")
+        return self.fun("exp", self.arith("*", self.fun("log", a), b))
+
 
 class _Forward(_Slots):
     """Prints Dual1 arithmetic slot by slot: every Dual1 becomes float locals.
@@ -320,6 +354,8 @@ class _Forward(_Slots):
     a whole tree to ``ad.gradient`` instead.
     """
 
+    blank = (None,)
+
     def __init__(self, source, seeded):
         super().__init__(source)
         index = {name: j for j, name in enumerate(seeded)}
@@ -331,9 +367,6 @@ class _Forward(_Slots):
 
     def _scaled(self, f1, eps):
         return tuple(self.src.assign(f"{f1} * {x}") for x in eps)
-
-    def literal(self, value):
-        return self.plain.literal(value), None
 
     def variable(self, name, token):
         return token, self.seeds[name]
@@ -369,12 +402,6 @@ class _Forward(_Slots):
             put(f"{are} * {y} + {x} * {bre}") for x, y in zip(aeps, beps)
         )
 
-    def divisor_guard(self, right, divisor):
-        if right[1] is None:
-            return self.plain.divisor_guard(right[0], divisor)
-        self._raise_if(f"{right[0]} == 0.0", "division by zero")
-        return True
-
     def div(self, a, b):
         (are, aeps), (bre, beps) = a, b
         put = self.src.assign
@@ -386,27 +413,6 @@ class _Forward(_Slots):
         if aeps is None:  # Dual1.__rtruediv__
             return q, tuple(put(f"-{q} * {y} / {bre}") for y in beps)
         return q, tuple(put(f"({x} - {q} * {y}) / {bre}") for x, y in zip(aeps, beps))
-
-    def ipow(self, base, n):
-        re, eps = base
-        if eps is None:
-            return self.plain.ipow(re, n), None
-        if n == 0:
-            return self.literal(1.0)
-        if n > 0:
-            return super().ipow(base, n)
-        self._raise_if(f"{re} == 0.0", "zero base with negative integer exponent")
-        power = self.ipow(base, -n)
-        self._raise_if(f"{power[0]} == 0.0", "division by zero")
-        return self.div(self.literal(1.0), power)
-
-    def pow(self, a, b):
-        # reached with a literal exponent only (see expr._walk_decides)
-        re, eps = a
-        if eps is None:
-            return self.plain.pow(re, b[0]), None
-        self._raise_if(f"{re} <= 0.0", "power with non-integer exponent needs a positive base")
-        return self.fun("exp", self.arith("*", self.fun("log", a), b))
 
     def fun(self, name, a):
         re, eps = a

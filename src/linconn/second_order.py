@@ -30,10 +30,12 @@ class _Second(codegen._Slots):
     mixed slots.  f and fv do not depend on u, so the m walks share them
     and their guards.  Each slot is computed with the formula of the Dual2
     operation the walk would call, ``ad._second`` included, so the numbers
-    are bitwise those of the m walks.  ``emit`` and the squarings of
-    ``ipow`` are inherited; ``walked`` hands a whole tree to
+    are bitwise those of the m walks.  ``emit``, the guards and the powers
+    are inherited (``codegen._Slots``); ``walked`` hands a whole tree to
     ``ad.second_partials`` instead.
     """
+
+    blank = (None, None, None)
 
     def __init__(self, source, seeded, outer):
         super().__init__(source)
@@ -45,16 +47,13 @@ class _Second(codegen._Slots):
         """One local per slot: form filled with the j-th entry of each slot."""
         return tuple(self.src.assign(form.format(*row)) for row in zip(*slots))
 
-    def literal(self, value):
-        return self.plain.literal(value), None, None, None
-
     def variable(self, name, token):
         return token, self.seeds[name], self.outer[name], self.zeros
 
     def neg(self, a):
         f, fu, fv, fuv = a
         if fu is None:
-            return self.plain.neg(f), None, None, None
+            return self.plain.neg(f), *self.blank
         put = self.src.assign
         return put(f"-{f}"), self._each("-{}", fu), put(f"-{fv}"), self._each("-{}", fuv)
 
@@ -67,7 +66,7 @@ class _Second(codegen._Slots):
     def arith(self, op, a, b):
         (f, fu, fv, fuv), (g, gu, gv, guv) = a, b
         if fu is None and gu is None:
-            return self.plain.arith(op, f, g), None, None, None
+            return self.plain.arith(op, f, g), *self.blank
         put = self.src.assign
         if op == "*":
             if gu is None:
@@ -105,16 +104,10 @@ class _Second(codegen._Slots):
         put = self.src.assign
         return self._chain(b, put(f"1.0 / {f}"), put(f"_second(-1.0, {f}, 2)"), put(f"_second(2.0, {f}, 3)"))
 
-    def divisor_guard(self, right, divisor):
-        if right[1] is None:
-            return self.plain.divisor_guard(right[0], divisor)
-        self._raise_if(f"{right[0]} == 0.0", "division by zero")
-        return True
-
     def div(self, a, b):
         if b[1] is None:
             if a[1] is None:
-                return self.plain.div(a[0], b[0]), None, None, None
+                return self.plain.div(a[0], b[0]), *self.blank
             # Dual2 / float multiplies by the reciprocal
             return self._scale(a, self.src.assign(f"1.0 / {b[0]}"))
         inv = self._inverse(b)
@@ -122,30 +115,10 @@ class _Second(codegen._Slots):
             return self._scale(inv, a[0])
         return self.arith("*", a, inv)
 
-    def ipow(self, base, n):
-        f = base[0]
-        if base[1] is None:
-            return self.plain.ipow(f, n), None, None, None
-        if n == 0:
-            return self.literal(1.0)
-        if n > 0:
-            return super().ipow(base, n)
-        self._raise_if(f"{f} == 0.0", "zero base with negative integer exponent")
-        power = self.ipow(base, -n)
-        self._raise_if(f"{power[0]} == 0.0", "division by zero")
-        return self.div(self.literal(1.0), power)
-
-    def pow(self, a, b):
-        # reached with a literal exponent only (see expr._walk_decides)
-        if a[1] is None:
-            return self.plain.pow(a[0], b[0]), None, None, None
-        self._raise_if(f"{a[0]} <= 0.0", "power with non-integer exponent needs a positive base")
-        return self.fun("exp", self.arith("*", self.fun("log", a), b))
-
     def fun(self, name, a):
         f = a[0]
         if a[1] is None:
-            return self.plain.fun(name, f), None, None, None
+            return self.plain.fun(name, f), *self.blank
         put, call = self.src.assign, self._call
         if name in ("sin", "cos"):
             s, c = call(f"_math.sin({f})"), call(f"_math.cos({f})")

@@ -381,6 +381,9 @@ def test_second_tangent_slots_share_one_base_and_fiber_dimension():
     for pair in ((u, wide), (wide, u)):
         with pytest.raises(ValueError, match="fiber slots differ in shape"):
             tau_add(*pair)
+    narrow, broad = TangentE(FiberPoint([0.0], [0.0]), [1.0], [0.0]), TangentE(FiberPoint([0.0], [0.0, 1.0]), [1.0], [0.0, 0.0])
+    with pytest.raises(ValueError, match="fiber points differ in shape"):
+        tau_add(narrow, broad)
 
 
 def test_tangent_pullback_legs_sit_at_its_two_points():

@@ -717,8 +717,9 @@ def _parts(v):
 
 
 class _GradientThenContract:
-    """``bracket_env`` and ``LinearizedConnection._cov_env`` written as full
-    gradients (``ad.partials_in``) dotted with the contracting vector.
+    """``bracket_env``, ``LinearizedConnection._cov_env`` and the vertical
+    curvature components written as full gradients (``ad.partials_in``)
+    contracted term by term.
 
     ``largest`` is the largest magnitude, value or outer part, of any
     summand or partial sum formed: the scale of the rounding that a
