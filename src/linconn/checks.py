@@ -451,6 +451,9 @@ def _check_curvature_algebra(spec, rng):
     a = sample_in_domain(sp, rng)
     v1 = rng.uniform(-BOX, BOX, sp.n)
     v2 = rng.uniform(-BOX, BOX, sp.n)
+    # r11 and antisym read exactly 0 for finite gamma: connection.curvature_sum
+    # sums over i < j with weights that exchanging v1 and v2 negates exactly;
+    # the bilinearity term is what measures rounding here
     r11 = conn.curvature(a, v1, v1)
     r12 = conn.curvature(a, v1, v2)
     antisym = _mx(r12 + conn.curvature(a, v2, v1))
