@@ -23,7 +23,8 @@ differencing derivative output.  The direction of :func:`partial_in` may be
 lifted too (a vector field's values over the same env): its outer
 derivative seeds the mixed slot, so a contraction u^β ∂_β e along a moving
 vector u is one Dual2 walk, which is how brackets and covariant derivatives
-are taken.
+are taken.  :func:`value_and_partial_in` also returns e's value, which that
+walk carries in its value and outer slots.
 """
 
 from __future__ import annotations
@@ -435,8 +436,21 @@ def partial_in(e, env, seed):
     derivative D²e(u, v) + De·u′ of De·u.  A contraction Σ_β u^β ∂_β e is
     thus one walk, not n + k.  Float seeds seed the mixed slot with 0.0.
     """
+    return value_and_partial_in(e, env, seed)[1]
+
+
+def value_and_partial_in(e, env, seed):
+    """e at env and ``partial_in(e, env, seed)``, both from its one walk.
+
+    On a plain env this is ``directional``.  On a lifted env the Dual2
+    walk's value and outer slots hold e's value and outer derivative, so
+    the value is the Dual1 (f, fv) next to the derivative (fu, fuv); a
+    constant e gives its float and 0.0.  The value is e's lifted value up
+    to rounding: Dual2 divides by multiplying with an inverse, where Dual1
+    divides.
+    """
     if not is_lifted(env):
-        return directional(e, env, seed)[1]
+        return directional(e, env, seed)
     env2 = {}
     for name, v in env.items():
         outer = v.eps[0] if isinstance(v, Dual1) else 0.0
@@ -444,8 +458,8 @@ def partial_in(e, env, seed):
         env2[name] = Dual2(real_part(v), real_part(u), outer, dual_part(u))
     r = expr.evaluate(e, env2)
     if isinstance(r, Dual2):
-        return Dual1(r.fu, (r.fuv,))
-    return 0.0
+        return _dual1(r.f, (r.fv,)), _dual1(r.fu, (r.fuv,))
+    return float(r), 0.0
 
 
 def partials_in(e, env, names):

@@ -336,6 +336,8 @@ def cmd_curvature(args) -> int:
             "flat_verdict": flat.verdict,
             "basic_verdict": flat.basic_verdict,
             "max_curvature_sampled": flat.max_curvature,
+            "max_nonbasic_defect_sampled": flat.max_nonbasic_defect,
+            "equivalence_consistent": flat.equivalence_consistent,
         },
         "checks": _check_dicts(checks),
     }
@@ -344,7 +346,9 @@ def cmd_curvature(args) -> int:
         *oracle_lines,
         f"riemann component = {rie.tolist()}",
         f"berwald sample (eta=1, X=v1) = {theta.tolist()}",
-        f"flatness verdict: {flat.verdict} (max |Curv| = {flat.max_curvature:.3e} "
+        f"flatness verdict: {flat.verdict} (max |Curv| = {flat.max_curvature:.3e}, "
+        f"max bracket defect = {flat.max_nonbasic_defect:.3e}, equivalence "
+        f"{'consistent' if flat.equivalence_consistent else 'inconsistent'}, "
         f"over {flat.samples} samples, seed {flat.seed})",
         f"basicness verdict: {flat.basic_verdict} (max mixed component = "
         f"{flat.max_mixed_component:.3e}, threshold {flat.threshold:.1e})",
@@ -436,6 +440,17 @@ def _sample_count(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    """--seed: an integer of at least 0 (numpy rejects a negative seed)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     """--tol: a finite real above 0."""
     value = _finite(text)
@@ -451,7 +466,7 @@ def _add_common(parser, suppress: bool):
         help="emit one JSON document",
     )
     parser.add_argument(
-        "--seed", type=int, default=default(0), help="seed for sampled checks"
+        "--seed", type=_seed, default=default(0), help="seed for sampled checks"
     )
     parser.add_argument(
         "--samples", type=_sample_count, default=default(256), help="sample budget"

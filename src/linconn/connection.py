@@ -446,16 +446,17 @@ class HorBasicField:
 def bracket_env(space: BundleSpace, w1: FieldOnE, w2: FieldOnE, env) -> list:
     """Components [w1, w2]^α = D_{w1} w2^α - D_{w2} w1^α over a generic env.
 
-    Each term is one ``ad.partial_in`` along the other field's values at
-    env, which on a lifted env are lifted scalars themselves.
+    Each term is one ``ad.partial_in`` walk along the other field's values
+    at env, which on a lifted env are lifted scalars themselves.  Only w1's
+    components are evaluated on their own: the walks of w2^α along w1
+    return w2^α's values too (``ad.value_and_partial_in``), so a lifted env
+    costs n + k Dual1 walks and 2(n + k) Dual2 walks.
     """
     names = space.x_names + space.y_names
     c1 = {name: ex.evaluate(w1.component(i), env) for i, name in enumerate(names)}
-    c2 = {name: ex.evaluate(w2.component(i), env) for i, name in enumerate(names)}
-    return [
-        ad.partial_in(w2.component(alpha), env, c1) - ad.partial_in(w1.component(alpha), env, c2)
-        for alpha in range(len(names))
-    ]
+    walks = [ad.value_and_partial_in(w2.component(alpha), env, c1) for alpha in range(len(names))]
+    c2 = {name: value for name, (value, _) in zip(names, walks)}
+    return [d2 - ad.partial_in(w1.component(alpha), env, c2) for alpha, (_, d2) in enumerate(walks)]
 
 
 def bracket(space: BundleSpace, w1: FieldOnE, w2: FieldOnE, p: FiberPoint) -> TangentE:

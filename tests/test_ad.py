@@ -230,6 +230,23 @@ def test_a_lifted_seed_adds_the_derivative_along_its_outer_rate():
     assert (real_part(both), dual_part(both)) == (15.0, 74.0)
 
 
+def test_value_and_partial_in_reads_the_value_from_the_same_walk():
+    e = ex.parse("x1*y1^2 + sin(y1)")
+    seed = {"x1": Dual1(1.0, (2.0,)), "y1": Dual1(0.5, (4.0,))}
+    plain = {"x1": 2.0, "y1": 3.0}
+    value, d = ad.value_and_partial_in(e, plain, {"x1": 1.0, "y1": 0.5})
+    assert (value, d) == directional(e, plain, {"x1": 1.0, "y1": 0.5})
+    assert value == ex.evaluate(e, plain)
+    lifted = lift_env(plain, {"y1": 1.0})
+    value, d = ad.value_and_partial_in(e, lifted, seed)
+    want = ex.evaluate(e, lifted)
+    # no division in e: the Dual2 value and outer slots are the Dual1 walk's
+    assert (value.re, value.eps) == (want.re, want.eps)
+    got = partial_in(e, lifted, seed)
+    assert (d.re, d.eps) == (got.re, got.eps)
+    assert ad.value_and_partial_in(ex.parse("2*3"), lifted, seed) == (6.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # The operators against today's formulas written with the public constructors
 

@@ -192,6 +192,9 @@ def test_curvature_command_with_oracle(capsys):
     assert doc["outputs"]["R"] == pytest.approx([-1.0])
     assert doc["checks"][0]["status"] == "pass"
     assert doc["outputs"]["flat_verdict"] == "non-flat"
+    # the bracket half of the verdict: flatness_report(16, seed 0) on c2
+    assert doc["outputs"]["max_nonbasic_defect_sampled"] == 30.110211348057042
+    assert doc["outputs"]["equivalence_consistent"] is True
 
 
 def test_curvature_flat_verdict(capsys):
@@ -206,6 +209,20 @@ def test_curvature_flat_verdict(capsys):
     doc = json.loads(out)
     assert doc["outputs"]["R"] == [0.0, 0.0]
     assert doc["outputs"]["flat_verdict"] == "flat"
+    assert doc["outputs"]["max_nonbasic_defect_sampled"] <= 1e-8
+    assert doc["outputs"]["equivalence_consistent"] is True
+
+
+def test_curvature_text_names_both_halves_of_the_flatness_verdict(capsys):
+    code, out = run_cli(
+        capsys, "curvature", builtin_spec_path("c2"),
+        "--point", "0,0;1", "--v1", "1,0", "--v2", "0,1", "--z", "1",
+    )
+    assert code == 0
+    assert (
+        "flatness verdict: non-flat (max |Curv| = 2.536e+01, max bracket defect = "
+        "3.011e+01, equivalence consistent, over 16 samples, seed 0)"
+    ) in out
 
 
 def test_transport_command(capsys):
@@ -301,6 +318,23 @@ def test_a_sample_count_below_one_or_a_bad_tolerance_is_a_usage_error(capsys, ar
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and ("--samples" in err or "--tol" in err)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "c1", "--seed", "-1"],
+        ["--seed", "-1", "check", "c1"],
+        ["curvature", "c2", "--point", "0,0;1", "--v1", "1,0", "--v2", "0,1", "--z", "1", "--seed", "-1"],
+    ],
+)
+def test_a_negative_seed_is_a_usage_error_naming_the_argument(capsys, argv):
+    # numpy used to reject it later, with a bare "expected non-negative integer"
+    argv = [builtin_spec_path(a) if a in ("c1", "c2") else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "argument --seed: expected an integer >= 0, got '-1'" in err
 
 
 def test_exit_codes(capsys, tmp_path):

@@ -515,6 +515,78 @@ def test_flatness_reports(c0, c1, c3):
     assert lin_of(c3).flatness_report(16, seed=0).max_curvature <= 1e-9
 
 
+# flatness_report(16, seed) for seeds 0..7: (max_curvature,
+# max_nonbasic_defect, max_mixed_component, flat, basic,
+# equivalence_consistent).  Every value is bitwise; a change that moves one
+# lists the old and new value in CHANGES.md.
+FLATNESS_PINS = {
+    "c0": [(0.0, 0.0, 0.0, True, True, True)] * 8,
+    "c1": [
+        (4.497564497087718, 11.185229648575548, 3.933974816452859, False, False, True),
+        (23.50081782529645, 8.4716662387025, 3.876556115205291, False, False, True),
+        (14.152254779985805, 7.3227309526383895, 17.930264129532283, False, False, True),
+        (9.638381460847391, 6.043912986407877, 2.592731648789534, False, False, True),
+        (16.556261618863836, 22.275653628781882, 13.365317166762877, False, False, True),
+        (28.503945287473574, 10.6549627439358, 14.118400158222846, False, False, True),
+        (12.28023489828408, 7.927583749667411, 6.372411042290173, False, False, True),
+        (4.307131896093339, 5.72104788100649, 13.000913610538788, False, False, True),
+    ],
+    "c2": [
+        (25.35590141693917, 30.110211348057042, 9.844671191207178, False, False, True),
+        (26.184920723809174, 8.127856068453383, 14.359192249718243, False, False, True),
+        (6.413109949518745, 4.877049588981405, 7.374795124468706, False, False, True),
+        (50.485275703122745, 42.040914424082054, 7.78493579641682, False, False, True),
+        (36.11230881819975, 14.791877875471283, 9.014111754924167, False, False, True),
+        (21.805057130402623, 15.836829885039378, 21.02808161333065, False, False, True),
+        (20.327767732817087, 10.653832824506727, 6.015707515008027, False, False, True),
+        (11.84785511440134, 14.076333814936788, 5.628094173678479, False, False, True),
+    ],
+    "c3": [
+        (0.0, 8.881784197001252e-16, 0.0, True, True, True),
+        (0.0, 8.881784197001252e-16, 0.0, True, True, True),
+        (0.0, 4.440892098500626e-16, 0.0, True, True, True),
+        (0.0, 1.7763568394002505e-15, 0.0, True, True, True),
+        (0.0, 8.881784197001252e-16, 0.0, True, True, True),
+        (0.0, 8.881784197001252e-16, 0.0, True, True, True),
+        (0.0, 3.552713678800501e-15, 0.0, True, True, True),
+        (0.0, 8.881784197001252e-16, 0.0, True, True, True),
+    ],
+    "c4": [
+        (6.099482922633499, 3.6983465007583014, 3.5086364163109667, False, False, True),
+        (11.674692566479463, 3.806414318393869, 1.9463893279139888, False, False, True),
+        (7.29207249781606, 6.645527246527938, 1.8969155799959965, False, False, True),
+        (7.237234999259676, 3.308156176012649, 3.640730922236937, False, False, True),
+        (3.5700716917802353, 2.8035031686362792, 5.861446442294927, False, False, True),
+        (10.078020875082492, 5.470250602388516, 2.159300337842386, False, False, True),
+        (2.5691796448032767, 3.2296371814090596, 4.727972350489597, False, False, True),
+        (13.914963799534267, 7.591340551598261, 3.3257622837734706, False, False, True),
+    ],
+    "c5": [
+        (22.303592832348397, 15.895807026834813, 5.6630327187849545, False, False, True),
+        (5.635822851484197, 8.062625958915469, 7.420729495846108, False, False, True),
+        (155.02071754214865, 39.93002074905285, 30.27631750875122, False, False, True),
+        (10.589141038352203, 6.936909089098663, 2.7392317524290712, False, False, True),
+        (36.85386775226182, 27.6544084483357, 11.558815785763658, False, False, True),
+        (14.952588523659678, 15.39144739646536, 13.802678037541968, False, False, True),
+        (20.30762671401626, 30.589380412088914, 5.763884095382782, False, False, True),
+        (21.891383051458583, 7.401193249143748, 37.752986618153315, False, False, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLATNESS_PINS))
+def test_flatness_reports_are_pinned(all_specs, name):
+    lin = lin_of(all_specs[name])
+    got = []
+    for seed in range(8):
+        r = lin.flatness_report(16, seed)
+        got.append(
+            (r.max_curvature, r.max_nonbasic_defect, r.max_mixed_component,
+             r.flat, r.basic, r.equivalence_consistent)
+        )
+    assert got == FLATNESS_PINS[name]
+
+
 def test_a_non_finite_curvature_sample_reads_as_non_flat():
     # the curvature at the first draw is [nan]; max(0.0, nan) kept 0.0, so
     # the report used to read flat with max_curvature 0.0
