@@ -24,7 +24,7 @@ from .checks import ORACLE_TOLERANCE, CheckResult, _mx, _rel, run_suite
 from .connection import HorBasicField, SectionAlongPi
 from .geom import FiberPoint, OutOfDomainError, PullbackPoint, TangentE
 from .linearize import LambdaFamilyMember, LinearizedConnection
-from .specfile import SpecError, SpecFile, load_spec
+from .specfile import SpecError, SpecFile, load_spec, parse_expr
 from .transport import CurveInE, fiber_derivative_flow, transport_ode
 
 
@@ -129,17 +129,7 @@ def _parse_exprs(text: str, count: int, allowed: set, what: str):
     parts = text.split(",")
     if len(parts) != count:
         raise UsageError(f"{what}: expected {count} expressions, got {len(parts)}")
-    out = []
-    for p in parts:
-        try:
-            e = ex.parse(p)
-        except ex.ParseError as err:
-            raise UsageError(f"{what}: {err}") from None
-        bad = ex.variables(e) - allowed
-        if bad:
-            raise UsageError(f"{what}: may reference {sorted(allowed)} only")
-        out.append(e)
-    return tuple(out)
+    return tuple(parse_expr(p, allowed, what) for p in parts)
 
 
 def _sigma_for(spec: SpecFile, args) -> SectionAlongPi:

@@ -9,7 +9,7 @@ gamma^A_i dx^i and vanishes exactly on horizontal vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -225,11 +225,7 @@ class NonlinearConnection:
         comp_x may depend on y (the P_h part of a general field).
         """
         comp_y = tuple(
-            ex.neg(
-                ex.scaled_sum(
-                    (1.0, ex.mul(row[i], comp_x[i])) for i in range(self.space.n)
-                )
-            )
+            ex.neg(reduce(ex.add, (ex.mul(row[i], comp_x[i]) for i in range(self.space.n))))
             for row in self.gamma
         )
         return FieldOnE(comp_x, comp_y)
@@ -247,20 +243,15 @@ class NonlinearConnection:
         return np.array(self.curvature_env(env, v1, v2), dtype=float)
 
     def curvature_env(self, env, v1, v2) -> list:
-        """R(v1, v2) over a plain env (floats) or a lifted env (``ad.Dual1``
-        pairs of R and its outer derivative), for float base vectors v1, v2.
+        """R(v1, v2) over a plain env of floats, for float base vectors v1, v2.
 
         R is the connector of the bracket of the two constant horizontal
         lifts, in coordinates ``curvature_sum`` of one call of the
-        second-order pass (``gamma_second``), whose outer direction is the
-        env's (zero on a plain env).
+        second-order pass (``gamma_second``) along a zero outer direction.
         """
         values = [env[name] for name in self.space.x_names + self.space.y_names]
-        slots = self.gamma_second(list(map(ad.real_part, values)), list(map(ad.dual_part, values)))
-        R, dR = curvature_sum(*slots, list(map(float, v1)), list(map(float, v2)))
-        if not any(isinstance(v, ad.Dual1) for v in values):
-            return R
-        return [ad.Dual1(r, (d,)) for r, d in zip(R, dR)]
+        slots = self.gamma_second(values, [0.0] * len(values))
+        return curvature_sum(*slots, list(map(float, v1)), list(map(float, v2)))[0]
 
     @cached_property
     def holonomy_stage(self):

@@ -7,6 +7,9 @@ dual-number scalars from :mod:`linconn.ad`; evaluation dispatches on the
 scalar type, so derivative information propagates through the identical
 traversal that produces plain values.
 
+``parse`` reads at most ``MAX_DEPTH`` levels of nesting; a deeper text is a
+``ParseError`` at the operator or bracket that passes the bound.
+
 ``evaluate`` is the definition; :mod:`linconn.codegen` compiles a tree that
 is evaluated many times into a function of floats that returns and raises
 what the walk does.
@@ -23,6 +26,13 @@ FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt", "abs")
 
 _VAR_RE = re.compile(r"t|[xyz][1-9][0-9]*")
 _NUM_RE = re.compile(r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+# The deepest expression the parser reads: a number or variable has depth 1,
+# an operator, function call or pair of parentheses one more than the
+# deepest operand it encloses.  The parser recurses up to six frames per
+# parenthesis and every walk of a tree (evaluating, printing, compiling) one
+# per level, so the bound keeps them well inside Python's default limit of 1000.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -103,18 +113,6 @@ def neg(a: Expr) -> Neg:
     return Neg(a)
 
 
-def scaled_sum(terms) -> Expr:
-    """Expr for sum of coef*expr terms; zero coefficients are dropped."""
-    acc = None
-    for coef, e in terms:
-        c = float(coef)
-        if c == 0.0:
-            continue
-        piece = e if c == 1.0 else mul(lit(c), e)
-        acc = piece if acc is None else add(acc, piece)
-    return acc if acc is not None else lit(0.0)
-
-
 def variables(e: Expr) -> frozenset[str]:
     """All variable names referenced by the tree."""
     out: set[str] = set()
@@ -176,9 +174,13 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent over the tokens; each rule returns its node and the
+    node's depth (``MAX_DEPTH``)."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # levels the rules being parsed have opened
 
     def peek(self):
         return self.tokens[self.pos]
@@ -194,76 +196,94 @@ class _Parser:
             raise ParseError(f"expected {op!r}", offset)
         return self.advance()
 
+    def level(self, depth: int, offset: int) -> int:
+        """depth, or a ParseError at offset when it passes ``MAX_DEPTH``."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return depth
+
+    def nested(self, rule, offset: int):
+        """rule() one level below the operator or bracket at offset; the rules
+        recurse once per level, so the bound is tested on the way down too."""
+        self.open += 1
+        self.level(self.open + 1, offset)
+        out = rule()
+        self.open -= 1
+        return out
+
     # expr := term (('+'|'-') term)*
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self):
+        node, depth = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "+-":
                 self.advance()
-                node = Bin(value, node, self.term())
+                right, rdepth = self.term()
+                node, depth = Bin(value, node, right), self.level(max(depth, rdepth) + 1, offset)
             else:
-                return node
+                return node, depth
 
     # term := unary (('*'|'/') unary)*
-    def term(self) -> Expr:
-        node = self.unary()
+    def term(self):
+        node, depth = self.unary()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "op" and value in "*/":
                 self.advance()
-                node = Bin(value, node, self.unary())
+                right, rdepth = self.unary()
+                node, depth = Bin(value, node, right), self.level(max(depth, rdepth) + 1, offset)
             else:
-                return node
+                return node, depth
 
     # unary := '-' unary | power        (so -x^2 means -(x^2))
-    def unary(self) -> Expr:
-        kind, value, _ = self.peek()
+    def unary(self):
+        kind, value, offset = self.peek()
         if kind == "op" and value == "-":
             self.advance()
-            return Neg(self.unary())
+            arg, depth = self.nested(self.unary, offset)
+            return Neg(arg), self.level(depth + 1, offset)
         return self.power()
 
     # power := atom ('^' unary)?        (right associative)
-    def power(self) -> Expr:
-        node = self.atom()
-        kind, value, _ = self.peek()
+    def power(self):
+        node, depth = self.atom()
+        kind, value, offset = self.peek()
         if kind == "op" and value == "^":
             self.advance()
-            return Bin("^", node, self.unary())
-        return node
+            right, rdepth = self.nested(self.unary, offset)
+            return Bin("^", node, right), self.level(max(depth, rdepth) + 1, offset)
+        return node, depth
 
-    def atom(self) -> Expr:
+    # atom := number | variable | function '(' expr ')' | '(' expr ')'
+    def atom(self):
         kind, value, offset = self.advance()
         if kind == "num":
             number = float(value)
             if not math.isfinite(number):
                 raise ParseError(f"number {value!r} does not fit in a float", offset)
-            return Lit(number)
+            return Lit(number), 1
         if kind == "ident":
             nk, nv, _ = self.peek()
             if nk == "op" and nv == "(":
                 if value not in FUNCTIONS:
                     raise ParseError(f"unknown function {value!r}", offset)
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.nested(self.expr, offset)
                 self.expect_op(")")
-                return Fun(value, arg)
+                return Fun(value, arg), self.level(depth + 1, offset)
             if not _VAR_RE.fullmatch(value):
                 raise ParseError(f"bad variable name {value!r}", offset)
-            return Var(value)
+            return Var(value), 1
         if kind == "op" and value == "(":
-            node = self.expr()
+            node, depth = self.nested(self.expr, offset)
             self.expect_op(")")
-            return node
-        if kind == "op" and value == "-":
-            return Neg(self.atom())
+            return node, self.level(depth + 1, offset)
         raise ParseError("expected a value", offset)
 
 
 def parse(text: str) -> Expr:
     p = _Parser(text)
-    node = p.expr()
+    node, _ = p.expr()
     kind, value, offset = p.peek()
     if kind != "end":
         raise ParseError(f"trailing input {value!r}", offset)
@@ -512,11 +532,11 @@ def parse_bool(text: str) -> BoolExpr:
     p = _Parser(text)
 
     def comparison() -> Comparison:
-        left = p.expr()
+        left, _ = p.expr()
         kind, value, offset = p.advance()
         if kind != "op" or value not in _CMP_OPS:
             raise ParseError("expected a comparison operator", offset)
-        right = p.expr()
+        right, _ = p.expr()
         return Comparison(value, left, right)
 
     def conjunction() -> BoolExpr:

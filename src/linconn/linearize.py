@@ -371,16 +371,11 @@ class LinearizedConnection:
 
     def riemann(self, v1, v2, sigma: SectionAlongPi, a: FiberPoint) -> np.ndarray:
         """Base-base curvature component: minus the vertical derivative of R,
-        -d_sigma R(v1, v2), the outer part of ``curvature_env`` over the env
-        lifted along (0, sigma(a))."""
-        sp = self.space
-        v1, v2 = sp.base_pair(v1, v2)
-        sp.require_in_domain(a.x, a.y)
-        env = sp.point_env(a.x, a.y)
-        sig_a = [ad.real_part(ex.evaluate(c, env)) for c in sigma.comp]
-        lifted = ad.lift_env(env, dict(zip(sp.y_names, sig_a)))
-        rho = self.conn.curvature_env(lifted, v1, v2)
-        return -np.array([ad.dual_part(r) for r in rho])
+        -d_sigma R(v1, v2), the derivative part of ``curvature_sum`` over the
+        second-order pass (``_vertical_pass``)."""
+        v1, v2 = self.space.base_pair(v1, v2)
+        _, slots, _ = self._vertical_pass(sigma, a)
+        return -np.array(curvature_sum(*slots, v1.tolist(), v2.tolist())[1])
 
     # -- flatness -------------------------------------------------------------
 

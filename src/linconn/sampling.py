@@ -73,10 +73,8 @@ def random_hor_basic(rng: np.random.Generator, space: BundleSpace) -> HorBasicFi
     )
 
 
-def random_section(
-    rng: np.random.Generator, space: BundleSpace, basic: bool = False
-) -> SectionAlongPi:
-    names = space.x_names if basic else space.x_names + space.y_names
+def random_section(rng: np.random.Generator, space: BundleSpace) -> SectionAlongPi:
+    names = space.x_names + space.y_names
     return SectionAlongPi(tuple(random_polynomial(rng, names) for _ in range(space.k)))
 
 

@@ -16,7 +16,10 @@ Line oriented INI-style sections:
     x_1 = "t" ; y_1 = "1" ; t0 = 0 ; t1 = 1
 
 Several ``key = value`` pairs may share a line separated by ';'.  Values may
-be quoted; '#' starts a comment outside quotes.
+be quoted; '#' starts a comment outside quotes.  A key no section reads is an
+error at its own line, the first in file order, and so is an expression
+nested deeper than ``expr.MAX_DEPTH``.  Gamma keys are checked for range and
+completeness before any value is read, so the work is bounded by the file.
 """
 
 from __future__ import annotations
@@ -84,15 +87,90 @@ def _split_pairs(line: str, lineno: int):
     return out
 
 
-def _parse_expr(text: str, lineno: int, allowed: set[str], what: str) -> ex.Expr:
+def parse_expr(text: str, allowed: set[str], what: str, line: int | None = None) -> ex.Expr:
+    """The expression in text, which may use the names in allowed only: the
+    one reader of every component a spec file or the command line gives."""
     try:
         e = ex.parse(text)
     except ex.ParseError as err:
-        raise SpecError(f"{what}: {err}", lineno) from None
+        raise SpecError(f"{what}: {err}", line) from None
     bad = ex.variables(e) - allowed
     if bad:
-        raise SpecError(f"{what} may reference {sorted(allowed)} only, found {sorted(bad)}", lineno)
+        raise SpecError(f"{what} may reference {sorted(allowed)} only, found {sorted(bad)}", line)
     return e
+
+
+def _keys(section) -> dict:
+    """key -> (value, line) of a section, in file order; a repeated key is an error."""
+    d = {}
+    for key, value, ln in section[3]:
+        if key in d:
+            raise SpecError(f"duplicate key {key!r}", ln)
+        d[key] = (value, ln)
+    return d
+
+
+def _index(digits: str) -> int:
+    """The 1-based index a key spells; 0, which no range holds, when int()
+    refuses that many digits."""
+    try:
+        return int(digits)
+    except ValueError:
+        return 0
+
+
+def _no_other_keys(d: dict, where: str):
+    """A key no reader took is an error at its own line, the first in file order."""
+    for key, (_, ln) in d.items():
+        raise SpecError(f"unknown key {key!r} in {where}", ln)
+
+
+# kind -> (scalar keys, indexed keys as (prefix, count, variables), class
+# called with the indexed tuples, then the scalars); counts "n" and "k" are
+# base_dim and fiber_dim, variables "x", "xy" and "t" what a component may use.
+_NAMED = {
+    "field": ((), (("X", "n", "x"), ("eta", "k", "x")), HorBasicField),
+    "section": ((), (("sigma", "k", "xy"),), SectionAlongPi),
+    "curve": (("t0", "t1"), (("x", "n", "t"), ("y", "k", "t")), CurveInE),
+}
+_GAMMA_KEY = re.compile(r"gamma_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)")  # gamma_01_1 is unknown
+
+
+def _read_named(kind: str, name: str, section, counts: dict, names: dict):
+    """The object a [kind name] section describes, read by its row of ``_NAMED``;
+    a missing key is reported at the header line, a bad one at its own."""
+    scalar_keys, indexed, build = _NAMED[kind]
+    where, lineno, what = f"[{kind} {name}]", section[2], f"{kind} {name}"
+    d = _keys(section)
+    scalars = []
+    for key in scalar_keys:
+        if key not in d:
+            raise SpecError(f"missing {key} in {where}", lineno)
+        value, ln = d.pop(key)
+        try:
+            t = float(value)
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise SpecError(f"{key} must be a finite real, got {value!r}", ln)
+        scalars.append(t)
+    parts = []
+    for prefix, count, allowed in indexed:
+        count, got = counts[count], {}
+        for key in [key for key in d if re.fullmatch(rf"{prefix}_[0-9]+", key)]:
+            value, ln = d.pop(key)
+            i = _index(key[len(prefix) + 1 :])
+            if not 1 <= i <= count:
+                raise SpecError(f"{key} is out of range", ln)
+            if key != f"{prefix}_{i}":
+                raise SpecError(f"unknown key {key!r} in {where}", ln)
+            got[i] = parse_expr(value, names[allowed], what, ln)
+        missing = next((i for i in range(1, count + 1) if i not in got), None)
+        if missing is not None:
+            raise SpecError(f"missing {prefix}_{missing}", lineno)
+        parts.append(tuple(got[i] for i in range(1, count + 1)))
+    _no_other_keys(d, where)
+    return build(*parts, *scalars)
 
 
 def loads(text: str, path: str = "<string>") -> SpecFile:
@@ -105,9 +183,9 @@ def loads(text: str, path: str = "<string>") -> SpecFile:
         m = _HEADER_RE.match(line)
         if m:
             kind = m.group(1).lower()
-            if kind not in ("space", "connection", "field", "section", "curve"):
+            if kind not in ("space", "connection", *_NAMED):
                 raise SpecError(f"unknown section kind {m.group(1)!r}", lineno)
-            if kind in ("field", "section", "curve") and not m.group(2):
+            if kind in _NAMED and not m.group(2):
                 raise SpecError(f"[{kind}] needs a name", lineno)
             current = (kind, m.group(2), lineno, [])
             sections.append(current)
@@ -116,144 +194,74 @@ def loads(text: str, path: str = "<string>") -> SpecFile:
             raise SpecError("content before any section header", lineno)
         current[3].extend(_split_pairs(line, lineno))
 
-    def pick(kind):
-        return [s for s in sections if s[0] == kind]
+    one = {}
+    for kind in ("space", "connection"):
+        found = [s for s in sections if s[0] == kind]
+        if len(found) != 1:
+            raise SpecError(f"need exactly one [{kind}] section")
+        one[kind] = found[0]
 
-    space_secs = pick("space")
-    conn_secs = pick("connection")
-    if len(space_secs) != 1:
-        raise SpecError("need exactly one [space] section")
-    if len(conn_secs) != 1:
-        raise SpecError("need exactly one [connection] section")
-
-    def as_dict(entries, lineno):
-        d = {}
-        for key, value, ln in entries:
-            if key in d:
-                raise SpecError(f"duplicate key {key!r}", ln)
-            d[key] = (value, ln)
-        return d
-
-    sp_entries = as_dict(space_secs[0][3], space_secs[0][2])
-
-    def take_int(d, key, lineno):
+    d, header = _keys(one["space"]), one["space"][2]
+    dims = []
+    for key in ("base_dim", "fiber_dim"):
         if key not in d:
-            raise SpecError(f"missing {key}", lineno)
+            raise SpecError(f"missing {key}", header)
         value, ln = d.pop(key)
         try:
-            return int(value)
+            dims.append(int(value))
         except ValueError:
             raise SpecError(f"{key} must be an integer, got {value!r}", ln) from None
-
-    n = take_int(sp_entries, "base_dim", space_secs[0][2])
-    k = take_int(sp_entries, "fiber_dim", space_secs[0][2])
-    if sp_entries:
-        raise SpecError(f"unknown key {next(iter(sp_entries))!r} in [space]", space_secs[0][2])
+    _no_other_keys(d, "[space]")
+    n, k = dims
     if n < 1 or k < 1:
-        raise SpecError("base_dim and fiber_dim must be >= 1", space_secs[0][2])
+        raise SpecError("base_dim and fiber_dim must be >= 1", header)
+
+    # keys, ranges and completeness before any value: the work up to here is
+    # bounded by the file's length, whatever n and k it declares
+    d = _keys(one["connection"])
+    domain = d.pop("domain", None)  # (text, line) until it is parsed below
+    gamma = {}
+    for key, (value, ln) in d.items():
+        m = _GAMMA_KEY.fullmatch(key)
+        if not m:
+            raise SpecError(f"unknown key {key!r} in [connection]", ln)
+        A, i = _index(m.group(1)), _index(m.group(2))
+        if not (1 <= A <= k and 1 <= i <= n):
+            raise SpecError(f"{key} is out of range for {k} x {n}", ln)
+        gamma[A, i] = (value, ln)
+    missing = next(
+        ((A, i) for A in range(1, k + 1) for i in range(1, n + 1) if (A, i) not in gamma), None
+    )
+    if missing is not None:
+        raise SpecError("missing gamma_{}_{}".format(*missing))
 
     x_names = {f"x{i+1}" for i in range(n)}
-    y_names = {f"y{j+1}" for j in range(k)}
-
-    conn_entries = as_dict(conn_secs[0][3], conn_secs[0][2])
-    domain = None
-    if "domain" in conn_entries:
-        value, ln = conn_entries.pop("domain")
+    names = {"x": x_names, "xy": x_names | {f"y{j+1}" for j in range(k)}, "t": {"t"}}
+    if domain is not None:
+        value, ln = domain
         try:
             domain = ex.parse_bool(value)
         except ex.ParseError as err:
             raise SpecError(f"domain: {err}", ln) from None
-        bad = ex.bool_variables(domain) - (x_names | y_names)
+        bad = ex.bool_variables(domain) - names["xy"]
         if any(v.startswith("z") for v in bad):
             raise SpecError("z not allowed in domain", ln)
         if bad:
             raise SpecError(f"domain may reference x/y only, found {sorted(bad)}", ln)
-
-    gamma = [[None] * n for _ in range(k)]
-    gamma_key = re.compile(r"gamma_(0|[1-9][0-9]*)_(0|[1-9][0-9]*)$")  # gamma_01_1 is unknown
-    for key in list(conn_entries):
-        m = gamma_key.match(key)
-        if not m:
-            raise SpecError(f"unknown key {key!r} in [connection]", conn_entries[key][1])
-        A, i = int(m.group(1)), int(m.group(2))
-        if not (1 <= A <= k and 1 <= i <= n):
-            raise SpecError(f"{key} is out of range for {k} x {n}", conn_entries[key][1])
-        value, ln = conn_entries.pop(key)
-        gamma[A - 1][i - 1] = _parse_expr(value, ln, x_names | y_names, key)
-    for A, row in enumerate(gamma, start=1):
-        for i, g in enumerate(row, start=1):
-            if g is None:
-                raise SpecError(f"missing gamma_{A}_{i}")
+    for (A, i), (value, ln) in gamma.items():
+        gamma[A, i] = parse_expr(value, names["xy"], f"gamma_{A}_{i}", ln)
 
     space = BundleSpace(n, k, domain)
-    conn = NonlinearConnection(space, tuple(tuple(r) for r in gamma))
-    spec = SpecFile(path=path, space=space, conn=conn)
-
-    def indexed(entries, prefix, count, lineno, allowed, what):
-        got = {}
-        for key, value, ln in entries:
-            m = re.match(rf"{prefix}_([0-9]+)$", key)
-            if not m:
-                continue
-            idx = int(m.group(1))
-            if not (1 <= idx <= count):
-                raise SpecError(f"{key} is out of range", ln)
-            got[idx] = _parse_expr(value, ln, allowed, what)
-        missing = [i for i in range(1, count + 1) if i not in got]
-        if missing:
-            raise SpecError(f"missing {prefix}_{missing[0]}", lineno)
-        return tuple(got[i] for i in range(1, count + 1))
-
+    rows = tuple(tuple(gamma[A, i] for i in range(1, n + 1)) for A in range(1, k + 1))
+    spec = SpecFile(path=path, space=space, conn=NonlinearConnection(space, rows))
     owners = {"field": spec.fields, "section": spec.sections, "curve": spec.curves}
-    for kind, name, lineno, entries in sections:
-        if kind not in owners:
-            continue
-        if name in owners[kind]:
-            raise SpecError(f"duplicate [{kind} {name}]", lineno)
-        d = as_dict(entries, lineno)
-        keys = set(d)
-        if kind == "field":
-            spec.fields[name] = HorBasicField(
-                indexed(entries, "X", n, lineno, x_names, f"field {name}"),
-                indexed(entries, "eta", k, lineno, x_names, f"field {name}"),
-            )
-            extra = keys - {f"X_{i+1}" for i in range(n)} - {f"eta_{j+1}" for j in range(k)}
-            if extra:
-                raise SpecError(f"unknown key {sorted(extra)[0]!r} in [field {name}]", lineno)
-        elif kind == "section":
-            spec.sections[name] = SectionAlongPi(
-                indexed(entries, "sigma", k, lineno, x_names | y_names, f"section {name}")
-            )
-            extra = keys - {f"sigma_{j+1}" for j in range(k)}
-            if extra:
-                raise SpecError(f"unknown key {sorted(extra)[0]!r} in [section {name}]", lineno)
-        else:
-            t_entries = {}
-            for key in ("t0", "t1"):
-                if key not in d:
-                    raise SpecError(f"missing {key} in [curve {name}]", lineno)
-                value, ln = d[key]
-                try:
-                    t = float(value)
-                except ValueError:
-                    t = math.nan
-                if not math.isfinite(t):
-                    raise SpecError(f"{key} must be a finite real, got {value!r}", ln)
-                t_entries[key] = t
-            spec.curves[name] = CurveInE(
-                indexed(entries, "x", n, lineno, {"t"}, f"curve {name}"),
-                indexed(entries, "y", k, lineno, {"t"}, f"curve {name}"),
-                t_entries["t0"],
-                t_entries["t1"],
-            )
-            extra = (
-                keys
-                - {f"x_{i+1}" for i in range(n)}
-                - {f"y_{j+1}" for j in range(k)}
-                - {"t0", "t1"}
-            )
-            if extra:
-                raise SpecError(f"unknown key {sorted(extra)[0]!r} in [curve {name}]", lineno)
+    counts = {"n": n, "k": k}
+    for section in sections:
+        kind, name = section[:2]
+        if kind in owners:
+            if name in owners[kind]:
+                raise SpecError(f"duplicate [{kind} {name}]", section[2])
+            owners[kind][name] = _read_named(kind, name, section, counts, names)
     return spec
 
 

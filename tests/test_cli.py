@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from linconn.cli import main, to_json
+from linconn.expr import MAX_DEPTH
 from linconn.specfile import SpecError, builtin_spec_path, load_builtin, loads
 
 MINIMAL = """
@@ -426,6 +427,56 @@ def test_a_zero_padded_gamma_key_is_a_usage_error(capsys, tmp_path, key):
     spec.write_text(MINIMAL + f'{key} = "2*y1"\n')
     assert main(["linearize", str(spec), "--point", "0;1", "--z", "1", "--w", "1;0"]) == 2
     assert capsys.readouterr().err == f"error: line 7: unknown key '{key}' in [connection]\n"
+
+
+# one expression of each shape nested d levels deep, and the offset where a
+# parse of it stops when d is past MAX_DEPTH
+DEEP = {
+    "parentheses": (lambda d: "(" * (d - 1) + "y1" + ")" * (d - 1), MAX_DEPTH),
+    "unary_minus": (lambda d: "-" * (d - 1) + "y1", MAX_DEPTH),
+    "sum": (lambda d: "+".join(["y1"] * d), 3 * MAX_DEPTH),
+}
+
+
+@pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 5000])
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_an_expression_past_the_depth_bound_is_a_usage_error(capsys, tmp_path, shape, depth):
+    # a RecursionError used to end these with a traceback and exit 1
+    text, offset = DEEP[shape]
+    spec = tmp_path / "deep.ini"
+    spec.write_text(MINIMAL.replace('"y1^2"', f'"{text(depth)}"'))
+    assert main(["linearize", str(spec), "--point", "0;1", "--z", "1", "--w", "1;0"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line 6: gamma_1_1: expression nested deeper than {MAX_DEPTH} levels "
+        f"(at offset {offset})\n"
+    )
+    argv = ["curvature", builtin_spec_path("c1"), "--point", "0;1", "--v1", "1", "--v2", "1"]
+    assert main([*argv, f"--sigma={text(depth)}"]) == 2
+    assert capsys.readouterr().err.startswith("error: --sigma: expression nested deeper than")
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP))
+def test_check_runs_an_expression_at_the_depth_bound(capsys, tmp_path, shape):
+    spec = tmp_path / "deep.ini"
+    spec.write_text(MINIMAL.replace('"y1^2"', f'"{DEEP[shape][0](MAX_DEPTH)}"'))
+    assert main(["check", str(spec), "--samples", "8"]) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["curvature", "--point", "0;1", "--v1", "1", "--v2", "1", "--sigma", "z1"],
+         "--sigma may reference ['x1', 'y1'] only, found ['z1']"),
+        (["transport", "--curve", "x1;1;0;1", "--z0", "1"],
+         "--curve x may reference ['t'] only, found ['x1']"),
+        (["transport", "--curve", "t;1 +;0;1", "--z0", "1"],
+         "--curve y: expected a value (at offset 4)"),
+    ],
+)
+def test_an_expression_on_the_command_line_is_read_as_a_spec_reads_it(capsys, argv, message):
+    assert main([argv[0], builtin_spec_path("c1"), *argv[1:]]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_underflowing_negative_power_is_a_domain_error(capsys, tmp_path):

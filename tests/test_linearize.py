@@ -276,7 +276,7 @@ def test_basic_iff_vertical_flat(all_specs):
     for spec in all_specs.values():
         lin = lin_of(spec)
         sp = spec.space
-        basic = random_section(rng, sp, basic=True)
+        basic = SectionAlongPi(tuple(random_polynomial(rng, sp.x_names) for _ in range(sp.k)))
         general = SectionAlongPi(
             tuple(ex.add(c, ex.parse("y1")) for c in basic.comp)
         )
