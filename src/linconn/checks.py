@@ -781,12 +781,10 @@ def _check_transport_vertical(spec, rng):
 
 def _transport_matrices(lin, curve, knots: int):
     """The transport matrices M at ``knots`` evenly spaced t, as an array
-    [t, A, B], read from the curve's printed stage: ``stage(t, e_B)`` is
-    column B of M.  Raises what the stage raises."""
-    stage = curve.transport_stage(lin, 0.0)
-    basis = np.eye(lin.space.k).tolist()
-    ts = np.linspace(curve.t0, curve.t1, knots).tolist()
-    return np.array([[stage(t, e) for e in basis] for t in ts]).transpose(0, 2, 1)
+    [t, A, B], read from the curve's printed coefficients: ``g(t)`` is M
+    row by row.  Raises what g raises."""
+    g, k = curve.transport_coefficients(lin, 0.0), lin.space.k
+    return np.array([g(t) for t in np.linspace(curve.t0, curve.t1, knots).tolist()]).reshape(knots, k, k)
 
 
 def _order_measurable(lin, curve) -> bool:
@@ -872,9 +870,11 @@ def _check_variational(spec, rng):
 def _check_lambda_transport(spec, rng):
     """The family transport integrates the family's own horizontality.
 
-    The reference loop calls the family's plain-float formula on the
-    compiled curve state, domain predicate and gamma with its y-gradient at
-    every stage; ``transport_ode`` integrates the curve's printed stage.
+    The reference loop steps the generic ``rk4`` on the family's
+    plain-float formula over the compiled curve state, domain predicate and
+    gamma with its y-gradient, evaluated at every stage; ``transport_ode``
+    runs the printed linear loop on the curve's printed coefficients,
+    evaluated once per knot.  The two share no integration code.
     """
     sp = spec.space
     n, k = sp.n, sp.k

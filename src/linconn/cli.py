@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 import numpy as np
@@ -466,8 +467,23 @@ def _add_common(parser, suppress: bool):
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every argument starting with one '-' as
+    a value unless it is an option string (only ``-h`` is): a vector, an
+    expression or an inline curve may start with a minus sign
+    (``--point "-0.5;1"``, ``--sigma -y1``), where argparse reads only a
+    negative number as a value.  Every option of linconn is long, so no
+    such value hides an option."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        # set after __init__ has added -h, so -h does not count as an
+        # option that looks like a value
+        self._negative_number_matcher = re.compile(r"^-[^-]")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linconn",
         description="Linearize nonlinear connections and check the identities they satisfy.",
         allow_abbrev=False,
@@ -478,9 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(
         dest="command",
         required=True,
-        parser_class=lambda **kw: argparse.ArgumentParser(
-            parents=[common], allow_abbrev=False, **kw
-        ),
+        parser_class=lambda **kw: _Parser(parents=[common], allow_abbrev=False, **kw),
     )
 
     p = sub.add_parser("check", help="run the invariant suite against a spec file")

@@ -24,9 +24,14 @@ same numbers bitwise and raises the same errors:
   field and gamma through the emitters above, and the stage velocities in
   the stated orders of ``connection.horizontal_velocity`` and
   ``LinearizedConnection.fiber_velocity``, as one function of the state;
-* ``curve_stage`` prints a whole stage of ``transport.transport_ode``: the
-  curve seeded in t, the domain test, gamma seeded in y, and ``M z + c`` in
-  its stated order, as one function of the time and the transported vector;
+* ``curve_coefficients`` prints the coefficients of
+  ``transport.transport_ode``'s linear ODE ``zdot = M(t) z + c(t)``: the
+  curve seeded in t, the domain test, gamma seeded in y, and M and c in
+  their stated orders, as one function of the time;
+* ``linear_rk4`` prints the whole RK4 loop of a linear ODE on k floats, its
+  ``M z + c`` rows and rk4's stage sums, calling the coefficients once per
+  knot (at each step's midpoint and end); ``transport.transport_ode`` runs
+  on it;
 * ``holonomy_stage`` prints a whole stage of the four loops of
   ``NonlinearConnection.holonomy_curvature`` side by side (``lane_stage``,
   one lane per loop): per lane, the domain test, gamma through the float
@@ -34,7 +39,8 @@ same numbers bitwise and raises the same errors:
   order of ``connection.horizontal_velocity``, as one function of the
   directions, the time and the four lanes' state;
 * ``rk4_step`` prints one step of ``transport.rk4`` for a state width: its
-  four stage sums written out component by component.
+  four stage sums written out component by component.  It and
+  ``linear_rk4`` print rk4's step sums through one helper, ``_rk4_sums``.
 
 Dual values take the walk, ``evaluate``; ``in_domain`` walks
 ``evaluate_bool`` at one point.
@@ -480,6 +486,13 @@ def compile_gradients(exprs, names, seeded) -> Callable:
     return define(src, tuple_of(_forward_outputs(_Forward(src, tuple(seeded)), exprs)))
 
 
+def _rk4_sums(xs, k1, k2, k3, k4, sixth) -> list:
+    """rk4's step sums ``s[j] + sixth*(k1[j] + (k2[j] + k2[j]) + (k3[j] +
+    k3[j]) + k4[j])``, one expression per component, in rk4's order: the
+    one place a printed step writes them."""
+    return [f"{x} + {sixth} * ({a} + ({b} + {b}) + ({c} + {c}) + {d})" for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
+
+
 @functools.cache
 def rk4_step(width: int) -> Callable:
     """``step(f, start, mid, end, s, half, h, sixth)``: one step of
@@ -504,8 +517,73 @@ def rk4_step(width: int) -> Callable:
     src.line(f"{tuple_of(k2)} = {at(mid, half, k1)}")
     src.line(f"{tuple_of(k3)} = {at(mid, half, k2)}")
     src.line(f"{tuple_of(k4)} = {at(end, h, k3)}")
-    sums = [f"{x} + {sixth} * ({a} + ({b} + {b}) + ({c} + {c}) + {d})" for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
-    return define(src, "[" + ", ".join(sums) + "]")
+    return define(src, "[" + ", ".join(_rk4_sums(xs, k1, k2, k3, k4, sixth)) + "]")
+
+
+@functools.cache
+def linear_rk4(k: int, affine: bool) -> Callable:
+    """``run(g, t0, half, h, sixth, first, last, z)``: steps first..last-1 of
+    ``transport.rk4`` for ``zdot = M(t) z + c(t)`` on a list z of k floats,
+    printed once per k and kind, and returns the final state as a list.
+
+    ``g(t)`` returns the k*k entries of M row by row and, when affine, the
+    k entries of c (``curve_coefficients``).  Step s is rk4's step s, with
+    the stage times ``t0 + j*half`` for j = 2s, 2s + 1 (twice) and 2s + 2,
+    but the coefficients are evaluated once per knot: g at the first
+    step's start before the loop, then per step g at the midpoint, which
+    serves stages 2 and 3, and at the end, which is bitwise the next step's
+    start.  Each stage's ``M z + c`` row is ``M[A][0]*z[0] + M[A][1]*z[1] +
+    ...`` summed left to right, then ``+ c[A]``, on the stage state rk4
+    builds; the step sums are rk4's (``_rk4_sums``).  A step whose g raises
+    OverflowError re-raises it naming the step's start, and a non-finite
+    state raises OverflowError naming the step's end, with rk4's messages.
+    """
+    src = Source((), {"_isfinite": math.isfinite})
+    src.params = ["_g", "_t0", "_half", "_h", "_sixth", "_first", "_last", "_state"]
+    g, t0, half, h, sixth, first, last, state = src.params
+    zs, ys = [f"_z{A}" for A in range(k)], [f"_y{A}" for A in range(k)]
+    ks = [[f"_k{i}_{A}" for A in range(k)] for i in range(1, 5)]
+
+    def calls_naming_the_step(calls):
+        src.line("try:")
+        for target, time in calls:
+            src.line(f"    {target} = {g}({time})")
+        src.line("except OverflowError as _err:")
+        src.line('    raise OverflowError(f"{_err} in the step from t = {_start!r}") from _err')
+
+    def unpack(tag, packed):
+        """Locals for the M and c that g returned; the rows of M, and c."""
+        M = [[f"_m{tag}{A}_{B}" for B in range(k)] for A in range(k)]
+        c = [f"_c{tag}{A}" for A in range(k)] if affine else []
+        src.line(f"{tuple_of([m for row in M for m in row] + c)} = {packed}")
+        return M, c
+
+    def rows(coefficients, z):
+        """``M z + c``: row A summed left to right, then c[A]."""
+        M, c = coefficients
+        return [" + ".join([*(f"{m} * {x}" for m, x in zip(M[A], z)), *c[A : A + 1]]) for A in range(k)]
+
+    src.line(f"{tuple_of(zs)} = {state}")
+    src.line(f"_start = {t0} + (2 * {first}) * {half}")
+    calls_naming_the_step([("_gs", "_start")])
+    src.line(f"for _s in range({first}, {last}):")
+    src.indent += 1
+    src.line("_j = 2 * _s")
+    src.line(f"_mid = {t0} + (_j + 1) * {half}")
+    src.line(f"_end = {t0} + (_j + 2) * {half}")
+    calls_naming_the_step([("_gm", "_mid"), ("_ge", "_end")])
+    start, mid, end = unpack("s", "_gs"), unpack("m", "_gm"), unpack("e", "_ge")
+    src.line(f"{tuple_of(ks[0])} = {tuple_of(rows(start, zs))}")
+    for coefficients, scale, prev, out in ((mid, half, ks[0], ks[1]), (mid, half, ks[1], ks[2]), (end, h, ks[2], ks[3])):
+        src.line(f"{tuple_of(ys)} = {tuple_of([f'{z} + {scale} * {a}' for z, a in zip(zs, prev)])}")
+        src.line(f"{tuple_of(out)} = {tuple_of(rows(coefficients, ys))}")
+    src.line(f"{tuple_of(zs)} = {tuple_of(_rk4_sums(zs, *ks, sixth))}")
+    src.line(f"if not ({' and '.join(f'_isfinite({z})' for z in zs)}):")
+    src.line('    raise OverflowError(f"non-finite state at t = {_end!r}")')
+    src.line("_gs = _ge")
+    src.line("_start = _end")
+    src.indent -= 1
+    return define(src, "[" + ", ".join(zs) + "]")
 
 
 def flow_stage(conn, field, variational: bool) -> Callable:
@@ -559,30 +637,27 @@ def flow_stage(conn, field, variational: bool) -> Callable:
     return define(src, "[" + ", ".join(outputs) + "]")
 
 
-def curve_stage(lin, curve, lam: float) -> Callable:
-    """``f(t, z)``: one RK4 stage of ``transport.transport_ode`` along the
-    curve under the linearization lin (with lam != 0 the family member), as
-    one printed function of floats.
+def curve_coefficients(lin, curve, lam: float) -> Callable:
+    """``g(t)``: the coefficients of ``transport.transport_ode``'s linear ODE
+    ``zdot = M(t) z + c(t)`` along the curve under the linearization lin
+    (with lam != 0 the family member), as one printed function of the
+    float t.
 
-    f computes the curve's x, y, xdot and ydot (the forward emitter seeded
+    g computes the curve's x, y, xdot and ydot (the forward emitter seeded
     in t, as ``CurveInE.compiled_state``), tests the domain predicate at
     (x, y) and raises ``space.left_domain("curve", t, xy)`` off it, then
     computes gamma and d_gamma (the forward emitter seeded in y over the
     curve's values, as ``compiled_gamma_gradients``), in that order, so it
     raises what those compiled functions raise, one after the other.  It
-    returns the list ``M z + c`` with ``M[A][B] = -(0.0 + J[A][0][B] *
-    xdot[0] + J[A][1][B] * xdot[1] + ...)`` and row A summed left to right,
-    ``M[A][0] * z[0] + M[A][1] * z[1] + ...``, then ``+ c[A]`` with ``c[A] =
-    lam * (ydot[A] + (G[A][0] * xdot[0] + G[A][1] * xdot[1] + ...))``; with
-    lam = 0 there is no c.
+    returns the tuple of the k*k entries ``M[A][B] = -(0.0 + J[A][0][B] *
+    xdot[0] + J[A][1][B] * xdot[1] + ...)`` row by row, then, with lam !=
+    0, the k entries ``c[A] = lam * (ydot[A] + (G[A][0] * xdot[0] +
+    G[A][1] * xdot[1] + ...))``; ``linear_rk4`` steps with them.
     """
     sp = lin.space
     n, k = sp.n, sp.k
     src = Source(("t",), {**HELPERS, "_gradient": gradient, "_left": sp.left_domain})
     time = src.params[0]
-    zs = [f"_z{B}" for B in range(k)]
-    src.params = [time, "_state"]
-    src.line(f"{tuple_of(zs)} = _state")
     out = _forward_outputs(_Forward(src, ("t",)), curve.comp_x + curve.comp_y)
     xy = [src.assign(v) for v in out[: n + k]]
     xd, yd = out[n + k : 2 * n + k], out[2 * n + k :]
@@ -592,18 +667,17 @@ def curve_stage(lin, curve, lam: float) -> Callable:
         src.line(f"    raise _left('curve', {time}, [{', '.join(xy)}])")
     out = _forward_outputs(_Forward(src, sp.y_names), [g for row in lin.conn.gamma for g in row])
     G, J = out[: k * n], out[k * n :]
-    rows = []
-    for A in range(k):
-        M = [
-            src.assign(f"-({' + '.join(['0.0', *(f'{J[(A * n + i) * k + B]} * {xd[i]}' for i in range(n))])})")
-            for B in range(k)
-        ]
-        row = " + ".join(f"{m} * {z}" for m, z in zip(M, zs))
-        if lam != 0.0:
+    M = [
+        src.assign(f"-({' + '.join(['0.0', *(f'{J[(A * n + i) * k + B]} * {xd[i]}' for i in range(n))])})")
+        for A in range(k)
+        for B in range(k)
+    ]
+    c = []
+    if lam != 0.0:
+        for A in range(k):
             g = " + ".join(f"{G[A * n + i]} * {xd[i]}" for i in range(n))
-            row += f" + {src.const(float(lam))} * ({yd[A]} + ({g}))"
-        rows.append(row)
-    return define(src, "[" + ", ".join(rows) + "]")
+            c.append(src.assign(f"{src.const(float(lam))} * ({yd[A]} + ({g}))"))
+    return define(src, tuple_of(M + c))
 
 
 def lane_stage(sp, lanes: int, width: int, what: str, lane) -> Callable:

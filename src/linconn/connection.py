@@ -101,7 +101,7 @@ def _check_arity(exprs, allowed: set[str], what: str):
     for e in exprs:
         bad = ex.variables(e) - allowed
         if bad:
-            raise ValueError(f"{what} may reference {sorted(allowed)} only, found {sorted(bad)}")
+            raise ValueError(f"{what} may reference {ex.name_ranges(allowed)} only, found {ex.name_ranges(bad)}")
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,32 @@ def variables(e: Expr) -> frozenset[str]:
     return frozenset(out)
 
 
+def _name_key(name: str):
+    head = name.rstrip("0123456789")
+    return head, int(name[len(head) :]) if len(head) < len(name) else -1
+
+
+def name_ranges(names) -> str:
+    """The names as one short list, by letter and then index: a run of three
+    or more consecutive indices of one letter reads as its ends, so
+    x1..x200 and y1 give ``x1..x200, y1``."""
+    runs = []  # [head, first index, last index]; -1 for a name without one
+    for head, index in sorted(map(_name_key, names)):
+        if runs and runs[-1][0] == head and index >= 0 and runs[-1][2] == index - 1:
+            runs[-1][2] = index
+        else:
+            runs.append([head, index, index])
+    parts = []
+    for head, first, last in runs:
+        if first < 0:
+            parts.append(head)
+        elif last - first >= 2:
+            parts.append(f"{head}{first}..{head}{last}")
+        else:
+            parts += [f"{head}{i}" for i in range(first, last + 1)]
+    return ", ".join(parts)
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
 

@@ -110,9 +110,9 @@ class BundleSpace:
 
         ``compiled_domain(*x, *y)`` is ``in_domain(x, y)`` for one point,
         with the and/or short circuit of ``evaluate_bool``.  The transport
-        checks' curve screens call it; a flow stage, a transport stage and
-        the holonomy lanes print the same test inline
-        (``codegen.flow_stage``, ``codegen.curve_stage``,
+        checks' curve screens call it; a flow stage, a curve's transport
+        coefficients and the holonomy lanes print the same test inline
+        (``codegen.flow_stage``, ``codegen.curve_coefficients``,
         ``codegen.holonomy_stage``); single points keep ``in_domain``.
         """
         if self.domain is None:

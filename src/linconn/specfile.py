@@ -96,7 +96,7 @@ def parse_expr(text: str, allowed: set[str], what: str, line: int | None = None)
         raise SpecError(f"{what}: {err}", line) from None
     bad = ex.variables(e) - allowed
     if bad:
-        raise SpecError(f"{what} may reference {sorted(allowed)} only, found {sorted(bad)}", line)
+        raise SpecError(f"{what} may reference {ex.name_ranges(allowed)} only, found {ex.name_ranges(bad)}", line)
     return e
 
 

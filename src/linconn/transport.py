@@ -1,18 +1,23 @@
 """Parallel transport along curves, flows of hor-basic fields, and the
 fiber derivative of a flow computed through the variational equation.
 
-All integrations use the one fixed-step classical RK4 of ``rk4``:
-deterministic, and its fourth-order convergence is itself an acceptance
-check.  It steps a list of Python floats, and every right-hand side
-returns one, with each sum written out in a stated order (``rk4``,
+Every integration takes the steps of the one fixed-step classical RK4 of
+``rk4``: deterministic, and its fourth-order convergence is itself an
+acceptance check.  It steps a list of Python floats, and every right-hand
+side returns one, with each sum written out in a stated order (``rk4``,
 ``connection.horizontal_velocity``, ``LinearizedConnection.fiber_velocity``,
-``codegen.curve_stage``), so no numpy kernel decides a bit of a stage and no
-numpy warning can be raised there.  Its step is printed once per state
-width (``codegen.rk4_step``); a flow's stage once per field, connection and
-kind (``codegen.flow_stage``), and a transport's stage once per curve,
-connection and lambda (``codegen.curve_stage``): all are straight-line
-code.  The domain predicate is enforced at every stage point; the first
-violation aborts with the offending parameter value.
+``codegen.curve_coefficients``), so no numpy kernel decides a bit of a
+stage and no numpy warning can be raised there.  Its step is printed once
+per state width (``codegen.rk4_step``) and a flow's stage once per field,
+connection and kind (``codegen.flow_stage``).  Transport along a curve is
+a linear ODE whose coefficients depend on t only, so it runs rk4's steps,
+bitwise, in one printed loop (``codegen.linear_rk4``, once per fiber
+dimension and kind) over the curve's printed coefficients
+(``codegen.curve_coefficients``, once per curve, connection and lambda),
+evaluated once per knot; rk4's step sums are printed by one helper for
+both.  All are straight-line code.  The domain predicate is enforced at
+every stage point; the first violation aborts with the offending parameter
+value.
 """
 
 from __future__ import annotations
@@ -72,25 +77,25 @@ class CurveInE:
         return compile_gradients(self.comp_x + self.comp_y, ("t",), ("t",))
 
     @cached_property
-    def _stages(self) -> dict:
+    def _coefficients(self) -> dict:
         return {}
 
-    def transport_stage(self, lin, lam: float):
-        """The printed right-hand side ``f(t, z)`` of ``transport_ode`` along
-        this curve under the linearization lin and lambda lam
-        (``codegen.curve_stage``); printed on first use.
+    def transport_coefficients(self, lin, lam: float):
+        """The printed coefficients ``g(t)`` of ``transport_ode`` along this
+        curve under the linearization lin and lambda lam
+        (``codegen.curve_coefficients``); printed on first use.
 
-        The stages are cached here, keyed by the connection and lam, so a
-        curve that is dropped drops its stages (a cache in the module would
+        They are cached here, keyed by the connection and lam, so a curve
+        that is dropped drops its functions (a cache in the module would
         keep every drawn curve alive).
         """
         key = (lin.conn, lam)
-        stage = self._stages.get(key)
-        if stage is None:
-            from .codegen import curve_stage
+        g = self._coefficients.get(key)
+        if g is None:
+            from .codegen import curve_coefficients
 
-            stage = self._stages[key] = curve_stage(lin, self, lam)
-        return stage
+            g = self._coefficients[key] = curve_coefficients(lin, self, lam)
+        return g
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,8 @@ def rk4(f, t0: float, t1: float, state, steps: int):
     the ``steps`` steps.  An OverflowError inside f is re-raised naming t.
     Float + and * neither warn nor raise, so a state that overflows to inf
     or NaN shows in the finite-state test, which raises OverflowError
-    naming t.
+    naming t.  Flows and the holonomy lanes step here; ``transport_ode``
+    takes the same steps in ``codegen.linear_rk4``.
     """
     from .codegen import rk4_step
 
@@ -159,13 +165,18 @@ def transport_ode(
                  + lam * (ydot^A + gamma^A_i(x(t), y(t)) xdot^i),
     which is exactly the condition that the curve t -> (x, y, z) be
     horizontal for the family member (the lam term vanishes for the plain
-    linearization).  Each stage is one call of the curve's printed stage
-    (``CurveInE.transport_stage``, ``codegen.curve_stage``): the curve, the
-    domain test, which raises naming t and the point, gamma and its
-    y-gradient, and ``M z + c`` in its stated order.  ``record`` > 0
-    samples t0 and about that many steps, with x and y from
-    ``compiled_state``; the t0 sample is taken once the first step has
-    returned, so a curve that fails at t0 raises the step's error.
+    linearization).  The ODE is linear, zdot = M(t) z + c(t), with
+    coefficients that depend on t only: the curve's printed coefficients
+    (``CurveInE.transport_coefficients``, ``codegen.curve_coefficients``)
+    compute the curve, the domain test, which raises naming t and the
+    point, gamma and its y-gradient, and M and c in their stated orders.
+    The steps are those of ``rk4``, bitwise, run by one printed loop
+    (``codegen.linear_rk4``) that evaluates the coefficients once per knot:
+    at each step's midpoint and end, the end serving the next step's start.
+    ``record`` > 0 samples t0 and about that many steps, with x and y from
+    ``compiled_state``; the loop runs in chunks between the samples, and
+    the t0 sample is taken once the first step has returned, so a curve
+    that fails at t0 raises the step's error.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -174,22 +185,33 @@ def transport_ode(
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (k,):
         raise ValueError(f"z0 must have length {k}")
+    from .codegen import linear_rk4
+
+    g, run = curve.transport_coefficients(lin, lam), linear_rk4(k, lam != 0.0)
+    t0 = curve.t0
+    h = (curve.t1 - t0) / steps
+    half, sixth = 0.5 * h, h / 6.0
+    z = z0.tolist()
+    if not record:
+        return TransportResult(np.array(run(g, t0, half, h, sixth, 0, steps, z)), None, steps)
 
     def sample(t, z):
         values = curve.compiled_state(t)
         return t, np.array(values[:n]), np.array(values[n : n + k]), np.array(z)
 
-    z = z0.tolist()
-    stride = max(1, steps // record) if record else 0
+    stride = max(1, steps // record)
     trajectory = []
-    for done, (t, z) in enumerate(rk4(curve.transport_stage(lin, lam), curve.t0, curve.t1, z, steps), 1):
-        if record and done == 1:
-            # after the first step, whose stage has evaluated the curve at t0
-            # and raised naming the step if it fails there
-            trajectory.append(sample(curve.t0, z0))
-        if record and (done % stride == 0 or done == steps):
-            trajectory.append(sample(t, z))
-    return TransportResult(np.array(z), tuple(trajectory) if record else None, steps)
+    done = 0
+    for end in sorted({1, *range(stride, steps, stride), steps}):
+        z = run(g, t0, half, h, sixth, done, end, z)
+        if done == 0:
+            # after the first step, which has evaluated the curve at t0 and
+            # raised naming the step if it fails there
+            trajectory.append(sample(t0, z0))
+        done = end
+        if done % stride == 0 or done == steps:
+            trajectory.append(sample(t0 + (2 * done) * half, z))
+    return TransportResult(np.array(z), tuple(trajectory), steps)
 
 
 def flow(

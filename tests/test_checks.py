@@ -257,7 +257,7 @@ def test_a_diverging_transport_leaves_every_row():
 @pytest.mark.parametrize("name", ["c0", "c1", "c2", "c3", "c4", "c5"])
 def test_lambda_horizontality_fails_a_flipped_lambda_term(monkeypatch, name):
     # apply and the check's reference loop share the family's formula;
-    # transport_ode integrates its own printed stage
+    # transport_ode integrates its own printed coefficients
     def flipped(self, J, G, z, dx, dy):
         base = LinearizedConnection.fiber_velocity(J, z, dx)
         if self.lam == 0.0:

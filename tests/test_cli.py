@@ -268,6 +268,33 @@ def test_flow_transport_command(capsys):
     assert abs(doc["outputs"]["end_y"][0] - 0.5) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "argv, option, value",
+    [
+        (["linearize", "c1", "--z", "1", "--w", "1;0"], "--point", "-0.5;1"),
+        (["transport", "c5", "--curve", "arc", "--steps", "16"], "--z0", "-1,2"),
+        (["transport", "c1", "--z0", "1", "--steps", "16"], "--curve", "-t;1;0;1"),
+        (["curvature", "c1", "--point", "0;1", "--v1", "1", "--v2", "1", "--samples", "16"], "--sigma", "-y1"),
+    ],
+)
+def test_a_value_may_start_with_a_minus_sign(capsys, argv, option, value):
+    # each exited 2 with "expected one argument": argparse read the value
+    # as an option unless it was a negative number
+    argv = [builtin_spec_path(a) if a in ("c1", "c5") else a for a in argv]
+    assert main([*argv, option, value]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert main([*argv, f"{option}={value}"]) == 0  # the spelling that always worked
+    assert capsys.readouterr() == (out, "")
+
+
+def test_an_unknown_single_dash_argument_is_still_a_usage_error(capsys):
+    assert main(["check", builtin_spec_path("c1"), "-x"]) == 2
+    assert "unrecognized arguments: -x" in capsys.readouterr().err
+    assert main(["check", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: linconn check")
+
+
 @pytest.mark.parametrize("spec_name, curve, z0", [
     ("c0", "diagonal", "1,,2"), ("c0", "diagonal", "1,2,"), ("c1", "line", "1,"),
 ])
@@ -467,9 +494,9 @@ def test_check_runs_an_expression_at_the_depth_bound(capsys, tmp_path, shape):
     "argv, message",
     [
         (["curvature", "--point", "0;1", "--v1", "1", "--v2", "1", "--sigma", "z1"],
-         "--sigma may reference ['x1', 'y1'] only, found ['z1']"),
+         "--sigma may reference x1, y1 only, found z1"),
         (["transport", "--curve", "x1;1;0;1", "--z0", "1"],
-         "--curve x may reference ['t'] only, found ['x1']"),
+         "--curve x may reference t only, found x1"),
         (["transport", "--curve", "t;1 +;0;1", "--z0", "1"],
          "--curve y: expected a value (at offset 4)"),
     ],

@@ -313,11 +313,12 @@ def test_an_unknown_function_raises_the_walks_error_at_run_time():
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """Count the functions made by codegen.define, with no RK4 step printed
-    yet."""
+    """Count the functions made by codegen.define, with no RK4 step or
+    linear RK4 loop printed yet."""
     made = []
     real = codegen.define
     codegen.rk4_step.cache_clear()
+    codegen.linear_rk4.cache_clear()
 
     def counting(source, result):
         made.append(result)
@@ -388,8 +389,8 @@ def test_loading_specs_and_a_transport_import_no_codegen(compiles):
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
-    # c1 has no domain: a transport prints the curve's stage, and the process
-    # its RK4 step of width 1, once
+    # c1 has no domain: a transport prints the curve's coefficients, and the
+    # process its linear RK4 loop of width 1, once
     c1 = load_builtin("c1")
     transport.transport_ode(LinearizedConnection(c1.conn), c1.curves["line"], [1.0], 1000)
     assert len(compiles) == 2
@@ -429,11 +430,11 @@ def test_lambda_check_compiles_each_curve_once(compiles, monkeypatch):
     monkeypatch.setattr(ck, "_line_curve", recording)
     for seed in (0, 1):
         assert ck._check_lambda_transport(spec, np.random.default_rng(seed), 1)[1] == 1
-        # the state and the transport stage of each draw's curve, per
+        # the state and the transport coefficients of each draw's curve, per
         # connection the domain predicate and gamma with its y-gradient (the
-        # reference loop's), and once the RK4 step of width 2 that the
-        # transport and the reference loop share
-        assert len(compiles) == 2 * len(curves) + 3
+        # reference loop's), and once the RK4 step of width 2 (the reference
+        # loop's) and the affine linear RK4 loop of width 2 (the transport's)
+        assert len(compiles) == 2 * len(curves) + 4
     assert len(curves) == 2
 
 

@@ -487,3 +487,12 @@ def test_holonomy_lanes_equal_one_loop_at_a_time_on_transcendental_gamma(seed, u
         assert got is want
     else:
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_component_with_another_variable_names_it_and_the_allowed_ranges():
+    wide = BundleSpace(200, 1)
+    row = (ex.parse("z1 + y2"), *(ex.lit(0.0) for _ in range(199)))
+    with pytest.raises(ValueError, match=r"^gamma entries may reference x1\.\.x200, y1 only, found y2, z1$"):
+        NonlinearConnection(wide, (row,))
+    with pytest.raises(ValueError, match=r"^hor-basic components may reference x1, x2 only, found x3$"):
+        HorBasicField((ex.lit(1.0), ex.parse("x3")), (ex.lit(0.0),))

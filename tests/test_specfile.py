@@ -12,6 +12,7 @@ from linconn.specfile import SpecError, SpecFile, loads
 
 M = '\n[space]\nbase_dim = 1\nfiber_dim = 1\n[connection]\ngamma_1_1 = "y1^2"\n'
 TWO = '[space]\nbase_dim = 2\nfiber_dim = 1\n[connection]\ngamma_1_1 = "y1"\ngamma_1_2 = "x1"\n'
+WIDE = '[space]\nbase_dim = 200\nfiber_dim = 1\n[connection]\n' + "".join(f'gamma_1_{i} = "x{i}"\n' for i in range(1, 201))
 
 # (id, spec with one mistake, the loader's message).  An unknown key is
 # reported at its own line, the first in file order (the rows marked).
@@ -43,15 +44,17 @@ CORPUS = [
     ("gamma_parse_error", M.replace('"y1^2"', '"y1 +"'), 'line 6: gamma_1_1: expected a value (at offset 5)'),
     ("gamma_bad_character", M.replace('"y1^2"', '"y1 $ 2"'), "line 6: gamma_1_1: unexpected character '$' (at offset 4)"),
     ("gamma_unknown_function", M.replace('"y1^2"', '"tan(y1)"'), "line 6: gamma_1_1: unknown function 'tan' (at offset 1)"),
-    ("gamma_bad_variable", M.replace('"y1^2"', '"z1 + t"'), "line 6: gamma_1_1 may reference ['x1', 'y1'] only, found ['t', 'z1']"),
-    ("gamma_other_dimension", M.replace('"y1^2"', '"x2"'), "line 6: gamma_1_1 may reference ['x1', 'y1'] only, found ['x2']"),
+    ("gamma_bad_variable", M.replace('"y1^2"', '"z1 + t"'), "line 6: gamma_1_1 may reference x1, y1 only, found t, z1"),
+    ("gamma_other_dimension", M.replace('"y1^2"', '"x2"'), "line 6: gamma_1_1 may reference x1, y1 only, found x2"),
+    # the allowed names as ranges: this message listed all 201, x2 after x199
+    ("gamma_bad_variable_wide", WIDE.replace('"x1"', '"z1 + z2 + z3 + t"'), "line 5: gamma_1_1 may reference x1..x200, y1 only, found t, z1..z3"),
     ("gamma_overflowing_literal", M.replace('"y1^2"', '"1e999*y1"'), "line 6: gamma_1_1: number '1e999' does not fit in a float (at offset 1)"),
     ("gamma_trailing_input", M.replace('"y1^2"', '"y1 y1"'), "line 6: gamma_1_1: trailing input 'y1' (at offset 4)"),
     ("domain_parse_error", M + 'domain = "y1 >"\n', 'line 7: domain: expected a value (at offset 5)'),
     ("domain_no_comparison", M + 'domain = "y1"\n', 'line 7: domain: expected a comparison operator (at offset 3)'),
     ("domain_z", M + 'domain = "z1 > 0"\n', 'line 7: z not allowed in domain'),
     ("domain_t", M + 'domain = "t > 0"\n', "line 7: domain may reference x/y only, found ['t']"),
-    ("field_y_variable", M + '[field f]\nX_1 = "y1"\neta_1 = "0"\n', "line 8: field f may reference ['x1'] only, found ['y1']"),
+    ("field_y_variable", M + '[field f]\nX_1 = "y1"\neta_1 = "0"\n', "line 8: field f may reference x1 only, found y1"),
     ("field_missing_eta", M + '[field f]\nX_1 = "1"\n', 'line 7: missing eta_1'),
     ("field_missing_X", TWO + '[field f]\nX_2 = "1"\neta_1 = "0"\n', 'line 7: missing X_1'),
     ("field_out_of_range", M + '[field f]\nX_1 = "1"\nX_2 = "1"\neta_1 = "0"\n', 'line 9: X_2 is out of range'),
@@ -63,14 +66,14 @@ CORPUS = [
     ("field_duplicate_key", M + '[field f]\nX_1 = "1"\nX_1 = "2"\neta_1 = "0"\n', "line 9: duplicate key 'X_1'"),
     ("field_duplicate_section", M + '[field f]\nX_1 = "1" ; eta_1 = "0"\n[field f]\nX_1 = "2" ; eta_1 = "0"\n', 'line 9: duplicate [field f]'),
     ("section_missing", M + '[section s]\n', 'line 7: missing sigma_1'),
-    ("section_z_variable", M + '[section s]\nsigma_1 = "z1"\n', "line 8: section s may reference ['x1', 'y1'] only, found ['z1']"),
+    ("section_z_variable", M + '[section s]\nsigma_1 = "z1"\n', "line 8: section s may reference x1, y1 only, found z1"),
     ("section_unknown_key", M + '[section s]\nsigma_1 = "y1"\ntau_1 = "0"\n', "line 9: unknown key 'tau_1' in [section s]"),  # own line
     ("section_duplicate", M + '[section s]\nsigma_1 = "y1"\n[section s]\nsigma_1 = "3"\n', 'line 9: duplicate [section s]'),
     ("curve_missing_t0", M + '[curve c]\nx_1 = "t" ; y_1 = "1" ; t1 = 1\n', 'line 7: missing t0 in [curve c]'),
     ("curve_missing_t1", M + '[curve c]\nx_1 = "t" ; y_1 = "1" ; t0 = 0\n', 'line 7: missing t1 in [curve c]'),
     ("curve_nan_bound", M + '[curve c]\nx_1 = "t" ; y_1 = "1"\nt0 = 0 ; t1 = nan\n', "line 9: t1 must be a finite real, got 'nan'"),
     ("curve_text_bound", M + '[curve c]\nx_1 = "t" ; y_1 = "1"\nt0 = abc ; t1 = 1\n', "line 9: t0 must be a finite real, got 'abc'"),
-    ("curve_x_variable", M + '[curve c]\nx_1 = "x1" ; y_1 = "1" ; t0 = 0 ; t1 = 1\n', "line 8: curve c may reference ['t'] only, found ['x1']"),
+    ("curve_x_variable", M + '[curve c]\nx_1 = "x1" ; y_1 = "1" ; t0 = 0 ; t1 = 1\n', "line 8: curve c may reference t only, found x1"),
     ("curve_missing_y", M + '[curve c]\nx_1 = "t" ; t0 = 0 ; t1 = 1\n', 'line 7: missing y_1'),
     ("curve_out_of_range", M + '[curve c]\nx_1 = "t" ; y_1 = "1" ; y_2 = "1" ; t0 = 0 ; t1 = 1\n', 'line 8: y_2 is out of range'),
     ("curve_unknown_key", M + '[curve c]\nx_1 = "t" ; y_1 = "1"\nt0 = 0 ; t1 = 1 ; t2 = 3\n', "line 9: unknown key 't2' in [curve c]"),  # own line

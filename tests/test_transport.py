@@ -1,3 +1,4 @@
+import inspect
 import math
 import struct
 import warnings
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from linconn import checks as ck
 from linconn import codegen, transport
 from linconn import expr as ex
+from linconn.cli import main
 from linconn.connection import HorBasicField
 from linconn.geom import FiberPoint, OutOfDomainError, PullbackPoint
 from linconn.linearize import LambdaFamilyMember, LinearizedConnection
-from linconn.specfile import loads
+from linconn.specfile import builtin_spec_path, load_builtin, loads
 from linconn.transport import (
     CurveInE,
     fiber_derivative_flow,
@@ -372,10 +375,10 @@ def test_a_late_domain_exit_names_t(c4):
 
 def test_an_integer_power_decided_at_each_point_equals_the_plain_float_loop():
     # y1^x1 is an integer power where x1 is an integer: only the walk at a
-    # point decides its rule, and at t = 2 the stage is -2*3 exactly
+    # point decides its rule, and at t = 2 the coefficient M is -2*3 exactly
     spec = _line_bundle("y1^x1")
     lin, curve = LinearizedConnection(spec.conn), _curve("t", "3", t1=2.0)
-    assert curve.transport_stage(lin, 0.0)(2.0, [1.0]) == [-6.0]
+    assert curve.transport_coefficients(lin, 0.0)(2.0) == (-6.0,)
     for lam in (0.0, 0.5):
         carrier = LambdaFamilyMember(spec.conn, lam)
         want = _plain_rk4(_plain_rhs(spec, curve, lam), curve.t0, curve.t1, [1.0], 1000)
@@ -413,7 +416,7 @@ def test_state_overflow_names_t_without_numpy_warnings():
 
 @pytest.mark.parametrize("record", [0, 16])
 def test_a_curve_failing_at_t0_names_the_step(c1, record):
-    # the t0 sample is taken after the first step, whose stage evaluates the
+    # the t0 sample is taken after the first step, which evaluates the
     # curve at t0 first; it used to raise the bare "math range error"
     curve = _curve("t", "exp(1000 - 1000*t)")
     with pytest.raises(OverflowError, match=r"^math range error in the step from t = 0\.0$"):
@@ -441,11 +444,11 @@ def _plain_rk4(f, t0, t1, state, steps):
 
 
 def _plain_rhs(spec, curve, lam):
-    """The transport stage as a plain float loop over the compiled curve
-    state and gamma gradients: M z + c with each row summed left to right,
-    then + c, where M[A][B] = -(0.0 + J[A][0][B] xdot[0] + J[A][1][B] xdot[1]
-    + ...) and c[A] = lam (ydot[A] + (G[A][0] xdot[0] + G[A][1] xdot[1] +
-    ...)); no BLAS kernel decides a bit."""
+    """The transport's right-hand side as a plain float loop over the
+    compiled curve state and gamma gradients: M z + c with each row summed
+    left to right, then + c, where M[A][B] = -(0.0 + J[A][0][B] xdot[0] +
+    J[A][1][B] xdot[1] + ...) and c[A] = lam (ydot[A] + (G[A][0] xdot[0] +
+    G[A][1] xdot[1] + ...)); no BLAS kernel decides a bit."""
     sp = spec.space
     n, k = sp.n, sp.k
     gamma = spec.conn.compiled_gamma_gradients
@@ -494,8 +497,8 @@ def test_transport_equals_a_plain_float_loop(all_specs, spec_name, curve_name, l
     ("c2", "sweep", 0.0), ("c2", "sweep", 0.7), ("c1", "flowline", 0.5), ("c4", "circle", 0.0),
 ])
 def test_tabulated_transport_equals_per_point_coefficients(all_specs, spec_name, curve_name, lam):
-    # the printed transport stage, which computes its coefficients at each
-    # stage point, gives bitwise what rk4 gives on a point-by-point
+    # the printed linear loop, which computes its coefficients once per
+    # knot, gives bitwise what rk4 gives on a point-by-point
     # right-hand side, over an odd number of steps
     spec = all_specs[spec_name]
     curve = spec.curves[curve_name]
@@ -515,6 +518,127 @@ def test_transport_lambda_term_equals_the_plain_float_loop_on_c2(c2):
     want = _plain_rk4(_plain_rhs(c2, curve, 0.7), curve.t0, curve.t1, [1.0], 1000)
     got = transport_ode(LambdaFamilyMember(c2.conn, 0.7), curve, [1.0], 1000).z_final
     assert got.tobytes() == np.array(want).tobytes()
+
+
+# -- the printed linear RK4 loop ----------------------------------------------
+
+
+def _knot_loop_cases(spec):
+    """The spec's named curves and two drawn straight lines."""
+    rng = np.random.default_rng(11)
+    return [*spec.curves.values(), ck._line_curve(spec, rng), ck._line_curve(spec, rng)]
+
+
+def _reference(spec, curve, lam, z0, steps, record):
+    """z_final and the trajectory of a transport by the generic rk4 over a
+    plain-float right-hand side, sampled where transport_ode samples."""
+    n, k = spec.space.n, spec.space.k
+    stride = max(1, steps // record) if record else 0
+    samples = []
+
+    def sample(t, z):
+        values = curve.compiled_state(t)
+        samples.append((t, *(np.array(v).tobytes() for v in (values[:n], values[n : n + k], z))))
+
+    z = z0
+    for done, (t, z) in enumerate(rk4(_plain_rhs(spec, curve, lam), curve.t0, curve.t1, z0, steps), 1):
+        if record and done == 1:
+            sample(curve.t0, z0)
+        if record and (done % stride == 0 or done == steps):
+            sample(t, z)
+    return np.array(z).tobytes(), samples
+
+
+@pytest.mark.parametrize("spec_name", ["c0", "c1", "c2", "c3", "c4", "c5"])
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+def test_the_knot_loop_is_bitwise_the_generic_rk4(all_specs, spec_name, lam):
+    # the printed loop evaluates the coefficients once per knot; rk4 calls
+    # its right-hand side at every stage, and the two share no code
+    spec = all_specs[spec_name]
+    carrier = LambdaFamilyMember(spec.conn, lam) if lam else LinearizedConnection(spec.conn)
+    z0 = np.linspace(1.0, 2.0, spec.space.k).tolist()
+    for curve in _knot_loop_cases(spec):
+        for steps in (1, 2, 7, 64, 1000):
+            for record in (0, 1, 3, 16):
+                want_z, want_samples = _reference(spec, curve, lam, z0, steps, record)
+                got = transport_ode(carrier, curve, z0, steps, record=record)
+                assert got.z_final.tobytes() == want_z
+                got_samples = [
+                    (t, *(np.asarray(v).tobytes() for v in (x, y, z))) for t, x, y, z in got.trajectory or ()
+                ]
+                assert got_samples == want_samples
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+@pytest.mark.parametrize("steps", [1, 2, 7, 64])
+def test_a_run_evaluates_the_coefficients_once_per_knot(c5, monkeypatch, lam, steps):
+    # 2 * steps + 1 calls, at t0 + j*(h/2) for j = 0, 1, ..., 2 * steps
+    curve = c5.curves["arc"]
+    times = []
+    real = CurveInE.transport_coefficients
+
+    def counting(self, lin, lam):
+        g = real(self, lin, lam)
+        return lambda t: times.append(t) or g(t)
+
+    monkeypatch.setattr(CurveInE, "transport_coefficients", counting)
+    transport_ode(LambdaFamilyMember(c5.conn, lam), curve, [1.0, 2.0], steps)
+    half = 0.5 * ((curve.t1 - curve.t0) / steps)
+    assert times == [curve.t0 + j * half for j in range(2 * steps + 1)]
+
+
+@pytest.mark.parametrize(
+    "spec_name, curve, message",
+    [
+        # the knot t = 11/14 is the first outside the disc y1^2 + y2^2 < 9
+        ("c5", "t,0;4*t,0;0;1",
+         "domain error: curve left the domain at t = 0.7857142857142857, "
+         "at ([0.7857142857142857, 0.0], [3.142857142857143, 0.0])\n"),
+        # the midpoint of the fourth step is t = 0.5
+        ("c1", "t;1/(0.5-t);0;1", "domain error: division by zero\n"),
+    ],
+)
+def test_the_knot_loop_raises_the_stage_errors(capsys, spec_name, curve, message):
+    z0 = ",".join(["1"] * load_builtin(spec_name).space.k)
+    argv = ["transport", builtin_spec_path(spec_name), "--curve", curve, "--steps", "7", "--z0", z0]
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", message)
+
+
+def _defective_linear_rk4(old, new):
+    """``codegen.linear_rk4`` printed from its source with old replaced by new."""
+    text = inspect.getsource(codegen.linear_rk4)
+    assert text.count(old) == 1
+    namespace = dict(vars(codegen))
+    exec(text.replace(old, new), namespace)
+    return namespace["linear_rk4"]
+
+
+KNOT_DEFECTS = {
+    # stages 2 and 3 read the coefficients of the step's start
+    "start_for_mid": (
+        "((mid, half, ks[0], ks[1]), (mid, half, ks[1], ks[2])",
+        "((start, half, ks[0], ks[1]), (start, half, ks[1], ks[2])",
+    ),
+    # stage 4 reads the coefficients of the midpoint
+    "mid_for_end": ("(end, h, ks[2], ks[3])", "(mid, h, ks[2], ks[3])"),
+}
+KNOT_CAUGHT = {"transport.lambda_horizontality", "transport.reversibility", "transport.order"}
+
+
+@pytest.mark.parametrize("defect", sorted(KNOT_DEFECTS))
+@pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4", "c5"])
+def test_the_checks_catch_a_broken_knot_loop(monkeypatch, defect, name):
+    # lambda_horizontality's reference loop steps the generic rk4, so it
+    # fails on every spec whose coefficients vary along a line; on c3 only
+    # c varies (gamma is linear in y, so M is constant along a straight
+    # line), which reversibility and order, at lambda = 0, do not see
+    monkeypatch.setattr(codegen, "linear_rk4", _defective_linear_rk4(*KNOT_DEFECTS[defect]))
+    rows = ck.run_suite(load_builtin(name), samples=32, seed=0).checks
+    failed = {r.name for r in rows if r.status == "fail"}
+    assert failed <= KNOT_CAUGHT, rows
+    assert "transport.lambda_horizontality" in failed
+    assert name == "c3" or failed == KNOT_CAUGHT
 
 
 def test_recorded_points_are_the_compiled_curve_state(all_specs):
