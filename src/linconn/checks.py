@@ -782,9 +782,15 @@ def _check_transport_vertical(spec, rng):
 def _transport_matrices(lin, curve, knots: int):
     """The transport matrices M at ``knots`` evenly spaced t, as an array
     [t, A, B], read from the curve's printed coefficients: ``g(t)`` is M
-    row by row.  Raises what g raises."""
-    g, k = curve.transport_coefficients(lin, 0.0), lin.space.k
-    return np.array([g(t) for t in np.linspace(curve.t0, curve.t1, knots).tolist()]).reshape(knots, k, k)
+    row by row.  One lanes pass (``CurveInE.coefficient_table``) computes
+    them all; where it raises, g is called at each t and raises what g
+    raises."""
+    k, times = lin.space.k, np.linspace(curve.t0, curve.t1, knots)
+    table = curve.coefficient_table(lin, 0.0, times)
+    if table is not None:
+        return table.T.reshape(knots, k, k)
+    g = curve.transport_coefficients(lin, 0.0)
+    return np.array([g(t) for t in times.tolist()]).reshape(knots, k, k)
 
 
 def _order_measurable(lin, curve) -> bool:

@@ -27,11 +27,13 @@ same numbers bitwise and raises the same errors:
 * ``curve_coefficients`` prints the coefficients of
   ``transport.transport_ode``'s linear ODE ``zdot = M(t) z + c(t)``: the
   curve seeded in t, the domain test, gamma seeded in y, and M and c in
-  their stated orders, as one function of the time;
+  their stated orders, as one function of the time, or in lanes mode (see
+  ``Source``) of an array of times, which tabulates a block of knots in one
+  pass;
 * ``linear_rk4`` prints the whole RK4 loop of a linear ODE on k floats, its
-  ``M z + c`` rows and rk4's stage sums, calling the coefficients once per
-  knot (at each step's midpoint and end); ``transport.transport_ode`` runs
-  on it;
+  ``M z + c`` rows and rk4's stage sums, reading the coefficients once per
+  knot (at each step's midpoint and end) from a table of knots;
+  ``transport.transport_ode`` runs on it;
 * ``holonomy_stage`` prints a whole stage of the four loops of
   ``NonlinearConnection.holonomy_curvature`` side by side (``lane_stage``,
   one lane per loop): per lane, the domain test, gamma through the float
@@ -43,7 +45,9 @@ same numbers bitwise and raises the same errors:
   ``linear_rk4`` print rk4's step sums through one helper, ``_rk4_sums``.
 
 Dual values take the walk, ``evaluate``; ``in_domain`` walks
-``evaluate_bool`` at one point.
+``evaluate_bool`` at one point.  The float and forward emitters have a
+lanes mode, a flag on ``Source``: the same walk printed over numpy arrays,
+one entry per lane, bitwise the float code at every lane where it returns.
 
 Owners import this module on first use: a process that only loads a spec
 neither compiles a tree nor imports this module (which, without a bytecode
@@ -55,6 +59,8 @@ from __future__ import annotations
 import functools
 import math
 from typing import Callable, Mapping
+
+import numpy as np
 
 from .ad import gradient
 from .expr import (
@@ -85,14 +91,26 @@ class Source:
     ``tokens`` maps each name to its positional parameter.  Every value
     gets its own local, so the statements keep the walk's order of
     operations.  ``indent`` nests statements under an emitted ``if``.
+
+    With ``lanes`` the emitters print the same walk over numpy arrays of
+    floats, one entry per lane, a float standing for a value shared by
+    every lane: + - * /, sqrt, abs and the comparisons as numpy's, which
+    round exactly as float arithmetic does, and every other function of
+    floats (sin, cos, exp, log, ``_pow``, ``_ipow``) called entry by entry
+    through ``_each``, so each lane's numbers are bitwise those of the
+    float code at that lane.  A guard raises when any lane fails it, and
+    and/or evaluate every term on every lane, so the lanes raise wherever
+    the float code would raise at one of them, and may raise where its
+    short circuit would skip a term.
     """
 
-    def __init__(self, names, helpers: Mapping[str, object]):
+    def __init__(self, names, helpers: Mapping[str, object], lanes: bool = False):
         self.params = [f"_a{i}" for i in range(len(names))]
         self.tokens = dict(zip(names, self.params))
         self.lines: list[str] = []
         self.indent = 1
-        self.namespace = dict(helpers)
+        self.namespace = {**helpers, **LANE_HELPERS} if lanes else dict(helpers)
+        self.lanes = lanes
         self._count = 0
 
     def line(self, text: str):
@@ -114,6 +132,21 @@ class Source:
         name = f"_c{len(self.namespace)}"
         self.namespace[name] = value
         return name
+
+    def call(self, fn: str, *args: str) -> str:
+        """Text of a call of the function of floats fn: direct, or with
+        lanes entry by entry (sqrt by numpy)."""
+        if not self.lanes:
+            return f"{fn}({', '.join(args)})"
+        if fn == "_math.sqrt":
+            return f"_np.sqrt({args[0]})"
+        return f"_each({', '.join((fn, *args))})"
+
+    def raise_if(self, test: str, message: str):
+        """``if test: raise DomainError(message)``; with lanes, if any lane's
+        test holds."""
+        self.line(f"if _any({test}):" if self.lanes else f"if {test}:")
+        self.line(f"    raise _DomainError({message!r})")
 
 
 def define(source: Source, result: str) -> Callable:
@@ -138,6 +171,27 @@ HELPERS = {
     "_ipow": _ipow,
     "_math": math,
 }
+
+
+def _each(f, *args):
+    """f called on the floats of each lane in turn, a float argument shared
+    by every lane: an array of f's values, or f's first error; a float
+    when every argument is one."""
+    shape = np.broadcast_shapes(*map(np.shape, args))
+    columns = [np.broadcast_to(a, shape).tolist() for a in args]
+    return np.fromiter(map(f, *columns), float, shape[0]) if shape else f(*columns)
+
+
+def _rows(values, times) -> np.ndarray:
+    """The lanes' values as an array [value, lane], one lane per time; a
+    float fills its row."""
+    out = np.empty((len(values), len(times)))
+    for row, value in zip(out, values):
+        row[...] = value
+    return out
+
+
+LANE_HELPERS = {"_np": np, "_any": np.any, "_all": np.all, "_each": _each, "_rows": _rows}
 
 
 class Emitter:
@@ -204,22 +258,21 @@ class Emitter:
                 self.src.line('raise _DomainError("division by zero")')
                 return False
             return True
-        self.src.line(f"if {right} == 0.0:")
-        self.src.line('    raise _DomainError("division by zero")')
+        self.src.raise_if(f"{right} == 0.0", "division by zero")
         return True
 
     def div(self, a, b):
         return self.src.assign(f"{a} / {b}")
 
     def pow(self, a, b):
-        return self.src.assign(f"_pow({a}, {b})")
+        return self.src.assign(self.src.call("_pow", a, b))
 
     def ipow(self, base, n: int):
         """``_ipow(base, n)`` for a literal n, its squarings printed."""
         if n == 0:
             return self.literal(1.0)
         if n < 0:
-            return self.src.assign(f"_ipow({base}, {n})")
+            return self.src.assign(self.src.call("_ipow", base, str(n)))
         acc = None
         sq = base
         while True:
@@ -239,21 +292,23 @@ class Emitter:
             self.src.line(f"raise ValueError({f'unknown function {name!r}'!r})")
             return self.literal(None)
         if name == "log":
-            self.src.line(f"if {a} <= 0.0:")
-            self.src.line('    raise _DomainError("log of non-positive value")')
+            self.src.raise_if(f"{a} <= 0.0", "log of non-positive value")
         elif name == "sqrt":
-            self.src.line(f"if {a} < 0.0:")
-            self.src.line('    raise _DomainError("sqrt of negative value")')
-        return self.src.assign(f"_math.{name}({a})")
+            self.src.raise_if(f"{a} < 0.0", "sqrt of negative value")
+        return self.src.assign(self.src.call(f"_math.{name}", a))
 
     def emit_bool(self, b: BoolExpr) -> str:
-        """Statements computing ``evaluate_bool(b)``, and/or short circuit kept."""
+        """Statements computing ``evaluate_bool(b)``, and/or short circuit
+        kept; with lanes every term is computed and the terms are joined
+        with & or |."""
         src = self.src
         if b.__class__ is Comparison:
             left, right = self.emit(b.left), self.emit(b.right)
             op = b.op if b.op in ("<", "<=", ">") else ">="
             return src.assign(f"{left} {op} {right}")
         conj = b.__class__ is BoolAnd
+        if src.lanes:
+            return src.assign((" & " if conj else " | ").join([self.emit_bool(term) for term in b.terms]))
         out = src.local()
         depth = src.indent
         for j, term in enumerate(b.terms):
@@ -310,8 +365,7 @@ class _Slots(Emitter):
         # a guard already printed has passed: its test reads the same tokens
         if (test, message) not in self.guards:
             self.guards.add((test, message))
-            self.src.line(f"if {test}:")
-            self.src.line(f"    raise _DomainError({message!r})")
+            self.src.raise_if(test, message)
 
     def _call(self, text: str) -> str:
         """The token of a pure call, printed once per text: sin and cos of
@@ -424,24 +478,31 @@ class _Forward(_Slots):
         re, eps = a
         if eps is None:
             return self.plain.fun(name, re), None
-        put, call = self.src.assign, self._call
-        sin, cos = f"_math.sin({re})", f"_math.cos({re})"
+        put = self.src.assign
+
+        def call(fn):
+            return self._call(self.src.call(f"_math.{fn}", re))
+
         if name == "sin":
-            return call(sin), self._scaled(call(cos), eps)
+            return call("sin"), self._scaled(call("cos"), eps)
         if name == "cos":
-            return call(cos), self._scaled(put(f"-{call(sin)}"), eps)
+            return call("cos"), self._scaled(put(f"-{call('sin')}"), eps)
         if name == "exp":
-            v = call(f"_math.exp({re})")
+            v = call("exp")
             return v, self._scaled(v, eps)
         if name == "log":
             self._raise_if(f"{re} <= 0.0", "log of non-positive value")
-            return call(f"_math.log({re})"), self._scaled(put(f"1.0 / {re}"), eps)
+            return call("log"), self._scaled(put(f"1.0 / {re}"), eps)
         if name == "sqrt":
             self._raise_if(f"{re} <= 0.0", "sqrt needs a positive value when differentiating")
-            v = call(f"_math.sqrt({re})")
+            v = call("sqrt")
             return v, self._scaled(put(f"0.5 / {v}"), eps)
         # abs
         self._raise_if(f"{re} == 0.0", "abs is not differentiable at zero")
+        if self.src.lanes:
+            up = put(f"{re} > 0.0")
+            re, *eps = [put(f"_np.where({up}, {x}, -{x})") for x in (re, *eps)]
+            return re, tuple(eps)
         out = [self.src.local() for _ in range(self.m + 1)]
         self.src.line(f"if {re} > 0.0:")
         for target, x in zip(out, (re, *eps)):
@@ -522,37 +583,41 @@ def rk4_step(width: int) -> Callable:
 
 @functools.cache
 def linear_rk4(k: int, affine: bool) -> Callable:
-    """``run(g, t0, half, h, sixth, first, last, z)``: steps first..last-1 of
-    ``transport.rk4`` for ``zdot = M(t) z + c(t)`` on a list z of k floats,
-    printed once per k and kind, and returns the final state as a list.
+    """``run(tab, base, t0, half, h, sixth, first, last, z)``: steps
+    first..last-1 of ``transport.rk4`` for ``zdot = M(t) z + c(t)`` on a
+    list z of k floats, printed once per k and kind, and returns the final
+    state as a list.
 
-    ``g(t)`` returns the k*k entries of M row by row and, when affine, the
-    k entries of c (``curve_coefficients``).  Step s is rk4's step s, with
-    the stage times ``t0 + j*half`` for j = 2s, 2s + 1 (twice) and 2s + 2,
-    but the coefficients are evaluated once per knot: g at the first
-    step's start before the loop, then per step g at the midpoint, which
-    serves stages 2 and 3, and at the end, which is bitwise the next step's
-    start.  Each stage's ``M z + c`` row is ``M[A][0]*z[0] + M[A][1]*z[1] +
-    ...`` summed left to right, then ``+ c[A]``, on the stage state rk4
-    builds; the step sums are rk4's (``_rk4_sums``).  A step whose g raises
-    OverflowError re-raises it naming the step's start, and a non-finite
-    state raises OverflowError naming the step's end, with rk4's messages.
+    ``tab[i]`` holds the coefficients at the knot ``t0 + (2*base + i)*half``:
+    the k*k entries of M row by row and, when affine, the k entries of c
+    (``curve_coefficients``).  It is a block's table of knots, or a mapping
+    that calls the coefficients at a knot when first read.  Step s is rk4's
+    step s, with the stage times ``t0 + j*half`` for j = 2s, 2s + 1 (twice)
+    and 2s + 2, but each knot is read once: the first step's start before
+    the loop, then per step the midpoint, which serves stages 2 and 3, and
+    the end, which is bitwise the next step's start.  Each stage's ``M z +
+    c`` row is ``M[A][0]*z[0] + M[A][1]*z[1] + ...`` summed left to right,
+    then ``+ c[A]``, on the stage state rk4 builds; the step sums are rk4's
+    (``_rk4_sums``).  A step whose reading raises OverflowError re-raises it
+    naming the step's start, and a non-finite state raises OverflowError
+    naming the step's end, with rk4's messages.
     """
     src = Source((), {"_isfinite": math.isfinite})
-    src.params = ["_g", "_t0", "_half", "_h", "_sixth", "_first", "_last", "_state"]
-    g, t0, half, h, sixth, first, last, state = src.params
+    src.params = ["_tab", "_base", "_t0", "_half", "_h", "_sixth", "_first", "_last", "_state"]
+    tab, base, t0, half, h, sixth, first, last, state = src.params
     zs, ys = [f"_z{A}" for A in range(k)], [f"_y{A}" for A in range(k)]
     ks = [[f"_k{i}_{A}" for A in range(k)] for i in range(1, 5)]
 
-    def calls_naming_the_step(calls):
+    def reads_naming_the_step(reads):
+        # the knot index of the step's start is 2*base + _i
         src.line("try:")
-        for target, time in calls:
-            src.line(f"    {target} = {g}({time})")
+        for target, index in reads:
+            src.line(f"    {target} = {tab}[{index}]")
         src.line("except OverflowError as _err:")
-        src.line('    raise OverflowError(f"{_err} in the step from t = {_start!r}") from _err')
+        src.line(f'    raise OverflowError(f"{{_err}} in the step from t = {{{t0} + (2 * {base} + _i) * {half}!r}}") from _err')
 
     def unpack(tag, packed):
-        """Locals for the M and c that g returned; the rows of M, and c."""
+        """Locals for the M and c of one knot; the rows of M, and c."""
         M = [[f"_m{tag}{A}_{B}" for B in range(k)] for A in range(k)]
         c = [f"_c{tag}{A}" for A in range(k)] if affine else []
         src.line(f"{tuple_of([m for row in M for m in row] + c)} = {packed}")
@@ -564,14 +629,11 @@ def linear_rk4(k: int, affine: bool) -> Callable:
         return [" + ".join([*(f"{m} * {x}" for m, x in zip(M[A], z)), *c[A : A + 1]]) for A in range(k)]
 
     src.line(f"{tuple_of(zs)} = {state}")
-    src.line(f"_start = {t0} + (2 * {first}) * {half}")
-    calls_naming_the_step([("_gs", "_start")])
-    src.line(f"for _s in range({first}, {last}):")
+    src.line(f"_i = 2 * ({first} - {base})")
+    reads_naming_the_step([("_gs", "_i")])
+    src.line(f"for _i in range(_i, 2 * ({last} - {base}), 2):")
     src.indent += 1
-    src.line("_j = 2 * _s")
-    src.line(f"_mid = {t0} + (_j + 1) * {half}")
-    src.line(f"_end = {t0} + (_j + 2) * {half}")
-    calls_naming_the_step([("_gm", "_mid"), ("_ge", "_end")])
+    reads_naming_the_step([("_gm", "_i + 1"), ("_ge", "_i + 2")])
     start, mid, end = unpack("s", "_gs"), unpack("m", "_gm"), unpack("e", "_ge")
     src.line(f"{tuple_of(ks[0])} = {tuple_of(rows(start, zs))}")
     for coefficients, scale, prev, out in ((mid, half, ks[0], ks[1]), (mid, half, ks[1], ks[2]), (end, h, ks[2], ks[3])):
@@ -579,9 +641,8 @@ def linear_rk4(k: int, affine: bool) -> Callable:
         src.line(f"{tuple_of(out)} = {tuple_of(rows(coefficients, ys))}")
     src.line(f"{tuple_of(zs)} = {tuple_of(_rk4_sums(zs, *ks, sixth))}")
     src.line(f"if not ({' and '.join(f'_isfinite({z})' for z in zs)}):")
-    src.line('    raise OverflowError(f"non-finite state at t = {_end!r}")')
+    src.line(f'    raise OverflowError(f"non-finite state at t = {{{t0} + (2 * {base} + _i + 2) * {half}!r}}")')
     src.line("_gs = _ge")
-    src.line("_start = _end")
     src.indent -= 1
     return define(src, "[" + ", ".join(zs) + "]")
 
@@ -637,7 +698,7 @@ def flow_stage(conn, field, variational: bool) -> Callable:
     return define(src, "[" + ", ".join(outputs) + "]")
 
 
-def curve_coefficients(lin, curve, lam: float) -> Callable:
+def curve_coefficients(lin, curve, lam: float, lanes: bool = False) -> Callable | None:
     """``g(t)``: the coefficients of ``transport.transport_ode``'s linear ODE
     ``zdot = M(t) z + c(t)`` along the curve under the linearization lin
     (with lam != 0 the family member), as one printed function of the
@@ -653,19 +714,34 @@ def curve_coefficients(lin, curve, lam: float) -> Callable:
     xdot[0] + J[A][1][B] * xdot[1] + ...)`` row by row, then, with lam !=
     0, the k entries ``c[A] = lam * (ydot[A] + (G[A][0] * xdot[0] +
     G[A][1] * xdot[1] + ...))``; ``linear_rk4`` steps with them.
+
+    With lanes, g is printed over lanes (``Source``): ``g(times)`` takes a
+    float array of times and returns the array [entry, time] whose column j
+    is bitwise g(times[j]).  It raises where g raises at some time, and
+    may raise where g does not; a point off the domain raises DomainError.
+    A tree that the walk decides (``expr._walk_decides``) has no lanes
+    form: the lanes g is then None.
     """
     sp = lin.space
     n, k = sp.n, sp.k
-    src = Source(("t",), {**HELPERS, "_gradient": gradient, "_left": sp.left_domain})
+    entries = [g for row in lin.conn.gamma for g in row]
+    if lanes and any(map(_walk_decides, (*curve.comp_x, *curve.comp_y, *entries))):
+        return None
+    src = Source(("t",), {**HELPERS, "_gradient": gradient, "_left": sp.left_domain}, lanes)
     time = src.params[0]
     out = _forward_outputs(_Forward(src, ("t",)), curve.comp_x + curve.comp_y)
     xy = [src.assign(v) for v in out[: n + k]]
     xd, yd = out[n + k : 2 * n + k], out[2 * n + k :]
     src.tokens = dict(zip(sp.x_names + sp.y_names, xy))  # gamma reads the curve's point
     if sp.domain is not None:
-        src.line(f"if not {Emitter(src).emit_bool(sp.domain)}:")
-        src.line(f"    raise _left('curve', {time}, [{', '.join(xy)}])")
-    out = _forward_outputs(_Forward(src, sp.y_names), [g for row in lin.conn.gamma for g in row])
+        inside = Emitter(src).emit_bool(sp.domain)
+        if lanes:
+            src.line(f"if not _all({inside}):")
+            src.line('    raise _DomainError("curve left the domain")')
+        else:
+            src.line(f"if not {inside}:")
+            src.line(f"    raise _left('curve', {time}, [{', '.join(xy)}])")
+    out = _forward_outputs(_Forward(src, sp.y_names), entries)
     G, J = out[: k * n], out[k * n :]
     M = [
         src.assign(f"-({' + '.join(['0.0', *(f'{J[(A * n + i) * k + B]} * {xd[i]}' for i in range(n))])})")
@@ -677,7 +753,7 @@ def curve_coefficients(lin, curve, lam: float) -> Callable:
         for A in range(k):
             g = " + ".join(f"{G[A * n + i]} * {xd[i]}" for i in range(n))
             c.append(src.assign(f"{src.const(float(lam))} * ({yd[A]} + ({g}))"))
-    return define(src, tuple_of(M + c))
+    return define(src, f"_rows({tuple_of(M + c)}, {time})" if lanes else tuple_of(M + c))
 
 
 def lane_stage(sp, lanes: int, width: int, what: str, lane) -> Callable:

@@ -12,12 +12,14 @@ per state width (``codegen.rk4_step``) and a flow's stage once per field,
 connection and kind (``codegen.flow_stage``).  Transport along a curve is
 a linear ODE whose coefficients depend on t only, so it runs rk4's steps,
 bitwise, in one printed loop (``codegen.linear_rk4``, once per fiber
-dimension and kind) over the curve's printed coefficients
+dimension and kind) over a table of the curve's printed coefficients
 (``codegen.curve_coefficients``, once per curve, connection and lambda),
-evaluated once per knot; rk4's step sums are printed by one helper for
-both.  All are straight-line code.  The domain predicate is enforced at
-every stage point; the first violation aborts with the offending parameter
-value.
+one entry per knot: a block of knots is tabulated by one numpy pass of the
+coefficients' lanes form, whose entries are bitwise the float function's,
+and a block where that pass raises calls the float function knot by knot.
+rk4's step sums are printed by one helper for both.  All are straight-line
+code.  The domain predicate is enforced at every stage point; the first
+violation aborts with the offending parameter value.
 """
 
 from __future__ import annotations
@@ -80,22 +82,43 @@ class CurveInE:
     def _coefficients(self) -> dict:
         return {}
 
+    def _printed(self, lin, lam: float, lanes: bool):
+        # cached here, keyed by the connection, lam and the form, so a curve
+        # that is dropped drops its functions (a cache in the module would
+        # keep every drawn curve alive)
+        key = (lin.conn, lam, lanes)
+        if key not in self._coefficients:
+            from .codegen import curve_coefficients
+
+            self._coefficients[key] = curve_coefficients(lin, self, lam, lanes)
+        return self._coefficients[key]
+
     def transport_coefficients(self, lin, lam: float):
         """The printed coefficients ``g(t)`` of ``transport_ode`` along this
         curve under the linearization lin and lambda lam
         (``codegen.curve_coefficients``); printed on first use.
-
-        They are cached here, keyed by the connection and lam, so a curve
-        that is dropped drops its functions (a cache in the module would
-        keep every drawn curve alive).
         """
-        key = (lin.conn, lam)
-        g = self._coefficients.get(key)
-        if g is None:
-            from .codegen import curve_coefficients
+        return self._printed(lin, lam, False)
 
-            g = self._coefficients[key] = curve_coefficients(lin, self, lam)
-        return g
+    def coefficient_table(self, lin, lam: float, times: np.ndarray):
+        """The coefficients at the float array of times from one pass of
+        their lanes form (``codegen.curve_coefficients`` with lanes),
+        printed on first use: the array [entry, time] whose column j is
+        bitwise ``transport_coefficients(lin, lam)(times[j])``.
+
+        None when the pass raises (a time where g raises, or a guard of an
+        and/or term that g's short circuit skips) or when the trees have no
+        lanes form; the caller then calls g at each time.  numpy's warnings
+        are off inside the pass: what g would raise is raised there.
+        """
+        lanes = self._printed(lin, lam, True)
+        if lanes is None:
+            return None
+        try:
+            with np.errstate(all="ignore"):
+                return lanes(times)
+        except (ArithmeticError, ValueError):
+            return None
 
 
 @dataclass(frozen=True)
@@ -151,6 +174,25 @@ def rk4(f, t0: float, t1: float, state, steps: int):
         yield end, state
 
 
+# steps per lanes pass of the coefficients: a table holds at most 1025 knots
+_BLOCK_STEPS = 512
+
+
+class _Knots(dict):
+    """A block's coefficients by knot, ``self[i]`` at ``t0 + (jb + i)*half``,
+    each from one call of g when the loop first reads it, so g raises at
+    the first knot where it fails: the table of a block whose lanes pass
+    raised.  start, when given, is knot 0's."""
+
+    def __init__(self, g, t0: float, half: float, jb: int, start):
+        super().__init__({} if start is None else {0: start})
+        self.g, self.t0, self.half, self.jb = g, t0, half, jb
+
+    def __missing__(self, i):
+        value = self[i] = self.g(self.t0 + (self.jb + i) * self.half)
+        return value
+
+
 def transport_ode(
     lin_or_fam,
     curve: CurveInE,
@@ -171,11 +213,17 @@ def transport_ode(
     compute the curve, the domain test, which raises naming t and the
     point, gamma and its y-gradient, and M and c in their stated orders.
     The steps are those of ``rk4``, bitwise, run by one printed loop
-    (``codegen.linear_rk4``) that evaluates the coefficients once per knot:
-    at each step's midpoint and end, the end serving the next step's start.
-    ``record`` > 0 samples t0 and about that many steps, with x and y from
-    ``compiled_state``; the loop runs in chunks between the samples, and
-    the t0 sample is taken once the first step has returned, so a curve
+    (``codegen.linear_rk4``) that reads the coefficients once per knot: at
+    each step's midpoint and end, the end serving the next step's start.
+    The knots come in blocks of ``_BLOCK_STEPS`` steps, each tabulated by
+    one lanes pass (``CurveInE.coefficient_table``) at the times ``t0 +
+    j*half`` that the loop names; the next block starts from the last
+    knot's coefficients, so every knot is computed once.  A block whose
+    pass raises is stepped calling the coefficients at each knot as the
+    loop reads it, so the run raises g's error at g's t, or the state's
+    first.  ``record`` > 0 samples t0 and about that many steps, with x and
+    y from ``compiled_state``; the loop runs in chunks between the samples,
+    and the t0 sample is taken once the first step has returned, so a curve
     that fails at t0 raises the step's error.
     """
     if steps < 1:
@@ -187,31 +235,47 @@ def transport_ode(
         raise ValueError(f"z0 must have length {k}")
     from .codegen import linear_rk4
 
-    g, run = curve.transport_coefficients(lin, lam), linear_rk4(k, lam != 0.0)
+    run = linear_rk4(k, lam != 0.0)
     t0 = curve.t0
     h = (curve.t1 - t0) / steps
     half, sixth = 0.5 * h, h / 6.0
-    z = z0.tolist()
-    if not record:
-        return TransportResult(np.array(run(g, t0, half, h, sixth, 0, steps, z)), None, steps)
+
+    def block(base: int, start):
+        """The coefficients of the knots from 2*base to the block's end;
+        start is knot 2*base's when an earlier block computed it."""
+        last = min(base + _BLOCK_STEPS, steps)
+        j0 = 2 * base + (start is not None)
+        table = curve.coefficient_table(lin, lam, t0 + np.arange(j0, 2 * last + 1) * half)
+        if table is None:
+            return _Knots(curve.transport_coefficients(lin, lam), t0, half, 2 * base, start)
+        knots = table.T.tolist()
+        return knots if start is None else [start, *knots]
 
     def sample(t, z):
         values = curve.compiled_state(t)
         return t, np.array(values[:n]), np.array(values[n : n + k]), np.array(z)
 
-    stride = max(1, steps // record)
+    ends = {*range(_BLOCK_STEPS, steps, _BLOCK_STEPS), steps}
+    if record:
+        stride = max(1, steps // record)
+        ends |= {1, *range(stride, steps, stride)}
+    z = z0.tolist()
     trajectory = []
-    done = 0
-    for end in sorted({1, *range(stride, steps, stride), steps}):
-        z = run(g, t0, half, h, sixth, done, end, z)
-        if done == 0:
+    done = base = 0
+    knots = None
+    for end in sorted(ends):
+        if done % _BLOCK_STEPS == 0:
+            knots = block(done, None if knots is None else knots[2 * (done - base)])
+            base = done
+        z = run(knots, base, t0, half, h, sixth, done, end, z)
+        if record and done == 0:
             # after the first step, which has evaluated the curve at t0 and
             # raised naming the step if it fails there
             trajectory.append(sample(t0, z0))
         done = end
-        if done % stride == 0 or done == steps:
+        if record and (done % stride == 0 or done == steps):
             trajectory.append(sample(t0 + (2 * done) * half, z))
-    return TransportResult(np.array(z), tuple(trajectory), steps)
+    return TransportResult(np.array(z), tuple(trajectory) if record else None, steps)
 
 
 def flow(

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from linconn import cli
 from linconn.cli import main, to_json
 from linconn.expr import MAX_DEPTH
 from linconn.specfile import SpecError, builtin_spec_path, load_builtin, loads
@@ -266,6 +267,39 @@ def test_flow_transport_command(capsys):
     doc = json.loads(out)
     assert abs(doc["outputs"]["z_transported"][0] - 0.25) <= 1e-6
     assert abs(doc["outputs"]["end_y"][0] - 0.5) <= 1e-6
+
+
+def _readme_commands():
+    c1, c2, c4 = (builtin_spec_path(name) for name in ("c1", "c2", "c4"))
+    return [
+        ["check", c1],
+        ["--json", "check", c4, "--seed", "7"],
+        ["linearize", c1, "--point", "0;1", "--z", "3", "--w", "1;5", "--lambda", "1"],
+        ["curvature", c2, "--point", "0,0;1", "--v1", "1,0", "--v2", "0,1", "--z", "1", "--oracle"],
+        ["transport", c1, "--curve", "line", "--z0", "1", "--steps", "1000"],
+        ["transport", c1, "--curve", "t;1/(1+t);0;1", "--z0", "1", "--lambda", "0.5"],
+        ["flow-transport", c1, "--field", "unit", "--point", "0;1", "--z", "1", "--s", "1", "--steps", "2000"],
+    ]
+
+
+def test_the_parser_built_once_answers_as_a_fresh_one(capsys, monkeypatch):
+    # a usage error, --help and each README command, twice on the parser
+    # that main builds once per process, then on a parser built per call
+    argvs = [["transport", builtin_spec_path("c1")], ["--help"], *_readme_commands()]
+
+    def outcomes():
+        out = []
+        for argv in argvs:
+            code = main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    once = outcomes()
+    assert once == outcomes()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert once == outcomes()
+    assert [code for code, _, _ in once] == [2, 0, 0, 0, 0, 0, 0, 0, 0]
 
 
 @pytest.mark.parametrize(

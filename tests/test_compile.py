@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from linconn import ad, codegen, second_order, transport
 from linconn import checks as ck
 from linconn import expr as ex
-from linconn.connection import HorBasicField
-from linconn.geom import FiberPoint, PullbackPoint
+from linconn.connection import HorBasicField, NonlinearConnection
+from linconn.geom import BundleSpace, FiberPoint, PullbackPoint
 from linconn.linearize import LinearizedConnection
 from linconn.sampling import random_hor_basic, random_section, sample_in_domain
 from linconn.specfile import load_builtin, loads
@@ -177,6 +177,44 @@ def test_compiled_curve_state_equals_state(comp_x, comp_y, t):
     curve = transport.CurveInE(comp_x, comp_y, 0.0, 1.0)
     walked = _outcome(lambda: [v for part in curve.state(t) for v in part.tolist()])
     assert _outcome(lambda: curve.compiled_state(t)) == walked
+
+
+XY_TREES = _trees(("x1", "y1", "y2"), unbound=())  # gamma on a rank-2 bundle over a line
+COMPARISONS = st.builds(ex.Comparison, st.sampled_from(("<", "<=", ">", ">=")), XY_TREES, XY_TREES)
+DOMAINS = st.one_of(
+    st.none(),
+    COMPARISONS,
+    st.builds(lambda a, b: ex.BoolAnd((a, b)), COMPARISONS, COMPARISONS),
+    st.builds(lambda a, b, c: ex.BoolOr((a, ex.BoolAnd((b, c)))), COMPARISONS, COMPARISONS, COMPARISONS),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(XY_TREES, min_size=2, max_size=2),
+    st.lists(CURVE_TREES, min_size=3, max_size=3),
+    DOMAINS,
+    st.lists(NUMBERS, min_size=1, max_size=3),
+    st.sampled_from((0.0, 0.7)),
+)
+def test_lanes_coefficients_are_g_or_raise(gamma, comps, domain, times, lam):
+    # where the lanes form returns, g returns the same bits at every time;
+    # where g raises at some time, the lanes form raises (and it may raise
+    # where g does not: its and/or compute every term)
+    lin = LinearizedConnection(NonlinearConnection(BundleSpace(1, 2, domain), ((gamma[0],), (gamma[1],))))
+    curve = transport.CurveInE(comps[:1], comps[1:], 0.0, 1.0)
+    lanes = codegen.curve_coefficients(lin, curve, lam, lanes=True)
+    if lanes is None:
+        assert any(map(ex._walk_decides, gamma + comps))
+        return
+    g = codegen.curve_coefficients(lin, curve, lam)
+    scalar = [_outcome(lambda: g(t)) for t in times]
+    try:
+        with np.errstate(all="ignore"):
+            table = lanes(np.array(times))
+    except (ArithmeticError, ValueError):
+        return
+    assert scalar == [("value", _bits(column)) for column in table.T.tolist()]
 
 
 def test_forward_compile_covers_every_guard():

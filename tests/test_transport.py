@@ -570,21 +570,122 @@ def test_the_knot_loop_is_bitwise_the_generic_rk4(all_specs, spec_name, lam):
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.7])
-@pytest.mark.parametrize("steps", [1, 2, 7, 64])
+@pytest.mark.parametrize("steps", [1, 2, 7, 64, 1000])
 def test_a_run_evaluates_the_coefficients_once_per_knot(c5, monkeypatch, lam, steps):
-    # 2 * steps + 1 calls, at t0 + j*(h/2) for j = 0, 1, ..., 2 * steps
-    curve = c5.curves["arc"]
-    times = []
-    real = CurveInE.transport_coefficients
-
-    def counting(self, lin, lam):
-        g = real(self, lin, lam)
-        return lambda t: times.append(t) or g(t)
-
-    monkeypatch.setattr(CurveInE, "transport_coefficients", counting)
-    transport_ode(LambdaFamilyMember(c5.conn, lam), curve, [1.0, 2.0], steps)
+    # the lanes passes are handed 2 * steps + 1 times in all, t0 + j*(h/2)
+    # for j = 0, 1, ..., 2 * steps, each once and in order, with record
+    # chunks and over blocks of 3 steps too; g itself is never called
+    curve = CurveInE(c5.curves["arc"].comp_x, c5.curves["arc"].comp_y, 0.0, 1.0)
     half = 0.5 * ((curve.t1 - curve.t0) / steps)
-    assert times == [curve.t0 + j * half for j in range(2 * steps + 1)]
+    handed = []
+    real = CurveInE.coefficient_table
+
+    def recording(self, lin, lam, times):
+        handed.extend(times.tolist())
+        return real(self, lin, lam, times)
+
+    monkeypatch.setattr(CurveInE, "coefficient_table", recording)
+    monkeypatch.setattr(CurveInE, "transport_coefficients", lambda *args: pytest.fail("g was called"))
+    for block in (transport._BLOCK_STEPS, 3):
+        monkeypatch.setattr(transport, "_BLOCK_STEPS", block)
+        for record in (0, 16):
+            handed.clear()
+            transport_ode(LambdaFamilyMember(c5.conn, lam), curve, [1.0, 2.0], steps, record=record)
+            assert handed == [curve.t0 + j * half for j in range(2 * steps + 1)]
+
+
+def _knots(curve, steps):
+    half = 0.5 * ((curve.t1 - curve.t0) / steps)
+    return np.array([curve.t0 + j * half for j in range(2 * steps + 1)])
+
+
+def _assert_lanes_equal_g(lin, curve, lam, times):
+    g = curve.transport_coefficients(lin, lam)
+    table = curve.coefficient_table(lin, lam, times)
+    assert table is not None
+    for j, t in enumerate(times.tolist()):
+        assert table[:, j].tobytes() == np.array(g(t)).tobytes(), t
+
+
+@pytest.mark.parametrize("spec_name", ["c0", "c1", "c2", "c3", "c4", "c5"])
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+def test_the_lanes_coefficients_are_bitwise_g_at_every_knot(all_specs, spec_name, lam):
+    spec = all_specs[spec_name]
+    lin = LinearizedConnection(spec.conn)
+    for curve in _knot_loop_cases(spec):
+        _assert_lanes_equal_g(lin, curve, lam, _knots(curve, 1000))
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.7])
+def test_the_lanes_coefficients_of_exp_log_a_division_and_a_power(lam):
+    # math's exp and log entry by entry, numpy's / and the squarings, and
+    # _pow for the non-integer powers, in the curve and in gamma; the domain
+    # holds along both curves, its and/or joined entry by entry
+    spec = loads(
+        "[space]\nbase_dim = 1\nfiber_dim = 2\n[connection]\n"
+        'gamma_1_1 = "log(1 + y1^2) + exp(0.3*y2) / (2 + x1)"\n'
+        'gamma_2_1 = "(1 + y1^2)^1.5 - y2^-3 + abs(y1)"\n'
+        'domain = "y2 > 1 and y1 > -5 or x1 < -100"\n'
+    )
+    lin = LinearizedConnection(spec.conn)
+    for x, y1, y2 in [
+        ("exp(t)", "log(2 + t)", "2 + 1/(2 - t)"),
+        ("(1 + t)^0.5", "(1 + t)^2.5 - 0.8", "3 - exp(-t)"),
+    ]:
+        curve = _curve(x, y1, y2)
+        _assert_lanes_equal_g(lin, curve, lam, _knots(curve, 1000))
+
+
+def test_a_tree_the_walk_decides_has_no_lanes_form():
+    # x1^y1 is an integer power only where y1 is an integer: the transport
+    # calls g at each knot, bitwise the per-knot loop
+    spec = _line_bundle("0.5 + 0.1 * x1^y1")
+    lin, curve = LinearizedConnection(spec.conn), _curve("1 + t", "2 + t")
+    assert curve.coefficient_table(lin, 0.0, _knots(curve, 4)) is None
+    want = _plain_rk4(_plain_rhs(spec, curve, 0.0), curve.t0, curve.t1, [1.0], 100)
+    assert transport_ode(lin, curve, [1.0], 100).z_final.tolist() == want
+
+
+def _outcome_of(run):
+    try:
+        return "value", run().z_final.tobytes()
+    except Exception as err:
+        return "raise", type(err), str(err)
+
+
+FALLBACK_CASES = {
+    # the line meets c4's puncture y = 0 at knot 1000 of the first block
+    "puncture": (load_builtin("c4"), _curve("t", "t - 0.5", "0"), "curve left the domain at t = 0.5"),
+    # a division by zero at knot 1000
+    "division": (load_builtin("c1"), _curve("t", "1/(0.5 - t)"), "division by zero"),
+    # (10t)^400 overflows to inf past t = 0.59, where sin raises; at lambda
+    # 0 ydot is not used, so the state stays finite
+    "sin_of_inf": (load_builtin("c1"), _curve("t", "sin((10*t)^400)"), "math domain error"),
+    # the second term divides by zero at x1 = 0.25 only, where the first
+    # holds: the lanes raise, g does not, and the run completes
+    "domain_or": (_line_bundle("y1^2", "x1 < 0.5 or 1/(x1 - 0.25) > 0"), _curve("t", "1 + t"), None),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(FALLBACK_CASES))
+def test_a_block_whose_lanes_pass_raises_steps_knot_by_knot(monkeypatch, case):
+    # the run equals the per-knot loop, result or error text with its t,
+    # with numpy's warnings turned into errors around it
+    spec, curve, message = FALLBACK_CASES[case]
+    lin, z0 = LinearizedConnection(spec.conn), [1.0] * spec.space.k
+    assert curve.coefficient_table(lin, 0.0, _knots(curve, 1000)) is None
+    with np.errstate(all="raise"):
+        got = _outcome_of(lambda: transport_ode(lin, curve, z0, 1000))
+        monkeypatch.setattr(CurveInE, "coefficient_table", lambda *args: None)
+        want = _outcome_of(lambda: transport_ode(lin, curve, z0, 1000))
+    assert got == want
+    if message is None:
+        assert got[0] == "value"
+        ref = _plain_rk4(_plain_rhs(spec, curve, 0.0), curve.t0, curve.t1, z0, 1000)
+        assert got[1] == np.array(ref).tobytes()
+    else:
+        assert got[0] == "raise" and message in got[2]
 
 
 @pytest.mark.parametrize(
@@ -626,14 +727,25 @@ KNOT_DEFECTS = {
 KNOT_CAUGHT = {"transport.lambda_horizontality", "transport.reversibility", "transport.order"}
 
 
-@pytest.mark.parametrize("defect", sorted(KNOT_DEFECTS))
+def _shift_the_table(monkeypatch):
+    """Every lanes pass tabulates each knot's successor in its place."""
+    real = CurveInE.coefficient_table
+    monkeypatch.setattr(
+        CurveInE, "coefficient_table", lambda self, lin, lam, times: real(self, lin, lam, times + (times[1] - times[0]))
+    )
+
+
+@pytest.mark.parametrize("defect", sorted([*KNOT_DEFECTS, "shifted_table"]))
 @pytest.mark.parametrize("name", ["c1", "c2", "c3", "c4", "c5"])
 def test_the_checks_catch_a_broken_knot_loop(monkeypatch, defect, name):
     # lambda_horizontality's reference loop steps the generic rk4, so it
     # fails on every spec whose coefficients vary along a line; on c3 only
     # c varies (gamma is linear in y, so M is constant along a straight
     # line), which reversibility and order, at lambda = 0, do not see
-    monkeypatch.setattr(codegen, "linear_rk4", _defective_linear_rk4(*KNOT_DEFECTS[defect]))
+    if defect == "shifted_table":
+        _shift_the_table(monkeypatch)
+    else:
+        monkeypatch.setattr(codegen, "linear_rk4", _defective_linear_rk4(*KNOT_DEFECTS[defect]))
     rows = ck.run_suite(load_builtin(name), samples=32, seed=0).checks
     failed = {r.name for r in rows if r.status == "fail"}
     assert failed <= KNOT_CAUGHT, rows
