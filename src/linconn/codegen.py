@@ -12,13 +12,14 @@ same numbers bitwise and raises the same errors:
   walk's guard; their functions take Python floats, which is what every
   owner passes (the ``tolist()`` of a state);
 * ``compile_gradients`` (the forward-mode emitter) prints Dual1 arithmetic
-  slot by slot in float locals and returns what ``ad.gradients`` returns.
+  slot by slot, the value in a float local and each derivative slot nested
+  in the one slot that reads it, and returns what ``ad.gradients`` returns.
   A tree whose derivative the printed code cannot decide (an exponent that
   is not a literal or a negated literal, an unknown function) is walked by
   ``ad.gradient`` at run time;
 * ``second_order.compile_second`` (the second-order emitter, a module of
-  its own) prints Dual2 arithmetic the same way, one walk per seeded name
-  along one outer direction;
+  its own) prints Dual2 arithmetic the same way, with every slot in a
+  local, one walk per seeded name along one outer direction;
 * ``flow_stage`` prints a whole stage of a flow of a hor-basic field (of
   ``transport.flow`` or ``fiber_derivative_flow``): the domain test, the
   field and gamma through the emitters above, and the stage velocities in
@@ -44,8 +45,10 @@ same numbers bitwise and raises the same errors:
   four stage sums written out component by component.  It and
   ``linear_rk4`` print rk4's step sums through one helper, ``_rk4_sums``.
 
-Dual values take the walk, ``evaluate``; ``in_domain`` walks
-``evaluate_bool`` at one point.  The float and forward emitters have a
+Printed code binds a local only for a value that is read more than once;
+every other call-free value is nested as text into the expression that
+reads it (``Source``).  Dual values take the walk, ``evaluate``;
+``in_domain`` walks ``evaluate_bool`` at one point.  The float and forward emitters have a
 lanes mode, a flag on ``Source``: the same walk printed over numpy arrays,
 one entry per lane, bitwise the float code at every lane where it returns.
 
@@ -58,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from typing import Callable, Mapping
 
 import numpy as np
@@ -88,9 +92,17 @@ class Source:
     """Body of a function of the values of names under construction, and
     the globals it runs in.
 
-    ``tokens`` maps each name to its positional parameter.  Every value
-    gets its own local, so the statements keep the walk's order of
-    operations.  ``indent`` nests statements under an emitted ``if``.
+    ``tokens`` maps each name to its positional parameter.  A call-free
+    arithmetic value (+ - * / and negation of floats) is printed as
+    parenthesized text inside the one expression that reads it
+    (``nest``); a value read more than once is bound to a local first
+    (``bind``), and every call, guard and comparison gets a statement of
+    its own, where the walk performs it.  Float arithmetic neither raises
+    nor has effects, and Python evaluates the operands of the text left to
+    right as written, without reassociating, so the numbers, the errors and
+    their order are those of one statement per operation; CPython folds
+    variable-free text at compile time with the same float operations.
+    ``indent`` nests statements under an emitted ``if``.
 
     With ``lanes`` the emitters print the same walk over numpy arrays of
     floats, one entry per lane, a float standing for a value shared by
@@ -101,7 +113,9 @@ class Source:
     float code at that lane.  A guard raises when any lane fails it, and
     and/or evaluate every term on every lane, so the lanes raise wherever
     the float code would raise at one of them, and may raise where its
-    short circuit would skip a term.
+    short circuit would skip a term.  The caller silences numpy's
+    floating-point warnings (``CurveInE.coefficient_table`` does), so there
+    too the arithmetic raises nothing, wherever it is nested.
     """
 
     def __init__(self, names, helpers: Mapping[str, object], lanes: bool = False):
@@ -125,6 +139,17 @@ class Source:
         self.line(f"{name} = {text}")
         return name
 
+    def nest(self, text: str) -> str:
+        """Token of a call-free value read once: the text in parentheses,
+        or a local when they would nest deeper than ``_NEST_DEPTH``."""
+        if text.count("(") >= _NEST_DEPTH and _depth(text) >= _NEST_DEPTH:
+            return self.assign(text)
+        return f"({text})"
+
+    def bind(self, token: str) -> str:
+        """Token of a value read more than once: a local for nested text."""
+        return self.assign(token[1:-1]) if token[0] == "(" else token
+
     def const(self, value) -> str:
         """Source token for a literal: its repr, or a global for inf and nan."""
         if value.__class__ is float and math.isfinite(value):
@@ -147,6 +172,22 @@ class Source:
         test holds."""
         self.line(f"if _any({test}):" if self.lanes else f"if {test}:")
         self.line(f"    raise _DomainError({message!r})")
+
+
+# parentheses a nested value may open: a printed line stays far below the
+# 200 levels at which CPython's parser stops
+_NEST_DEPTH = 64
+_NOT_PARENS = re.compile(r"[^()]+")
+
+
+def _depth(text: str) -> int:
+    """How deep the parentheses of text nest, counted up to ``_NEST_DEPTH``."""
+    parens = _NOT_PARENS.sub("", text)
+    depth = 0
+    while parens and depth < _NEST_DEPTH:
+        parens = parens.replace("()", "")  # the innermost pairs
+        depth += 1
+    return depth
 
 
 def define(source: Source, result: str) -> Callable:
@@ -208,7 +249,8 @@ class Emitter:
         self.src = source
 
     def emit(self, e: Expr):
-        """Statements computing e; returns the token that holds its value."""
+        """Statements computing e; returns the token of its value (a name,
+        a literal or nested text, see ``Source``)."""
         cls = e.__class__
         if cls is Lit:
             return self.literal(e.value)
@@ -227,8 +269,8 @@ class Emitter:
         if e.op in ("+", "-", "*"):
             return self.arith(e.op, left, self.emit(e.right))
         if e.op == "/":
-            right = self.emit(e.right)
-            if not self.divisor_guard(right, e.right):
+            right = self.divisor(self.emit(e.right), e.right)
+            if right is None:
                 return self.literal(None)
             return self.div(left, right)
         # ^, and any other operator, is _pow
@@ -245,24 +287,30 @@ class Emitter:
     def variable(self, name: str, token: str):
         return token
 
+    def bind(self, a):
+        """The value a, read more than once."""
+        return self.src.bind(a)
+
     def neg(self, a):
-        return self.src.assign(f"-{a}")
+        return self.src.nest(f"-{a}")
 
     def arith(self, op: str, a, b):
-        return self.src.assign(f"{a} {op} {b}")
+        return self.src.nest(f"{a} {op} {b}")
 
-    def divisor_guard(self, right, divisor: Expr) -> bool:
-        """``evaluate``'s check of a float divisor; False when it always raises."""
+    def divisor(self, right, divisor: Expr):
+        """``evaluate``'s check of a float divisor: the divisor, read by the
+        check and the division; None when it always raises."""
         if divisor.__class__ is Lit:
             if divisor.value == 0.0:
                 self.src.line('raise _DomainError("division by zero")')
-                return False
-            return True
+                return None
+            return right
+        right = self.bind(right)
         self.src.raise_if(f"{right} == 0.0", "division by zero")
-        return True
+        return right
 
     def div(self, a, b):
-        return self.src.assign(f"{a} / {b}")
+        return self.src.nest(f"{a} / {b}")
 
     def pow(self, a, b):
         return self.src.assign(self.src.call("_pow", a, b))
@@ -276,6 +324,8 @@ class Emitter:
         acc = None
         sq = base
         while True:
+            if n > 1:  # sq is read by its square, and maybe by acc
+                sq = self.bind(sq)
             if n & 1:
                 acc = sq if acc is None else self.arith("*", acc, sq)
             n >>= 1
@@ -292,8 +342,10 @@ class Emitter:
             self.src.line(f"raise ValueError({f'unknown function {name!r}'!r})")
             return self.literal(None)
         if name == "log":
+            a = self.bind(a)
             self.src.raise_if(f"{a} <= 0.0", "log of non-positive value")
         elif name == "sqrt":
+            a = self.bind(a)
             self.src.raise_if(f"{a} < 0.0", "sqrt of negative value")
         return self.src.assign(self.src.call(f"_math.{name}", a))
 
@@ -341,14 +393,16 @@ def compile_bool(b: BoolExpr, names) -> Callable:
 
 
 class _Slots(Emitter):
-    """Base of the emitters that print a dual number's slots as float locals.
+    """Base of the emitters that print a dual number's slots as floats.
 
     A value is a tuple whose first entry is the token of the value and
     whose second is None for a float.  Floats (trees without variables)
     print as ``Emitter`` prints them, through ``plain``, and carry
-    ``blank``, the Nones of the other slots.  A call of a math function or
-    a guard already printed for the same argument token is not printed
-    again: every token is assigned once, so it reads the same value.
+    ``blank``, the Nones of the other slots.  A dual's value slot is
+    a local (or a name), since the formulas of its parent read it in every
+    slot.  A call of a math function or a guard already printed for the
+    same argument token is not printed again: a token is a local assigned
+    once, or call-free text over such locals, so it reads the same value.
     The guards and integer powers of the two dual types are alike, so they
     are written once here.
     """
@@ -377,11 +431,15 @@ class _Slots(Emitter):
     def literal(self, value):
         return self.plain.literal(value), *self.blank
 
-    def divisor_guard(self, right, divisor):
+    def bind(self, a):
+        return a  # the slots of a dual are locals
+
+    def divisor(self, right, divisor):
         if right[1] is None:
-            return self.plain.divisor_guard(right[0], divisor)
+            token = self.plain.divisor(right[0], divisor)
+            return None if token is None else (token, *self.blank)
         self._raise_if(f"{right[0]} == 0.0", "division by zero")
-        return True
+        return right
 
     def ipow(self, base, n):
         if base[1] is None:
@@ -404,14 +462,16 @@ class _Slots(Emitter):
 
 
 class _Forward(_Slots):
-    """Prints Dual1 arithmetic slot by slot: every Dual1 becomes float locals.
+    """Prints Dual1 arithmetic slot by slot: a Dual1 becomes m + 1 floats.
 
     A value is a pair (re, eps): the token of a float and None, or the
-    tokens of a Dual1's value and of its m derivative slots.  Each slot is
-    computed with the formula of the Dual1 operation the walk would call,
-    guards included, so the numbers are bitwise those of ``ad.gradients``.
-    ``emit`` and the squarings of ``ipow`` are inherited.  ``walked`` hands
-    a whole tree to ``ad.gradient`` instead.
+    tokens of a Dual1's value and of its m derivative slots.  The value is
+    a local; a derivative slot, read by one slot of the parent, is nested
+    text (``Source.nest``).  Each slot is computed with the formula of the
+    Dual1 operation the walk would call, guards included, so the numbers
+    are bitwise those of ``ad.gradients``.  ``emit`` and the squarings of
+    ``ipow`` are inherited.  ``walked`` hands a whole tree to
+    ``ad.gradient`` instead.
     """
 
     blank = (None,)
@@ -426,7 +486,13 @@ class _Forward(_Slots):
         }
 
     def _scaled(self, f1, eps):
-        return tuple(self.src.assign(f"{f1} * {x}") for x in eps)
+        if len(eps) > 1:
+            f1 = self.src.bind(f1)
+        return tuple(self.src.nest(f"{f1} * {x}") for x in eps)
+
+    def bind(self, a):
+        re, eps = a
+        return re, tuple(map(self.src.bind, eps))
 
     def variable(self, name, token):
         return token, self.seeds[name]
@@ -435,50 +501,54 @@ class _Forward(_Slots):
         re, eps = a
         if eps is None:
             return self.plain.neg(re), None
-        return self.src.assign(f"-{re}"), tuple(self.src.assign(f"-{x}") for x in eps)
+        nest = self.src.nest
+        return self.src.assign(f"-{re}"), tuple(nest(f"-{x}") for x in eps)
 
     def arith(self, op, a, b):
         (are, aeps), (bre, beps) = a, b
         if aeps is None and beps is None:
             return self.plain.arith(op, are, bre), None
-        put = self.src.assign
+        put, nest = self.src.assign, self.src.nest
         if op == "+":
             if beps is None:
                 return put(f"{are} + {bre}"), aeps
             if aeps is None:  # float + Dual1 is Dual1.__radd__
                 return put(f"{bre} + {are}"), beps
-            return put(f"{are} + {bre}"), tuple(put(f"{x} + {y}") for x, y in zip(aeps, beps))
+            return put(f"{are} + {bre}"), tuple(nest(f"{x} + {y}") for x, y in zip(aeps, beps))
         if op == "-":
             if beps is None:
                 return put(f"{are} - {bre}"), aeps
             if aeps is None:
-                return put(f"{are} - {bre}"), tuple(put(f"-{y}") for y in beps)
-            return put(f"{are} - {bre}"), tuple(put(f"{x} - {y}") for x, y in zip(aeps, beps))
+                return put(f"{are} - {bre}"), tuple(nest(f"-{y}") for y in beps)
+            return put(f"{are} - {bre}"), tuple(nest(f"{x} - {y}") for x, y in zip(aeps, beps))
+        # the float factor of a product meets every slot
         if beps is None:
-            return put(f"{are} * {bre}"), tuple(put(f"{x} * {bre}") for x in aeps)
+            bre = self.src.bind(bre)
+            return put(f"{are} * {bre}"), tuple(nest(f"{x} * {bre}") for x in aeps)
         if aeps is None:  # float * Dual1 is Dual1.__rmul__
-            return put(f"{bre} * {are}"), tuple(put(f"{y} * {are}") for y in beps)
+            are = self.src.bind(are)
+            return put(f"{bre} * {are}"), tuple(nest(f"{y} * {are}") for y in beps)
         return put(f"{are} * {bre}"), tuple(
-            put(f"{are} * {y} + {x} * {bre}") for x, y in zip(aeps, beps)
+            nest(f"{are} * {y} + {x} * {bre}") for x, y in zip(aeps, beps)
         )
 
     def div(self, a, b):
         (are, aeps), (bre, beps) = a, b
-        put = self.src.assign
+        put, nest = self.src.assign, self.src.nest
         if beps is None:
             if aeps is None:
                 return self.plain.div(are, bre), None
-            return put(f"{are} / {bre}"), tuple(put(f"{x} / {bre}") for x in aeps)
+            return put(f"{are} / {bre}"), tuple(nest(f"{x} / {bre}") for x in aeps)
         q = put(f"{are} / {bre}")
         if aeps is None:  # Dual1.__rtruediv__
-            return q, tuple(put(f"-{q} * {y} / {bre}") for y in beps)
-        return q, tuple(put(f"({x} - {q} * {y}) / {bre}") for x, y in zip(aeps, beps))
+            return q, tuple(nest(f"-{q} * {y} / {bre}") for y in beps)
+        return q, tuple(nest(f"({x} - {q} * {y}) / {bre}") for x, y in zip(aeps, beps))
 
     def fun(self, name, a):
         re, eps = a
         if eps is None:
             return self.plain.fun(name, re), None
-        put = self.src.assign
+        put, nest = self.src.assign, self.src.nest
 
         def call(fn):
             return self._call(self.src.call(f"_math.{fn}", re))
@@ -486,19 +556,20 @@ class _Forward(_Slots):
         if name == "sin":
             return call("sin"), self._scaled(call("cos"), eps)
         if name == "cos":
-            return call("cos"), self._scaled(put(f"-{call('sin')}"), eps)
+            return call("cos"), self._scaled(nest(f"-{call('sin')}"), eps)
         if name == "exp":
             v = call("exp")
             return v, self._scaled(v, eps)
         if name == "log":
             self._raise_if(f"{re} <= 0.0", "log of non-positive value")
-            return call("log"), self._scaled(put(f"1.0 / {re}"), eps)
+            return call("log"), self._scaled(nest(f"1.0 / {re}"), eps)
         if name == "sqrt":
             self._raise_if(f"{re} <= 0.0", "sqrt needs a positive value when differentiating")
             v = call("sqrt")
-            return v, self._scaled(put(f"0.5 / {v}"), eps)
-        # abs
+            return v, self._scaled(nest(f"0.5 / {v}"), eps)
+        # abs: each slot is copied into both branches
         self._raise_if(f"{re} == 0.0", "abs is not differentiable at zero")
+        eps = tuple(map(self.src.bind, eps))
         if self.src.lanes:
             up = put(f"{re} > 0.0")
             re, *eps = [put(f"_np.where({up}, {x}, -{x})") for x in (re, *eps)]
@@ -521,12 +592,15 @@ class _Forward(_Slots):
 
 def _forward_outputs(forward: _Forward, exprs) -> list:
     """Tokens of the T values of exprs, then of their T*m partials, tree by
-    tree; a float's partials are zeros."""
+    tree; a float's partials are zeros.  A partial is read once: it may be
+    nested text."""
     values, partials = [], []
     for e in exprs:
         re, eps = forward.walked(e) if _walk_decides(e) else forward.emit(e)
         if eps is None:
-            re, eps = f"float({re})", ("0.0",) * forward.m
+            if _literal(e).__class__ is not float:  # a literal prints as itself
+                re = f"float({re})"
+            eps = ("0.0",) * forward.m
         values.append(re)
         partials += eps
     return values + partials
@@ -678,8 +752,8 @@ def flow_stage(conn, field, variational: bool) -> Callable:
     if sp.domain is not None:
         src.line(f"if not {plain.emit_bool(sp.domain)}:")
         src.line(f"    raise _left('flow', _time, [{', '.join(xy)}])")
-    comps = [plain.emit(e) for e in field.X + field.eta]
-    X, eta = comps[:n], comps[n:]
+    X = [src.bind(plain.emit(e)) for e in field.X]  # read in every row
+    eta = [plain.emit(e) for e in field.eta]
     entries = [g for row in conn.gamma for g in row]
     if variational:
         out = _forward_outputs(_Forward(src, sp.y_names), entries)
@@ -730,8 +804,9 @@ def curve_coefficients(lin, curve, lam: float, lanes: bool = False) -> Callable 
     src = Source(("t",), {**HELPERS, "_gradient": gradient, "_left": sp.left_domain}, lanes)
     time = src.params[0]
     out = _forward_outputs(_Forward(src, ("t",)), curve.comp_x + curve.comp_y)
-    xy = [src.assign(v) for v in out[: n + k]]
-    xd, yd = out[n + k : 2 * n + k], out[2 * n + k :]
+    xy = [v if v.isidentifier() else src.assign(v) for v in out[: n + k]]
+    xd = [src.bind(v) for v in out[n + k : 2 * n + k]]  # read in every entry of M
+    yd = out[2 * n + k :]
     src.tokens = dict(zip(sp.x_names + sp.y_names, xy))  # gamma reads the curve's point
     if sp.domain is not None:
         inside = Emitter(src).emit_bool(sp.domain)
@@ -744,7 +819,7 @@ def curve_coefficients(lin, curve, lam: float, lanes: bool = False) -> Callable 
     out = _forward_outputs(_Forward(src, sp.y_names), entries)
     G, J = out[: k * n], out[k * n :]
     M = [
-        src.assign(f"-({' + '.join(['0.0', *(f'{J[(A * n + i) * k + B]} * {xd[i]}' for i in range(n))])})")
+        f"-({' + '.join(['0.0', *(f'{J[(A * n + i) * k + B]} * {xd[i]}' for i in range(n))])})"
         for A in range(k)
         for B in range(k)
     ]
@@ -752,7 +827,7 @@ def curve_coefficients(lin, curve, lam: float, lanes: bool = False) -> Callable 
     if lam != 0.0:
         for A in range(k):
             g = " + ".join(f"{G[A * n + i]} * {xd[i]}" for i in range(n))
-            c.append(src.assign(f"{src.const(float(lam))} * ({yd[A]} + ({g}))"))
+            c.append(f"{src.const(float(lam))} * ({yd[A]} + ({g}))")
     return define(src, f"_rows({tuple_of(M + c)}, {time})" if lanes else tuple_of(M + c))
 
 

@@ -391,6 +391,15 @@ class HorBasicField:
         allowed = {f"x{i+1}" for i in range(len(self.X))}
         _check_arity(self.X + self.eta, allowed, "hor-basic components")
 
+    @classmethod
+    def _over_x(cls, X: tuple, eta: tuple) -> "HorBasicField":
+        """The field of component tuples built from the x names alone, as
+        ``sampling.random_hor_basic`` draws them: no ``_check_arity`` walk."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "X", X)
+        object.__setattr__(field, "eta", eta)
+        return field
+
     def as_field(self, conn: NonlinearConnection) -> FieldOnE:
         """Expression field with components (X^i, -gamma^A_i X^i + eta^A)."""
         drift = conn.horizontal_field_of(self.X).comp_y

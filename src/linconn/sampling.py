@@ -54,8 +54,10 @@ def random_polynomial(rng: np.random.Generator, names) -> ex.Expr:
         if c != 0.0:
             terms.append(ex.mul(ex.lit(c), leaf))
     for _ in range(2):
-        v1 = leaves[rng.integers(len(leaves))]
-        v2 = leaves[rng.integers(len(leaves))]
+        # two draws of one index in one call; numpy draws nothing for a
+        # one-value range
+        i, j = rng.integers(len(leaves), size=2).tolist() if len(leaves) != 1 else (0, 0)
+        v1, v2 = leaves[i], leaves[j]
         c = _coefficient(rng)
         if c != 0.0:
             terms.append(ex.mul(ex.lit(c), ex.mul(v1, v2)))
@@ -67,7 +69,7 @@ def random_polynomial(rng: np.random.Generator, names) -> ex.Expr:
 
 def random_hor_basic(rng: np.random.Generator, space: BundleSpace) -> HorBasicField:
     xn = space.x_names
-    return HorBasicField(
+    return HorBasicField._over_x(
         tuple(random_polynomial(rng, xn) for _ in range(space.n)),
         tuple(random_polynomial(rng, xn) for _ in range(space.k)),
     )

@@ -60,6 +60,7 @@ class _Second(codegen._Slots):
     def _scale(self, a, c):
         """Dual2 times the float c: every slot times c."""
         f, fu, fv, fuv = a
+        c = self.src.bind(c)  # a float from the nesting float emitter
         put = self.src.assign
         return put(f"{f} * {c}"), self._each(f"{{}} * {c}", fu), put(f"{fv} * {c}"), self._each(f"{{}} * {c}", fuv)
 

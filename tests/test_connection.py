@@ -17,7 +17,7 @@ from linconn.connection import (
     kappa_section,
 )
 from linconn.geom import BundleSpace, FiberPoint, OutOfDomainError, TangentE, vertical_lift
-from linconn.sampling import random_field, sample_in_domain
+from linconn.sampling import random_field, random_hor_basic, sample_in_domain
 from linconn.specfile import load_builtin, loads
 from linconn.transport import rk4
 
@@ -496,3 +496,18 @@ def test_a_component_with_another_variable_names_it_and_the_allowed_ranges():
         NonlinearConnection(wide, (row,))
     with pytest.raises(ValueError, match=r"^hor-basic components may reference x1, x2 only, found x3$"):
         HorBasicField((ex.lit(1.0), ex.parse("x3")), (ex.lit(0.0),))
+
+
+def test_a_drawn_hor_basic_field_is_the_checked_field(all_specs):
+    # random_hor_basic skips the arity walk: its fields read x names only, so
+    # the checked constructor accepts them and builds an equal field
+    for spec in all_specs.values():
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            drawn = random_hor_basic(rng, spec.space)
+            checked = HorBasicField(drawn.X, drawn.eta)
+            assert (type(drawn.X), type(drawn.eta)) == (tuple, tuple)
+            assert drawn == checked and hash(drawn) == hash(checked)
+    # a field built by hand is still checked
+    with pytest.raises(ValueError, match=r"^hor-basic components may reference x1 only, found y1$"):
+        HorBasicField((ex.parse("y1"),), (ex.lit(0.0),))

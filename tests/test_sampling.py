@@ -41,3 +41,16 @@ def test_random_polynomial_draws_what_uniform_draws(count):
 def test_random_polynomial_validates_every_name():
     with pytest.raises(ValueError, match="bad variable name"):
         random_polynomial(np.random.default_rng(0), ("x1", "q"))
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4])
+def test_one_call_for_two_indices_draws_what_two_calls_draw(count):
+    # random_polynomial draws a product's two indices with one
+    # rng.integers(L, size=2), and none for L == 1; the reference draws
+    # them one call each
+    names = NAMES[:count]
+    for seed in range(2000):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert ex.to_str(random_polynomial(rng, names)) == ex.to_str(_reference_polynomial(ref, names))
+        assert rng.bit_generator.state == ref.bit_generator.state
