@@ -381,18 +381,23 @@ def second_partials(e, point, direction, names):
     direction, derivatives of the partials along it).
 
     Walk j evaluates e over ``{c: Dual2(point[c], u_j[c], direction[c])}``
-    with u_j the unit vector of the j-th name; the value and the outer
-    derivative do not depend on u_j and are read from the first walk (from
-    a walk with u = 0 when names is empty).  A float result has zero
-    derivatives.  ``second_order.compile_second`` prints the same walks.
+    with u_j the unit vector of the j-th name.  The value and the outer
+    derivative are read from one more walk, with u = 0, taken first: where
+    the walk decides an exponent's kind by its value (a dual exponent whose
+    slots are all zero is an integer), a seed can change them, and the
+    u = 0 walk keeps them independent of the order of names.  A float
+    result has zero derivatives.  ``second_order.compile_second`` prints
+    the same walks.
     """
-    walks = []
-    for name in names or (None,):
+
+    def walk(name):
         env = {c: Dual2(v, 1.0 if c == name else 0.0, direction[c]) for c, v in point.items()}
         r = expr.evaluate(e, env)
-        walks.append(r if isinstance(r, Dual2) else _dual2(float(r), 0.0, 0.0, 0.0))
-    m = len(names)
-    return walks[0].f, [w.fu for w in walks[:m]], walks[0].fv, [w.fuv for w in walks[:m]]
+        return r if isinstance(r, Dual2) else _dual2(float(r), 0.0, 0.0, 0.0)
+
+    value = walk(None)
+    walks = [walk(name) for name in names]
+    return value.f, [w.fu for w in walks], value.fv, [w.fuv for w in walks]
 
 
 # ---------------------------------------------------------------------------

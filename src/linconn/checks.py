@@ -8,11 +8,11 @@ looser bounds their error analysis supports.
 
 Most checks are written as one draw, ``draw(spec, rng) -> error``, and
 ``_each_draw`` makes each into a check; ``_worst_draw`` is the one loop
-that takes the worst of their draws and owns the drop policy.  Three checks
-aggregate across draws themselves: ``transport.order`` (a median),
-``linearize.lambda_family`` (a property of all draws together) and
-``linearize.flatness`` (one report); ``transport.linearity`` reuses one
-curve for every draw and calls ``_worst_draw`` directly.
+that takes the worst of their draws and owns the drop policy.  Two checks
+aggregate across draws themselves: ``transport.order`` (a median) and
+``linearize.flatness`` (one report).  ``transport.linearity`` reuses one
+curve for every draw and ``linearize.lambda_family`` adds a property of
+all draws together; both call ``_worst_draw`` directly.
 """
 
 from __future__ import annotations
@@ -536,26 +536,27 @@ def _check_basis_pfaff(spec, rng):
 def _check_lambda_family(spec, rng, samples):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
-    worst = 0.0
+    fam0, fam1 = LambdaFamilyMember(spec.conn, 0.0), LambdaFamilyMember(spec.conn, 1.0)
     nonzero_seen = 0.0
-    for _ in range(samples):
+
+    def draw():
+        nonlocal nonzero_seen
         p = sample_pullback(sp, rng)
         w = sample_tangent(rng, p.a)
-        fam0 = LambdaFamilyMember(spec.conn, 0.0)
-        worst = max(worst, _teq(fam0.apply(p, w), lin.apply(p, w)))
-        lam = float(rng.uniform(-2, 2))
-        fam = LambdaFamilyMember(spec.conn, lam)
+        err = _teq(fam0.apply(p, w), lin.apply(p, w))
+        fam = LambdaFamilyMember(spec.conn, float(rng.uniform(-2, 2)))
         z2 = rng.uniform(-BOX, BOX, sp.k)
         lhs = fam.apply(PullbackPoint(p.x, p.y, p.z + z2), w)
         rhs = tau_add(fam.apply(p, w), lin.apply(PullbackPoint(p.x, p.y, z2), w))
-        worst = max(worst, _rel(_teq(lhs, rhs), _mx(lhs.dy)))
         # only the lam = 0 member kills verticals
-        vert = vertical_lift(p.a, rng.uniform(-BOX, BOX, sp.k))
-        out = LambdaFamilyMember(spec.conn, 1.0).apply(p, vert)
+        out = fam1.apply(p, vertical_lift(p.a, rng.uniform(-BOX, BOX, sp.k)))
         nonzero_seen = max(nonzero_seen, _mx(out.dy))
+        return max(err, _rel(_teq(lhs, rhs), _mx(lhs.dy)))
+
+    worst, used = _worst_draw(samples, draw, drop=())
     if nonzero_seen == 0.0:
         worst = max(worst, 1.0)
-    return worst, samples
+    return worst, used
 
 
 @_each_draw(drop=())

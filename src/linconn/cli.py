@@ -14,6 +14,7 @@ a result that is NaN or infinite; nothing then goes to stdout).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import re
@@ -178,17 +179,7 @@ def _spec_info(spec: SpecFile) -> dict:
 
 
 def _check_dicts(checks):
-    return [
-        {
-            "name": c.name,
-            "status": c.status,
-            "max_error": c.max_error,
-            "samples": c.samples,
-            "seed": c.seed,
-            "tolerance": c.tolerance,
-        }
-        for c in checks
-    ]
+    return [dataclasses.asdict(c) for c in checks]
 
 
 def _non_finite(obj) -> bool:

@@ -42,8 +42,20 @@ same numbers bitwise and raises the same errors:
   order of ``connection.horizontal_velocity``, as one function of the
   directions, the time and the four lanes' state;
 * ``rk4_step`` prints one step of ``transport.rk4`` for a state width: its
-  four stage sums written out component by component.  It and
-  ``linear_rk4`` print rk4's step sums through one helper, ``_rk4_sums``.
+  four stage sums written out component by component.
+
+A construct that more than one printer needs has one printer of its own:
+the domain test (``Source.require_domain``: ``flow_stage``, both forms of
+``curve_coefficients``, ``lane_stage``); the sum ``-gamma X + eta`` of
+``connection.horizontal_velocity`` (``_horizontal_rows``: ``flow_stage``
+and each lane of ``holonomy_stage``); rk4's stage states and step sums
+(``_rk4_stage``, ``_rk4_sums``: ``rk4_step`` and ``linear_rk4``); and, in
+both dual emitters, abs's guard and slot copies and a tree's output
+slots, walked at run time where the walk decides (``_Slots._signed``,
+``_Slots.output``).  Every printer reads gamma's entries in one layout,
+``NonlinearConnection.entries``.  A formula that a check pairs with
+another (``flow_stage``'s ``-J z X`` against ``curve_coefficients``' M)
+keeps its own spelling.
 
 Printed code binds a local only for a value that is read more than once;
 every other call-free value is nested as text into the expression that
@@ -172,6 +184,21 @@ class Source:
         test holds."""
         self.line(f"if _any({test}):" if self.lanes else f"if {test}:")
         self.line(f"    raise _DomainError({message!r})")
+
+    def require_domain(self, sp, what: str, time: str, xy):
+        """The one printed domain test: off sp's domain predicate at the
+        tokens xy (which ``tokens`` names), raise ``sp.left_domain(what,
+        time, xy)``; with lanes, DomainError if any lane is off it."""
+        if sp.domain is None:
+            return
+        inside = Emitter(self).emit_bool(sp.domain)
+        if self.lanes:
+            self.line(f"if not _all({inside}):")
+            self.line(f"    raise _DomainError({f'{what} left the domain'!r})")
+        else:
+            self.namespace["_left"] = sp.left_domain
+            self.line(f"if not {inside}:")
+            self.line(f"    raise _left({what!r}, {time}, [{', '.join(xy)}])")
 
 
 # parentheses a nested value may open: a printed line stays far below the
@@ -403,8 +430,9 @@ class _Slots(Emitter):
     slot.  A call of a math function or a guard already printed for the
     same argument token is not printed again: a token is a local assigned
     once, or call-free text over such locals, so it reads the same value.
-    The guards and integer powers of the two dual types are alike, so they
-    are written once here.
+    The guards, integer powers and abs of the two dual types are alike, so
+    they are written once here, and so is what a tree's outputs are
+    (``output``): a subclass's ``zero`` holds the slots of a float result.
     """
 
     blank: tuple = ()
@@ -460,6 +488,39 @@ class _Slots(Emitter):
         self._raise_if(f"{a[0]} <= 0.0", "power with non-integer exponent needs a positive base")
         return self.fun("exp", self.arith("*", self.fun("log", a), b))
 
+    def _signed(self, f: str, slots) -> list:
+        """abs of a dual whose value is f: the guard, then f and every slot
+        copied with f's sign (``np.where`` with lanes, else if/else);
+        the tokens of the copies, f's first."""
+        self._raise_if(f"{f} == 0.0", "abs is not differentiable at zero")
+        slots = [f, *map(self.src.bind, slots)]
+        if self.src.lanes:
+            up = self.src.assign(f"{f} > 0.0")
+            return [self.src.assign(f"_np.where({up}, {x}, -{x})") for x in slots]
+        out = [self.src.local() for _ in slots]
+        self.src.line(f"if {f} > 0.0:")
+        for target, x in zip(out, slots):
+            self.src.line(f"    {target} = {x}")
+        self.src.line("else:")
+        for target, x in zip(out, slots):
+            self.src.line(f"    {target} = -{x}")
+        return out
+
+    def _env(self, tokens) -> str:
+        """The text of a dict from each name to its token."""
+        return "{" + "".join(f"{name!r}: {token}, " for name, token in tokens.items()) + "}"
+
+    def output(self, e) -> tuple:
+        """The slots of tree e's value: printed, or walked at run time
+        (``walked``) where ``expr._walk_decides`` flags e.  A float result
+        has the ``zero`` slots, and prints as itself when e is a literal,
+        else through ``float``."""
+        value = self.walked(e) if _walk_decides(e) else self.emit(e)
+        if value[1] is not None:
+            return value
+        re = value[0] if _literal(e).__class__ is float else f"float({value[0]})"
+        return re, *self.zero
+
 
 class _Forward(_Slots):
     """Prints Dual1 arithmetic slot by slot: a Dual1 becomes m + 1 floats.
@@ -469,9 +530,9 @@ class _Forward(_Slots):
     a local; a derivative slot, read by one slot of the parent, is nested
     text (``Source.nest``).  Each slot is computed with the formula of the
     Dual1 operation the walk would call, guards included, so the numbers
-    are bitwise those of ``ad.gradients``.  ``emit`` and the squarings of
-    ``ipow`` are inherited.  ``walked`` hands a whole tree to
-    ``ad.gradient`` instead.
+    are bitwise those of ``ad.gradients``.  ``emit``, the squarings of
+    ``ipow``, abs's slot copies and the outputs are inherited.  ``walked``
+    hands a whole tree to ``ad.gradient`` instead.
     """
 
     blank = (None,)
@@ -484,6 +545,7 @@ class _Forward(_Slots):
             name: tuple("1.0" if index.get(name) == j else "0.0" for j in range(self.m))
             for name in source.tokens
         }
+        self.zero = (("0.0",) * self.m,)
 
     def _scaled(self, f1, eps):
         if len(eps) > 1:
@@ -548,7 +610,7 @@ class _Forward(_Slots):
         re, eps = a
         if eps is None:
             return self.plain.fun(name, re), None
-        put, nest = self.src.assign, self.src.nest
+        nest = self.src.nest
 
         def call(fn):
             return self._call(self.src.call(f"_math.{fn}", re))
@@ -567,43 +629,22 @@ class _Forward(_Slots):
             self._raise_if(f"{re} <= 0.0", "sqrt needs a positive value when differentiating")
             v = call("sqrt")
             return v, self._scaled(nest(f"0.5 / {v}"), eps)
-        # abs: each slot is copied into both branches
-        self._raise_if(f"{re} == 0.0", "abs is not differentiable at zero")
-        eps = tuple(map(self.src.bind, eps))
-        if self.src.lanes:
-            up = put(f"{re} > 0.0")
-            re, *eps = [put(f"_np.where({up}, {x}, -{x})") for x in (re, *eps)]
-            return re, tuple(eps)
-        out = [self.src.local() for _ in range(self.m + 1)]
-        self.src.line(f"if {re} > 0.0:")
-        for target, x in zip(out, (re, *eps)):
-            self.src.line(f"    {target} = {x}")
-        self.src.line("else:")
-        for target, x in zip(out, (re, *eps)):
-            self.src.line(f"    {target} = -{x}")
-        return out[0], tuple(out[1:])
+        re, *eps = self._signed(re, eps)
+        return re, tuple(eps)
 
     def walked(self, e):
         """The tree walked over Dual1 objects by ``ad.gradient`` at run time."""
-        point = "{" + "".join(f"{name!r}: {token}, " for name, token in self.src.tokens.items()) + "}"
+        point = self._env(self.src.tokens)
         r = self.src.assign(f"_gradient({self.src.const(e)}, {point}, {self.src.const(self.seeded)})")
         return f"{r}[0]", tuple(f"{r}[1][{j}]" for j in range(self.m))
 
 
 def _forward_outputs(forward: _Forward, exprs) -> list:
     """Tokens of the T values of exprs, then of their T*m partials, tree by
-    tree; a float's partials are zeros.  A partial is read once: it may be
-    nested text."""
-    values, partials = [], []
-    for e in exprs:
-        re, eps = forward.walked(e) if _walk_decides(e) else forward.emit(e)
-        if eps is None:
-            if _literal(e).__class__ is not float:  # a literal prints as itself
-                re = f"float({re})"
-            eps = ("0.0",) * forward.m
-        values.append(re)
-        partials += eps
-    return values + partials
+    tree (``_Slots.output``).  A partial is read once: it may be nested
+    text."""
+    outputs = [forward.output(e) for e in exprs]
+    return [re for re, _ in outputs] + [x for _, eps in outputs for x in eps]
 
 
 def compile_gradients(exprs, names, seeded) -> Callable:
@@ -628,6 +669,22 @@ def _rk4_sums(xs, k1, k2, k3, k4, sixth) -> list:
     return [f"{x} + {sixth} * ({a} + ({b} + {b}) + ({c} + {c}) + {d})" for x, a, b, c, d in zip(xs, k1, k2, k3, k4)]
 
 
+def _rk4_stage(xs, scale, k) -> list:
+    """rk4's stage state ``s[j] + scale*k[j]``, one expression per
+    component: the one place a printed step writes it."""
+    return [f"{x} + {scale} * {a}" for x, a in zip(xs, k)]
+
+
+def _horizontal_rows(G, X, eta=()) -> list:
+    """The text of ``connection.horizontal_velocity(G, X, eta)`` over the
+    tokens of gamma's entries row by row, of X and of eta (none for the
+    plain lift): for each A, the terms ``-G[A][i] * X[i]`` summed left to
+    right, then ``+ eta[A]``."""
+    n = len(X)
+    rows = (zip(G[A * n : (A + 1) * n], X) for A in range(len(G) // n))
+    return [" + ".join([*(f"-{g} * {x}" for g, x in row), *eta[A : A + 1]]) for A, row in enumerate(rows)]
+
+
 @functools.cache
 def rk4_step(width: int) -> Callable:
     """``step(f, start, mid, end, s, half, h, sixth)``: one step of
@@ -636,8 +693,8 @@ def rk4_step(width: int) -> Callable:
     It calls ``f(start, s)``, then f at mid on ``s[j] + half*k1[j]`` and on
     ``s[j] + half*k2[j]``, then at end on ``s[j] + h*k3[j]``, and returns
     the list ``s[j] + sixth*(k1[j] + (k2[j] + k2[j]) + (k3[j] + k3[j]) +
-    k4[j])``: rk4's stage sums written out component by component, in
-    rk4's order.
+    k4[j])``: rk4's stage states and sums written out component by
+    component, in rk4's order.
     """
     src = Source(("f", "start", "mid", "end", "s", "half", "h", "sixth"), {})
     f, start, mid, end, s, half, h, sixth = src.params
@@ -645,7 +702,7 @@ def rk4_step(width: int) -> Callable:
     k1, k2, k3, k4 = ([f"_k{i}_{j}" for j in range(width)] for i in range(1, 5))
 
     def at(t, scale, k):
-        return f"{f}({t}, [{', '.join(f'{x} + {scale} * {a}' for x, a in zip(xs, k))}])"
+        return f"{f}({t}, [{', '.join(_rk4_stage(xs, scale, k))}])"
 
     src.line(f"{tuple_of(xs)} = {s}")
     src.line(f"{tuple_of(k1)} = {f}({start}, {s})")
@@ -664,31 +721,24 @@ def linear_rk4(k: int, affine: bool) -> Callable:
 
     ``tab[i]`` holds the coefficients at the knot ``t0 + (2*base + i)*half``:
     the k*k entries of M row by row and, when affine, the k entries of c
-    (``curve_coefficients``).  It is a block's table of knots, or a mapping
-    that calls the coefficients at a knot when first read.  Step s is rk4's
-    step s, with the stage times ``t0 + j*half`` for j = 2s, 2s + 1 (twice)
-    and 2s + 2, but each knot is read once: the first step's start before
-    the loop, then per step the midpoint, which serves stages 2 and 3, and
-    the end, which is bitwise the next step's start.  Each stage's ``M z +
-    c`` row is ``M[A][0]*z[0] + M[A][1]*z[1] + ...`` summed left to right,
-    then ``+ c[A]``, on the stage state rk4 builds; the step sums are rk4's
-    (``_rk4_sums``).  A step whose reading raises OverflowError re-raises it
-    naming the step's start, and a non-finite state raises OverflowError
-    naming the step's end, with rk4's messages.
+    (``curve_coefficients``).  It is a block's table of knots, or a
+    ``transport._Knots`` mapping that calls the coefficients at a knot when
+    first read, and names the step of the knot where they overflow.  Step
+    s is rk4's step s, with the stage times ``t0 + j*half`` for j = 2s,
+    2s + 1 (twice) and 2s + 2, but each knot is read once: the first
+    step's start before the loop, then per step the midpoint, which serves
+    stages 2 and 3, and the end, which is bitwise the next step's start.
+    Each stage's ``M z + c`` row is ``M[A][0]*z[0] + M[A][1]*z[1] + ...``
+    summed left to right, then ``+ c[A]``, on rk4's stage state
+    (``_rk4_stage``); the step sums are rk4's (``_rk4_sums``).  A
+    non-finite state raises OverflowError naming the step's end, with
+    rk4's message.
     """
     src = Source((), {"_isfinite": math.isfinite})
     src.params = ["_tab", "_base", "_t0", "_half", "_h", "_sixth", "_first", "_last", "_state"]
     tab, base, t0, half, h, sixth, first, last, state = src.params
     zs, ys = [f"_z{A}" for A in range(k)], [f"_y{A}" for A in range(k)]
     ks = [[f"_k{i}_{A}" for A in range(k)] for i in range(1, 5)]
-
-    def reads_naming_the_step(reads):
-        # the knot index of the step's start is 2*base + _i
-        src.line("try:")
-        for target, index in reads:
-            src.line(f"    {target} = {tab}[{index}]")
-        src.line("except OverflowError as _err:")
-        src.line(f'    raise OverflowError(f"{{_err}} in the step from t = {{{t0} + (2 * {base} + _i) * {half}!r}}") from _err')
 
     def unpack(tag, packed):
         """Locals for the M and c of one knot; the rows of M, and c."""
@@ -704,14 +754,15 @@ def linear_rk4(k: int, affine: bool) -> Callable:
 
     src.line(f"{tuple_of(zs)} = {state}")
     src.line(f"_i = 2 * ({first} - {base})")
-    reads_naming_the_step([("_gs", "_i")])
+    src.line(f"_gs = {tab}[_i]")
     src.line(f"for _i in range(_i, 2 * ({last} - {base}), 2):")
     src.indent += 1
-    reads_naming_the_step([("_gm", "_i + 1"), ("_ge", "_i + 2")])
+    src.line(f"_gm = {tab}[_i + 1]")
+    src.line(f"_ge = {tab}[_i + 2]")
     start, mid, end = unpack("s", "_gs"), unpack("m", "_gm"), unpack("e", "_ge")
     src.line(f"{tuple_of(ks[0])} = {tuple_of(rows(start, zs))}")
     for coefficients, scale, prev, out in ((mid, half, ks[0], ks[1]), (mid, half, ks[1], ks[2]), (end, h, ks[2], ks[3])):
-        src.line(f"{tuple_of(ys)} = {tuple_of([f'{z} + {scale} * {a}' for z, a in zip(zs, prev)])}")
+        src.line(f"{tuple_of(ys)} = {tuple_of(_rk4_stage(zs, scale, prev))}")
         src.line(f"{tuple_of(out)} = {tuple_of(rows(coefficients, ys))}")
     src.line(f"{tuple_of(zs)} = {tuple_of(_rk4_sums(zs, *ks, sixth))}")
     src.line(f"if not ({' and '.join(f'_isfinite({z})' for z in zs)}):")
@@ -727,11 +778,12 @@ def flow_stage(conn, field, variational: bool) -> Callable:
 
     The state is x1..xn, y1..yk, and with variational also z1..zk.  f tests
     the domain predicate and raises ``space.left_domain("flow", t, xy)`` off
-    it, computes the field's X and eta (the float emitter) and gamma (the
-    float emitter, or with variational the forward emitter seeded in y), in
-    that order, so it raises what the compiled predicate, field and gamma
-    raise, one after the other.  It returns the list of X, then
-    ``connection.horizontal_velocity(G, X, eta)``, then with variational
+    it (``Source.require_domain``), computes the field's X and eta (the
+    float emitter) and gamma (the float emitter, or with variational the
+    forward emitter seeded in y), in that order, so it raises what the
+    compiled predicate, field and gamma raise, one after the other.  It
+    returns the list of X, then ``connection.horizontal_velocity(G, X,
+    eta)`` (``_horizontal_rows``), then with variational
     ``LinearizedConnection.fiber_velocity(J, z, X)``, printed in their
     stated orders (for each A: the terms ``-G[A][i] * X[i]`` summed left to
     right, then ``+ eta[A]``; and ``J[A][i][B] * z[B] * X[i]`` summed onto
@@ -742,28 +794,21 @@ def flow_stage(conn, field, variational: bool) -> Callable:
     n, k = sp.n, sp.k
     if (len(field.X), len(field.eta)) != (n, k):
         raise ValueError(f"a flow needs a field with {n} base and {k} fiber components")
-    helpers = {**HELPERS, "_gradient": gradient, "_left": sp.left_domain}
-    src = Source(sp.x_names + sp.y_names, helpers)
+    src = Source(sp.x_names + sp.y_names, {**HELPERS, "_gradient": gradient})
     xy = src.params
     zs = [f"_z{B}" for B in range(k)] if variational else []
     src.params = ["_time", "_state"]  # the values of the names come from the state
     src.line(f"{tuple_of(xy + zs)} = _state")
+    src.require_domain(sp, "flow", "_time", xy)
     plain = Emitter(src)
-    if sp.domain is not None:
-        src.line(f"if not {plain.emit_bool(sp.domain)}:")
-        src.line(f"    raise _left('flow', _time, [{', '.join(xy)}])")
     X = [src.bind(plain.emit(e)) for e in field.X]  # read in every row
     eta = [plain.emit(e) for e in field.eta]
-    entries = [g for row in conn.gamma for g in row]
     if variational:
-        out = _forward_outputs(_Forward(src, sp.y_names), entries)
+        out = _forward_outputs(_Forward(src, sp.y_names), conn.entries)
         G, J = out[: k * n], out[k * n :]
     else:
-        G = [plain.emit(g) for g in entries]
-    outputs = list(X)
-    for A in range(k):
-        terms = [f"-{g} * {x}" for g, x in zip(G[A * n : (A + 1) * n], X)]
-        outputs.append(" + ".join([*terms, eta[A]]))
+        G = [plain.emit(g) for g in conn.entries]
+    outputs = [*X, *_horizontal_rows(G, X, eta)]
     if variational:
         for A in range(k):
             rows = J[A * n * k : (A + 1) * n * k]
@@ -780,14 +825,15 @@ def curve_coefficients(lin, curve, lam: float, lanes: bool = False) -> Callable 
 
     g computes the curve's x, y, xdot and ydot (the forward emitter seeded
     in t, as ``CurveInE.compiled_state``), tests the domain predicate at
-    (x, y) and raises ``space.left_domain("curve", t, xy)`` off it, then
-    computes gamma and d_gamma (the forward emitter seeded in y over the
-    curve's values, as ``compiled_gamma_gradients``), in that order, so it
-    raises what those compiled functions raise, one after the other.  It
-    returns the tuple of the k*k entries ``M[A][B] = -(0.0 + J[A][0][B] *
-    xdot[0] + J[A][1][B] * xdot[1] + ...)`` row by row, then, with lam !=
-    0, the k entries ``c[A] = lam * (ydot[A] + (G[A][0] * xdot[0] +
-    G[A][1] * xdot[1] + ...))``; ``linear_rk4`` steps with them.
+    (x, y) and raises ``space.left_domain("curve", t, xy)`` off it
+    (``Source.require_domain``), then computes gamma and d_gamma (the
+    forward emitter seeded in y over the curve's values, as
+    ``compiled_gamma_gradients``), in that order, so it raises what those
+    compiled functions raise, one after the other.  It returns the tuple of
+    the k*k entries ``M[A][B] = -(0.0 + J[A][0][B] * xdot[0] + J[A][1][B] *
+    xdot[1] + ...)`` row by row, then, with lam != 0, the k entries ``c[A]
+    = lam * (ydot[A] + (G[A][0] * xdot[0] + G[A][1] * xdot[1] + ...))``;
+    ``linear_rk4`` steps with them.
 
     With lanes, g is printed over lanes (``Source``): ``g(times)`` takes a
     float array of times and returns the array [entry, time] whose column j
@@ -798,24 +844,17 @@ def curve_coefficients(lin, curve, lam: float, lanes: bool = False) -> Callable 
     """
     sp = lin.space
     n, k = sp.n, sp.k
-    entries = [g for row in lin.conn.gamma for g in row]
+    entries = lin.conn.entries
     if lanes and any(map(_walk_decides, (*curve.comp_x, *curve.comp_y, *entries))):
         return None
-    src = Source(("t",), {**HELPERS, "_gradient": gradient, "_left": sp.left_domain}, lanes)
+    src = Source(("t",), {**HELPERS, "_gradient": gradient}, lanes)
     time = src.params[0]
     out = _forward_outputs(_Forward(src, ("t",)), curve.comp_x + curve.comp_y)
     xy = [v if v.isidentifier() else src.assign(v) for v in out[: n + k]]
     xd = [src.bind(v) for v in out[n + k : 2 * n + k]]  # read in every entry of M
     yd = out[2 * n + k :]
     src.tokens = dict(zip(sp.x_names + sp.y_names, xy))  # gamma reads the curve's point
-    if sp.domain is not None:
-        inside = Emitter(src).emit_bool(sp.domain)
-        if lanes:
-            src.line(f"if not _all({inside}):")
-            src.line('    raise _DomainError("curve left the domain")')
-        else:
-            src.line(f"if not {inside}:")
-            src.line(f"    raise _left('curve', {time}, [{', '.join(xy)}])")
+    src.require_domain(sp, "curve", time, xy)
     out = _forward_outputs(_Forward(src, sp.y_names), entries)
     G, J = out[: k * n], out[k * n :]
     M = [
@@ -839,15 +878,16 @@ def lane_stage(sp, lanes: int, width: int, what: str, lane) -> Callable:
     Lane j reads its n directions from ``dirs[j*n : (j+1)*n]`` and its
     width floats, x1..xn, y1..yk and any more, from ``state[j*width :
     (j+1)*width]``.  Lane by lane, in order, f tests the domain predicate at
-    the lane's (x, y) and raises ``space.left_domain(what, t, xy)`` off it,
-    then runs the statements that ``lane(src, state, d)`` prints, with the
-    tokens of the lane's state and directions and ``src.tokens`` naming its
-    x and y.  That call returns the lane's output expressions; f returns
-    every lane's outputs in one list, lane after lane.
+    the lane's (x, y) and raises ``space.left_domain(what, t, xy)`` off it
+    (``Source.require_domain``), then runs the statements that ``lane(src,
+    state, d)`` prints, with the tokens of the lane's state and directions
+    and ``src.tokens`` naming its x and y.  That call returns the lane's
+    output expressions; f returns every lane's outputs in one list, lane
+    after lane.
     """
     n = sp.n
     names = sp.x_names + sp.y_names
-    src = Source(names, {**HELPERS, "_left": sp.left_domain})
+    src = Source(names, HELPERS)
     src.params = ["_dirs", "_time", "_state"]
     dirs = [[f"_d{j}_{i}" for i in range(n)] for j in range(lanes)]
     states = [[f"_s{j}_{c}" for c in range(width)] for j in range(lanes)]
@@ -857,9 +897,7 @@ def lane_stage(sp, lanes: int, width: int, what: str, lane) -> Callable:
     for d, state in zip(dirs, states):
         xy = state[: len(names)]
         src.tokens = dict(zip(names, xy))
-        if sp.domain is not None:
-            src.line(f"if not {Emitter(src).emit_bool(sp.domain)}:")
-            src.line(f"    raise _left({what!r}, _time, [{', '.join(xy)}])")
+        src.require_domain(sp, what, "_time", xy)
         outputs += lane(src, state, d)
     return define(src, "[" + ", ".join(outputs) + "]")
 
@@ -870,18 +908,16 @@ def holonomy_stage(conn) -> Callable:
     lanes of x1..xn, y1..yk), as one printed function of floats.
 
     Lane j's velocity is its direction d and then the horizontal lift of d,
-    ``connection.horizontal_velocity(G, d)`` in its stated order (for each
-    A, the terms ``-G[A][i] * d[i]`` summed left to right), with gamma from
-    the float emitter at the lane's point.  Each lane raises what the
-    compiled domain predicate and gamma raise there, in that order, so f is
-    bitwise the four loops stepped one at a time.
+    ``connection.horizontal_velocity(G, d)`` in its stated order
+    (``_horizontal_rows``: for each A, the terms ``-G[A][i] * d[i]`` summed
+    left to right), with gamma from the float emitter at the lane's point.
+    Each lane raises what the compiled domain predicate and gamma raise
+    there, in that order, so f is bitwise the four loops stepped one at a
+    time.
     """
-    n, k = conn.space.n, conn.space.k
-    entries = [g for row in conn.gamma for g in row]
 
     def lane(src, state, d):
         emitter = Emitter(src)
-        G = [emitter.emit(g) for g in entries]
-        return [*d, *(" + ".join(f"-{g} * {x}" for g, x in zip(G[A * n : (A + 1) * n], d)) for A in range(k))]
+        return [*d, *_horizontal_rows([emitter.emit(g) for g in conn.entries], d)]
 
-    return lane_stage(conn.space, 4, n + k, "holonomy leg", lane)
+    return lane_stage(conn.space, 4, conn.space.n + conn.space.k, "holonomy leg", lane)

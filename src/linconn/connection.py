@@ -32,7 +32,7 @@ def horizontal_velocity(G, X, eta=None) -> list:
     against a base vector.
 
     G holds the k*n entries gamma^A_i row by row (the layout of
-    ``compiled_gamma`` and ``gamma_env``), X the n base components and eta
+    ``NonlinearConnection.entries``), X the n base components and eta
     the k fiber components, or None for the plain horizontal lift.  The
     entries may be floats or lifted ``ad.Dual1`` scalars, mixed freely.
     The order is stated, so the bits do not depend on a BLAS kernel: for
@@ -41,9 +41,9 @@ def horizontal_velocity(G, X, eta=None) -> list:
     nor raises: an infinite gamma gives an infinite or NaN component.
     ``HorBasicField.at``, ``horizontal_lift``, ``connector``,
     ``horizontal_direction_env``, ``connector_env`` and the J term of
-    ``LinearizedConnection._cov_env`` call it; ``codegen.flow_stage``
-    prints the same sums into each flow stage, and
-    ``codegen.holonomy_stage`` into each lane of the holonomy legs.
+    ``LinearizedConnection._cov_env`` call it; its printed twin,
+    ``codegen._horizontal_rows``, prints the same sums into each flow
+    stage and each lane of the holonomy legs.
     """
     entries = iter(G)
     out = []
@@ -121,6 +121,19 @@ class NonlinearConnection:
         allowed = set(self.space.x_names) | set(self.space.y_names)
         for row in rows:
             _check_arity(row, allowed, "gamma entries")
+        # the dataclass's hash, taken once: a lookup keyed by the connection
+        # (a curve's coefficients, a field's flow stages) would walk every
+        # gamma tree
+        object.__setattr__(self, "_hash", hash((self.space, rows)))
+
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The k*n entries gamma^A_i row by row: the layout of every
+        compiled pass of gamma, of ``gamma_env`` and ``horizontal_velocity``."""
+        return tuple(g for row in self.gamma for g in row)
 
     # -- evaluation -----------------------------------------------------
 
@@ -130,7 +143,7 @@ class NonlinearConnection:
         from .codegen import compile_exprs
 
         sp = self.space
-        return compile_exprs([g for row in self.gamma for g in row], sp.x_names + sp.y_names)
+        return compile_exprs(self.entries, sp.x_names + sp.y_names)
 
     @cached_property
     def compiled_gamma_gradients(self):
@@ -142,8 +155,7 @@ class NonlinearConnection:
         from .codegen import compile_gradients
 
         sp = self.space
-        entries = [g for row in self.gamma for g in row]
-        return compile_gradients(entries, sp.x_names + sp.y_names, sp.y_names)
+        return compile_gradients(self.entries, sp.x_names + sp.y_names, sp.y_names)
 
     @cached_property
     def compiled_gamma_second(self):
@@ -160,7 +172,7 @@ class NonlinearConnection:
         from .second_order import compile_second
 
         names = self.space.x_names + self.space.y_names
-        return compile_second([g for row in self.gamma for g in row], names, names)
+        return compile_second(self.entries, names, names)
 
     def gamma_second(self, values, direction) -> tuple:
         """(G, dG, Gv, dGv): one call of ``compiled_gamma_second`` at the
@@ -179,7 +191,7 @@ class NonlinearConnection:
     def gamma_env(self, env) -> list:
         """The k*n entries gamma^A_i row by row over a plain or lifted env,
         the layout of ``compiled_gamma``."""
-        return [ex.evaluate(g, env) for row in self.gamma for g in row]
+        return [ex.evaluate(g, env) for g in self.entries]
 
     def horizontal_direction_env(self, comp_x, env, eta=None):
         """Components (X, -gamma X + eta) of a lifted base field over env,

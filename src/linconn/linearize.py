@@ -201,7 +201,7 @@ class LinearizedConnection:
         sp = self.space
         direction = dict(zip(sp.x_names + sp.y_names, [*dir_x, *dir_y]))
         sigma = dict(zip(sp.y_names, [ex.evaluate(c, env) for c in comps]))
-        D = [ad.partial_in(g, env, sigma) for row in self.conn.gamma for g in row]
+        D = [ad.partial_in(g, env, sigma) for g in self.conn.entries]
         return [
             ad.partial_in(c, env, direction) - v
             for c, v in zip(comps, horizontal_velocity(D, dir_x))

@@ -17,7 +17,6 @@ from typing import Callable
 
 from .ad import _second, second_partials
 from . import codegen
-from .expr import _walk_decides
 
 
 class _Second(codegen._Slots):
@@ -30,9 +29,9 @@ class _Second(codegen._Slots):
     mixed slots.  f and fv do not depend on u, so the m walks share them
     and their guards.  Each slot is computed with the formula of the Dual2
     operation the walk would call, ``ad._second`` included, so the numbers
-    are bitwise those of the m walks.  ``emit``, the guards and the powers
-    are inherited (``codegen._Slots``); ``walked`` hands a whole tree to
-    ``ad.second_partials`` instead.
+    are bitwise those of the m walks.  ``emit``, the guards, the powers,
+    abs's slot copies and the outputs are inherited (``codegen._Slots``);
+    ``walked`` hands a whole tree to ``ad.second_partials`` instead.
     """
 
     blank = (None, None, None)
@@ -42,6 +41,7 @@ class _Second(codegen._Slots):
         self.seeded, self.m, self.outer = seeded, len(seeded), outer
         self.seeds = {name: tuple("1.0" if s == name else "0.0" for s in seeded) for name in source.tokens}
         self.zeros = ("0.0",) * self.m
+        self.zero = (self.zeros, "0.0", self.zeros)
 
     def _each(self, form: str, *slots) -> tuple:
         """One local per slot: form filled with the j-th entry of each slot."""
@@ -136,24 +136,14 @@ class _Second(codegen._Slots):
             self._raise_if(f"{f} <= 0.0", "sqrt needs a positive value when differentiating")
             v = call(f"_math.sqrt({f})")
             return self._chain(a, v, put(f"0.5 / {v}"), put(f"_second(-0.25, {v} * {f}, 1)"))
-        # abs
-        self._raise_if(f"{f} == 0.0", "abs is not differentiable at zero")
-        slots = (f, *a[1], a[2], *a[3])
-        out = [self.src.local() for _ in slots]
-        self.src.line(f"if {f} > 0.0:")
-        for target, x in zip(out, slots):
-            self.src.line(f"    {target} = {x}")
-        self.src.line("else:")
-        for target, x in zip(out, slots):
-            self.src.line(f"    {target} = -{x}")
+        out = self._signed(f, (*a[1], a[2], *a[3]))
         m = self.m
         return out[0], tuple(out[1 : m + 1]), out[m + 1], tuple(out[m + 2 :])
 
     def walked(self, e):
         """The tree walked over Dual2 objects by ``ad.second_partials``."""
         tokens = self.src.tokens
-        point = "{" + "".join(f"{name!r}: {token}, " for name, token in tokens.items()) + "}"
-        outer = "{" + "".join(f"{name!r}: {self.outer[name]}, " for name in tokens) + "}"
+        point, outer = self._env(tokens), self._env({name: self.outer[name] for name in tokens})
         r = self.src.assign(f"_second_partials({self.src.const(e)}, {point}, {outer}, {self.src.const(self.seeded)})")
         m = range(self.m)
         return f"{r}[0]", tuple(f"{r}[1][{j}]" for j in m), f"{r}[2]", tuple(f"{r}[3][{j}]" for j in m)
@@ -171,9 +161,10 @@ def compile_second(exprs, names, seeded) -> Callable:
     then their T v slots (the derivatives along v), then their T*m mixed
     slots (the derivatives along v of the partials), tree by tree, bitwise
     what the walks give (signed zeros included, NaN where they give NaN);
-    a float result has zero slots.  It raises what the first walk raises.
-    A tree that ``expr._walk_decides`` flags is handed to
-    ``ad.second_partials`` at run time instead of being printed.
+    a float result has zero slots (``codegen._Slots.output``).  It raises
+    what the first walk raises.  A tree that ``expr._walk_decides`` flags
+    is handed to ``ad.second_partials`` at run time instead of being
+    printed.
     """
     src = codegen.Source(names, {**codegen.HELPERS, "_second": _second, "_second_partials": second_partials})
     outer = [f"_v{i}" for i in range(len(names))]
@@ -181,9 +172,7 @@ def compile_second(exprs, names, seeded) -> Callable:
     emitter = _Second(src, tuple(seeded), dict(zip(names, outer)))
     f, fu, fv, fuv = [], [], [], []
     for e in exprs:
-        value = emitter.walked(e) if _walk_decides(e) else emitter.emit(e)
-        if value[1] is None:
-            value = f"float({value[0]})", emitter.zeros, "0.0", emitter.zeros
+        value = emitter.output(e)
         f.append(value[0])
         fu += value[1]
         fv.append(value[2])

@@ -182,14 +182,23 @@ class _Knots(dict):
     """A block's coefficients by knot, ``self[i]`` at ``t0 + (jb + i)*half``,
     each from one call of g when the loop first reads it, so g raises at
     the first knot where it fails: the table of a block whose lanes pass
-    raised.  start, when given, is knot 0's."""
+    raised.  start, when given, is knot 0's.
+
+    The loop of ``codegen.linear_rk4`` reads knot i first in the step that
+    starts at knot i - 1 for odd i (its midpoint), at i - 2 for even i >= 2
+    (its end) and at 0 for knot 0, so an OverflowError of g is re-raised
+    naming that step's start, with rk4's message."""
 
     def __init__(self, g, t0: float, half: float, jb: int, start):
         super().__init__({} if start is None else {0: start})
         self.g, self.t0, self.half, self.jb = g, t0, half, jb
 
     def __missing__(self, i):
-        value = self[i] = self.g(self.t0 + (self.jb + i) * self.half)
+        try:
+            value = self[i] = self.g(self.t0 + (self.jb + i) * self.half)
+        except OverflowError as err:
+            step = i - 1 if i % 2 else max(i - 2, 0)
+            raise OverflowError(f"{err} in the step from t = {self.t0 + (self.jb + step) * self.half!r}") from err
         return value
 
 
@@ -220,11 +229,12 @@ def transport_ode(
     j*half`` that the loop names; the next block starts from the last
     knot's coefficients, so every knot is computed once.  A block whose
     pass raises is stepped calling the coefficients at each knot as the
-    loop reads it, so the run raises g's error at g's t, or the state's
-    first.  ``record`` > 0 samples t0 and about that many steps, with x and
-    y from ``compiled_state``; the loop runs in chunks between the samples,
-    and the t0 sample is taken once the first step has returned, so a curve
-    that fails at t0 raises the step's error.
+    loop reads it (``_Knots``, which names the step that reads a knot
+    where g overflows), so the run raises g's error at g's t, or the
+    state's first.  ``record`` > 0 samples t0 and about that many steps,
+    with x and y from ``compiled_state``; the loop runs in chunks between
+    the samples, and the t0 sample is taken once the first step has
+    returned, so a curve that fails at t0 raises the step's error.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

@@ -511,3 +511,25 @@ def test_a_drawn_hor_basic_field_is_the_checked_field(all_specs):
     # a field built by hand is still checked
     with pytest.raises(ValueError, match=r"^hor-basic components may reference x1 only, found y1$"):
         HorBasicField((ex.parse("y1"),), (ex.lit(0.0),))
+
+
+def test_a_connection_hashes_its_trees_once():
+    # a curve's coefficients and a field's flow stages are looked up by
+    # their connection: only the first hash walks gamma's trees
+    c5 = load_builtin("c5").conn
+    calls = []
+    real = ex.Bin.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    with mock.patch.object(ex.Bin, "__hash__", counting):
+        hash((c5.space, c5.gamma))
+        once = len(calls)
+        calls.clear()
+        conn = NonlinearConnection(c5.space, c5.gamma)
+        first = hash(conn)
+        assert hash(conn) == first
+    assert once > 0 and len(calls) == once
+    assert first == hash((conn.space, conn.gamma)) == hash(c5)

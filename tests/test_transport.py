@@ -429,6 +429,15 @@ def test_curve_overflow_at_a_later_knot_names_its_step(c0):
         transport_ode(LinearizedConnection(c0.conn), curve, [1.0, 2.0], 1000, record=16)
 
 
+@pytest.mark.parametrize("record", [0, 16])
+def test_curve_overflow_at_a_midpoint_knot_names_its_step(c0, record):
+    # at 999 steps the first knot past exp's range, j = 1419, is the
+    # midpoint of the step from j = 1418, in the second block of knots
+    curve = CurveInE((ex.parse("t"), ex.parse("t")), (ex.parse("exp(1000*t)"), ex.lit(1.0)), 0.0, 1.0)
+    with pytest.raises(OverflowError, match=r"^math range error in the step from t = 0\.7097097097097097$"):
+        transport_ode(LinearizedConnection(c0.conn), curve, [1.0, 2.0], 999, record=record)
+
+
 def _plain_rk4(f, t0, t1, state, steps):
     """RK4 written out on a list of floats, in rk4's stated order of sums."""
     h = (t1 - t0) / steps
