@@ -6,13 +6,16 @@ identities are held to 1e-12, cross-formula identities to the command
 tolerance (default 1e-7), and integrator or oracle comparisons to the
 looser bounds their error analysis supports.
 
-Most checks are written as one draw, ``draw(spec, rng) -> error``, and
-``_each_draw`` makes each into a check; ``_worst_draw`` is the one loop
-that takes the worst of their draws and owns the drop policy.  Two checks
-aggregate across draws themselves: ``transport.order`` (a median) and
-``linearize.flatness`` (one report).  ``transport.linearity`` reuses one
-curve for every draw and ``linearize.lambda_family`` adds a property of
-all draws together; both call ``_worst_draw`` directly.
+``_draws`` is the one loop over a check's draws: it keeps the value of
+each draw it does not drop, owns the drop policy, and skips the check when
+it keeps none.  Most checks are written as one draw,
+``draw(spec, rng) -> error``, and ``_each_draw`` makes each into a check
+that reports the worst of the kept errors.  Three checks take their draws
+from ``_draws`` directly: ``transport.linearity`` reuses one curve for
+every draw, ``linearize.lambda_family`` adds a property of all draws
+together, and ``transport.order`` judges the median of its ratios.
+``linearize.flatness`` alone is one ``flatness_report``, which draws its
+own points.
 """
 
 from __future__ import annotations
@@ -106,36 +109,33 @@ class _Skip(Exception):
 _DIVERGED = (OutOfDomainError, ex.DomainError, OverflowError)
 
 
-def _worst_draw(samples, measure, drop=_DIVERGED):
-    """The worst error of ``samples`` calls of measure(), one draw each, and
-    the draws used.  A draw that raises one of ``drop`` is dropped (by
-    default one whose integration leaves the domain or diverges); any other
-    error ends the check and the suite.  With no draw used the check
-    skips."""
-    worst = 0.0
-    used = 0
+def _draws(samples, measure, drop=_DIVERGED) -> list:
+    """The values of ``samples`` calls of measure(), one draw each, less the
+    draws that raise one of ``drop`` (by default one whose integration
+    leaves the domain or diverges); any other error ends the check and the
+    suite.  With no draw kept the check skips."""
+    kept = []
     for _ in range(samples):
         try:
-            err = measure()
+            kept.append(measure())
         except drop:
-            continue
-        used += 1
-        worst = max(worst, err)
-    if used == 0:
+            pass
+    if not kept:
         raise _Skip
-    return worst, used
+    return kept
 
 
 def _each_draw(drop=_DIVERGED):
     """Decorator: ``draw(spec, rng) -> error`` becomes the check
     ``check(spec, rng, samples) -> (worst, used)`` over ``samples`` draws,
-    through ``_worst_draw`` with its drop policy.  A pointwise check passes
+    through ``_draws`` with its drop policy.  A pointwise check passes
     ``drop=()``, so its domain or numeric error ends the suite."""
 
     def wrap(draw):
         @functools.wraps(draw)
         def check(spec, rng, samples):
-            return _worst_draw(samples, lambda: draw(spec, rng), drop)
+            errors = _draws(samples, lambda: draw(spec, rng), drop)
+            return max(0.0, *errors), len(errors)
 
         return check
 
@@ -274,7 +274,7 @@ def _in_domain_flow(spec, rng, measure):
 
     A draw whose measurement fails because its own flows leave the domain
     or overflow is replaced by a new one, 64 draws in all; the last draw's
-    error then propagates, and ``_worst_draw`` drops the sample.
+    error then propagates, and ``_draws`` drops the sample.
     """
     for _ in range(64):
         p = sample_pullback(spec.space, rng)
@@ -537,10 +537,8 @@ def _check_lambda_family(spec, rng, samples):
     lin = LinearizedConnection(spec.conn)
     sp = spec.space
     fam0, fam1 = LambdaFamilyMember(spec.conn, 0.0), LambdaFamilyMember(spec.conn, 1.0)
-    nonzero_seen = 0.0
 
     def draw():
-        nonlocal nonzero_seen
         p = sample_pullback(sp, rng)
         w = sample_tangent(rng, p.a)
         err = _teq(fam0.apply(p, w), lin.apply(p, w))
@@ -550,13 +548,13 @@ def _check_lambda_family(spec, rng, samples):
         rhs = tau_add(fam.apply(p, w), lin.apply(PullbackPoint(p.x, p.y, z2), w))
         # only the lam = 0 member kills verticals
         out = fam1.apply(p, vertical_lift(p.a, rng.uniform(-BOX, BOX, sp.k)))
-        nonzero_seen = max(nonzero_seen, _mx(out.dy))
-        return max(err, _rel(_teq(lhs, rhs), _mx(lhs.dy)))
+        return max(err, _rel(_teq(lhs, rhs), _mx(lhs.dy))), _mx(out.dy)
 
-    worst, used = _worst_draw(samples, draw, drop=())
-    if nonzero_seen == 0.0:
+    draws = _draws(samples, draw, drop=())
+    worst = max(0.0, *(err for err, _ in draws))
+    if not any(moved for _, moved in draws):
         worst = max(worst, 1.0)
-    return worst, used
+    return worst, len(draws)
 
 
 @_each_draw(drop=())
@@ -759,7 +757,8 @@ def _check_transport_linearity(spec, rng, samples):
         t12 = transport_ode(lin, curve, al * z1 + be * z2, 200).z_final
         return _rel(_mx(t12 - (al * t1 + be * t2)), _mx(t12))
 
-    return _worst_draw(samples, measure)
+    errors = _draws(samples, measure)
+    return max(0.0, *errors), len(errors)
 
 
 @_each_draw()
@@ -817,6 +816,10 @@ def _order_measurable(lin, curve) -> bool:
     return peak <= amp and d4 / (1.0 + peak) <= wiggle
 
 
+class _Unmeasured(Exception):
+    """A ``transport.order`` draw with no ratio to measure."""
+
+
 def _check_transport_order(spec, rng, samples):
     """Median convergence ratio under step halving lies in the order-4 band.
 
@@ -826,21 +829,20 @@ def _check_transport_order(spec, rng, samples):
     draw and therefore the median.
     """
     lin = LinearizedConnection(spec.conn)
-    sp = spec.space
-    ratios = []
-    for _ in range(samples):
+
+    def ratio():
         curve = _line_curve(spec, rng)
         if not _order_measurable(lin, curve):
-            continue
-        z0 = rng.uniform(-BOX, BOX, sp.k)
+            raise _Unmeasured
+        z0 = rng.uniform(-BOX, BOX, spec.space.k)
         ref = transport_ode(lin, curve, z0, 4096).z_final
         e1 = _mx(transport_ode(lin, curve, z0, 64).z_final - ref)
         e2 = _mx(transport_ode(lin, curve, z0, 128).z_final - ref)
         if e2 < 1e-13:
-            continue  # exactly integrable draw, no truncation error to measure
-        ratios.append(e1 / e2)
-    if not ratios:
-        raise _Skip
+            raise _Unmeasured  # exactly integrable draw, no truncation error
+        return e1 / e2
+
+    ratios = _draws(samples, ratio, _Unmeasured)
     median = float(np.median(ratios))
     worst = 0.0 if 12.0 <= median <= 20.0 else abs(median - 16.0)
     return worst, len(ratios)

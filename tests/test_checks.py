@@ -115,6 +115,36 @@ def test_nan_error_fails_its_check(monkeypatch, c1):
     assert row.status == "fail" and row.max_error == math.inf
 
 
+def test_every_sampled_row_takes_its_draws_through_one_loop(monkeypatch, c2):
+    # ck._draws is the only loop over a check's draws: each row but the
+    # one flatness report enters it exactly once
+    calls, row = {}, [None]
+    real = ck._draws
+
+    def counted(*args, **kw):
+        calls[row[0]] = calls.get(row[0], 0) + 1
+        return real(*args, **kw)
+
+    def tagged(name, fn):
+        def check(*args):
+            row[0] = name
+            return fn(*args)
+
+        return check
+
+    monkeypatch.setattr(ck, "_draws", counted)
+    monkeypatch.setattr(ck, "CHECKS", tuple((e[0], tagged(e[0], e[1])) + e[2:] for e in ck.CHECKS))
+    ck.run_suite(c2, samples=32, seed=0)
+    names = [e[0] for e in ck.CHECKS]
+    assert calls == {name: 1 for name in names if name != "linearize.flatness"}
+    # a draw the order screen rejects is unmeasured, not a failure: with
+    # every curve rejected the row keeps no draw and skips
+    monkeypatch.setattr(ck, "_order_measurable", lambda lin, curve: False)
+    monkeypatch.setattr(ck, "CHECKS", _only("transport.order", ck._check_transport_order))
+    (order,) = ck.run_suite(c2, samples=32, seed=0).checks
+    assert (order.status, order.samples) == ("skip", 0)
+
+
 def test_flatness_row_carries_its_own_verdict(monkeypatch, c0, c1):
     # another spec's flatness check running between c1's check and its row
     # must not leak its verdict into c1's row

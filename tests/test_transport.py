@@ -715,12 +715,16 @@ def test_the_knot_loop_raises_the_stage_errors(capsys, spec_name, curve, message
     assert capsys.readouterr() == ("", message)
 
 
+# read once, at import, so that an edit to codegen.py while the suite runs
+# cannot hand the mutants a source text other than the module's
+LINEAR_RK4_SOURCE = inspect.getsource(codegen.linear_rk4)
+
+
 def _defective_linear_rk4(old, new):
     """``codegen.linear_rk4`` printed from its source with old replaced by new."""
-    text = inspect.getsource(codegen.linear_rk4)
-    assert text.count(old) == 1
+    assert LINEAR_RK4_SOURCE.count(old) == 1
     namespace = dict(vars(codegen))
-    exec(text.replace(old, new), namespace)
+    exec(LINEAR_RK4_SOURCE.replace(old, new), namespace)
     return namespace["linear_rk4"]
 
 
