@@ -2,13 +2,19 @@
 
 Subcommands: check | linearize | curvature | transport | flow-transport.
 Vectors are comma separated; base and fiber blocks are separated by ';'
-(e.g. ``--point "0,0;1,2"`` for x = (0,0), y = (1,2)).  With --json the
-output is a single deterministic JSON document with all reals printed to 17
-significant digits.
+(e.g. ``--point "0,0;1,2"`` for x = (0,0), y = (1,2)).
 
-Exit codes: 0 pass, 1 check failure, 2 usage or parse error, 3 domain or
-numeric error (an integration that overflows or leaves the finite range, or
-a result that is NaN or infinite; nothing then goes to stdout).
+Every command takes one path, ``_run``: it loads the spec, the command
+returns its inputs, outputs, text lines and check rows, and ``_run`` prints
+them.  With --json the output is one deterministic JSON document with five
+keys: ``command``, ``spec`` (path, base_dim, fiber_dim, has_domain),
+``inputs``, ``outputs`` and ``checks`` (the rows, empty but for ``check``
+and ``curvature --oracle``).  Reals print to 17 significant digits and
+strings are escaped as JSON escapes them.
+
+Exit codes: 0 pass, 1 iff a check row failed, 2 usage or parse error, 3
+domain or numeric error (an integration that overflows or leaves the finite
+range, or a result that is NaN or infinite; nothing then goes to stdout).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import functools
 import math
 import re
 import sys
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -50,7 +57,7 @@ def _dump_json(obj, out: list):
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(encode_basestring(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -60,7 +67,7 @@ def _dump_json(obj, out: list):
         for j, key in enumerate(sorted(obj)):
             if j:
                 out.append(", ")
-            _dump_json(str(key), out)
+            out.append(encode_basestring(str(key)))
             out.append(": ")
             _dump_json(obj[key], out)
         out.append("}")
@@ -140,11 +147,8 @@ def _sigma_for(spec: SpecFile, args) -> SectionAlongPi:
     if args.sigma is not None:
         if args.sigma in spec.sections:
             return spec.sections[args.sigma]
-        return SectionAlongPi(
-            _parse_exprs(
-                args.sigma, sp.k, set(sp.x_names) | set(sp.y_names), "--sigma"
-            )
-        )
+        names = set(sp.x_names) | set(sp.y_names)
+        return SectionAlongPi(_parse_exprs(args.sigma, sp.k, names, "--sigma"))
     if args.z is not None:
         zv = _parse_vector(args.z, sp.k, "--z")
         return SectionAlongPi(tuple(ex.lit(c) for c in zv))
@@ -157,9 +161,7 @@ def _curve_for(spec: SpecFile, text: str) -> CurveInE:
     parts = text.split(";")
     sp = spec.space
     if len(parts) != 4:
-        raise UsageError(
-            "--curve: expected a curve name or 'x exprs;y exprs;t0;t1'"
-        )
+        raise UsageError("--curve: expected a curve name or 'x exprs;y exprs;t0;t1'")
     xs = _parse_exprs(parts[0], sp.n, {"t"}, "--curve x")
     ys = _parse_exprs(parts[1], sp.k, {"t"}, "--curve y")
     try:
@@ -167,15 +169,6 @@ def _curve_for(spec: SpecFile, text: str) -> CurveInE:
     except argparse.ArgumentTypeError as err:
         raise UsageError(f"--curve: {err}") from None
     return CurveInE(xs, ys, t0, t1)
-
-
-def _spec_info(spec: SpecFile) -> dict:
-    return {
-        "path": spec.path,
-        "base_dim": spec.space.n,
-        "fiber_dim": spec.space.k,
-        "has_domain": spec.space.domain is not None,
-    }
 
 
 def _check_dicts(checks):
@@ -190,45 +183,50 @@ def _non_finite(obj) -> bool:
     return isinstance(obj, float) and not np.isfinite(obj)
 
 
-def _emit(args, document: dict, text_lines):
+def _run(args) -> int:
+    """Load the spec, run the command, print its document or its lines and
+    pick the exit code: 1 iff a check row failed."""
+    spec = load_spec(args.specfile)
+    inputs, outputs, lines, checks = args.fn(args, spec)
     # a NaN or infinite result is a numeric error, in text and JSON alike
-    bad = sorted(key for key, value in document["outputs"].items() if _non_finite(value))
+    bad = sorted(key for key, value in outputs.items() if _non_finite(value))
     if bad:
         raise OverflowError(f"non-finite output: {', '.join(bad)}")
     if args.json:
-        sys.stdout.write(to_json(document) + "\n")
-    else:
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
+        document = {
+            "command": args.command,
+            "spec": {
+                "path": spec.path,
+                "base_dim": spec.space.n,
+                "fiber_dim": spec.space.k,
+                "has_domain": spec.space.domain is not None,
+            },
+            "inputs": inputs,
+            "outputs": outputs,
+            "checks": _check_dicts(checks),
+        }
+        lines = [to_json(document)]
+    sys.stdout.write("".join(line + "\n" for line in lines))
+    return 1 if any(c.status == "fail" for c in checks) else 0
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns (inputs, outputs, text lines, check rows)
 
 
-def cmd_check(args) -> int:
-    spec = load_spec(args.specfile)
+def cmd_check(args, spec: SpecFile):
     report = run_suite(spec, samples=args.samples, seed=args.seed, tol=args.tol)
-    document = {
-        "command": "check",
-        "spec": _spec_info(spec),
-        "inputs": {"samples": args.samples, "seed": args.seed, "tol": args.tol},
-        "outputs": {"passed": report.passed},
-        "checks": _check_dicts(report.checks),
-    }
-    lines = []
-    for c in report.checks:
-        lines.append(
-            f"{c.status.upper():4s} {c.name:38s} max_error={c.max_error:.3e} "
-            f"tol={c.tolerance:.1e} samples={c.samples}"
-        )
+    lines = [
+        f"{c.status.upper():4s} {c.name:38s} max_error={c.max_error:.3e} "
+        f"tol={c.tolerance:.1e} samples={c.samples}"
+        for c in report.checks
+    ]
     lines.append(f"overall: {'pass' if report.passed else 'FAIL'}")
-    _emit(args, document, lines)
-    return 0 if report.passed else 1
+    inputs = {"samples": args.samples, "seed": args.seed, "tol": args.tol}
+    return inputs, {"passed": report.passed}, lines, report.checks
 
 
-def cmd_linearize(args) -> int:
-    spec = load_spec(args.specfile)
+def cmd_linearize(args, spec: SpecFile):
     sp = spec.space
     x, y = _parse_blocks(args.point, (sp.n, sp.k), "--point")
     z = _parse_vector(args.z, sp.k, "--z")
@@ -241,22 +239,17 @@ def cmd_linearize(args) -> int:
     jac = lin.fiber_jacobian(p.a)
     b = lin.apply(p, w)
     bl = fam.apply(p, w)
-    document = {
-        "command": "linearize",
-        "spec": _spec_info(spec),
-        "inputs": {
-            "x": _listify(x), "y": _listify(y), "z": _listify(z),
-            "w_dx": _listify(wdx), "w_dy": _listify(wdy), "lambda": args.lam,
-        },
-        "outputs": {
-            "gamma": [_listify(row) for row in gamma],
-            "gamma_fiber_jacobian": [
-                [_listify(jac[A, i]) for i in range(sp.n)] for A in range(sp.k)
-            ],
-            "B": {"dx": _listify(b.dx), "dy": _listify(b.dy)},
-            "B_lambda": {"dx": _listify(bl.dx), "dy": _listify(bl.dy)},
-        },
-        "checks": [],
+    inputs = {
+        "x": _listify(x), "y": _listify(y), "z": _listify(z),
+        "w_dx": _listify(wdx), "w_dy": _listify(wdy), "lambda": args.lam,
+    }
+    outputs = {
+        "gamma": [_listify(row) for row in gamma],
+        "gamma_fiber_jacobian": [
+            [_listify(jac[A, i]) for i in range(sp.n)] for A in range(sp.k)
+        ],
+        "B": {"dx": _listify(b.dx), "dy": _listify(b.dy)},
+        "B_lambda": {"dx": _listify(bl.dx), "dy": _listify(bl.dy)},
     }
     lines = [
         f"gamma(a) = {gamma.tolist()}",
@@ -264,12 +257,10 @@ def cmd_linearize(args) -> int:
         f"B(a,b)w: dx = {b.dx.tolist()} dy = {b.dy.tolist()}",
         f"B_lambda(a,b)w (lambda={args.lam}): dx = {bl.dx.tolist()} dy = {bl.dy.tolist()}",
     ]
-    _emit(args, document, lines)
-    return 0
+    return inputs, outputs, lines, []
 
 
-def cmd_curvature(args) -> int:
-    spec = load_spec(args.specfile)
+def cmd_curvature(args, spec: SpecFile):
     sp = spec.space
     x, y = _parse_blocks(args.point, (sp.n, sp.k), "--point")
     v1 = _parse_vector(args.v1, sp.n, "--v1")
@@ -305,24 +296,19 @@ def cmd_curvature(args) -> int:
         oracle_lines = [
             f"holonomy oracle R(v1,v2) = {ref.tolist()} (|diff| rel = {err:.3e})"
         ]
-    document = {
-        "command": "curvature",
-        "spec": _spec_info(spec),
-        "inputs": {
-            "x": _listify(x), "y": _listify(y),
-            "v1": _listify(v1), "v2": _listify(v2),
-        },
-        "outputs": {
-            "R": _listify(r),
-            "riemann_component": _listify(rie),
-            "berwald_sample": _listify(theta),
-            "flat_verdict": flat.verdict,
-            "basic_verdict": flat.basic_verdict,
-            "max_curvature_sampled": flat.max_curvature,
-            "max_nonbasic_defect_sampled": flat.max_nonbasic_defect,
-            "equivalence_consistent": flat.equivalence_consistent,
-        },
-        "checks": _check_dicts(checks),
+    inputs = {
+        "x": _listify(x), "y": _listify(y),
+        "v1": _listify(v1), "v2": _listify(v2),
+    }
+    outputs = {
+        "R": _listify(r),
+        "riemann_component": _listify(rie),
+        "berwald_sample": _listify(theta),
+        "flat_verdict": flat.verdict,
+        "basic_verdict": flat.basic_verdict,
+        "max_curvature_sampled": flat.max_curvature,
+        "max_nonbasic_defect_sampled": flat.max_nonbasic_defect,
+        "equivalence_consistent": flat.equivalence_consistent,
     }
     lines = [
         f"R(v1,v2) at a = {r.tolist()}",
@@ -336,49 +322,36 @@ def cmd_curvature(args) -> int:
         f"basicness verdict: {flat.basic_verdict} (max mixed component = "
         f"{flat.max_mixed_component:.3e}, threshold {flat.threshold:.1e})",
     ]
-    _emit(args, document, lines)
-    return 1 if any(c.status == "fail" for c in checks) else 0
+    return inputs, outputs, lines, checks
 
 
-def cmd_transport(args) -> int:
-    spec = load_spec(args.specfile)
-    sp = spec.space
+def cmd_transport(args, spec: SpecFile):
     curve = _curve_for(spec, args.curve)
-    z0 = _parse_vector(args.z0, sp.k, "--z0")
-    carrier = (
-        LambdaFamilyMember(spec.conn, args.lam)
-        if args.lam != 0.0
-        else LinearizedConnection(spec.conn)
-    )
+    z0 = _parse_vector(args.z0, spec.space.k, "--z0")
+    # transport_ode reads lambda 0 as the linearization itself
+    carrier = LambdaFamilyMember(spec.conn, args.lam)
     result = transport_ode(carrier, curve, z0, args.steps, record=16)
-    document = {
-        "command": "transport",
-        "spec": _spec_info(spec),
-        "inputs": {
-            "z0": _listify(z0), "steps": args.steps, "lambda": args.lam,
-            "t0": curve.t0, "t1": curve.t1,
-        },
-        "outputs": {
-            "z_final": _listify(result.z_final),
-            "method": result.method,
-            "trajectory": [
-                {"t": t, "x": _listify(xv), "y": _listify(yv), "z": _listify(zv)}
-                for t, xv, yv, zv in (result.trajectory or ())
-            ],
-        },
-        "checks": [],
+    inputs = {
+        "z0": _listify(z0), "steps": args.steps, "lambda": args.lam,
+        "t0": curve.t0, "t1": curve.t1,
+    }
+    outputs = {
+        "z_final": _listify(result.z_final),
+        "method": result.method,
+        "trajectory": [
+            {"t": t, "x": _listify(xv), "y": _listify(yv), "z": _listify(zv)}
+            for t, xv, yv, zv in (result.trajectory or ())
+        ],
     }
     lines = [
         f"transport over [{curve.t0}, {curve.t1}] in {args.steps} RK4 steps "
         f"(lambda={args.lam})",
         f"z_final = {result.z_final.tolist()}",
     ]
-    _emit(args, document, lines)
-    return 0
+    return inputs, outputs, lines, []
 
 
-def cmd_flow_transport(args) -> int:
-    spec = load_spec(args.specfile)
+def cmd_flow_transport(args, spec: SpecFile):
     sp = spec.space
     if args.field not in spec.fields:
         raise UsageError(f"unknown field {args.field!r} (have {sorted(spec.fields)})")
@@ -387,51 +360,39 @@ def cmd_flow_transport(args) -> int:
     z = _parse_vector(args.z, sp.k, "--z")
     p = PullbackPoint(x, y, z)
     end, dz = fiber_derivative_flow(spec.conn, y_field, p, args.s, args.steps)
-    document = {
-        "command": "flow-transport",
-        "spec": _spec_info(spec),
-        "inputs": {
-            "field": args.field, "x": _listify(x), "y": _listify(y),
-            "z": _listify(z), "s": args.s, "steps": args.steps,
-        },
-        "outputs": {
-            "end_x": _listify(end.x),
-            "end_y": _listify(end.y),
-            "z_transported": _listify(dz),
-        },
-        "checks": [],
+    inputs = {
+        "field": args.field, "x": _listify(x), "y": _listify(y),
+        "z": _listify(z), "s": args.s, "steps": args.steps,
+    }
+    outputs = {
+        "end_x": _listify(end.x),
+        "end_y": _listify(end.y),
+        "z_transported": _listify(dz),
     }
     lines = [
         f"flow endpoint: x = {end.x.tolist()} y = {end.y.tolist()}",
         f"transported fiber vector = {list(map(float, dz))}",
     ]
-    _emit(args, document, lines)
-    return 0
+    return inputs, outputs, lines, []
 
 
 # ---------------------------------------------------------------------------
 
 
-def _sample_count(text: str) -> int:
-    """--samples: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _at_least(low: int):
+    """An argparse type: an integer of at least ``low`` (1 for --samples and
+    --steps, 0 for --seed, as numpy rejects a negative seed)."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
 
-def _seed(text: str) -> int:
-    """--seed: an integer of at least 0 (numpy rejects a negative seed)."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -449,10 +410,10 @@ def _add_common(parser, suppress: bool):
         help="emit one JSON document",
     )
     parser.add_argument(
-        "--seed", type=_seed, default=default(0), help="seed for sampled checks"
+        "--seed", type=_at_least(0), default=default(0), help="seed for sampled checks"
     )
     parser.add_argument(
-        "--samples", type=_sample_count, default=default(256), help="sample budget"
+        "--samples", type=_at_least(1), default=default(256), help="sample budget"
     )
     parser.add_argument(
         "--tol", type=_tolerance, default=default(1e-7), help="cross-check tolerance"
@@ -515,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specfile")
     p.add_argument("--curve", required=True, help="curve name or 'x exprs;y exprs;t0;t1'")
     p.add_argument("--z0", required=True)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_at_least(1), default=1000)
     p.add_argument("--lambda", dest="lam", type=_finite, default=0.0)
     p.set_defaults(fn=cmd_transport)
 
@@ -525,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="'x1,..;y1,..'")
     p.add_argument("--z", required=True)
     p.add_argument("--s", type=_finite, default=1.0)
-    p.add_argument("--steps", type=int, default=1000)
+    p.add_argument("--steps", type=_at_least(1), default=1000)
     p.set_defaults(fn=cmd_flow_transport)
     return parser
 
@@ -544,7 +505,7 @@ def main(argv=None) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        return _run(args)
     except (OutOfDomainError, ex.DomainError) as err:
         sys.stderr.write(f"domain error: {err}\n")
         return 3

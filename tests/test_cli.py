@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linconn import cli
 from linconn.cli import main, to_json
@@ -373,13 +376,20 @@ def test_a_non_finite_numeric_input_is_a_usage_error(capsys, argv, flag):
         ["check", "c1", "--tol", "0"],
         ["check", "c1", "--tol", "-1e-7"],
         ["--tol", "nan", "check", "c1"],
+        # --steps takes the type --samples takes, so the error names the flag
+        ["transport", "c1", "--curve", "line", "--z0", "1", "--steps", "0"],
+        ["transport", "c1", "--curve", "line", "--z0", "1", "--steps", "x"],
+        ["flow-transport", "c1", "--field", "unit", "--point", "0;1", "--z", "1", "--steps", "0"],
+        ["flow-transport", "c1", "--field", "unit", "--point", "0;1", "--z", "1", "--steps", "x"],
     ],
 )
 def test_a_sample_count_below_one_or_a_bad_tolerance_is_a_usage_error(capsys, argv):
     argv = [builtin_spec_path(a) if a in ("c1", "c2") else a for a in argv]
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and ("--samples" in err or "--tol" in err)
+    assert out == "" and ("--samples" in err or "--tol" in err or "--steps" in err)
+    if "--steps" in argv:
+        assert f"argument --steps: expected an integer >= 1, got {argv[-1]!r}" in err
 
 
 @pytest.mark.parametrize(
@@ -664,6 +674,70 @@ def test_json_float_formatting():
     text = to_json({"a": 0.1, "b": [1.0, 2.5e-17]})
     assert text == '{"a": 0.10000000000000001, "b": [1, 2.4999999999999999e-17]}'
     assert to_json([math.inf, -math.inf, math.nan]) == '["inf", "-inf", "nan"]'
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**64), 2**64)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(JSON_VALUES)
+def test_json_round_trips_through_a_json_parser(doc):
+    # strings over all code points: a control character must be escaped,
+    # or a JSON parser rejects the document
+    assert json.loads(to_json(doc)) == doc
+
+
+def test_a_spec_path_with_a_tab_round_trips_through_json(capsys, tmp_path):
+    spec = tmp_path / "tab\there.ini"
+    spec.write_text(Path(builtin_spec_path("c1")).read_text())
+    code, out = run_cli(capsys, "--json", "transport", str(spec), "--curve", "line", "--z0", "1")
+    assert code == 0
+    assert r"tab\there.ini" in out and "\t" not in out  # escaped, not raw
+    assert json.loads(out)["spec"]["path"] == str(spec)
+
+
+README_OUTPUT_PINS = {
+    # sha256 of stdout, text then --json, with the spec path's JSON string
+    # replaced by "SPEC"; in the order of _readme_commands()[2:]
+    "linearize": (
+        "1ec032ed28173c98f3b395020153aaa071776793c79afd81883b567035cf1cb0",
+        "4c114bc4d29eab2b310fc18d77dfee56536df02ab8ef4069d20adf4264888616",
+    ),
+    "curvature": (
+        "cdd8567255425c381ba496babf97a53a48f839d66eb86f09a4da30d8c3a303ce",
+        "0cc076258f6be9f83766c053a56d2ce117e59b89d3ef8b9d7f9bf5f8f5b38b60",
+    ),
+    "transport-named": (
+        "65094088f2f5fd43f68ad07c26525b397aa6dc4839e269b02d25ebcbb289a366",
+        "1cd4b8ae673dd9bd26da959ea6614423d05333a60811b8773a0783d9c5e84ef0",
+    ),
+    "transport-inline": (
+        "a25c35a14a2179e8302703c26f29d79ead5b80abe4d9075212444d21a3c236e5",
+        "59908a092ebb6785c021796c0b556f17c194ae5ffe08531d0e99255398356f08",
+    ),
+    "flow-transport": (
+        "94191583074137abb816e9ea51db18bedaa0550b06460ecbe0b13a0bd3f93136",
+        "6aad9dcac871d1e5ca65ec9141b568e3c2d63c33d45c2adc000986c127d554d4",
+    ),
+}
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("name", sorted(README_OUTPUT_PINS))
+def test_readme_command_output_is_pinned(capsys, name, json_mode):
+    """The README's linearize, curvature --oracle, transport and
+    flow-transport commands print these bytes; ``test_check_json_byte_stable``
+    and the check row pins guard ``check``."""
+    argv = dict(zip(README_OUTPUT_PINS, _readme_commands()[2:]))[name]
+    code, out = run_cli(capsys, *(["--json"] if json_mode else []), *argv)
+    assert code == 0
+    out = out.replace(json.dumps(argv[1], ensure_ascii=False), '"SPEC"')
+    assert hashlib.sha256(out.encode()).hexdigest() == README_OUTPUT_PINS[name][json_mode], out
 
 
 def test_check_json_with_infinite_errors_parses(capsys, tmp_path):
